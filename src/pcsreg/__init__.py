@@ -38,7 +38,14 @@ from .harness import (
     sample_scene,
     simulate_listener,
 )
-from .optimizer import Score, score, select_baseline, select_best, select_greedy_max
+from .optimizer import (
+    ComplexityCapError,
+    Score,
+    score,
+    select_baseline,
+    select_best,
+    select_greedy_max,
+)
 from .prepositions import Membership, Preposition, membership, relation
 from .resolver import (
     AttributePhrase,

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import IO, Sequence, Union
 
 from .geometry import Vec, heading_vec, opposite, quarter_left, quarter_right
-from .scene import LandmarkType, Scene
+from .scene import LandmarkType, Scene, is_finite
 
 ROW_SUM_TOL = 1e-9
 FILE_ROW_SUM_TOL = 1e-6
@@ -179,6 +179,8 @@ def preferences_from_dict(doc: dict) -> PreferenceTable:
             or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw)
         ):
             raise FrameError(f"row {key!r} must be a list of 4 numbers")
+        if not all(is_finite(v) for v in raw):
+            raise FrameError(f"row {key!r} must contain finite numbers, got {raw!r}")
         if any(v < 0 for v in raw):
             raise FrameError(f"row {key!r} has negative entries")
         if abs(sum(raw) - 1.0) > FILE_ROW_SUM_TOL:

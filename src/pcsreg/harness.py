@@ -40,7 +40,7 @@ from .generator import (
 )
 from .geometry import heading_vec
 from .optimizer import select_baseline, select_best, select_greedy_max
-from .prepositions import relation
+from .prepositions import Preposition, relation
 from .resolver import (
     Compound,
     Denotation,
@@ -153,6 +153,103 @@ def _units_bottom_up(tree: ExpressionTree):
     return list(reversed(units)), node.head
 
 
+class _ListenerPlan:
+    """One expression tree compiled against a scene for the listener.
+
+    ``anchor`` is the innermost phrase's referent (None if nothing matches)
+    and ``units`` holds each relation unit's sorted head ids and
+    preposition, deepest first.  ``steps`` memoizes, per (unit level,
+    resolved landmark id), the unit's adoptable options as (kind, weight,
+    first survivor) plus their total weight; the landmark a unit sees
+    depends on earlier draws, so entries are filled as trials reach them.
+    """
+
+    def __init__(self, tree: ExpressionTree, scene: Scene):
+        units, anchor = _units_bottom_up(tree)
+        ids = consistent_set(anchor, scene)
+        self.anchor = min(ids) if ids else None
+        self.units = [(sorted(consistent_set(head, scene)), prep) for head, prep in units]
+        self.steps: dict[tuple[int, str], tuple[list, float]] = {}
+
+
+class _SceneListener:
+    """Listener interpretation for one (scene, true preferences) pair.
+
+    ``relations`` maps (target id, landmark id, frame kind) to the crisp
+    preposition, filled on demand by ``relation``; the intrinsic kind means
+    the landmark's own frame.  ``plans`` holds one compiled plan per tree.
+    """
+
+    def __init__(self, scene: Scene, prefs: PreferenceTable):
+        self.scene = scene
+        self.prefs = prefs
+        self.frames = {
+            kind: frame_instance(kind, scene)
+            for kind in FRAME_ORDER
+            if kind is not FrameKind.INTRINSIC
+        }
+        self.relations: dict[tuple[str, str, FrameKind], Preposition] = {}
+        self.plans: dict[ExpressionTree, _ListenerPlan] = {}
+
+    def plan(self, tree: ExpressionTree) -> _ListenerPlan:
+        plan = self.plans.get(tree)
+        if plan is None:
+            plan = self.plans[tree] = _ListenerPlan(tree, self.scene)
+        return plan
+
+    def relation(self, target_id: str, landmark: Entity, kind: FrameKind) -> Preposition:
+        key = (target_id, landmark.id, kind)
+        prep = self.relations.get(key)
+        if prep is None:
+            if kind is FrameKind.INTRINSIC:
+                frame = FrameInstance(kind, landmark.id, heading_vec(landmark.heading))
+            else:
+                frame = self.frames[kind]
+            prep = self.relations[key] = relation(self.scene.entity(target_id), landmark, frame)
+        return prep
+
+    def step(self, plan: _ListenerPlan, level: int, resolved_id: str):
+        """The unit's adoptable options and their total weight, memoized."""
+        key = (level, resolved_id)
+        entry = plan.steps.get(key)
+        if entry is None:
+            head_ids, prep = plan.units[level]
+            resolved = self.scene.entity(resolved_id)
+            row = self.prefs.row(landmark_type(resolved))
+            options = []
+            for kind in FRAME_ORDER:
+                p = row[kind.order]
+                if p <= 0.0:
+                    continue
+                if kind is FrameKind.INTRINSIC and not supports_intrinsic(resolved):
+                    continue
+                survivor = next(
+                    (
+                        eid
+                        for eid in head_ids
+                        if eid != resolved_id and self.relation(eid, resolved, kind) is prep
+                    ),
+                    None,
+                )
+                if survivor is not None:
+                    options.append((kind, p, survivor))
+            entry = plan.steps[key] = (options, sum(p for _, p, _ in options))
+        return entry
+
+
+# Single-entry cache: the listener state of the most recent (scene, prefs)
+# pair, matched by identity so neither object is hashed.
+_listener_cache: _SceneListener | None = None
+
+
+def _scene_listener(scene: Scene, prefs: PreferenceTable) -> _SceneListener:
+    global _listener_cache
+    cached = _listener_cache
+    if cached is None or cached.scene is not scene or cached.prefs is not prefs:
+        cached = _listener_cache = _SceneListener(scene, prefs)
+    return cached
+
+
 def simulate_listener(
     tree: ExpressionTree,
     scene: Scene,
@@ -178,39 +275,22 @@ def simulate_listener(
     ``consistency_coupling`` is the probability of reusing the previous
     unit's frame kind instead of sampling afresh; the default models fully
     independent per-unit frame choices.
+
+    The interpretation is compiled once per (scene, expression): crisp
+    relations and each unit's options are cached for the most recent
+    (scene, true_prefs) pair, so repeated trials only draw random numbers,
+    in the same order as an uncached walk would.
     """
-    units, anchor = _units_bottom_up(tree)
-    ids = consistent_set(anchor, scene)
-    if not ids:
+    listener = _scene_listener(scene, true_prefs)
+    plan = listener.plan(tree)
+    resolved = plan.anchor
+    if resolved is None:
         return None
-    resolved = scene.entity(min(ids))
     prev_kind: FrameKind | None = None
-    for head, prep in units:
-        head_ids = sorted(consistent_set(head, scene))
-        row = true_prefs.row(landmark_type(resolved))
-        options: list[tuple[FrameKind, float, list[str]]] = []
-        for kind in FRAME_ORDER:
-            p = row[kind.order]
-            if p <= 0.0:
-                continue
-            if kind is FrameKind.INTRINSIC:
-                if not supports_intrinsic(resolved):
-                    continue
-                frame = FrameInstance(kind, resolved.id, heading_vec(resolved.heading))
-            else:
-                frame = frame_instance(kind, scene)
-            survivors = [
-                eid
-                for eid in head_ids
-                if eid != resolved.id
-                and relation(scene.entity(eid), resolved, frame) is prep
-            ]
-            if not survivors:
-                continue
-            options.append((kind, p, survivors))
+    for level in range(len(plan.units)):
+        options, total = listener.step(plan, level, resolved)
         if not options:
             return None
-        total = sum(p for _, p, _ in options)
         draw = rng.random()
         chosen = None
         if (
@@ -228,10 +308,8 @@ def simulate_listener(
                 if u <= acc:
                     chosen = option
                     break
-        kind, _, survivors = chosen
-        resolved = scene.entity(survivors[0])
-        prev_kind = kind
-    return resolved.id
+        prev_kind, _, resolved = chosen
+    return resolved
 
 
 # --- brute-force oracle -------------------------------------------------------
@@ -450,22 +528,25 @@ def run_comparison(cfg: TrialConfig, collect_records: bool = True) -> TrialRepor
             for method in cfg.methods:
                 tree: ExpressionTree | None = None
                 if chain is not None:
-                    if method == "pcsreg":
-                        tree = select_best(
-                            expression_space(chain, scene), target_id, scene, assumed
-                        )[0].tree
-                    elif method == "max":
-                        tree = select_greedy_max(chain, scene, assumed).tree
-                    elif method == "random":
-                        tree = select_baseline(
-                            method,
-                            chain,
-                            scene,
-                            assumed,
-                            seed=derive_seed(cfg.seed, "strategy", scene_idx, target_id),
-                        ).tree
-                    else:
-                        tree = select_baseline(method, chain, scene, assumed).tree
+                    try:
+                        if method == "pcsreg":
+                            tree = select_best(
+                                expression_space(chain, scene), target_id, scene, assumed
+                            )[0].tree
+                        elif method == "max":
+                            tree = select_greedy_max(chain, scene, assumed).tree
+                        elif method == "random":
+                            tree = select_baseline(
+                                method,
+                                chain,
+                                scene,
+                                assumed,
+                                seed=derive_seed(cfg.seed, "strategy", scene_idx, target_id),
+                            ).tree
+                        else:
+                            tree = select_baseline(method, chain, scene, assumed).tree
+                    except GenerationError:  # e.g. the chain is over the complexity cap
+                        tree = None
                 expressions[method] = tree
                 ks[method] = depth(tree) if tree is not None else None
                 st = stats[method]

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from .frames import FrameKind, PreferenceTable
 from .generator import (
     CandidateExpression,
+    GenerationError,
     LandmarkChain,
     Strategy,
     applicable_assignments,
@@ -34,6 +35,11 @@ APPROPRIATENESS_TIE_TOL = 1e-12
 # Exhaustive search is exponential in expression complexity; desk-scale
 # chains stay well under this.
 MAX_COMPLEXITY = 4
+
+
+class ComplexityCapError(GenerationError):
+    """The landmark chain is longer than exhaustive search allows."""
+
 
 BASELINE_KINDS = {"robot": FrameKind.EGOCENTRIC, "human": FrameKind.ADDRESSEE}
 
@@ -90,7 +96,7 @@ def select_best(
     if not candidates:
         raise ValueError("no candidate expressions to select from")
     if any(len(c.strategy) > MAX_COMPLEXITY for c in candidates):
-        raise ValueError(f"expression complexity exceeds the cap of {MAX_COMPLEXITY}")
+        raise ComplexityCapError(f"expression complexity exceeds the cap of {MAX_COMPLEXITY}")
     by_surface: dict[str, Score] = {}
     for c in candidates:
         if c.surface not in by_surface:

@@ -164,13 +164,27 @@ def _require(doc: dict, key: str, path: str):
     return doc[key]
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def is_finite(number) -> bool:
+    """Whether an int or float converts to a finite float."""
+    try:
+        return math.isfinite(number)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 def _point(value, path: str) -> Vec:
     if (
         not isinstance(value, (list, tuple))
         or len(value) != 2
-        or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value)
+        or not all(_is_number(v) for v in value)
     ):
         raise SceneError(path, f"expected [x, y] numbers, got {value!r}")
+    if not all(is_finite(v) for v in value):
+        raise SceneError(path, f"coordinates must be finite, got {value!r}")
     return (float(value[0]), float(value[1]))
 
 
@@ -207,10 +221,10 @@ def scene_from_dict(doc: dict) -> Scene:
             raise SceneError(f"{path}.category", "must be a non-empty string")
         pos = _point(_require(raw, "pos", path), f"{path}.pos")
         heading = raw.get("heading")
-        if heading is not None and (
-            not isinstance(heading, (int, float)) or isinstance(heading, bool)
-        ):
+        if heading is not None and not _is_number(heading):
             raise SceneError(f"{path}.heading", "must be a number or null")
+        if heading is not None and not is_finite(heading):
+            raise SceneError(f"{path}.heading", f"must be finite, got {heading!r}")
         for attr in ("color", "shape"):
             v = raw.get(attr)
             if v is not None and not isinstance(v, str):

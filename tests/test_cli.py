@@ -7,6 +7,14 @@ import pytest
 from pcsreg.scene import dump_scene
 
 
+NAN_PREFS = {
+    "speaker": [1.0, 0.0, 0.0, 0.0],
+    "listener": [float("nan"), 1.0, 0.0, 0.0],
+    "oriented_object": [0.0, 0.0, 1.0, 0.0],
+    "unoriented_object": [1.0, 0.0, 0.0, 0.0],
+}
+
+
 def run_cli(*args, **kwargs):
     return subprocess.run(
         [sys.executable, "-m", "pcsreg", *args],
@@ -116,6 +124,45 @@ class TestGenerate:
         assert "warning" in out.stderr
         assert "'the yellow block'" in out.stderr  # best-effort fallback
         assert out.stdout == ""
+
+    def test_complexity_cap_exits_4(self, tmp_path):
+        # block15 needs a five-unit chain, one over the exhaustive-search cap.
+        from pcsreg.harness import derive_seed, sample_scene
+
+        scene = sample_scene(
+            derive_seed(1, "scene", 189),
+            objects=(8, 16),
+            categories=("block", "cup"),
+            colors=("red", "blue"),
+            shapes=(),
+        )
+        path = tmp_path / "deep.json"
+        path.write_text(dump_scene(scene))
+        out = run_cli("generate", "--scene", str(path), "--target", "block15")
+        assert out.returncode == 4
+        assert "complexity exceeds the cap" in out.stderr
+        assert "Traceback" not in out.stderr
+        assert out.stdout == ""
+
+    def test_non_finite_scene_exits_2(self, tmp_path, blocks_car_scene):
+        doc = json.loads(dump_scene(blocks_car_scene))
+        doc["entities"][2]["heading"] = float("nan")
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(doc))
+        out = run_cli("generate", "--scene", str(path), "--target", "blk_a")
+        assert out.returncode == 2
+        assert "entities[2].heading" in out.stderr
+        assert "Traceback" not in out.stderr
+
+    def test_non_finite_prefs_exit_2(self, tmp_path, scene_paths):
+        path = tmp_path / "nan_prefs.json"
+        path.write_text(json.dumps(NAN_PREFS))
+        out = run_cli(
+            "generate", "--scene", str(scene_paths["blocks"]), "--target", "blk_a",
+            "--prefs", str(path),
+        )
+        assert out.returncode == 2
+        assert "row 'listener'" in out.stderr
 
     def test_unknown_flag_exits_1(self, scene_paths):
         out = run_cli(
@@ -264,6 +311,18 @@ class TestEvaluate:
         )
         out = run_cli("evaluate", "--config", str(empty_methods))
         assert out.returncode == 2
+
+    def test_non_finite_true_prefs_exit_2(self, tmp_path):
+        path = tmp_path / "nan_prefs_config.json"
+        path.write_text(
+            json.dumps(
+                {"seed": 1, "n_scenes": 1, "trials_per_expression": 1, "true_prefs": NAN_PREFS}
+            )
+        )
+        out = run_cli("evaluate", "--config", str(path))
+        assert out.returncode == 2
+        assert "row 'listener'" in out.stderr
+        assert "Traceback" not in out.stderr
 
 
 class TestSchema:

@@ -213,6 +213,18 @@ def test_preference_file_rejects_large_drift():
         load_preferences(json.dumps(doc))
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), 10**400], ids=["nan", "inf", "huge"])
+def test_preference_file_rejects_non_finite_entries(bad):
+    doc = {
+        "speaker": [1.0, 0.0, 0.0, 0.0],
+        "listener": [bad, 0.9592, 0.0, 0.0],
+        "oriented_object": [0.045, 0.045, 0.905, 0.005],
+        "unoriented_object": [0.6667, 0.2014, 0.1181, 0.0138],
+    }
+    with pytest.raises(FrameError, match="row 'listener' must contain finite numbers"):
+        load_preferences(json.dumps(doc))
+
+
 def test_state_validates_rows():
     with pytest.raises(FrameError):
         PreferenceState(((0.5, 0.1, 0.1, 0.1),), 0)

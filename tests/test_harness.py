@@ -1,11 +1,24 @@
+import hashlib
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
 from helpers import random_tree
 
-from pcsreg.frames import PreferenceTable, default_preferences
+from pcsreg.frames import (
+    FRAME_ORDER,
+    FrameInstance,
+    FrameKind,
+    PreferenceTable,
+    default_preferences,
+    frame_instance,
+    supports_intrinsic,
+)
+from pcsreg.generator import GenerationError, build_landmark_chain, describe_visual, expression_space
+from pcsreg.geometry import heading_vec
 from pcsreg.harness import (
     HarnessError,
     TrialConfig,
@@ -19,9 +32,12 @@ from pcsreg.harness import (
     sample_scene,
     simulate_listener,
 )
-from pcsreg.prepositions import Preposition
-from pcsreg.resolver import AttributePhrase, Compound, Leaf, denote
-from pcsreg.scene import LandmarkType, dump_scene
+from pcsreg.optimizer import ComplexityCapError, select_baseline, select_best, select_greedy_max
+from pcsreg.prepositions import Preposition, relation
+from pcsreg.resolver import AttributePhrase, Compound, Leaf, consistent_set, denote
+from pcsreg.scene import LandmarkType, dump_scene, landmark_type
+
+DEMO_CONFIG = Path(__file__).resolve().parent.parent / "demo" / "eval_config.json"
 
 SQUARE_EXPR = Compound(
     AttributePhrase(category="object"),
@@ -166,6 +182,128 @@ class TestSimulateListener:
         assert coupled > independent + 0.1 * n
 
 
+def reference_listener(tree, scene, true_prefs, rng, consistency_coupling=0.0):
+    """The uncompiled listener: recomputes every relation on every trial."""
+    units = []
+    node = tree
+    while isinstance(node, Compound):
+        units.append((node.head, node.prep))
+        node = node.landmark
+    units.reverse()
+    ids = consistent_set(node.head, scene)
+    if not ids:
+        return None
+    resolved = scene.entity(min(ids))
+    prev_kind = None
+    for head, prep in units:
+        head_ids = sorted(consistent_set(head, scene))
+        row = true_prefs.row(landmark_type(resolved))
+        options = []
+        for kind in FRAME_ORDER:
+            p = row[kind.order]
+            if p <= 0.0:
+                continue
+            if kind is FrameKind.INTRINSIC:
+                if not supports_intrinsic(resolved):
+                    continue
+                frame = FrameInstance(kind, resolved.id, heading_vec(resolved.heading))
+            else:
+                frame = frame_instance(kind, scene)
+            survivors = [
+                eid
+                for eid in head_ids
+                if eid != resolved.id and relation(scene.entity(eid), resolved, frame) is prep
+            ]
+            if not survivors:
+                continue
+            options.append((kind, p, survivors))
+        if not options:
+            return None
+        total = sum(p for _, p, _ in options)
+        draw = rng.random()
+        chosen = None
+        if prev_kind is not None and consistency_coupling > 0.0 and draw < consistency_coupling:
+            chosen = next((o for o in options if o[0] is prev_kind), None)
+        if chosen is None:
+            u = rng.random() * total
+            acc = 0.0
+            chosen = options[-1]
+            for option in options:
+                acc += option[1]
+                if u <= acc:
+                    chosen = option
+                    break
+        kind, _, survivors = chosen
+        resolved = scene.entity(survivors[0])
+        prev_kind = kind
+    return resolved.id
+
+
+def method_trees(scene, prefs, seed):
+    """Every method's expression for every ambiguous target of the scene."""
+    all_ids = set(scene.referable_ids())
+    for target in scene.referable_ids():
+        if describe_visual(target, all_ids, scene).distinguishing:
+            continue
+        try:
+            chain = build_landmark_chain(target, scene, prefs)
+        except GenerationError:
+            continue
+        yield select_greedy_max(chain, scene, prefs).tree
+        yield select_baseline("robot", chain, scene, prefs).tree
+        yield select_baseline("human", chain, scene, prefs).tree
+        yield select_baseline("random", chain, scene, prefs, seed=seed).tree
+        try:
+            yield select_best(expression_space(chain, scene), target, scene, prefs)[0].tree
+        except ComplexityCapError:
+            pass
+
+
+class TestListenerEquivalence:
+    """The compiled listener matches the uncompiled walk draw for draw."""
+
+    @pytest.mark.parametrize("objects", [(3, 8), (8, 16)])
+    def test_matches_reference(self, objects, default_prefs, two_frame_prefs):
+        intrinsic_only = PreferenceTable({lt: (0.0, 0.0, 1.0, 0.0) for lt in LandmarkType})
+        tables = (default_prefs, two_frame_prefs, intrinsic_only)
+        calls = confused = 0
+        for seed in range(100):
+            scene = sample_scene(derive_seed("listener", seed), objects=objects)
+            for tree in method_trees(scene, default_prefs, seed):
+                for prefs in tables:
+                    for coupling in (0.0, 0.5, 1.0):
+                        for trial in range(2):
+                            trial_seed = derive_seed(seed, trial)
+                            expected_rng = random.Random(trial_seed)
+                            rng = random.Random(trial_seed)
+                            expected = reference_listener(
+                                tree, scene, prefs, expected_rng, coupling
+                            )
+                            assert simulate_listener(tree, scene, prefs, rng, coupling) == expected
+                            assert rng.getstate() == expected_rng.getstate()
+                            calls += 1
+                            confused += expected is None
+        assert calls > 1000
+        assert 0 < confused < calls
+
+
+GOLDEN_DIGESTS = {
+    # sha256 of report_to_json + records_to_csv for demo/eval_config.json,
+    # as-is and with consistency_coupling 0.3; records are kept in both.
+    0.0: "69b651ed0746841e8e5c6d630c306dea1ca4405850749d30516dbd85fbc2fe04",
+    0.3: "2bbdad2e35f9b81c40be6e922ea238f713388cd2e25f6a7ef8e8c647b507336e",
+}
+
+
+@pytest.mark.parametrize("coupling", sorted(GOLDEN_DIGESTS))
+def test_demo_report_bytes_are_golden(coupling):
+    doc = json.loads(DEMO_CONFIG.read_text(encoding="utf-8"))
+    doc["consistency_coupling"] = coupling
+    report = run_comparison(config_from_dict(doc), collect_records=True)
+    text = report_to_json(report) + records_to_csv(report)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_DIGESTS[coupling]
+
+
 class TestOracle:
     def test_square_scene(self, facing_square_scene, two_frame_prefs):
         d = oracle_denote(SQUARE_EXPR, facing_square_scene, two_frame_prefs)
@@ -276,12 +414,52 @@ class TestRunComparison:
         for st in report.stats.values():
             assert sum(b["trials"] for b in st.by_k.values()) == st.n_trials
 
+    def test_complexity_cap_counts_as_failure(self, monkeypatch):
+        # Target block15 of this scene needs a five-unit chain, one over the
+        # exhaustive-search cap: pcsreg fails on it, the other methods
+        # still produce an expression.
+        import pcsreg.harness as harness
+
+        scene = cap_scene()
+        monkeypatch.setattr(harness, "sample_scene", lambda *args, **kwargs: scene)
+        cfg = tiny_config(n_scenes=1, trials_per_expression=1)
+        report = run_comparison(cfg)
+        cap_failures = report.stats["pcsreg"].n_failures - report.stats["max"].n_failures
+        assert cap_failures >= 1
+        assert any(
+            r["target"] == "block15" and r["method"] == "pcsreg" and r["k"] is None
+            for r in report.records
+        )
+        assert any(
+            r["target"] == "block15" and r["method"] == "max" and r["k"] == 5
+            for r in report.records
+        )
+
     def test_csv_export(self):
         report = run_comparison(tiny_config(n_scenes=1))
         text = records_to_csv(report)
         lines = text.strip().splitlines()
         assert lines[0] == "scene,target,method,trial,k,identified,correct"
         assert len(lines) == len(report.records) + 1
+
+
+def cap_scene():
+    return sample_scene(
+        derive_seed(1, "scene", 189),
+        objects=(8, 16),
+        categories=("block", "cup"),
+        colors=("red", "blue"),
+        shapes=(),
+    )
+
+
+def test_complexity_cap_is_a_generation_error(default_prefs):
+    scene = cap_scene()
+    chain = build_landmark_chain("block15", scene, default_prefs)
+    assert chain.k == 5
+    with pytest.raises(ComplexityCapError) as info:
+        select_best(expression_space(chain, scene), "block15", scene, default_prefs)
+    assert isinstance(info.value, GenerationError)
 
 
 def report_to_dict_method(report, method):

@@ -91,6 +91,30 @@ def test_non_unit_north_rejected():
     assert err.value.path == "north"
 
 
+NAN = float("nan")
+INF = float("inf")
+
+NON_FINITE_CASES = [
+    ("north", lambda d: d.update(north=[NAN, 1.0])),
+    ("table.min", lambda d: d["table"].update(min=[-INF, -1.0])),
+    ("table.max", lambda d: d["table"].update(max=[1.0, INF])),
+    ("entities[0].pos", lambda d: d["entities"][0].update(pos=[NAN, 0.2])),
+    ("entities[0].heading", lambda d: d["entities"][0].update(heading=NAN)),
+    ("entities[1].heading", lambda d: d["entities"][1].update(heading=-INF)),
+    ("entities[2].heading", lambda d: d["entities"][2].update(heading=10**400)),
+]
+
+
+@pytest.mark.parametrize("path, mutate", NON_FINITE_CASES, ids=[c[0] for c in NON_FINITE_CASES])
+def test_non_finite_numbers_rejected(path, mutate):
+    doc = minimal_doc()
+    mutate(doc)
+    with pytest.raises(SceneError) as err:
+        load_scene(json.dumps(doc))
+    assert err.value.path == path
+    assert "finite" in str(err.value)
+
+
 def test_north_defaults_when_absent():
     doc = minimal_doc()
     del doc["north"]
