@@ -11,6 +11,7 @@ from .frames import (
     FrameKind,
     PreferenceState,
     PreferenceTable,
+    applicable_frames,
     default_preferences,
     frame_instance,
     load_preferences,
@@ -41,7 +42,9 @@ from .harness import (
 from .optimizer import (
     ComplexityCapError,
     Score,
+    generate,
     score,
+    score_denotation,
     select_baseline,
     select_best,
     select_greedy_max,

@@ -14,6 +14,7 @@ import logging
 import os
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from .frames import FrameError, PreferenceTable, default_preferences, load_preferences
 from .generator import (
@@ -31,7 +32,7 @@ from .harness import (
     report_to_json,
     run_comparison,
 )
-from .optimizer import score, select_baseline, select_best, select_greedy_max
+from .optimizer import generate, score, score_denotation, select_best
 from .resolver import (
     Leaf,
     ParseError,
@@ -41,7 +42,7 @@ from .resolver import (
     parse_expression_json,
     tree_to_dict,
 )
-from .scene import Scene, SceneError, attribute_vocabulary, load_scene
+from .scene import Scene, SceneError, attribute_vocabulary, load_scene, read_json
 
 EXIT_USAGE = 1
 EXIT_BAD_SCENE = 2
@@ -79,37 +80,36 @@ def _setup_logging() -> None:
     logging.basicConfig(level=level, stream=sys.stderr, format="%(levelname)s %(message)s")
 
 
-def _load_scene(path: str) -> Scene:
+def _fail(code: int, message: str) -> NoReturn:
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(code)
+
+
+def _read(what: str, path: str, load, code: int = EXIT_BAD_SCENE):
+    """``load(Path(path))``; an unreadable file or a rejected document exits ``code``."""
     try:
-        return load_scene(Path(path))
+        return load(Path(path))
     except FileNotFoundError:
-        print(f"error: scene file not found: {path}", file=sys.stderr)
-        raise SystemExit(EXIT_BAD_SCENE)
-    except SceneError as exc:
-        print(f"error: invalid scene: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_BAD_SCENE)
+        _fail(code, f"{what} file not found: {path}")
+    except (OSError, UnicodeDecodeError) as exc:
+        _fail(code, f"cannot read {what} file {path}: {exc}")
+    except (SceneError, FrameError, HarnessError) as exc:
+        _fail(code, f"invalid {what}: {exc}")
+
+
+def _load_scene(path: str) -> Scene:
+    return _read("scene", path, load_scene)
 
 
 def _load_prefs(path: str | None) -> PreferenceTable:
-    if path is None:
-        return default_preferences()
-    try:
-        return load_preferences(Path(path))
-    except FileNotFoundError:
-        print(f"error: preferences file not found: {path}", file=sys.stderr)
-        raise SystemExit(EXIT_BAD_SCENE)
-    except FrameError as exc:
-        print(f"error: invalid preferences: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_BAD_SCENE)
+    return default_preferences() if path is None else _read("preferences", path, load_preferences)
 
 
 def _check_target(scene: Scene, target: str) -> None:
     if not scene.has_entity(target):
-        print(f"error: no entity with id {target!r}", file=sys.stderr)
-        raise SystemExit(EXIT_BAD_TARGET)
+        _fail(EXIT_BAD_TARGET, f"no entity with id {target!r}")
     if not scene.entity(target).referable_as_target:
-        print(f"error: entity {target!r} cannot be a reference target", file=sys.stderr)
-        raise SystemExit(EXIT_BAD_TARGET)
+        _fail(EXIT_BAD_TARGET, f"entity {target!r} cannot be a reference target")
 
 
 def _strategy_json(strategy) -> list[dict]:
@@ -118,23 +118,13 @@ def _strategy_json(strategy) -> list[dict]:
     ]
 
 
-def _select(method: str, chain, scene, prefs, seed):
-    if method == "pcsreg":
-        return select_best(expression_space(chain, scene), chain.target, scene, prefs)
-    if method == "max":
-        cand = select_greedy_max(chain, scene, prefs)
-    else:
-        cand = select_baseline(method, chain, scene, prefs, seed=seed)
-    return cand, score(cand, chain.target, scene, prefs)
-
-
 def cmd_generate(args) -> int:
     scene = _load_scene(args.scene)
     _check_target(scene, args.target)
     prefs = _load_prefs(args.prefs)
     try:
         chain = build_landmark_chain(args.target, scene, prefs)
-        candidate, sc = _select(args.method, chain, scene, prefs, args.seed)
+        candidate = generate(args.method, chain, scene, prefs, seed=args.seed)
     except GenerationError as exc:
         print(f"warning: {exc}", file=sys.stderr)
         fallback = describe_visual(args.target, set(scene.referable_ids()), scene)
@@ -148,6 +138,7 @@ def cmd_generate(args) -> int:
     if not chain.converged:
         log.info("preference updating hit the rebuild cap without a fixed point")
     if args.json:
+        sc = score(candidate, args.target, scene, prefs)
         print(
             json.dumps(
                 {
@@ -173,7 +164,9 @@ def cmd_generate(args) -> int:
 def _read_expression(raw: str, scene: Scene):
     text = raw
     if text.startswith("@"):
-        text = Path(text[1:]).read_text(encoding="utf-8")
+        text = _read(
+            "expression", text[1:], lambda p: p.read_text(encoding="utf-8"), EXIT_PARSE_FAILURE
+        )
     stripped = text.strip()
     if stripped.startswith("{"):
         return parse_expression_json(stripped)
@@ -196,9 +189,9 @@ def cmd_resolve(args) -> int:
     try:
         tree = _read_expression(args.expr, scene)
     except ParseError as exc:
-        print(f"error: cannot parse expression: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_PARSE_FAILURE)
+        _fail(EXIT_PARSE_FAILURE, f"cannot parse expression: {exc}")
     d = denote(tree, scene, prefs)
+    sc = None if args.target is None else score_denotation(d, args.target)
 
     if args.json:
         doc = {
@@ -207,12 +200,10 @@ def cmd_resolve(args) -> int:
             "argmax": d.argmax(),
             "k": depth(tree),
         }
-        if args.target is not None:
-            eff = 0.0 if d.unresolvable else d.get(args.target, 0.0)
-            top = 0.0 if d.unresolvable else max(d.probs.values())
+        if sc is not None:
             doc["target"] = args.target
-            doc["effectiveness"] = eff
-            doc["appropriateness"] = 0 if d.unresolvable else int(eff >= top - 1e-12)
+            doc["effectiveness"] = sc.effectiveness
+            doc["appropriateness"] = sc.appropriateness
         print(json.dumps(doc, indent=2, sort_keys=True))
         return 0
 
@@ -222,11 +213,9 @@ def cmd_resolve(args) -> int:
     for eid, p in sorted(d.probs.items(), key=lambda kv: (-kv[1], kv[0])):
         print(f"{eid}\t{p:.6f}")
     print(f"argmax\t{d.argmax()}")
-    if args.target is not None:
-        eff = d.get(args.target, 0.0)
-        top = max(d.probs.values())
-        print(f"appropriateness\t{int(eff >= top - 1e-12)}")
-        print(f"effectiveness\t{eff:.6f}")
+    if sc is not None:
+        print(f"appropriateness\t{sc.appropriateness}")
+        print(f"effectiveness\t{sc.effectiveness:.6f}")
     return 0
 
 
@@ -243,8 +232,8 @@ def cmd_explain(args) -> int:
         raise SystemExit(EXIT_GENERATION_FAILED)
     rows = []
     for cand in candidates:
-        sc = score(cand, args.target, scene, prefs)
         d = denote(cand.tree, scene, prefs)
+        sc = score_denotation(d, args.target)
         rows.append(
             {
                 "surface": cand.surface,
@@ -271,15 +260,7 @@ def cmd_explain(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    try:
-        doc = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        cfg = config_from_dict(doc)
-    except FileNotFoundError:
-        print(f"error: config file not found: {args.config}", file=sys.stderr)
-        raise SystemExit(EXIT_BAD_SCENE)
-    except (json.JSONDecodeError, HarnessError, FrameError) as exc:
-        print(f"error: invalid config: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_BAD_SCENE)
+    cfg = _read("config", args.config, lambda p: config_from_dict(read_json(p, HarnessError)))
     report = run_comparison(cfg, collect_records=cfg.per_trial_csv or args.out is not None)
     text = format_report_text(report)
     print(text, end="")
@@ -376,9 +357,9 @@ CONFIG_SCHEMA = {
         "colors": {"type": "array", "items": {"type": "string"}},
         "shapes": {"type": "array", "items": {"type": "string"}},
         "consistency_coupling": {"type": "number", "minimum": 0, "maximum": 1},
-        "context_window": {"const": [0, 1]},
         "per_trial_csv": {"type": "boolean"},
     },
+    "additionalProperties": False,
     "definitions": {"preferences": PREFS_SCHEMA},
 }
 

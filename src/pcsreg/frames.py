@@ -13,14 +13,13 @@ code, and can be replaced from a JSON file.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Sequence, Union
 
 from .geometry import Vec, heading_vec, opposite, quarter_left, quarter_right
-from .scene import LandmarkType, Scene, is_finite
+from .scene import Entity, LandmarkType, Scene, is_finite, landmark_type, read_json
 
 ROW_SUM_TOL = 1e-9
 FILE_ROW_SUM_TOL = 1e-6
@@ -106,9 +105,21 @@ def frame_instance(
 
 def supports_intrinsic(entity) -> bool:
     """An entity anchors an intrinsic frame iff it is an oriented object."""
-    from .scene import landmark_type
-
     return landmark_type(entity) is LandmarkType.ORIENTED_OBJECT
+
+
+def applicable_frames(landmark: Entity, scene: Scene) -> tuple[FrameInstance, ...]:
+    """The frames a listener can adopt at ``landmark``, in ``FRAME_ORDER``.
+
+    Egocentric and addressee frames originate at the speaker and the
+    listener, the extrinsic frame has no origin, and the intrinsic frame is
+    applicable only at an oriented object, which is its origin.
+    """
+    return tuple(
+        frame_instance(kind, scene, landmark.id)
+        for kind in FRAME_ORDER
+        if kind is not FrameKind.INTRINSIC or supports_intrinsic(landmark)
+    )
 
 
 Row = tuple[float, float, float, float]
@@ -157,9 +168,6 @@ class PreferenceTable:
     def row(self, lt: LandmarkType) -> Row:
         return self.rows[lt]
 
-    def prob(self, lt: LandmarkType, kind: FrameKind) -> float:
-        return self.rows[lt][kind.order]
-
 
 def default_preferences() -> PreferenceTable:
     return PreferenceTable({lt: _renormalize(row) for lt, row in _DEFAULT_ROWS.items()})
@@ -168,6 +176,9 @@ def default_preferences() -> PreferenceTable:
 def preferences_from_dict(doc: dict) -> PreferenceTable:
     if not isinstance(doc, dict):
         raise FrameError("preference document must be a JSON object")
+    unknown = [key for key in doc if key not in _FILE_KEYS]
+    if unknown:
+        raise FrameError(f"unknown preference row {unknown[0]!r}")
     rows: dict[LandmarkType, Row] = {}
     for key, lt in _FILE_KEYS.items():
         if key not in doc:
@@ -190,22 +201,8 @@ def preferences_from_dict(doc: dict) -> PreferenceTable:
 
 
 def load_preferences(source: Union[str, Path, bytes, IO]) -> PreferenceTable:
-    if isinstance(source, Path):
-        text = source.read_text(encoding="utf-8")
-    elif isinstance(source, bytes):
-        text = source.decode("utf-8")
-    elif isinstance(source, str):
-        text = source if source.lstrip().startswith("{") else Path(source).read_text(encoding="utf-8")
-    elif hasattr(source, "read"):
-        data = source.read()
-        text = data.decode("utf-8") if isinstance(data, bytes) else data
-    else:
-        raise TypeError(f"unsupported preferences source: {type(source)!r}")
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FrameError(f"not valid JSON: {exc}") from None
-    return preferences_from_dict(doc)
+    """Load a preference table from a path, JSON text or bytes, or an open file."""
+    return preferences_from_dict(read_json(source, FrameError))
 
 
 def preferences_to_dict(table: PreferenceTable) -> dict:
@@ -223,12 +220,6 @@ def preference_entropy(p: Sequence[float]) -> float:
     if any(v < 0 for v in p):
         raise FrameError(f"distribution has negative entries: {p}")
     return -sum(v * math.log2(v) for v in p if v > 0.0)
-
-
-# The content-window update couples a unit's preference distribution to its
-# neighbor one step to the right in the surface string.  Only this window is
-# supported; anything else is rejected.
-CONTEXT_WINDOW = (0, 1)
 
 
 @dataclass(frozen=True)
@@ -258,17 +249,15 @@ def update_preferences(
     state: PreferenceState | None,
     chain_types: Sequence[LandmarkType],
     base: PreferenceTable,
-    window: tuple[int, int] = CONTEXT_WINDOW,
 ) -> PreferenceState:
     """One simultaneous content-window update of the per-unit distributions.
 
-    A unit whose landmark has no orientation adopts the current distribution
-    of its right neighbor (the next-deeper unit).  All other units, and the
-    rightmost unit, are unchanged.  When ``state`` is None the per-unit
-    distributions are first seeded from ``base`` rows.
+    The window couples each unit to its neighbor one step to the right in
+    the surface string: a unit whose landmark has no orientation adopts the
+    current distribution of that neighbor (the next-deeper unit).  All other
+    units, and the rightmost unit, are unchanged.  When ``state`` is None the
+    per-unit distributions are first seeded from ``base`` rows.
     """
-    if tuple(window) != CONTEXT_WINDOW:
-        raise FrameError(f"unsupported context window {window}; only {CONTEXT_WINDOW} is implemented")
     if state is None:
         state = preference_state_from_table(chain_types, base)
     if len(state.distributions) != len(chain_types):

@@ -21,18 +21,16 @@ the crisp preposition each assignment produces.
 from __future__ import annotations
 
 import itertools
-import random
 from dataclasses import dataclass
 
 from .frames import (
-    FRAME_ORDER,
     FrameInstance,
     FrameKind,
     PreferenceState,
     PreferenceTable,
+    applicable_frames,
     frame_instance,
     preference_entropy,
-    supports_intrinsic,
     update_preferences,
 )
 from .geometry import distance
@@ -205,22 +203,10 @@ def select_landmark(
     )
 
 
-def random_default_frame(scene: Scene, rng: random.Random) -> FrameInstance:
-    """Seeded random pick among the instantiable frames of a scene."""
-    options: list[tuple[FrameKind, str | None]] = [
-        (FrameKind.EGOCENTRIC, None),
-        (FrameKind.ADDRESSEE, None),
-        (FrameKind.EXTRINSIC, None),
-    ]
-    options += [
-        (FrameKind.INTRINSIC, e.id) for e in scene.objects() if supports_intrinsic(e)
-    ]
-    kind, origin = options[rng.randrange(len(options))]
-    return frame_instance(kind, scene, origin)
-
-
-# Hard cap on re-build passes; the default preference table provably reaches
-# a fixed point within k+1 passes, but custom tables are unconstrained.
+# Hard cap on re-build passes.  The update does not always reach a fixed
+# point, even with the default preference table: a rebuild can alternate
+# between two landmark chains whose unit rows swap back and forth, and such
+# a build stops here with ``converged=False``.
 MAX_CHAIN_REBUILDS = 16
 
 
@@ -229,7 +215,6 @@ def build_landmark_chain(
     scene: Scene,
     base: PreferenceTable,
     default_frame: FrameInstance | None = None,
-    rng: random.Random | None = None,
 ) -> LandmarkChain:
     """Select the landmark chain for a target and settle its preferences.
 
@@ -243,10 +228,7 @@ def build_landmark_chain(
     if not scene.entity(target_id).referable_as_target:
         raise GenerationError(f"entity {target_id!r} is not a referable target")
     if default_frame is None:
-        if rng is not None:
-            default_frame = random_default_frame(scene, rng)
-        else:
-            default_frame = frame_instance(FrameKind.EGOCENTRIC, scene)
+        default_frame = frame_instance(FrameKind.EGOCENTRIC, scene)
 
     entity_rows: dict[str, tuple[float, ...]] = {
         e.id: base.row(landmark_type(e)) for e in scene.entities
@@ -305,25 +287,6 @@ def build_landmark_chain(
     )
 
 
-def applicable_assignments(
-    unit_landmark: Entity, scene: Scene, kinds=FRAME_ORDER
-) -> list[tuple[FrameKind, str | None, FrameInstance]]:
-    """Frame assignments usable at a unit: intrinsic only at oriented objects."""
-    out = []
-    for kind in kinds:
-        if kind is FrameKind.INTRINSIC:
-            if not supports_intrinsic(unit_landmark):
-                continue
-            out.append((kind, unit_landmark.id, frame_instance(kind, scene, unit_landmark.id)))
-        elif kind is FrameKind.EGOCENTRIC:
-            out.append((kind, scene.speaker.id, frame_instance(kind, scene)))
-        elif kind is FrameKind.ADDRESSEE:
-            out.append((kind, scene.listener.id, frame_instance(kind, scene)))
-        else:
-            out.append((kind, None, frame_instance(kind, scene)))
-    return out
-
-
 def assemble_tree(chain: LandmarkChain, preps: tuple[Preposition, ...]) -> ExpressionTree:
     """Nest the chain's descriptions with the given per-unit prepositions."""
     if len(preps) != chain.k:
@@ -334,12 +297,11 @@ def assemble_tree(chain: LandmarkChain, preps: tuple[Preposition, ...]) -> Expre
     return node
 
 
-def expression_space(
-    chain: LandmarkChain, scene: Scene, kinds=FRAME_ORDER
-) -> list[CandidateExpression]:
+def expression_space(chain: LandmarkChain, scene: Scene) -> list[CandidateExpression]:
     """All candidate expressions reachable from a chain.
 
-    One candidate per frame strategy; strategies that produce identical
+    One candidate per frame strategy, i.e. per choice of an applicable frame
+    at every unit's landmark; strategies that produce identical
     prepositions yield identical trees and surfaces (kept, so the scorer
     can explain every strategy; deduplicate by surface when counting).
     """
@@ -351,10 +313,12 @@ def expression_space(
     for i, lm_id in enumerate(chain.stack.ids()):
         lm = scene.entity(lm_id)
         src = scene.entity(sources[i])
-        unit_options = []
-        for kind, origin, frame in applicable_assignments(lm, scene, kinds):
-            unit_options.append(((kind, origin), relation(src, lm, frame)))
-        per_unit.append(unit_options)
+        per_unit.append(
+            [
+                ((frame.kind, frame.origin_entity), relation(src, lm, frame))
+                for frame in applicable_frames(lm, scene)
+            ]
+        )
     candidates = []
     for combo in itertools.product(*per_unit):
         assignments = tuple(assignment for assignment, _ in combo)

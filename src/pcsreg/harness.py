@@ -26,20 +26,15 @@ from .frames import (
     FrameInstance,
     FrameKind,
     PreferenceTable,
+    applicable_frames,
     default_preferences,
     frame_instance,
     preferences_from_dict,
     supports_intrinsic,
 )
-from .generator import (
-    GenerationError,
-    LandmarkChain,
-    build_landmark_chain,
-    describe_visual,
-    expression_space,
-)
+from .generator import GenerationError, LandmarkChain, build_landmark_chain, describe_visual
 from .geometry import heading_vec
-from .optimizer import select_baseline, select_best, select_greedy_max
+from .optimizer import generate
 from .prepositions import Preposition, relation
 from .resolver import (
     Compound,
@@ -49,7 +44,7 @@ from .resolver import (
     denote,
     depth,
 )
-from .scene import Entity, EntityKind, Scene, TableExtent, landmark_type
+from .scene import Entity, EntityKind, Scene, TableExtent, is_finite, landmark_type
 
 METHODS = ("pcsreg", "max", "robot", "human", "random")
 
@@ -75,6 +70,14 @@ def derive_seed(*parts) -> int:
 # --- scene sampling ----------------------------------------------------------
 
 
+def _check_pools(objects: tuple[int, int], categories) -> None:
+    if not categories:
+        raise HarnessError("category pool must be non-empty")
+    lo, hi = objects
+    if lo < 2 or hi < lo:
+        raise HarnessError(f"object-count range must satisfy 2 <= lo <= hi, got {objects}")
+
+
 def sample_scene(
     seed: int,
     objects: tuple[int, int] = (3, 8),
@@ -89,13 +92,9 @@ def sample_scene(
     objects always share a full visual description so at least one target
     needs a spatial reference.
     """
-    if not categories:
-        raise HarnessError("category pool must be non-empty")
-    lo, hi = objects
-    if lo < 2 or hi < lo:
-        raise HarnessError(f"object-count range must satisfy 2 <= lo <= hi, got {objects}")
+    _check_pools(objects, categories)
     rng = random.Random(seed)
-    n = rng.randint(lo, hi)
+    n = rng.randint(*objects)
 
     entities = [
         Entity("speaker", EntityKind.SPEAKER, "robot", (0.0, -1.0), heading=1.5707963267948966),
@@ -176,18 +175,13 @@ class _SceneListener:
     """Listener interpretation for one (scene, true preferences) pair.
 
     ``relations`` maps (target id, landmark id, frame kind) to the crisp
-    preposition, filled on demand by ``relation``; the intrinsic kind means
-    the landmark's own frame.  ``plans`` holds one compiled plan per tree.
+    preposition, filled on demand by ``relation``; at a given landmark the
+    kind determines the frame.  ``plans`` holds one compiled plan per tree.
     """
 
     def __init__(self, scene: Scene, prefs: PreferenceTable):
         self.scene = scene
         self.prefs = prefs
-        self.frames = {
-            kind: frame_instance(kind, scene)
-            for kind in FRAME_ORDER
-            if kind is not FrameKind.INTRINSIC
-        }
         self.relations: dict[tuple[str, str, FrameKind], Preposition] = {}
         self.plans: dict[ExpressionTree, _ListenerPlan] = {}
 
@@ -197,14 +191,10 @@ class _SceneListener:
             plan = self.plans[tree] = _ListenerPlan(tree, self.scene)
         return plan
 
-    def relation(self, target_id: str, landmark: Entity, kind: FrameKind) -> Preposition:
-        key = (target_id, landmark.id, kind)
+    def relation(self, target_id: str, landmark: Entity, frame: FrameInstance) -> Preposition:
+        key = (target_id, landmark.id, frame.kind)
         prep = self.relations.get(key)
         if prep is None:
-            if kind is FrameKind.INTRINSIC:
-                frame = FrameInstance(kind, landmark.id, heading_vec(landmark.heading))
-            else:
-                frame = self.frames[kind]
             prep = self.relations[key] = relation(self.scene.entity(target_id), landmark, frame)
         return prep
 
@@ -217,22 +207,20 @@ class _SceneListener:
             resolved = self.scene.entity(resolved_id)
             row = self.prefs.row(landmark_type(resolved))
             options = []
-            for kind in FRAME_ORDER:
-                p = row[kind.order]
+            for frame in applicable_frames(resolved, self.scene):
+                p = row[frame.kind.order]
                 if p <= 0.0:
-                    continue
-                if kind is FrameKind.INTRINSIC and not supports_intrinsic(resolved):
                     continue
                 survivor = next(
                     (
                         eid
                         for eid in head_ids
-                        if eid != resolved_id and self.relation(eid, resolved, kind) is prep
+                        if eid != resolved_id and self.relation(eid, resolved, frame) is prep
                     ),
                     None,
                 )
                 if survivor is not None:
-                    options.append((kind, p, survivor))
+                    options.append((frame.kind, p, survivor))
             entry = plan.steps[key] = (options, sum(p for _, p, _ in options))
         return entry
 
@@ -399,7 +387,6 @@ class TrialConfig:
     colors: tuple[str, ...] = DEFAULT_COLORS
     shapes: tuple[str, ...] = DEFAULT_SHAPES
     consistency_coupling: float = 0.0
-    context_window: tuple[int, int] = (0, 1)
     per_trial_csv: bool = False
 
     def __post_init__(self):
@@ -412,43 +399,66 @@ class TrialConfig:
             raise HarnessError(f"unknown methods: {sorted(unknown)}")
         if not 0.0 <= self.consistency_coupling <= 1.0:
             raise HarnessError("consistency_coupling must be in [0, 1]")
-        if tuple(self.context_window) != (0, 1):
-            raise HarnessError("only the [0, 1] context window is supported")
+        _check_pools(self.objects, self.categories)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+# Every config key, with its type check and the type's description.
+_CONFIG_FIELDS = {
+    **dict.fromkeys(("seed", "n_scenes", "trials_per_expression"), (_is_int, "an integer")),
+    **dict.fromkeys(
+        ("methods", "categories", "colors", "shapes"), (_is_strings, "a list of strings")
+    ),
+    **dict.fromkeys(("true_prefs", "assumed_prefs"), (lambda v: isinstance(v, dict), "an object")),
+    "objects": (
+        lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_int, v)),
+        "a [min, max] pair of integers",
+    ),
+    "consistency_coupling": (
+        lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and is_finite(v),
+        "a finite number",
+    ),
+    "per_trial_csv": (lambda v: isinstance(v, bool), "a boolean"),
+}
 
 
 def config_from_dict(doc: dict) -> TrialConfig:
+    """Validate a config document; unknown keys and wrong types are rejected."""
     if not isinstance(doc, dict):
         raise HarnessError("config must be a JSON object")
-    try:
-        seed = int(doc["seed"])
-        n_scenes = int(doc["n_scenes"])
-        trials = int(doc["trials_per_expression"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise HarnessError(f"config needs integer seed, n_scenes, trials_per_expression: {exc}")
-    methods = doc.get("methods", list(METHODS))
-    if not isinstance(methods, list) or not all(isinstance(m, str) for m in methods):
-        raise HarnessError("methods must be a list of method names")
+    for key, value in doc.items():
+        if key not in _CONFIG_FIELDS:
+            raise HarnessError(f"unknown config key {key!r}")
+        check, want = _CONFIG_FIELDS[key]
+        if not check(value):
+            raise HarnessError(f"config field {key!r} must be {want}, got {value!r}")
+    for key in ("seed", "n_scenes", "trials_per_expression"):
+        if key not in doc:
+            raise HarnessError(f"config is missing the required field {key!r}")
     true_prefs = (
         preferences_from_dict(doc["true_prefs"]) if "true_prefs" in doc else default_preferences()
     )
     assumed = preferences_from_dict(doc["assumed_prefs"]) if "assumed_prefs" in doc else None
-    objects = tuple(doc.get("objects", (3, 8)))
-    if len(objects) != 2:
-        raise HarnessError("objects must be a [min, max] pair")
     return TrialConfig(
-        seed=seed,
-        n_scenes=n_scenes,
-        trials_per_expression=trials,
+        seed=doc["seed"],
+        n_scenes=doc["n_scenes"],
+        trials_per_expression=doc["trials_per_expression"],
         true_prefs=true_prefs,
-        methods=tuple(methods),
+        methods=tuple(doc.get("methods", METHODS)),
         assumed_prefs=assumed,
-        objects=(int(objects[0]), int(objects[1])),
+        objects=tuple(doc.get("objects", (3, 8))),
         categories=tuple(doc.get("categories", DEFAULT_CATEGORIES)),
         colors=tuple(doc.get("colors", DEFAULT_COLORS)),
         shapes=tuple(doc.get("shapes", DEFAULT_SHAPES)),
         consistency_coupling=float(doc.get("consistency_coupling", 0.0)),
-        context_window=tuple(doc.get("context_window", (0, 1))),
-        per_trial_csv=bool(doc.get("per_trial_csv", False)),
+        per_trial_csv=doc.get("per_trial_csv", False),
     )
 
 
@@ -525,26 +535,12 @@ def run_comparison(cfg: TrialConfig, collect_records: bool = True) -> TrialRepor
 
             expressions: dict[str, ExpressionTree | None] = {}
             ks: dict[str, int | None] = {}
+            strategy_seed = derive_seed(cfg.seed, "strategy", scene_idx, target_id)
             for method in cfg.methods:
                 tree: ExpressionTree | None = None
                 if chain is not None:
                     try:
-                        if method == "pcsreg":
-                            tree = select_best(
-                                expression_space(chain, scene), target_id, scene, assumed
-                            )[0].tree
-                        elif method == "max":
-                            tree = select_greedy_max(chain, scene, assumed).tree
-                        elif method == "random":
-                            tree = select_baseline(
-                                method,
-                                chain,
-                                scene,
-                                assumed,
-                                seed=derive_seed(cfg.seed, "strategy", scene_idx, target_id),
-                            ).tree
-                        else:
-                            tree = select_baseline(method, chain, scene, assumed).tree
+                        tree = generate(method, chain, scene, assumed, seed=strategy_seed).tree
                     except GenerationError:  # e.g. the chain is over the complexity cap
                         tree = None
                 expressions[method] = tree

@@ -14,13 +14,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .frames import FrameKind, PreferenceTable
+from .frames import FrameInstance, FrameKind, PreferenceTable, applicable_frames
 from .generator import (
     CandidateExpression,
     GenerationError,
     LandmarkChain,
     Strategy,
-    applicable_assignments,
     assemble_tree,
     expression_space,
     realize,
@@ -54,19 +53,23 @@ class Score:
         return self.appropriateness + self.effectiveness
 
 
-def score(
-    candidate: CandidateExpression,
-    target_id: str,
-    scene: Scene,
-    prefs: PreferenceTable,
-) -> Score:
-    d: Denotation = denote(candidate.tree, scene, prefs)
+def score_denotation(d: Denotation, target_id: str) -> Score:
+    """Appropriateness and effectiveness of a denotation for the target."""
     if d.unresolvable:
         return Score(0, 0.0)
     effectiveness = d.get(target_id, 0.0)
     top = max(d.probs.values())
     appropriateness = 1 if effectiveness >= top - APPROPRIATENESS_TIE_TOL else 0
     return Score(appropriateness, effectiveness)
+
+
+def score(
+    candidate: CandidateExpression,
+    target_id: str,
+    scene: Scene,
+    prefs: PreferenceTable,
+) -> Score:
+    return score_denotation(denote(candidate.tree, scene, prefs), target_id)
 
 
 def _selection_key(candidate: CandidateExpression, total: float):
@@ -105,27 +108,6 @@ def select_best(
     return best, by_surface[best.surface]
 
 
-def generate_best(
-    chain: LandmarkChain, scene: Scene, prefs: PreferenceTable
-) -> tuple[CandidateExpression, Score]:
-    """Expression space construction plus selection, in one call."""
-    return select_best(expression_space(chain, scene), chain.target, scene, prefs)
-
-
-def _greedy_kind(
-    row: tuple[float, ...], applicable: list[tuple[FrameKind, str | None, object]]
-) -> tuple[FrameKind, str | None, object]:
-    best = None
-    best_p = -1.0
-    for kind, origin, frame in applicable:
-        p = row[kind.order]
-        if p > best_p:  # strictly greater keeps canonical order on ties
-            best = (kind, origin, frame)
-            best_p = p
-    assert best is not None
-    return best
-
-
 def select_greedy_max(
     chain: LandmarkChain, scene: Scene, prefs: PreferenceTable
 ) -> CandidateExpression:
@@ -142,12 +124,13 @@ def select_greedy_max(
         rows = tuple(
             prefs.row(landmark_type(scene.entity(eid))) for eid in chain.stack.ids()
         )
+    # max() keeps the canonically first frame on ties.
     return _realized_candidate(
         chain,
         scene,
         [
-            _greedy_kind(rows[i], applicable_assignments(scene.entity(lm_id), scene))
-            for i, lm_id in enumerate(chain.stack.ids())
+            max(applicable_frames(scene.entity(lm_id), scene), key=lambda f: row[f.kind.order])
+            for row, lm_id in zip(rows, chain.stack.ids())
         ],
     )
 
@@ -167,34 +150,50 @@ def select_baseline(
     """
     if chain.k == 0:
         return expression_space(chain, scene)[0]
-    if kind in BASELINE_KINDS:
-        frame_kind = BASELINE_KINDS[kind]
-        assignments = []
-        for lm_id in chain.stack.ids():
-            options = applicable_assignments(scene.entity(lm_id), scene, (frame_kind,))
-            assignments.append(options[0])
-        return _realized_candidate(chain, scene, assignments)
     if kind == "random":
         if seed is None:
             raise ValueError("the random baseline requires a seed")
         rng = random.Random(seed)
-        assignments = []
-        for lm_id in chain.stack.ids():
-            options = applicable_assignments(scene.entity(lm_id), scene)
-            assignments.append(options[rng.randrange(len(options))])
-        return _realized_candidate(chain, scene, assignments)
-    raise ValueError(f"unknown baseline {kind!r} (expected robot, human, or random)")
+    elif kind not in BASELINE_KINDS:
+        raise ValueError(f"unknown baseline {kind!r} (expected robot, human, or random)")
+    frames = []
+    for lm_id in chain.stack.ids():
+        options = applicable_frames(scene.entity(lm_id), scene)
+        if kind == "random":
+            frames.append(options[rng.randrange(len(options))])
+        else:
+            frames.append(next(f for f in options if f.kind is BASELINE_KINDS[kind]))
+    return _realized_candidate(chain, scene, frames)
+
+
+def generate(
+    method: str,
+    chain: LandmarkChain,
+    scene: Scene,
+    prefs: PreferenceTable,
+    seed: int | None = None,
+) -> CandidateExpression:
+    """The candidate a generation method picks from the chain (unscored).
+
+    ``pcsreg`` is the exhaustive argmax of ``select_best``, ``max`` the
+    greedy per-unit choice, and ``robot``/``human``/``random`` the
+    baselines; ``seed`` is used by ``random`` only.
+    """
+    if method == "pcsreg":
+        return select_best(expression_space(chain, scene), chain.target, scene, prefs)[0]
+    if method == "max":
+        return select_greedy_max(chain, scene, prefs)
+    return select_baseline(method, chain, scene, prefs, seed=seed)
 
 
 def _realized_candidate(
-    chain: LandmarkChain, scene: Scene, assignments
+    chain: LandmarkChain, scene: Scene, frames: list[FrameInstance]
 ) -> CandidateExpression:
     sources = [chain.target] + list(chain.stack.ids()[:-1])
-    preps = []
-    for i, (kind, origin, frame) in enumerate(assignments):
-        src = scene.entity(sources[i])
-        lm = scene.entity(chain.stack.ids()[i])
-        preps.append(relation(src, lm, frame))
-    tree = assemble_tree(chain, tuple(preps))
-    strategy = Strategy(tuple((kind, origin) for kind, origin, _ in assignments))
+    preps = tuple(
+        relation(scene.entity(src), scene.entity(lm_id), frame)
+        for src, lm_id, frame in zip(sources, chain.stack.ids(), frames)
+    )
+    tree = assemble_tree(chain, preps)
+    strategy = Strategy(tuple((f.kind, f.origin_entity) for f in frames))
     return CandidateExpression(tree, strategy, realize(tree))

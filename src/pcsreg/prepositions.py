@@ -93,21 +93,15 @@ def memberships(target, landmark_point, frame: FrameInstance) -> tuple[Membershi
     )
 
 
-def relation(
-    target, landmark, frame: FrameInstance, min_degree: float = 0.0
-) -> Preposition | None:
+def relation(target, landmark, frame: FrameInstance) -> Preposition:
     """The maximal-membership preposition for the pair under ``frame``.
 
     Ties within RELATION_TIE_TOL (the 45-degree quadrant boundaries) break
     to the canonically earlier preposition, so the result is a total,
-    deterministic function of the geometry.  With the default
-    ``min_degree=0.0`` the result is never None (the best degree is always
-    at least cos 45 deg); a stricter threshold may return None.
+    deterministic function of the geometry.
     """
     degrees = [membership(target, landmark, p, frame) for p in PREPOSITION_ORDER]
     best = max(degrees)
-    if best < min_degree:
-        return None
     for p, d in zip(PREPOSITION_ORDER, degrees):
         if d >= best - RELATION_TIE_TOL:
             return p

@@ -20,21 +20,16 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
-from .frames import FRAME_ORDER, FrameInstance, FrameKind, PreferenceTable, frame_instance, supports_intrinsic
-from .geometry import heading_vec
+from .frames import PreferenceTable, applicable_frames
 from .prepositions import (
     PLAIN_SURFACE,
-    PREPOSITION_ORDER,
     TOPOLOGICAL_MARKERS,
     LISTENER_SURFACE,
     SPEAKER_SURFACE,
     Preposition,
-    membership,
     relation,
 )
 from .scene import Entity, Scene, landmark_type
-
-NORMALIZATION_TOL = 1e-9
 
 
 class ParseError(ValueError):
@@ -157,20 +152,8 @@ class Denotation:
         return None
 
 
-def _scene_frames(scene: Scene) -> dict[FrameKind, FrameInstance]:
-    return {
-        FrameKind.EGOCENTRIC: frame_instance(FrameKind.EGOCENTRIC, scene),
-        FrameKind.ADDRESSEE: frame_instance(FrameKind.ADDRESSEE, scene),
-        FrameKind.EXTRINSIC: frame_instance(FrameKind.EXTRINSIC, scene),
-    }
-
-
 def _denote_full(
-    tree: ExpressionTree,
-    scene: Scene,
-    prefs: PreferenceTable,
-    frames: dict[FrameKind, FrameInstance],
-    fuzzy: bool,
+    tree: ExpressionTree, scene: Scene, prefs: PreferenceTable
 ) -> dict[str, float] | None:
     if isinstance(tree, Leaf):
         ids = consistent_set(tree.head, scene)
@@ -179,7 +162,7 @@ def _denote_full(
         p = 1.0 / len(ids)
         return {e.id: p for e in scene.entities if e.id in ids}
 
-    child = _denote_full(tree.landmark, scene, prefs, frames, fuzzy)
+    child = _denote_full(tree.landmark, scene, prefs)
     if child is None:
         return None
 
@@ -189,25 +172,13 @@ def _denote_full(
             continue
         lm = scene.entity(lm_id)
         row = prefs.row(landmark_type(lm))
-        for kind in FRAME_ORDER:
-            p_frame = row[kind.order]
+        for frame in applicable_frames(lm, scene):
+            p_frame = row[frame.kind.order]
             if p_frame == 0.0:
                 continue
-            if kind is FrameKind.INTRINSIC:
-                if not supports_intrinsic(lm):
-                    continue
-                frame = FrameInstance(kind, lm.id, heading_vec(lm.heading))
-            else:
-                frame = frames[kind]
             for e in scene.entities:
-                if e.id == lm_id:
-                    continue
-                if fuzzy:
-                    w = membership(e, lm, tree.prep, frame)
-                else:
-                    w = 1.0 if relation(e, lm, frame) is tree.prep else 0.0
-                if w:
-                    pp[e.id] += w * p_frame * p_child
+                if e.id != lm_id and relation(e, lm, frame) is tree.prep:
+                    pp[e.id] += p_frame * p_child
 
     total = sum(pp.values())
     if total <= 0.0:
@@ -225,16 +196,14 @@ def _denote_full(
     return {eid: p / s for eid, p in combined.items()}
 
 
-def denote(
-    tree: ExpressionTree, scene: Scene, prefs: PreferenceTable, fuzzy: bool = False
-) -> Denotation:
+def denote(tree: ExpressionTree, scene: Scene, prefs: PreferenceTable) -> Denotation:
     """Resolve an expression to a distribution over referable entities.
 
-    ``fuzzy=True`` replaces the crisp relation indicator with the graded
-    membership degree (experimental; the default crisp model is what the
-    generator optimizes against).
+    Each relation unit counts a candidate toward the preposition's mass under
+    every applicable frame where the crisp relation holds, weighted by the
+    frame preference for the landmark's type.
     """
-    full = _denote_full(tree, scene, prefs, _scene_frames(scene), fuzzy)
+    full = _denote_full(tree, scene, prefs)
     if full is None:
         return Denotation(None)
     referable = scene.referable_ids()

@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Union
+from typing import IO, Callable, Union
 
 from .geometry import Vec, distance
 
@@ -265,33 +265,35 @@ def scene_to_dict(scene: Scene) -> dict:
     }
 
 
-def load_scene(source: Union[str, Path, bytes, IO]) -> Scene:
-    """Load and validate a scene from a JSON document.
+def read_json(source: Union[str, Path, bytes, IO], invalid: Callable[[str], Exception]):
+    """Parse the JSON document in ``source``.
 
     ``source`` may be a filesystem path, raw JSON text/bytes, or an open
-    file object.  Entity order is preserved from the document.
+    file object.  Text that is not JSON raises ``invalid(message)``.
     """
-    text: str
-    if isinstance(source, Path):
-        text = source.read_text(encoding="utf-8")
-    elif isinstance(source, bytes):
+    if isinstance(source, bytes):
         text = source.decode("utf-8")
-    elif isinstance(source, str):
-        stripped = source.lstrip()
-        if stripped.startswith("{"):
-            text = source
-        else:
-            text = Path(source).read_text(encoding="utf-8")
+    elif isinstance(source, str) and source.lstrip().startswith("{"):
+        text = source
+    elif isinstance(source, (str, Path)):
+        text = Path(source).read_text(encoding="utf-8")
     elif hasattr(source, "read"):
         data = source.read()
         text = data.decode("utf-8") if isinstance(data, bytes) else data
     else:
-        raise TypeError(f"unsupported scene source: {type(source)!r}")
+        raise TypeError(f"unsupported document source: {type(source)!r}")
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise SceneError("$", f"not valid JSON: {exc}") from None
-    return scene_from_dict(doc)
+        raise invalid(f"not valid JSON: {exc}") from None
+
+
+def load_scene(source: Union[str, Path, bytes, IO]) -> Scene:
+    """Load and validate a scene from a JSON document (see ``read_json``).
+
+    Entity order is preserved from the document.
+    """
+    return scene_from_dict(read_json(source, lambda message: SceneError("$", message)))
 
 
 def dump_scene(scene: Scene) -> str:
@@ -309,10 +311,3 @@ def attribute_vocabulary(scene: Scene) -> dict[str, set[str]]:
         if e.shape:
             vocab["shape"].add(e.shape.lower())
     return vocab
-
-
-def iter_pairs(entities: Iterable[Entity]):
-    items = list(entities)
-    for i, a in enumerate(items):
-        for b in items[i + 1 :]:
-            yield a, b

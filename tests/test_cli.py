@@ -1,10 +1,21 @@
+import copy
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from pcsreg.scene import dump_scene
+from pcsreg import cli
+from pcsreg.frames import FrameError, default_preferences, preferences_from_dict
+from pcsreg.generator import GenerationError, build_landmark_chain, realize
+from pcsreg.harness import METHODS, HarnessError, config_from_dict
+from pcsreg.optimizer import generate
+from pcsreg.resolver import tree_to_dict
+from pcsreg.scene import SceneError, dump_scene, load_scene, scene_from_dict
+
+DEMO = Path(__file__).resolve().parent.parent / "demo"
+DEMO_SCENES = ("two_blocks_car.json", "facing_pair_square.json")
 
 
 NAN_PREFS = {
@@ -144,6 +155,11 @@ class TestGenerate:
         assert "Traceback" not in out.stderr
         assert out.stdout == ""
 
+    def test_directory_scene_exits_2(self, tmp_path):
+        out = run_cli("generate", "--scene", str(tmp_path), "--target", "blk_a")
+        assert out.returncode == 2
+        assert "Traceback" not in out.stderr
+
     def test_non_finite_scene_exits_2(self, tmp_path, blocks_car_scene):
         doc = json.loads(dump_scene(blocks_car_scene))
         doc["entities"][2]["heading"] = float("nan")
@@ -215,6 +231,14 @@ class TestResolve:
             "resolve", "--scene", str(scene_paths["blocks"]), "--expr", "the block near the car"
         )
         assert topo.returncode == 5
+
+    def test_missing_expression_file_exits_5(self, scene_paths, tmp_path):
+        out = run_cli(
+            "resolve", "--scene", str(scene_paths["blocks"]),
+            "--expr", "@" + str(tmp_path / "missing.txt"),
+        )
+        assert out.returncode == 5
+        assert "Traceback" not in out.stderr
 
     def test_imperative_prefix_stripped(self, scene_paths):
         out = run_cli(
@@ -312,6 +336,19 @@ class TestEvaluate:
         out = run_cli("evaluate", "--config", str(empty_methods))
         assert out.returncode == 2
 
+    @pytest.mark.parametrize(
+        "override",
+        [{"objects": [1, 3]}, {"categories": []}, {"objects": 5}, {"objects": ["a", "b"]}],
+    )
+    def test_bad_sampling_pools_exit_2(self, tmp_path, override):
+        path = tmp_path / "bad.json"
+        path.write_text(
+            json.dumps({"seed": 1, "n_scenes": 1, "trials_per_expression": 1, **override})
+        )
+        out = run_cli("evaluate", "--config", str(path))
+        assert out.returncode == 2
+        assert "Traceback" not in out.stderr
+
     def test_non_finite_true_prefs_exit_2(self, tmp_path):
         path = tmp_path / "nan_prefs_config.json"
         path.write_text(
@@ -337,3 +374,99 @@ class TestSchema:
 def test_missing_verb_exits_1():
     out = run_cli()
     assert out.returncode == 1
+
+
+@pytest.mark.parametrize("scene_file", DEMO_SCENES)
+def test_generate_matches_cli_surface(scene_file, capsys):
+    path = DEMO / scene_file
+    scene = load_scene(path)
+    prefs = default_preferences()
+    for target in scene.referable_ids():
+        for method in METHODS:
+            code = cli.main(
+                ["generate", "--scene", str(path), "--target", target,
+                 "--method", method, "--seed", "7", "--json"]
+            )
+            out = capsys.readouterr().out
+            try:
+                chain = build_landmark_chain(target, scene, prefs)
+                candidate = generate(method, chain, scene, prefs, seed=7)
+            except GenerationError:
+                assert code == 4
+                continue
+            assert code == 0
+            doc = json.loads(out)
+            assert doc["surface"] == realize(candidate.tree) == candidate.surface
+            assert doc["tree"] == tree_to_dict(candidate.tree)
+
+
+def _paths(node, path=()):
+    yield path
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        items = ()
+    for key, child in items:
+        yield from _paths(child, path + (key,))
+
+
+def _with(doc, path, value):
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+def _mutants(doc):
+    """``doc``, then copies with one value of a wrong type, one extra key, or
+    one list (a preference row, a point, ...) one item short."""
+    yield doc
+    for path in _paths(doc):
+        value = doc
+        for key in path:
+            value = value[key]
+        yield _with(doc, path, 1 if isinstance(value, str) else "x")
+        if isinstance(value, dict):
+            yield _with(doc, path, {**value, "extra": 1})
+        if isinstance(value, list) and value:
+            yield _with(doc, path, value[:-1])
+
+
+def _accepts(loader, doc) -> bool:
+    try:
+        loader(doc)
+    except (SceneError, FrameError, HarnessError):
+        return False
+    return True
+
+
+def test_loaders_accept_only_what_the_schemas_accept():
+    jsonschema = pytest.importorskip("jsonschema")
+    prefs_doc = json.loads((DEMO / "preferences_two_frame.json").read_text())
+    config_doc = json.loads((DEMO / "eval_config.json").read_text())
+    cases = [
+        (cli.SCENE_SCHEMA, scene_from_dict, json.loads((DEMO / name).read_text()))
+        for name in DEMO_SCENES
+    ] + [
+        (cli.PREFS_SCHEMA, preferences_from_dict, prefs_doc),
+        (cli.CONFIG_SCHEMA, config_from_dict, config_doc),
+        (cli.CONFIG_SCHEMA, config_from_dict, {**config_doc, "true_prefs": prefs_doc}),
+        (cli.CONFIG_SCHEMA, config_from_dict, {**config_doc, "objects": [1, 3]}),
+    ]
+    checked = rejected = 0
+    for schema, loader, doc in cases:
+        validator = jsonschema.Draft7Validator(schema)
+        for mutant in _mutants(doc):
+            schema_ok = validator.is_valid(mutant)
+            assert schema_ok or not _accepts(loader, mutant), mutant
+            checked += 1
+            rejected += not schema_ok
+    for schema, loader, doc in cases[:5]:
+        assert jsonschema.Draft7Validator(schema).is_valid(doc) and _accepts(loader, doc)
+    assert rejected > checked // 2

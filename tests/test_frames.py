@@ -9,8 +9,10 @@ from pcsreg.frames import (
     FrameError,
     FrameKind,
     PreferenceState,
+    applicable_frames,
     default_preferences,
     frame_instance,
+    preferences_from_dict,
     load_preferences,
     preference_entropy,
     preference_state_from_table,
@@ -164,12 +166,6 @@ def test_update_rejects_length_mismatch(default_prefs):
         update_preferences(state, [LandmarkType.SPEAKER, LandmarkType.SPEAKER], default_prefs)
 
 
-def test_update_rejects_other_windows(default_prefs):
-    types = [LandmarkType.SPEAKER]
-    with pytest.raises(FrameError):
-        update_preferences(None, types, default_prefs, window=(1, 1))
-
-
 @given(
     st.lists(st.sampled_from(list(LandmarkType)), min_size=0, max_size=6),
 )
@@ -238,3 +234,34 @@ def test_canonical_frame_order():
         "extrinsic",
     ]
     assert FrameKind.EGOCENTRIC.order < FrameKind.ADDRESSEE.order < FrameKind.INTRINSIC.order < FrameKind.EXTRINSIC.order
+
+
+def test_applicable_frames_order_origins_and_intrinsic(blocks_car_scene):
+    at_car = applicable_frames(blocks_car_scene.entity("car1"), blocks_car_scene)
+    assert [f.kind for f in at_car] == list(FRAME_ORDER)
+    assert [f.origin_entity for f in at_car] == ["speaker", "listener", "car1", None]
+    assert at_car == tuple(
+        frame_instance(kind, blocks_car_scene, "car1") for kind in FRAME_ORDER
+    )
+    # Intrinsic only at oriented objects: not at an unoriented block, and not
+    # at the agents, although they have headings.
+    for eid in ("blk_a", "speaker", "listener"):
+        frames = applicable_frames(blocks_car_scene.entity(eid), blocks_car_scene)
+        assert [f.kind for f in frames] == [
+            FrameKind.EGOCENTRIC,
+            FrameKind.ADDRESSEE,
+            FrameKind.EXTRINSIC,
+        ]
+        assert [f.origin_entity for f in frames] == ["speaker", "listener", None]
+
+
+def test_preferences_reject_unknown_row():
+    doc = {
+        "speaker": [1.0, 0.0, 0.0, 0.0],
+        "listener": [0.0, 1.0, 0.0, 0.0],
+        "oriented_object": [0.0, 0.0, 1.0, 0.0],
+        "unoriented_object": [1.0, 0.0, 0.0, 0.0],
+        "robot": [1.0, 0.0, 0.0, 0.0],
+    }
+    with pytest.raises(FrameError, match="'robot'"):
+        preferences_from_dict(doc)

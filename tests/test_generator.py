@@ -1,10 +1,10 @@
 import math
-import random
 
 import pytest
 
 from pcsreg.frames import FrameInstance, FrameKind, frame_instance
 from pcsreg.generator import (
+    MAX_CHAIN_REBUILDS,
     GenerationError,
     LandmarkStack,
     NoDiscriminatingLandmarkError,
@@ -12,13 +12,12 @@ from pcsreg.generator import (
     build_landmark_chain,
     describe_visual,
     expression_space,
-    random_default_frame,
     realize,
     select_landmark,
     verify_chain_discrimination,
 )
 from pcsreg.geometry import rotate
-from pcsreg.harness import sample_scene
+from pcsreg.harness import derive_seed, sample_scene
 from pcsreg.prepositions import Preposition
 from pcsreg.resolver import AttributePhrase, Compound, Leaf, PersonRef
 from pcsreg.scene import Entity, EntityKind, LandmarkType, Scene, TableExtent, landmark_type
@@ -206,15 +205,20 @@ class TestBuildChain:
                 )
                 assert turned_chain.stack.ids() == base_chain.stack.ids()
 
-    def test_random_default_frame_is_seeded(self, blocks_car_scene, default_prefs):
-        frames = [
-            build_landmark_chain(
-                "blk_a", blocks_car_scene, default_prefs, rng=random.Random(5)
-            ).default_frame
-            for _ in range(2)
-        ]
-        assert frames[0] == frames[1]
-        assert random_default_frame(blocks_car_scene, random.Random(5)) in [frames[0]]
+    def test_oscillating_rebuild_stops_at_the_cap(self, default_prefs):
+        # With the default table the rebuild for cup6 alternates between two
+        # chains and never reaches a fixed point; it must still end within
+        # the cap with a chain that discriminates.
+        scene = sample_scene(
+            derive_seed(1, "scene", 97),
+            objects=(3, 8),
+            categories=("block", "cup"),
+            colors=("red", "blue"),
+            shapes=(),
+        )
+        chain = build_landmark_chain("cup6", scene, default_prefs)
+        assert chain.iterations <= MAX_CHAIN_REBUILDS
+        assert verify_chain_discrimination(chain, scene)
 
 
 class TestExpressionSpace:

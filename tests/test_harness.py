@@ -494,6 +494,36 @@ class TestConfig:
         with pytest.raises(HarnessError):
             tiny_config(context_window=[0, 2])
 
+    def test_rejects_unknown_keys_by_name(self):
+        with pytest.raises(HarnessError, match="'trials'"):
+            tiny_config(trials=3)
+
+    @pytest.mark.parametrize(
+        "override",
+        [
+            {"seed": "11"},
+            {"n_scenes": 2.5},
+            {"methods": "pcsreg"},
+            {"objects": 5},
+            {"objects": ["a", "b"]},
+            {"objects": [3, 4, 5]},
+            {"colors": "red"},
+            {"consistency_coupling": True},
+            {"per_trial_csv": "yes"},
+            {"true_prefs": [1.0, 0.0, 0.0, 0.0]},
+        ],
+    )
+    def test_rejects_wrong_types(self, override):
+        with pytest.raises(HarnessError, match=repr(next(iter(override)))):
+            tiny_config(**override)
+
+    @pytest.mark.parametrize(
+        "override", [{"objects": [1, 3]}, {"objects": [5, 4]}, {"categories": []}]
+    )
+    def test_rejects_empty_pools(self, override):
+        with pytest.raises(HarnessError):
+            tiny_config(**override)
+
     def test_accepts_custom_prefs(self):
         cfg = tiny_config(true_prefs=preferences_doc_all_ego())
         assert cfg.true_prefs.row(LandmarkType.LISTENER) == (1.0, 0.0, 0.0, 0.0)

@@ -62,11 +62,6 @@ def test_relation_tie_on_boundary_prefers_canonical_order():
     assert relation((-1.0, 1.0), (0.0, 0.0), EGO_UP) is Preposition.FRONT
 
 
-def test_relation_min_degree_threshold():
-    assert relation((1.0, 1.0), (0.0, 0.0), EGO_UP, min_degree=0.8) is None
-    assert relation((0.0, 1.0), (0.0, 0.0), EGO_UP, min_degree=0.8) is Preposition.FRONT
-
-
 angles = st.floats(min_value=0.0, max_value=2.0 * math.pi, allow_nan=False)
 radii = st.floats(min_value=0.01, max_value=10.0, allow_nan=False)
 

@@ -126,16 +126,6 @@ class TestDenote:
         d = denote(tree, blocks_car_scene, default_prefs)
         assert d.probs == pytest.approx({"blk_a": 0.5, "blk_b": 0.5, "car1": 0.0})
 
-    def test_fuzzy_mode_still_normalizes(self, blocks_car_scene, default_prefs):
-        tree = Compound(
-            AttributePhrase(category="block"),
-            Preposition.LEFT,
-            Leaf(AttributePhrase(category="car")),
-        )
-        d = denote(tree, blocks_car_scene, default_prefs, fuzzy=True)
-        assert abs(sum(d.probs.values()) - 1.0) <= 1e-9
-        assert d.argmax() == "blk_a"
-
 
 class TestParse:
     def test_simple_pp(self, facing_square_scene):
