@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 from typing import NoReturn
 
-from .frames import FrameError, PreferenceTable, default_preferences, load_preferences
+from .frames import PREFS_SCHEMA, FrameError, PreferenceTable, default_preferences, load_preferences
 from .generator import (
     GenerationError,
     build_landmark_chain,
@@ -25,6 +25,8 @@ from .generator import (
     realize,
 )
 from .harness import (
+    CONFIG_SCHEMA,
+    METHODS,
     HarnessError,
     config_from_dict,
     format_report_text,
@@ -42,7 +44,7 @@ from .resolver import (
     parse_expression_json,
     tree_to_dict,
 )
-from .scene import Scene, SceneError, attribute_vocabulary, load_scene, read_json
+from .scene import SCENE_SCHEMA, Scene, SceneError, attribute_vocabulary, load_scene, read_json
 
 EXIT_USAGE = 1
 EXIT_BAD_SCENE = 2
@@ -261,107 +263,26 @@ def cmd_explain(args) -> int:
 
 def cmd_evaluate(args) -> int:
     cfg = _read("config", args.config, lambda p: config_from_dict(read_json(p, HarnessError)))
-    report = run_comparison(cfg, collect_records=cfg.per_trial_csv or args.out is not None)
+    out = None if args.out is None else Path(args.out)
+    if out is not None:
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            _fail(EXIT_USAGE, f"cannot create output directory {out}: {exc}")
+    report = run_comparison(cfg, collect_records=cfg.per_trial_csv)
     text = format_report_text(report)
-    print(text, end="")
-    if args.out is not None:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "report.json").write_text(report_to_json(report), encoding="utf-8")
-        (out / "report.txt").write_text(text, encoding="utf-8")
+    if out is not None:
+        files = {"report.json": report_to_json(report), "report.txt": text}
         if cfg.per_trial_csv:
-            (out / "trials.csv").write_text(records_to_csv(report), encoding="utf-8")
+            files["trials.csv"] = records_to_csv(report)
+        try:
+            for name, content in files.items():
+                (out / name).write_text(content, encoding="utf-8")
+        except OSError as exc:
+            _fail(EXIT_USAGE, f"cannot write reports to {out}: {exc}")
         log.info("reports written to %s", out)
+    print(text, end="")
     return 0
-
-
-SCENE_SCHEMA = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "title": "Scene",
-    "type": "object",
-    "required": ["table", "entities"],
-    "properties": {
-        "north": {
-            "type": "array",
-            "items": {"type": "number"},
-            "minItems": 2,
-            "maxItems": 2,
-            "description": "unit vector; default [0, 1]",
-        },
-        "table": {
-            "type": "object",
-            "required": ["min", "max"],
-            "properties": {
-                "min": {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2},
-                "max": {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2},
-            },
-        },
-        "entities": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["id", "kind", "category", "pos"],
-                "properties": {
-                    "id": {"type": "string"},
-                    "kind": {"enum": ["object", "speaker", "listener"]},
-                    "category": {"type": "string"},
-                    "color": {"type": ["string", "null"]},
-                    "shape": {"type": ["string", "null"]},
-                    "pos": {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2},
-                    "heading": {
-                        "type": ["number", "null"],
-                        "description": "radians CCW from +x; null = no orientation",
-                    },
-                },
-            },
-        },
-    },
-}
-
-PREFS_SCHEMA = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "title": "Preferences",
-    "type": "object",
-    "required": ["speaker", "listener", "oriented_object", "unoriented_object"],
-    "additionalProperties": False,
-    "properties": {
-        key: {
-            "type": "array",
-            "items": {"type": "number", "minimum": 0},
-            "minItems": 4,
-            "maxItems": 4,
-            "description": "order: egocentric, addressee, intrinsic, extrinsic; sums to 1 within 1e-6",
-        }
-        for key in ("speaker", "listener", "oriented_object", "unoriented_object")
-    },
-}
-
-CONFIG_SCHEMA = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "title": "TrialConfig",
-    "type": "object",
-    "required": ["seed", "n_scenes", "trials_per_expression"],
-    "properties": {
-        "seed": {"type": "integer"},
-        "n_scenes": {"type": "integer", "minimum": 1},
-        "trials_per_expression": {"type": "integer", "minimum": 1},
-        "methods": {
-            "type": "array",
-            "items": {"enum": ["pcsreg", "max", "robot", "human", "random"]},
-            "minItems": 1,
-        },
-        "true_prefs": {"$ref": "#/definitions/preferences"},
-        "assumed_prefs": {"$ref": "#/definitions/preferences"},
-        "objects": {"type": "array", "items": {"type": "integer", "minimum": 2}},
-        "categories": {"type": "array", "items": {"type": "string"}},
-        "colors": {"type": "array", "items": {"type": "string"}},
-        "shapes": {"type": "array", "items": {"type": "string"}},
-        "consistency_coupling": {"type": "number", "minimum": 0, "maximum": 1},
-        "per_trial_csv": {"type": "boolean"},
-    },
-    "additionalProperties": False,
-    "definitions": {"preferences": PREFS_SCHEMA},
-}
 
 
 def cmd_schema(_args) -> int:
@@ -383,11 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--scene", required=True, help="scene JSON file")
     gen.add_argument("--target", required=True, help="target entity id")
     gen.add_argument("--prefs", help="preference table JSON file (default: built-in)")
-    gen.add_argument(
-        "--method",
-        choices=["pcsreg", "max", "robot", "human", "random"],
-        default="pcsreg",
-    )
+    gen.add_argument("--method", choices=METHODS, default="pcsreg")
     gen.add_argument("--seed", type=int, help="seed (required for --method random)")
     gen.add_argument("--json", action="store_true", help="emit a JSON detail document")
     gen.set_defaults(func=cmd_generate)

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import IO, Sequence, Union
 
 from .geometry import Vec, heading_vec, opposite, quarter_left, quarter_right
-from .scene import Entity, LandmarkType, Scene, is_finite, landmark_type, read_json
+from .scene import Entity, LandmarkType, Scene, check_document, landmark_type, read_json
 
 ROW_SUM_TOL = 1e-9
 FILE_ROW_SUM_TOL = 1e-6
@@ -173,31 +173,37 @@ def default_preferences() -> PreferenceTable:
     return PreferenceTable({lt: _renormalize(row) for lt, row in _DEFAULT_ROWS.items()})
 
 
+PREFS_SCHEMA = {
+    "$schema": "http://json-schema.org/draft-07/schema#",
+    "title": "Preferences",
+    "type": "object",
+    "required": list(_FILE_KEYS),
+    "additionalProperties": False,
+    "properties": {
+        key: {
+            "type": "array",
+            "items": {"type": "number", "minimum": 0},
+            "minItems": 4,
+            "maxItems": 4,
+            "description": "order: egocentric, addressee, intrinsic, extrinsic; sums to 1 within 1e-6",
+        }
+        for key in _FILE_KEYS
+    },
+}
+
+
+def preference_error(path: tuple, message: str) -> FrameError:
+    """The error for a preference document whose ``path`` breaks ``PREFS_SCHEMA``."""
+    return FrameError(f"row {path[0]!r} {message}" if path else f"preference document {message}")
+
+
 def preferences_from_dict(doc: dict) -> PreferenceTable:
-    if not isinstance(doc, dict):
-        raise FrameError("preference document must be a JSON object")
-    unknown = [key for key in doc if key not in _FILE_KEYS]
-    if unknown:
-        raise FrameError(f"unknown preference row {unknown[0]!r}")
-    rows: dict[LandmarkType, Row] = {}
-    for key, lt in _FILE_KEYS.items():
-        if key not in doc:
-            raise FrameError(f"preference document missing row {key!r}")
-        raw = doc[key]
-        if (
-            not isinstance(raw, list)
-            or len(raw) != 4
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw)
-        ):
-            raise FrameError(f"row {key!r} must be a list of 4 numbers")
-        if not all(is_finite(v) for v in raw):
-            raise FrameError(f"row {key!r} must contain finite numbers, got {raw!r}")
-        if any(v < 0 for v in raw):
-            raise FrameError(f"row {key!r} has negative entries")
-        if abs(sum(raw) - 1.0) > FILE_ROW_SUM_TOL:
+    """Check ``doc`` against ``PREFS_SCHEMA`` and the row sums, then build the table."""
+    check_document(doc, PREFS_SCHEMA, preference_error)
+    for key in _FILE_KEYS:
+        if abs(sum(doc[key]) - 1.0) > FILE_ROW_SUM_TOL:
             raise FrameError(f"row {key!r} must sum to 1 within {FILE_ROW_SUM_TOL}")
-        rows[lt] = _renormalize(raw)
-    return PreferenceTable(rows)
+    return PreferenceTable({lt: _renormalize(doc[key]) for key, lt in _FILE_KEYS.items()})
 
 
 def load_preferences(source: Union[str, Path, bytes, IO]) -> PreferenceTable:

@@ -23,12 +23,14 @@ from dataclasses import dataclass, field
 
 from .frames import (
     FRAME_ORDER,
+    PREFS_SCHEMA,
     FrameInstance,
     FrameKind,
     PreferenceTable,
     applicable_frames,
     default_preferences,
     frame_instance,
+    preference_error,
     preferences_from_dict,
     supports_intrinsic,
 )
@@ -44,7 +46,7 @@ from .resolver import (
     denote,
     depth,
 )
-from .scene import Entity, EntityKind, Scene, TableExtent, is_finite, landmark_type
+from .scene import Entity, EntityKind, Scene, TableExtent, check_document, landmark_type
 
 METHODS = ("pcsreg", "max", "robot", "human", "random")
 
@@ -402,64 +404,46 @@ class TrialConfig:
         _check_pools(self.objects, self.categories)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_strings(value) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
-
-
-# Every config key, with its type check and the type's description.
-_CONFIG_FIELDS = {
-    **dict.fromkeys(("seed", "n_scenes", "trials_per_expression"), (_is_int, "an integer")),
-    **dict.fromkeys(
-        ("methods", "categories", "colors", "shapes"), (_is_strings, "a list of strings")
-    ),
-    **dict.fromkeys(("true_prefs", "assumed_prefs"), (lambda v: isinstance(v, dict), "an object")),
-    "objects": (
-        lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_int, v)),
-        "a [min, max] pair of integers",
-    ),
-    "consistency_coupling": (
-        lambda v: isinstance(v, (int, float)) and not isinstance(v, bool) and is_finite(v),
-        "a finite number",
-    ),
-    "per_trial_csv": (lambda v: isinstance(v, bool), "a boolean"),
+CONFIG_SCHEMA = {
+    "$schema": "http://json-schema.org/draft-07/schema#",
+    "title": "TrialConfig",
+    "type": "object",
+    "required": ["seed", "n_scenes", "trials_per_expression"],
+    "properties": {
+        "seed": {"type": "integer"},
+        "n_scenes": {"type": "integer", "minimum": 1},
+        "trials_per_expression": {"type": "integer", "minimum": 1},
+        "methods": {"type": "array", "items": {"enum": list(METHODS)}, "minItems": 1},
+        "true_prefs": {"$ref": "#/definitions/preferences"},
+        "assumed_prefs": {"$ref": "#/definitions/preferences"},
+        "objects": {"type": "array", "items": {"type": "integer", "minimum": 2}, "minItems": 2, "maxItems": 2},
+        "categories": {"type": "array", "items": {"type": "string"}, "minItems": 1},
+        "colors": {"type": "array", "items": {"type": "string"}},
+        "shapes": {"type": "array", "items": {"type": "string"}},
+        "consistency_coupling": {"type": "number", "minimum": 0, "maximum": 1},
+        "per_trial_csv": {"type": "boolean"},
+    },
+    "additionalProperties": False,
+    "definitions": {"preferences": PREFS_SCHEMA},
 }
 
 
+def _config_error(path: tuple, message: str) -> ValueError:
+    if len(path) > 1:  # inside true_prefs or assumed_prefs: a preference error
+        return preference_error(path[1:], message)
+    return HarnessError(f"config field {path[0]!r} {message}" if path else f"config {message}")
+
+
 def config_from_dict(doc: dict) -> TrialConfig:
-    """Validate a config document; unknown keys and wrong types are rejected."""
-    if not isinstance(doc, dict):
-        raise HarnessError("config must be a JSON object")
-    for key, value in doc.items():
-        if key not in _CONFIG_FIELDS:
-            raise HarnessError(f"unknown config key {key!r}")
-        check, want = _CONFIG_FIELDS[key]
-        if not check(value):
-            raise HarnessError(f"config field {key!r} must be {want}, got {value!r}")
-    for key in ("seed", "n_scenes", "trials_per_expression"):
-        if key not in doc:
-            raise HarnessError(f"config is missing the required field {key!r}")
-    true_prefs = (
-        preferences_from_dict(doc["true_prefs"]) if "true_prefs" in doc else default_preferences()
-    )
-    assumed = preferences_from_dict(doc["assumed_prefs"]) if "assumed_prefs" in doc else None
-    return TrialConfig(
-        seed=doc["seed"],
-        n_scenes=doc["n_scenes"],
-        trials_per_expression=doc["trials_per_expression"],
-        true_prefs=true_prefs,
-        methods=tuple(doc.get("methods", METHODS)),
-        assumed_prefs=assumed,
-        objects=tuple(doc.get("objects", (3, 8))),
-        categories=tuple(doc.get("categories", DEFAULT_CATEGORIES)),
-        colors=tuple(doc.get("colors", DEFAULT_COLORS)),
-        shapes=tuple(doc.get("shapes", DEFAULT_SHAPES)),
-        consistency_coupling=float(doc.get("consistency_coupling", 0.0)),
-        per_trial_csv=doc.get("per_trial_csv", False),
-    )
+    """Check ``doc`` against ``CONFIG_SCHEMA``, then build and validate the config."""
+    check_document(doc, CONFIG_SCHEMA, _config_error)
+    fields = {key: tuple(value) if isinstance(value, list) else value for key, value in doc.items()}
+    for key in ("true_prefs", "assumed_prefs"):
+        if key in doc:
+            fields[key] = preferences_from_dict(doc[key])
+    if "consistency_coupling" in doc:
+        fields["consistency_coupling"] = float(doc["consistency_coupling"])
+    return TrialConfig(**{"true_prefs": default_preferences(), "methods": METHODS, **fields})
 
 
 @dataclass

@@ -26,7 +26,7 @@ from .generator import (
 )
 from .prepositions import relation
 from .resolver import Denotation, denote
-from .scene import Scene, landmark_type
+from .scene import Scene
 
 # A target ties for the maximum when within this of the top probability.
 APPROPRIATENESS_TIE_TOL = 1e-12
@@ -119,18 +119,13 @@ def select_greedy_max(
     """
     if chain.k == 0:
         return expression_space(chain, scene)[0]
-    rows = chain.state.distributions
-    if len(rows) != chain.k:
-        rows = tuple(
-            prefs.row(landmark_type(scene.entity(eid))) for eid in chain.stack.ids()
-        )
     # max() keeps the canonically first frame on ties.
     return _realized_candidate(
         chain,
         scene,
         [
             max(applicable_frames(scene.entity(lm_id), scene), key=lambda f: row[f.kind.order])
-            for row, lm_id in zip(rows, chain.stack.ids())
+            for row, lm_id in zip(chain.state.distributions, chain.stack.ids())
         ],
     )
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 import enum
 import json
 import math
+import reprlib
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Callable, Union
@@ -158,89 +160,80 @@ def _validate(scene: Scene) -> None:
         raise SceneError("table", "min corner must be strictly below max corner")
 
 
-def _require(doc: dict, key: str, path: str):
-    if key not in doc:
-        raise SceneError(f"{path}.{key}", "missing required field")
-    return doc[key]
+SCENE_SCHEMA = {
+    "$schema": "http://json-schema.org/draft-07/schema#",
+    "title": "Scene",
+    "type": "object",
+    "required": ["table", "entities"],
+    "properties": {
+        "north": {
+            "type": "array",
+            "items": {"type": "number"},
+            "minItems": 2,
+            "maxItems": 2,
+            "description": "unit vector; default [0, 1]",
+        },
+        "table": {
+            "type": "object",
+            "required": ["min", "max"],
+            "properties": {
+                "min": {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2},
+                "max": {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2},
+            },
+        },
+        "entities": {
+            "type": "array",
+            "items": {
+                "type": "object",
+                "required": ["id", "kind", "category", "pos"],
+                "properties": {
+                    "id": {"type": "string", "minLength": 1},
+                    "kind": {"enum": [kind.value for kind in EntityKind]},
+                    "category": {"type": "string", "minLength": 1},
+                    "color": {"type": ["string", "null"]},
+                    "shape": {"type": ["string", "null"]},
+                    "pos": {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2},
+                    "heading": {
+                        "type": ["number", "null"],
+                        "description": "radians CCW from +x; null = no orientation",
+                    },
+                },
+            },
+        },
+    },
+}
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _dotted(path: tuple) -> str:
+    """``("entities", 0, "pos")`` -> ``"entities[0].pos"``; the root is ``"$"``."""
+    text = "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path)
+    return text[1:] or "$"
 
 
-def is_finite(number) -> bool:
-    """Whether an int or float converts to a finite float."""
-    try:
-        return math.isfinite(number)
-    except OverflowError:  # an int beyond the float range
-        return False
-
-
-def _point(value, path: str) -> Vec:
-    if (
-        not isinstance(value, (list, tuple))
-        or len(value) != 2
-        or not all(_is_number(v) for v in value)
-    ):
-        raise SceneError(path, f"expected [x, y] numbers, got {value!r}")
-    if not all(is_finite(v) for v in value):
-        raise SceneError(path, f"coordinates must be finite, got {value!r}")
+def _point(value) -> Vec:
     return (float(value[0]), float(value[1]))
 
 
 def scene_from_dict(doc: dict) -> Scene:
-    if not isinstance(doc, dict):
-        raise SceneError("$", "scene document must be a JSON object")
-    table_doc = _require(doc, "table", "$")
-    if not isinstance(table_doc, dict):
-        raise SceneError("table", "must be an object with 'min' and 'max'")
-    table = TableExtent(
-        _point(_require(table_doc, "min", "table"), "table.min"),
-        _point(_require(table_doc, "max", "table"), "table.max"),
-    )
-    north = _point(doc["north"], "north") if "north" in doc else (0.0, 1.0)
-
-    raw_entities = _require(doc, "entities", "$")
-    if not isinstance(raw_entities, list):
-        raise SceneError("entities", "must be a list")
-    entities = []
-    for i, raw in enumerate(raw_entities):
-        path = f"entities[{i}]"
-        if not isinstance(raw, dict):
-            raise SceneError(path, "entity must be an object")
-        eid = _require(raw, "id", path)
-        if not isinstance(eid, str) or not eid:
-            raise SceneError(f"{path}.id", "must be a non-empty string")
-        kind_raw = _require(raw, "kind", path)
-        try:
-            kind = EntityKind(kind_raw)
-        except ValueError:
-            raise SceneError(f"{path}.kind", f"unknown kind {kind_raw!r}") from None
-        category = _require(raw, "category", path)
-        if not isinstance(category, str) or not category:
-            raise SceneError(f"{path}.category", "must be a non-empty string")
-        pos = _point(_require(raw, "pos", path), f"{path}.pos")
-        heading = raw.get("heading")
-        if heading is not None and not _is_number(heading):
-            raise SceneError(f"{path}.heading", "must be a number or null")
-        if heading is not None and not is_finite(heading):
-            raise SceneError(f"{path}.heading", f"must be finite, got {heading!r}")
-        for attr in ("color", "shape"):
-            v = raw.get(attr)
-            if v is not None and not isinstance(v, str):
-                raise SceneError(f"{path}.{attr}", "must be a string or null")
-        entities.append(
+    """Check ``doc`` against ``SCENE_SCHEMA``, then build and validate the scene."""
+    check_document(doc, SCENE_SCHEMA, lambda path, message: SceneError(_dotted(path), message))
+    table = doc["table"]
+    return Scene(
+        entities=tuple(
             Entity(
-                id=eid,
-                kind=kind,
-                category=category,
-                centroid=pos,
+                id=raw["id"],
+                kind=EntityKind(raw["kind"]),
+                category=raw["category"],
+                centroid=_point(raw["pos"]),
                 color=raw.get("color"),
                 shape=raw.get("shape"),
-                heading=None if heading is None else float(heading),
+                heading=None if raw.get("heading") is None else float(raw["heading"]),
             )
-        )
-    return Scene(entities=tuple(entities), table=table, north=north)
+            for raw in doc["entities"]
+        ),
+        table=TableExtent(_point(table["min"]), _point(table["max"])),
+        north=_point(doc["north"]) if "north" in doc else (0.0, 1.0),
+    )
 
 
 def scene_to_dict(scene: Scene) -> dict:
@@ -286,6 +279,103 @@ def read_json(source: Union[str, Path, bytes, IO], invalid: Callable[[str], Exce
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise invalid(f"not valid JSON: {exc}") from None
+
+
+class _Invalid(Exception):
+    """A value breaks its schema; ``path`` gains a key per level while unwinding."""
+
+    def __init__(self, message: str, *key):
+        super().__init__(message)
+        self.path = list(key)  # innermost key first
+
+
+# The JSON type of each Python type that ``json.loads`` produces.
+_JSON_TYPES = {
+    dict: "object",
+    list: "array",
+    str: "string",
+    int: "integer",
+    float: "number",
+    bool: "boolean",
+    type(None): "null",
+}
+
+_FLOAT_MAX = sys.float_info.max
+
+# A bad item of a list of scalars is reported as the list's fault, naming
+# what the list must contain.
+_PLURALS = {"number": "finite numbers", "integer": "integers", "string": "strings"}
+
+
+def _check(value, schema: dict, root: dict) -> None:
+    if "$ref" in schema:
+        schema = root["definitions"][schema["$ref"].rpartition("/")[2]]
+    name = _JSON_TYPES.get(type(value))
+    types = schema.get("type")
+    if types is not None and name != types:
+        names = (types,) if isinstance(types, str) else types
+        if name not in names and not (name == "integer" and "number" in names):
+            raise _Invalid(f"must be of type {' or '.join(names)}, got {reprlib.repr(value)}")
+    if "enum" in schema and value not in schema["enum"]:
+        raise _Invalid(f"must be one of {schema['enum']}, got {reprlib.repr(value)}")
+    if name == "object":
+        properties = schema.get("properties", {})
+        for key in schema.get("required", ()):
+            if key not in value:
+                raise _Invalid("is missing", key)
+        if schema.get("additionalProperties") is False:
+            for key in value:
+                if key not in properties:
+                    raise _Invalid("is not allowed", key)
+        for key, item in value.items():
+            sub = properties.get(key)
+            if sub is not None:
+                try:
+                    _check(item, sub, root)
+                except _Invalid as exc:
+                    exc.path.append(key)
+                    raise
+    elif name == "array":
+        lo, hi = schema.get("minItems", 0), schema.get("maxItems", math.inf)
+        if not lo <= len(value) <= hi:
+            raise _Invalid(f"must have [{lo}, {hi}] items, got {reprlib.repr(value)}")
+        items = schema.get("items")
+        for i, item in enumerate(value if items is not None else ()):
+            try:
+                _check(item, items, root)
+            except _Invalid as exc:
+                if "properties" in items:
+                    exc.path.append(i)
+                    raise
+                want = _PLURALS.get(items.get("type"), f"values from {items.get('enum')}")
+                if "minimum" in items:
+                    want += f" >= {items['minimum']}"
+                raise _Invalid(f"must contain {want}, got {reprlib.repr(value)}") from None
+    elif name == "number" or name == "integer":
+        # Also rejects ints beyond the float range, such as 10**400.
+        if not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+            raise _Invalid(f"must be finite, got {reprlib.repr(value)}")
+        if not schema.get("minimum", value) <= value <= schema.get("maximum", value):
+            lo, hi = schema.get("minimum", -math.inf), schema.get("maximum", math.inf)
+            raise _Invalid(f"must be in [{lo}, {hi}], got {value!r}")
+    elif name == "string" and len(value) < schema.get("minLength", 0):
+        raise _Invalid(f"must have at least {schema['minLength']} characters, got {value!r}")
+
+
+def check_document(doc, schema: dict, invalid: Callable[[tuple, str], Exception]) -> None:
+    """Raise ``invalid(path, message)`` unless ``doc`` satisfies ``schema``.
+
+    Covers the JSON-schema keywords the document schemas use: ``type``,
+    ``enum``, ``minimum``/``maximum``, ``minLength``, ``required``,
+    ``properties``, ``additionalProperties: false``, ``items``,
+    ``minItems``/``maxItems`` and ``$ref`` into ``definitions``.  Every
+    number must also be finite.  ``path`` holds the keys and indexes down to
+    the bad value; a bad item of a list of scalars is reported at the list.
+    """
+    try:
+        _check(doc, schema, schema)
+    except _Invalid as exc:
+        raise invalid(tuple(reversed(exc.path)), exc.args[0]) from None
 
 
 def load_scene(source: Union[str, Path, bytes, IO]) -> Scene:

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import subprocess
 import sys
@@ -361,6 +362,33 @@ class TestEvaluate:
         assert "row 'listener'" in out.stderr
         assert "Traceback" not in out.stderr
 
+    def test_out_naming_a_file_exits_1(self, config_path, tmp_path):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        out = run_cli("evaluate", "--config", str(config_path), "--out", str(taken))
+        assert out.returncode == 1
+        assert out.stdout == ""
+        assert "cannot create output directory" in out.stderr
+        assert "Traceback" not in out.stderr
+
+    @pytest.mark.parametrize("per_trial_csv", [False, True])
+    def test_records_collected_only_for_trials_csv(self, tmp_path, monkeypatch, per_trial_csv):
+        path = tmp_path / "config.json"
+        path.write_text(
+            json.dumps({"seed": 5, "n_scenes": 1, "trials_per_expression": 1,
+                        "methods": ["robot"], "per_trial_csv": per_trial_csv})
+        )
+        collected = []
+        real = cli.run_comparison
+
+        def spy(cfg, collect_records):
+            collected.append(collect_records)
+            return real(cfg, collect_records)
+
+        monkeypatch.setattr(cli, "run_comparison", spy)
+        assert cli.main(["evaluate", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+        assert collected == [per_trial_csv]
+
 
 class TestSchema:
     def test_schemas_print(self):
@@ -369,6 +397,12 @@ class TestSchema:
         doc = json.loads(out.stdout)
         assert set(doc) == {"scene", "preferences", "config"}
         assert doc["scene"]["properties"]["entities"]["type"] == "array"
+
+    def test_schema_bytes_are_pinned(self):
+        out = run_cli("schema")
+        assert hashlib.sha256(out.stdout.encode()).hexdigest() == (
+            "5b3c268d0020dfa2bce46b0fe49075546e8fb0ebe753bc7c8f5fa048cdc1b562"
+        )
 
 
 def test_missing_verb_exits_1():

@@ -524,6 +524,11 @@ class TestConfig:
         with pytest.raises(HarnessError):
             tiny_config(**override)
 
+    @pytest.mark.parametrize("override", [{"seed": 10**400}, {"objects": [3, 10**400]}])
+    def test_rejects_ints_beyond_float_range(self, override):
+        with pytest.raises(HarnessError, match=repr(next(iter(override)))):
+            tiny_config(**override)
+
     def test_accepts_custom_prefs(self):
         cfg = tiny_config(true_prefs=preferences_doc_all_ego())
         assert cfg.true_prefs.row(LandmarkType.LISTENER) == (1.0, 0.0, 0.0, 0.0)

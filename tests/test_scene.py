@@ -2,6 +2,7 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pcsreg.harness import sample_scene
 from pcsreg.scene import (
@@ -147,6 +148,14 @@ def test_round_trip(seed):
     again = load_scene(dump_scene(scene))
     assert again == scene
     assert dump_scene(again) == dump_scene(scene)
+
+
+@pytest.mark.parametrize("objects", [(3, 8), (8, 16), (16, 30)], ids=str)
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**63 - 1))
+def test_round_trip_at_table_sizes(objects, seed):
+    scene = sample_scene(seed, objects=objects)
+    assert load_scene(dump_scene(scene)) == scene
 
 
 def test_landmark_type_classification(blocks_car_scene):
