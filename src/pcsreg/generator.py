@@ -287,14 +287,38 @@ def build_landmark_chain(
     )
 
 
-def assemble_tree(chain: LandmarkChain, preps: tuple[Preposition, ...]) -> ExpressionTree:
-    """Nest the chain's descriptions with the given per-unit prepositions."""
-    if len(preps) != chain.k:
-        raise ValueError(f"expected {chain.k} prepositions, got {len(preps)}")
-    node: ExpressionTree = Leaf(chain.descriptions[-1].attrs)
+def unit_options(
+    chain: LandmarkChain, scene: Scene
+) -> list[list[tuple[FrameInstance, Preposition]]]:
+    """Each unit's (frame, crisp preposition) pairs, in ``applicable_frames`` order.
+
+    The preposition is the located entity's relation to the unit's landmark
+    under that frame: the target for the first unit, then each landmark in
+    turn.
+    """
+    sources = (chain.target,) + chain.stack.ids()[:-1]
+    options = []
+    for src_id, lm_id in zip(sources, chain.stack.ids()):
+        src, lm = scene.entity(src_id), scene.entity(lm_id)
+        options.append([(f, relation(src, lm, f)) for f in applicable_frames(lm, scene)])
+    return options
+
+
+def candidate(
+    chain: LandmarkChain, picks: tuple[tuple[FrameInstance, Preposition], ...]
+) -> CandidateExpression:
+    """The candidate for one (frame, preposition) pick per unit of the chain.
+
+    The chain's descriptions nest target outermost, each unit joined by its
+    pick's preposition; the strategy records each pick's frame.
+    """
+    if len(picks) != chain.k:
+        raise ValueError(f"expected {chain.k} picks, got {len(picks)}")
+    tree: ExpressionTree = Leaf(chain.descriptions[-1].attrs)
     for i in range(chain.k - 1, -1, -1):
-        node = Compound(chain.descriptions[i].attrs, preps[i], node)
-    return node
+        tree = Compound(chain.descriptions[i].attrs, picks[i][1], tree)
+    strategy = Strategy(tuple((frame.kind, frame.origin_entity) for frame, _ in picks))
+    return CandidateExpression(tree, strategy, realize(tree))
 
 
 def expression_space(chain: LandmarkChain, scene: Scene) -> list[CandidateExpression]:
@@ -303,29 +327,10 @@ def expression_space(chain: LandmarkChain, scene: Scene) -> list[CandidateExpres
     One candidate per frame strategy, i.e. per choice of an applicable frame
     at every unit's landmark; strategies that produce identical
     prepositions yield identical trees and surfaces (kept, so the scorer
-    can explain every strategy; deduplicate by surface when counting).
+    can explain every strategy; deduplicate by surface when counting).  A
+    chain without landmarks has the single leaf candidate.
     """
-    if chain.k == 0:
-        tree = Leaf(chain.descriptions[0].attrs)
-        return [CandidateExpression(tree, Strategy(()), realize(tree))]
-    sources = [chain.target] + list(chain.stack.ids()[:-1])
-    per_unit = []
-    for i, lm_id in enumerate(chain.stack.ids()):
-        lm = scene.entity(lm_id)
-        src = scene.entity(sources[i])
-        per_unit.append(
-            [
-                ((frame.kind, frame.origin_entity), relation(src, lm, frame))
-                for frame in applicable_frames(lm, scene)
-            ]
-        )
-    candidates = []
-    for combo in itertools.product(*per_unit):
-        assignments = tuple(assignment for assignment, _ in combo)
-        preps = tuple(prep for _, prep in combo)
-        tree = assemble_tree(chain, preps)
-        candidates.append(CandidateExpression(tree, Strategy(assignments), realize(tree)))
-    return candidates
+    return [candidate(chain, picks) for picks in itertools.product(*unit_options(chain, scene))]
 
 
 def _phrase_surface(phrase: AttributePhrase) -> str:

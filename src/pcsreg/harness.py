@@ -37,7 +37,7 @@ from .frames import (
 from .generator import GenerationError, LandmarkChain, build_landmark_chain, describe_visual
 from .geometry import heading_vec
 from .optimizer import generate
-from .prepositions import Preposition, relation
+from .prepositions import relation
 from .resolver import (
     Compound,
     Denotation,
@@ -176,15 +176,12 @@ class _ListenerPlan:
 class _SceneListener:
     """Listener interpretation for one (scene, true preferences) pair.
 
-    ``relations`` maps (target id, landmark id, frame kind) to the crisp
-    preposition, filled on demand by ``relation``; at a given landmark the
-    kind determines the frame.  ``plans`` holds one compiled plan per tree.
+    ``plans`` holds one compiled plan per tree.
     """
 
     def __init__(self, scene: Scene, prefs: PreferenceTable):
         self.scene = scene
         self.prefs = prefs
-        self.relations: dict[tuple[str, str, FrameKind], Preposition] = {}
         self.plans: dict[ExpressionTree, _ListenerPlan] = {}
 
     def plan(self, tree: ExpressionTree) -> _ListenerPlan:
@@ -192,13 +189,6 @@ class _SceneListener:
         if plan is None:
             plan = self.plans[tree] = _ListenerPlan(tree, self.scene)
         return plan
-
-    def relation(self, target_id: str, landmark: Entity, frame: FrameInstance) -> Preposition:
-        key = (target_id, landmark.id, frame.kind)
-        prep = self.relations.get(key)
-        if prep is None:
-            prep = self.relations[key] = relation(self.scene.entity(target_id), landmark, frame)
-        return prep
 
     def step(self, plan: _ListenerPlan, level: int, resolved_id: str):
         """The unit's adoptable options and their total weight, memoized."""
@@ -217,7 +207,8 @@ class _SceneListener:
                     (
                         eid
                         for eid in head_ids
-                        if eid != resolved_id and self.relation(eid, resolved, frame) is prep
+                        if eid != resolved_id
+                        and relation(self.scene.entity(eid), resolved, frame) is prep
                     ),
                     None,
                 )
@@ -266,10 +257,10 @@ def simulate_listener(
     unit's frame kind instead of sampling afresh; the default models fully
     independent per-unit frame choices.
 
-    The interpretation is compiled once per (scene, expression): crisp
-    relations and each unit's options are cached for the most recent
-    (scene, true_prefs) pair, so repeated trials only draw random numbers,
-    in the same order as an uncached walk would.
+    The interpretation is compiled once per (scene, expression): each
+    unit's options are cached for the most recent (scene, true_prefs) pair,
+    so repeated trials only draw random numbers, in the same order as an
+    uncached walk would.
     """
     listener = _scene_listener(scene, true_prefs)
     plan = listener.plan(tree)

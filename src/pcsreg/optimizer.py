@@ -14,17 +14,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .frames import FrameInstance, FrameKind, PreferenceTable, applicable_frames
+from .frames import FrameKind, PreferenceTable
 from .generator import (
     CandidateExpression,
     GenerationError,
     LandmarkChain,
-    Strategy,
-    assemble_tree,
+    candidate,
     expression_space,
-    realize,
+    unit_options,
 )
-from .prepositions import relation
 from .resolver import Denotation, denote
 from .scene import Scene
 
@@ -108,25 +106,20 @@ def select_best(
     return best, by_surface[best.surface]
 
 
-def select_greedy_max(
-    chain: LandmarkChain, scene: Scene, prefs: PreferenceTable
-) -> CandidateExpression:
+def select_greedy_max(chain: LandmarkChain, scene: Scene) -> CandidateExpression:
     """Per-unit argmax of the frame preference, ignoring the resolution model.
 
     Each unit independently takes the most-preferred applicable frame for
     its landmark (using the chain's settled per-unit distributions), so the
     choice never looks at what the rest of the expression denotes.
     """
-    if chain.k == 0:
-        return expression_space(chain, scene)[0]
     # max() keeps the canonically first frame on ties.
-    return _realized_candidate(
+    return candidate(
         chain,
-        scene,
-        [
-            max(applicable_frames(scene.entity(lm_id), scene), key=lambda f: row[f.kind.order])
-            for row, lm_id in zip(chain.state.distributions, chain.stack.ids())
-        ],
+        tuple(
+            max(options, key=lambda pick: row[pick[0].kind.order])
+            for row, options in zip(chain.state.distributions, unit_options(chain, scene))
+        ),
     )
 
 
@@ -143,22 +136,19 @@ def select_baseline(
     listener's; ``random`` draws one strategy uniformly from the applicable
     strategy set (a seed is required for reproducibility).
     """
-    if chain.k == 0:
-        return expression_space(chain, scene)[0]
     if kind == "random":
         if seed is None:
             raise ValueError("the random baseline requires a seed")
         rng = random.Random(seed)
     elif kind not in BASELINE_KINDS:
         raise ValueError(f"unknown baseline {kind!r} (expected robot, human, or random)")
-    frames = []
-    for lm_id in chain.stack.ids():
-        options = applicable_frames(scene.entity(lm_id), scene)
+    picks = []
+    for options in unit_options(chain, scene):
         if kind == "random":
-            frames.append(options[rng.randrange(len(options))])
+            picks.append(options[rng.randrange(len(options))])
         else:
-            frames.append(next(f for f in options if f.kind is BASELINE_KINDS[kind]))
-    return _realized_candidate(chain, scene, frames)
+            picks.append(next(o for o in options if o[0].kind is BASELINE_KINDS[kind]))
+    return candidate(chain, tuple(picks))
 
 
 def generate(
@@ -177,18 +167,6 @@ def generate(
     if method == "pcsreg":
         return select_best(expression_space(chain, scene), chain.target, scene, prefs)[0]
     if method == "max":
-        return select_greedy_max(chain, scene, prefs)
+        return select_greedy_max(chain, scene)
     return select_baseline(method, chain, scene, prefs, seed=seed)
 
-
-def _realized_candidate(
-    chain: LandmarkChain, scene: Scene, frames: list[FrameInstance]
-) -> CandidateExpression:
-    sources = [chain.target] + list(chain.stack.ids()[:-1])
-    preps = tuple(
-        relation(scene.entity(src), scene.entity(lm_id), frame)
-        for src, lm_id, frame in zip(sources, chain.stack.ids(), frames)
-    )
-    tree = assemble_tree(chain, preps)
-    strategy = Strategy(tuple((f.kind, f.origin_entity) for f in frames))
-    return CandidateExpression(tree, strategy, realize(tree))

@@ -68,19 +68,23 @@ def _as_point(target) -> Vec:
     return target.centroid if isinstance(target, Entity) else target
 
 
-def membership(target, landmark_point, prep: Preposition, frame: FrameInstance) -> float:
-    """Degree in [0, 1] to which ``target`` lies toward ``prep`` of the landmark.
-
-    ``target`` and ``landmark_point`` may be entities or raw points.
-    """
-    t = _as_point(target)
-    l = _as_point(landmark_point)
-    d = sub(t, l)
+def _displacement(target, landmark) -> tuple[Vec, float]:
+    """The landmark-to-target vector and its length; coincident points raise."""
+    d = sub(_as_point(target), _as_point(landmark))
     dist = norm(d)
     if dist < MIN_SEPARATION:
         raise CoincidentPointsError(
             f"target and landmark are coincident (separation {dist} < {MIN_SEPARATION})"
         )
+    return d, dist
+
+
+def membership(target, landmark_point, prep: Preposition, frame: FrameInstance) -> float:
+    """Degree in [0, 1] to which ``target`` lies toward ``prep`` of the landmark.
+
+    ``target`` and ``landmark_point`` may be entities or raw points.
+    """
+    d, dist = _displacement(target, landmark_point)
     axis = _axis(prep, frame)
     cos_theta = dot(d, axis) / (dist * norm(axis))
     return max(0.0, min(1.0, cos_theta))
@@ -99,11 +103,19 @@ def relation(target, landmark, frame: FrameInstance) -> Preposition:
     Ties within RELATION_TIE_TOL (the 45-degree quadrant boundaries) break
     to the canonically earlier preposition, so the result is a total,
     deterministic function of the geometry.
+
+    The behind, left and right axes are exact sign flips and coordinate
+    swaps of front, so two dot products give the four ``membership``
+    degrees bit for bit: (f, -f, -r, r) in canonical order.
     """
-    degrees = [membership(target, landmark, p, frame) for p in PREPOSITION_ORDER]
+    d, dist = _displacement(target, landmark)
+    scale = dist * norm(frame.front_axis)
+    f = dot(d, frame.front_axis) / scale
+    r = dot(d, frame.right_axis) / scale
+    degrees = [max(0.0, min(1.0, x)) for x in (f, -f, -r, r)]
     best = max(degrees)
-    for p, d in zip(PREPOSITION_ORDER, degrees):
-        if d >= best - RELATION_TIE_TOL:
+    for p, degree in zip(PREPOSITION_ORDER, degrees):
+        if degree >= best - RELATION_TIE_TOL:
             return p
     raise AssertionError("unreachable: max degree not found")
 

@@ -262,11 +262,12 @@ def read_json(source: Union[str, Path, bytes, IO], invalid: Callable[[str], Exce
     """Parse the JSON document in ``source``.
 
     ``source`` may be a filesystem path, raw JSON text/bytes, or an open
-    file object.  Text that is not JSON raises ``invalid(message)``.
+    file object; a ``str`` whose first non-blank character is ``{`` or
+    ``[`` is JSON text.  Text that is not JSON raises ``invalid(message)``.
     """
     if isinstance(source, bytes):
         text = source.decode("utf-8")
-    elif isinstance(source, str) and source.lstrip().startswith("{"):
+    elif isinstance(source, str) and source.lstrip().startswith(("{", "[")):
         text = source
     elif isinstance(source, (str, Path)):
         text = Path(source).read_text(encoding="utf-8")

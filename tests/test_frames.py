@@ -187,6 +187,11 @@ def test_preference_file_round_trip(tmp_path, default_prefs):
     assert load_preferences(path).rows == default_prefs.rows
 
 
+def test_array_text_is_rejected_at_the_document_root():
+    with pytest.raises(FrameError, match="preference document must be of type object"):
+        load_preferences("[]")
+
+
 def test_preference_file_renormalizes_small_drift(tmp_path):
     doc = {
         "speaker": [1.0, 0.0, 0.0, 0.0],

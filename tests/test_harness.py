@@ -249,7 +249,7 @@ def method_trees(scene, prefs, seed):
             chain = build_landmark_chain(target, scene, prefs)
         except GenerationError:
             continue
-        yield select_greedy_max(chain, scene, prefs).tree
+        yield select_greedy_max(chain, scene).tree
         yield select_baseline("robot", chain, scene, prefs).tree
         yield select_baseline("human", chain, scene, prefs).tree
         yield select_baseline("random", chain, scene, prefs, seed=seed).tree

@@ -6,9 +6,11 @@ from pcsreg.generator import (
     build_landmark_chain,
     expression_space,
 )
-from pcsreg.harness import sample_scene
+from pcsreg.harness import derive_seed, sample_scene
 from pcsreg.optimizer import (
+    MAX_COMPLEXITY,
     Score,
+    generate,
     score,
     select_baseline,
     select_best,
@@ -152,7 +154,7 @@ class TestSelectBest:
 class TestGreedyMax:
     def test_oriented_landmark_takes_intrinsic(self, blocks_car_scene, default_prefs):
         chain = build_landmark_chain("blk_a", blocks_car_scene, default_prefs)
-        cand = select_greedy_max(chain, blocks_car_scene, default_prefs)
+        cand = select_greedy_max(chain, blocks_car_scene)
         assert cand.strategy.kinds == (FrameKind.INTRINSIC,)
         assert cand.surface == "the yellow block to the left of the car"
 
@@ -172,7 +174,7 @@ class TestGreedyMax:
         )
         chain = build_landmark_chain("blk_a", scene, default_prefs)
         assert chain.stack.ids() == ("listener",)
-        cand = select_greedy_max(chain, scene, default_prefs)
+        cand = select_greedy_max(chain, scene)
         assert cand.strategy.kinds == (FrameKind.ADDRESSEE,)
 
     def test_unoriented_landmark_takes_egocentric(self, default_prefs):
@@ -193,7 +195,7 @@ class TestGreedyMax:
         )
         chain = build_landmark_chain("blk_a", scene, default_prefs)
         assert chain.stack.ids() == ("cub1",)
-        cand = select_greedy_max(chain, scene, default_prefs)
+        cand = select_greedy_max(chain, scene)
         assert cand.strategy.kinds == (FrameKind.EGOCENTRIC,)
 
     def test_pcsreg_dominates_greedy(self, default_prefs):
@@ -206,7 +208,7 @@ class TestGreedyMax:
                     continue
                 space = expression_space(chain, scene)
                 _, best_score = select_best(space, target, scene, default_prefs)
-                greedy = select_greedy_max(chain, scene, default_prefs)
+                greedy = select_greedy_max(chain, scene)
                 greedy_score = score(greedy, target, scene, default_prefs)
                 assert best_score.total >= greedy_score.total
 
@@ -243,3 +245,42 @@ class TestBaselines:
         chain = build_landmark_chain("blk_a", blocks_car_scene, default_prefs)
         with pytest.raises(ValueError):
             select_baseline("alien", chain, blocks_car_scene, default_prefs)
+
+    def test_arguments_are_checked_without_landmarks(self, blocks_car_scene, default_prefs):
+        chain = build_landmark_chain("car1", blocks_car_scene, default_prefs)
+        assert chain.k == 0
+        with pytest.raises(ValueError):
+            select_baseline("random", chain, blocks_car_scene, default_prefs)
+        with pytest.raises(ValueError):
+            select_baseline("alien", chain, blocks_car_scene, default_prefs)
+        robot = select_baseline("robot", chain, blocks_car_scene, default_prefs)
+        assert robot == expression_space(chain, blocks_car_scene)[0]
+
+
+@pytest.mark.parametrize("objects", [(3, 8), (8, 16)], ids=str)
+def test_every_method_picks_from_the_expression_space(objects, default_prefs):
+    """Greedy and baseline candidates equal some member of the exhaustive space."""
+    depths = set()
+    for i in range(40):
+        scene = sample_scene(
+            derive_seed(5, "space", objects, i),
+            objects=objects,
+            categories=("block", "cup"),
+            colors=("red", "blue"),
+            shapes=(),
+        )
+        for target in scene.referable_ids():
+            try:
+                chain = build_landmark_chain(target, scene, default_prefs)
+            except GenerationError:
+                continue
+            if chain.k > MAX_COMPLEXITY:
+                continue
+            depths.add(chain.k)
+            space = {(c.tree, c.strategy, c.surface) for c in expression_space(chain, scene)}
+            for method, seed in [("max", None), ("robot", None), ("human", None)] + [
+                ("random", s) for s in range(3)
+            ]:
+                c = generate(method, chain, scene, default_prefs, seed=seed)
+                assert (c.tree, c.strategy, c.surface) in space
+    assert 0 in depths and max(depths) >= 2

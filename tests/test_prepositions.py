@@ -1,18 +1,21 @@
+import itertools
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from pcsreg.frames import FrameInstance, FrameKind, frame_instance
-from pcsreg.geometry import heading_vec, rotate
+from pcsreg.geometry import heading_vec, quarter_left, rotate
 from pcsreg.prepositions import (
     PREPOSITION_ORDER,
+    RELATION_TIE_TOL,
     CoincidentPointsError,
     Preposition,
     membership,
     memberships,
     relation,
 )
+from pcsreg.scene import MIN_SEPARATION
 
 EGO_UP = FrameInstance(FrameKind.EGOCENTRIC, "speaker", (0.0, 1.0))
 
@@ -141,3 +144,51 @@ def test_membership_accepts_entities(blocks_car_scene):
     ego = frame_instance(FrameKind.EGOCENTRIC, blocks_car_scene)
     assert relation(a, car, ego) is Preposition.LEFT
     assert relation(blocks_car_scene.entity("blk_b"), car, ego) is Preposition.RIGHT
+
+
+# --- relation against the membership rule -------------------------------------
+
+
+def membership_rule(target, landmark, frame):
+    """The reference rule: the first preposition whose ``membership`` degree
+    is within RELATION_TIE_TOL of the maximum."""
+    degrees = [membership(target, landmark, p, frame) for p in PREPOSITION_ORDER]
+    best = max(degrees)
+    return next(p for p, d in zip(PREPOSITION_ORDER, degrees) if d >= best - RELATION_TIE_TOL)
+
+
+coords = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
+axes = st.tuples(coords, coords).filter(lambda v: math.hypot(*v) > 1e-3)
+
+
+@given(coords, coords, coords, coords, axes | angles.map(heading_vec))
+def test_relation_matches_the_membership_rule(tx, ty, lx, ly, front):
+    assume(math.hypot(tx - lx, ty - ly) >= MIN_SEPARATION)
+    frame = FrameInstance(FrameKind.EGOCENTRIC, "speaker", front)
+    assert relation((tx, ty), (lx, ly), frame) is membership_rule((tx, ty), (lx, ly), frame)
+
+
+def quarter_turns(front):
+    turns = [front]
+    for _ in range(3):
+        turns.append(quarter_left(turns[-1]))
+    return turns
+
+
+DIAGONAL_FRONTS = quarter_turns((0.0, 1.0)) + [
+    f for head in (0.1, 0.5, 1.0, 2.0, 3.0, 4.5, 5.9) for f in quarter_turns(heading_vec(head))
+]
+
+
+@pytest.mark.parametrize("front", DIAGONAL_FRONTS, ids=lambda f: f"({f[0]:.3f},{f[1]:.3f})")
+def test_relation_breaks_45_degree_ties_like_the_membership_rule(front):
+    # Displacements at every k * 45 degrees from the frame's front axis,
+    # built from the axis by sign flips and coordinate swaps.
+    fx, fy = front
+    frame = FrameInstance(FrameKind.EGOCENTRIC, "speaker", front)
+    steps = [(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1)]
+    for (a, b), radius in itertools.product(steps, [1e-3, 0.37, 1.0, 7.5]):
+        d = (radius * (a * fx + b * fy), radius * (a * fy - b * fx))
+        for landmark in [(0.0, 0.0), (0.3, -1.2)]:
+            target = (landmark[0] + d[0], landmark[1] + d[1])
+            assert relation(target, landmark, frame) is membership_rule(target, landmark, frame)

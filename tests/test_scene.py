@@ -136,6 +136,14 @@ def test_parse_failure_is_diagnosed():
     assert "not valid JSON" in str(err.value)
 
 
+@pytest.mark.parametrize("text", ["[1]", "  []"])
+def test_array_text_is_parsed_not_opened(text):
+    with pytest.raises(SceneError) as err:
+        load_scene(text)
+    assert err.value.path == "$"
+    assert "must be of type object" in str(err.value)
+
+
 def test_speaker_listener_not_referable():
     scene = load_scene(json.dumps(minimal_doc()))
     assert scene.referable_ids() == ("b1",)
