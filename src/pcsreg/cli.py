@@ -269,7 +269,10 @@ def cmd_evaluate(args) -> int:
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             _fail(EXIT_USAGE, f"cannot create output directory {out}: {exc}")
-    report = run_comparison(cfg, collect_records=cfg.per_trial_csv)
+    try:
+        report = run_comparison(cfg, collect_records=cfg.per_trial_csv)
+    except HarnessError as exc:  # e.g. tables too small for the object counts
+        _fail(EXIT_BAD_SCENE, f"invalid config: {exc}")
     text = format_report_text(report)
     if out is not None:
         files = {"report.json": report_to_json(report), "report.txt": text}

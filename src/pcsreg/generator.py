@@ -28,7 +28,6 @@ from .frames import (
     FrameKind,
     PreferenceState,
     PreferenceTable,
-    applicable_frames,
     frame_instance,
     preference_entropy,
     update_preferences,
@@ -39,6 +38,7 @@ from .prepositions import (
     PLAIN_SURFACE,
     SPEAKER_SURFACE,
     Preposition,
+    partitions,
     relation,
 )
 from .resolver import (
@@ -48,7 +48,6 @@ from .resolver import (
     Leaf,
     PersonRef,
     consistent_set,
-    phrase_matches,
 )
 from .scene import Entity, EntityKind, Scene, landmark_type
 
@@ -182,13 +181,14 @@ def select_landmark(
     if d_vf.distinguishing:
         return d_vf, None
 
-    matching = consistent_set(d_vf.attrs, scene, within=domain)
-    distractors = [scene.entity(eid) for eid in sorted(matching - {target_id})]
+    described = consistent_set(d_vf.attrs, scene)
+    distractors = [scene.entity(eid) for eid in sorted((described & domain) - {target_id})]
     pool = [scene.entity(eid) for eid in sorted(domain)] + [scene.speaker, scene.listener]
-    candidates = [e for e in pool if not phrase_matches(d_vf.attrs, e)]
+    candidates = [e for e in pool if e.id not in described]
+    entropy = {row: preference_entropy(row) for row in {entity_rows[e.id] for e in candidates}}
     candidates.sort(
         key=lambda e: (
-            preference_entropy(entity_rows[e.id]),
+            entropy[entity_rows[e.id]],
             distance(e.centroid, target.centroid),
             e.id,
         )
@@ -297,11 +297,10 @@ def unit_options(
     turn.
     """
     sources = (chain.target,) + chain.stack.ids()[:-1]
-    options = []
-    for src_id, lm_id in zip(sources, chain.stack.ids()):
-        src, lm = scene.entity(src_id), scene.entity(lm_id)
-        options.append([(f, relation(src, lm, f)) for f in applicable_frames(lm, scene)])
-    return options
+    return [
+        [(p.frame, p.relation_of(src_id)) for p in partitions(scene.entity(lm_id), scene)]
+        for src_id, lm_id in zip(sources, chain.stack.ids())
+    ]
 
 
 def candidate(

@@ -27,7 +27,6 @@ from .frames import (
     FrameInstance,
     FrameKind,
     PreferenceTable,
-    applicable_frames,
     default_preferences,
     frame_instance,
     preference_error,
@@ -37,7 +36,7 @@ from .frames import (
 from .generator import GenerationError, LandmarkChain, build_landmark_chain, describe_visual
 from .geometry import heading_vec
 from .optimizer import generate
-from .prepositions import relation
+from .prepositions import partitions, relation
 from .resolver import (
     Compound,
     Denotation,
@@ -199,21 +198,14 @@ class _SceneListener:
             resolved = self.scene.entity(resolved_id)
             row = self.prefs.row(landmark_type(resolved))
             options = []
-            for frame in applicable_frames(resolved, self.scene):
-                p = row[frame.kind.order]
+            for part in partitions(resolved, self.scene):
+                p = row[part.frame.kind.order]
                 if p <= 0.0:
                     continue
-                survivor = next(
-                    (
-                        eid
-                        for eid in head_ids
-                        if eid != resolved_id
-                        and relation(self.scene.entity(eid), resolved, frame) is prep
-                    ),
-                    None,
-                )
+                ids = part.members[prep.order]
+                survivor = next((eid for eid in head_ids if eid in ids), None)
                 if survivor is not None:
-                    options.append((frame.kind, p, survivor))
+                    options.append((part.frame.kind, p, survivor))
             entry = plan.steps[key] = (options, sum(p for _, p, _ in options))
         return entry
 
@@ -255,7 +247,7 @@ def simulate_listener(
 
     ``consistency_coupling`` is the probability of reusing the previous
     unit's frame kind instead of sampling afresh; the default models fully
-    independent per-unit frame choices.
+    independent per-unit frame choices.  Only ``rng.random()`` is called.
 
     The interpretation is compiled once per (scene, expression): each
     unit's options are cached for the most recent (scene, true_prefs) pair,
@@ -475,6 +467,34 @@ def _bucket(k: int | None) -> str:
     return "k1" if k == 1 else "k2plus"
 
 
+class _Replay:
+    """The ``random()`` draws of one seeded ``Random``, replayed from the
+    start after each ``rewind()``.
+
+    Every method's listener on a trial sees the draws that a freshly seeded
+    ``Random(seed)`` would give it, while the generator is seeded once and
+    each number is drawn once.
+    """
+
+    __slots__ = ("_rng", "_drawn", "_next")
+
+    def __init__(self, seed: int):
+        self._rng = random.Random(seed)
+        self._drawn: list[float] = []
+        self._next = 0
+
+    def rewind(self) -> "_Replay":
+        self._next = 0
+        return self
+
+    def random(self) -> float:
+        i = self._next
+        self._next = i + 1
+        if i == len(self._drawn):
+            self._drawn.append(self._rng.random())
+        return self._drawn[i]
+
+
 def run_comparison(cfg: TrialConfig, collect_records: bool = True) -> TrialReport:
     """Generate-and-listen comparison across methods, deterministic per seed.
 
@@ -529,15 +549,14 @@ def run_comparison(cfg: TrialConfig, collect_records: bool = True) -> TrialRepor
                     st.expected_sum += d.get(target_id, 0.0)
 
             for trial in range(cfg.trials_per_expression):
-                trial_seed = derive_seed(cfg.seed, "trial", scene_idx, target_id, trial)
+                draws = _Replay(derive_seed(cfg.seed, "trial", scene_idx, target_id, trial))
                 for method in cfg.methods:
                     tree = expressions[method]
-                    rng = random.Random(trial_seed)
                     if tree is None:
                         identified = None
                     else:
                         identified = simulate_listener(
-                            tree, scene, cfg.true_prefs, rng, cfg.consistency_coupling
+                            tree, scene, cfg.true_prefs, draws.rewind(), cfg.consistency_coupling
                         )
                     correct = identified == target_id
                     st = stats[method]

@@ -124,11 +124,7 @@ def select_greedy_max(chain: LandmarkChain, scene: Scene) -> CandidateExpression
 
 
 def select_baseline(
-    kind: str,
-    chain: LandmarkChain,
-    scene: Scene,
-    prefs: PreferenceTable,
-    seed: int | None = None,
+    kind: str, chain: LandmarkChain, scene: Scene, seed: int | None = None
 ) -> CandidateExpression:
     """Fixed-perspective baselines sharing the chain and realization.
 
@@ -168,5 +164,5 @@ def generate(
         return select_best(expression_space(chain, scene), chain.target, scene, prefs)[0]
     if method == "max":
         return select_greedy_max(chain, scene)
-    return select_baseline(method, chain, scene, prefs, seed=seed)
+    return select_baseline(method, chain, scene, seed=seed)
 

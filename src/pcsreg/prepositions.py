@@ -14,11 +14,13 @@ this model; the expression parser rejects them.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .frames import FrameInstance
+from .frames import FrameInstance, applicable_frames
 from .geometry import Vec, dot, norm, sub
-from .scene import MIN_SEPARATION, Entity
+from .scene import MIN_SEPARATION, Entity, Scene
 
 RELATION_TIE_TOL = 1e-12
 
@@ -102,22 +104,84 @@ def relation(target, landmark, frame: FrameInstance) -> Preposition:
 
     Ties within RELATION_TIE_TOL (the 45-degree quadrant boundaries) break
     to the canonically earlier preposition, so the result is a total,
-    deterministic function of the geometry.
+    deterministic function of the geometry.  ``target`` and ``landmark``
+    may be entities or raw points.
+    """
+    t = target.centroid if isinstance(target, Entity) else target
+    o = landmark.centroid if isinstance(landmark, Entity) else landmark
+    fx, fy = frame.front_axis
+    return PREPOSITION_ORDER[_quadrant(t[0] - o[0], t[1] - o[1], fx, fy)]
+
+
+def _quadrant(dx: float, dy: float, fx: float, fy: float) -> int:
+    """The ``PREPOSITION_ORDER`` index of ``relation`` for the displacement
+    (dx, dy) under the front axis (fx, fy).
 
     The behind, left and right axes are exact sign flips and coordinate
     swaps of front, so two dot products give the four ``membership``
-    degrees bit for bit: (f, -f, -r, r) in canonical order.
+    degrees bit for bit: (f, -f, -r, r) in canonical order, where the
+    right axis is ``quarter_right(front) == (fy, -fx)``.
     """
-    d, dist = _displacement(target, landmark)
-    scale = dist * norm(frame.front_axis)
-    f = dot(d, frame.front_axis) / scale
-    r = dot(d, frame.right_axis) / scale
-    degrees = [max(0.0, min(1.0, x)) for x in (f, -f, -r, r)]
-    best = max(degrees)
-    for p, degree in zip(PREPOSITION_ORDER, degrees):
-        if degree >= best - RELATION_TIE_TOL:
-            return p
-    raise AssertionError("unreachable: max degree not found")
+    dist = math.hypot(dx, dy)
+    if dist < MIN_SEPARATION:
+        raise CoincidentPointsError(
+            f"target and landmark are coincident (separation {dist} < {MIN_SEPARATION})"
+        )
+    scale = dist * math.hypot(fx, fy)
+    f = (dx * fx + dy * fy) / scale
+    r = (dx * fy + dy * -fx) / scale
+    # The degrees are max(0, min(1, x)) for x in (f, -f, -r, r).  Their
+    # maximum is min(1, max(|f|, |r|)), at least cos 45°, so 0 < floor < 1
+    # and a degree reaches floor exactly when its unclamped x does.
+    floor = min(1.0, max(abs(f), abs(r))) - RELATION_TIE_TOL
+    if f >= floor:
+        return 0
+    if -f >= floor:
+        return 1
+    if -r >= floor:
+        return 2
+    return 3
+
+
+class Partition(NamedTuple):
+    """Every other entity's relation to one landmark under one frame."""
+
+    frame: FrameInstance
+    members: tuple[tuple[str, ...], ...]  # ids per preposition, in PREPOSITION_ORDER
+
+    def relation_of(self, entity_id: str) -> Preposition:
+        """The relation of ``entity_id``, which must not be the landmark."""
+        for prep, ids in zip(PREPOSITION_ORDER, self.members):
+            if entity_id in ids:
+                return prep
+        raise KeyError(f"no relation for {entity_id!r}")
+
+
+def partitions(landmark: Entity, scene: Scene) -> tuple[Partition, ...]:
+    """``relation(e, landmark, frame)`` for every entity ``e`` but the landmark,
+    under each frame of ``applicable_frames(landmark, scene)``, in that order.
+
+    Each partition lists the ids in each preposition in scene entity order.
+    Computed once per landmark and kept in ``scene.geometry``.
+    """
+    memo = scene.geometry.relations
+    parts = memo.get(landmark.id)
+    if parts is None:
+        lx, ly = landmark.centroid
+        others = [
+            (e.id, e.centroid[0] - lx, e.centroid[1] - ly)
+            for e in scene.entities
+            if e.id != landmark.id
+        ]
+        built = []
+        for frame in applicable_frames(landmark, scene):
+            fx, fy = frame.front_axis
+            members: tuple[list[str], ...] = ([], [], [], [])
+            for eid, dx, dy in others:
+                members[_quadrant(dx, dy, fx, fy)].append(eid)
+            built.append(Partition(frame, tuple(map(tuple, members))))
+        parts = memo[landmark.id] = tuple(built)
+    return parts
 
 
 # Exact surface strings.  Plain forms take a full NP landmark; the speaker /

@@ -20,16 +20,16 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
-from .frames import PreferenceTable, applicable_frames
+from .frames import PreferenceTable
 from .prepositions import (
     PLAIN_SURFACE,
     TOPOLOGICAL_MARKERS,
     LISTENER_SURFACE,
     SPEAKER_SURFACE,
     Preposition,
-    relation,
+    partitions,
 )
-from .scene import Entity, Scene, landmark_type
+from .scene import ATTRIBUTE_SLOTS, Scene, landmark_type
 
 
 class ParseError(ValueError):
@@ -90,35 +90,30 @@ def depth(tree: ExpressionTree) -> int:
     return d
 
 
-def phrase_matches(phrase: AttributePhrase, entity: Entity) -> bool:
-    """Case-insensitive exact match of every attribute the phrase sets."""
-    if phrase.person is not None:
-        return (
-            entity.kind.value == "speaker"
-            if phrase.person is PersonRef.SPEAKER
-            else entity.kind.value == "listener"
-        )
-    for want, have in (
-        (phrase.category, entity.category),
-        (phrase.color, entity.color),
-        (phrase.shape, entity.shape),
-    ):
-        if want is not None and (have is None or want.lower() != have.lower()):
-            return False
-    return True
-
-
 def consistent_set(
     phrase: AttributePhrase, scene: Scene, within: Iterable[str] | None = None
 ) -> set[str]:
-    """Ids of entities consistent with the phrase (empty set is valid)."""
+    """Ids of entities consistent with the phrase (empty set is valid).
+
+    Every attribute the phrase sets must match case-insensitively.  The
+    result is a new set, read off the scene's attribute index.
+    """
     if phrase.person is not None:
         target = scene.speaker if phrase.person is PersonRef.SPEAKER else scene.listener
         ids = {target.id}
     else:
-        ids = {e.id for e in scene.entities if phrase_matches(phrase, e)}
+        index = scene.geometry.attributes
+        ids = None
+        for slot in ATTRIBUTE_SLOTS:
+            value = getattr(phrase, slot)
+            if value is not None:
+                matches = index.get((slot, value.lower()), ())
+                if ids is None:
+                    ids = set(matches)
+                else:
+                    ids.intersection_update(matches)
     if within is not None:
-        ids &= set(within)
+        ids.intersection_update(within)
     return ids
 
 
@@ -167,18 +162,19 @@ def _denote_full(
         return None
 
     pp = {e.id: 0.0 for e in scene.entities}
+    side = tree.prep.order
     for lm_id, p_child in child.items():
         if p_child <= 0.0:
             continue
         lm = scene.entity(lm_id)
         row = prefs.row(landmark_type(lm))
-        for frame in applicable_frames(lm, scene):
-            p_frame = row[frame.kind.order]
+        for part in partitions(lm, scene):
+            p_frame = row[part.frame.kind.order]
             if p_frame == 0.0:
                 continue
-            for e in scene.entities:
-                if e.id != lm_id and relation(e, lm, frame) is tree.prep:
-                    pp[e.id] += p_frame * p_child
+            weight = p_frame * p_child
+            for eid in part.members[side]:
+                pp[eid] += weight
 
     total = sum(pp.values())
     if total <= 0.0:
@@ -323,6 +319,10 @@ def phrase_from_dict(doc: dict) -> AttributePhrase:
             return AttributePhrase(person=PersonRef(doc["person"]))
         except ValueError:
             raise ParseError(f"unknown person {doc['person']!r}") from None
+    for key in ATTRIBUTE_SLOTS:
+        value = doc.get(key)
+        if value is not None and not isinstance(value, str):
+            raise ParseError(f"phrase field {key!r} must be a string or null, got {value!r}")
     try:
         return AttributePhrase(
             category=doc.get("category"), color=doc.get("color"), shape=doc.get("shape")

@@ -91,16 +91,58 @@ class TableExtent:
         )
 
 
+ATTRIBUTE_SLOTS = ("category", "color", "shape")
+
+
+class SceneGeometry:
+    """Facts about one scene that scoring, landmark selection and the
+    simulated listener read many times.
+
+    ``attributes`` maps (slot, lowercased value) to the ids of the entities
+    with that value in that slot, in scene order.  ``relations`` holds, per
+    landmark id, the frames and preposition partitions of
+    ``prepositions.partitions``, filled as landmarks are first used.  The
+    geometry keeps no reference to its scene, so a scene is freed as soon as
+    its last reference goes, without waiting for the cycle collector.
+    """
+
+    __slots__ = ("attributes", "relations")
+
+    def __init__(self, entities: tuple[Entity, ...]):
+        # Tuples of ids and interned values keep the index small: a scene
+        # holds it for as long as it lives.
+        index: dict[tuple[str, str], list[str]] = {}
+        for e in entities:
+            for slot in ATTRIBUTE_SLOTS:
+                value = getattr(e, slot)
+                if value is not None:
+                    index.setdefault((slot, sys.intern(value.lower())), []).append(e.id)
+        self.attributes = {key: tuple(ids) for key, ids in index.items()}
+        self.relations: dict[str, tuple] = {}
+
+
 @dataclass(frozen=True)
 class Scene:
     entities: tuple[Entity, ...]
     table: TableExtent
     north: Vec = (0.0, 1.0)
     _by_id: dict = field(init=False, repr=False, compare=False, hash=False, default=None)
+    _geometry: SceneGeometry | None = field(
+        init=False, repr=False, compare=False, hash=False, default=None
+    )
 
     def __post_init__(self):
         _validate(self)
         object.__setattr__(self, "_by_id", {e.id: e for e in self.entities})
+
+    @property
+    def geometry(self) -> SceneGeometry:
+        """The scene's ``SceneGeometry``, built on first use."""
+        geometry = self._geometry
+        if geometry is None:
+            geometry = SceneGeometry(self.entities)
+            object.__setattr__(self, "_geometry", geometry)
+        return geometry
 
     def entity(self, entity_id: str) -> Entity:
         try:

@@ -262,6 +262,19 @@ class TestResolve:
         )
         assert out.stdout.splitlines()[0] == "c\t1.000000"
 
+    @pytest.mark.parametrize(
+        "head, field",
+        [({"category": 5}, "category"), ({"color": ["a"]}, "color")],
+        ids=["category_number", "color_list"],
+    )
+    def test_non_string_attribute_exits_5(self, scene_paths, head, field):
+        out = run_cli(
+            "resolve", "--scene", str(scene_paths["blocks"]), "--expr", json.dumps({"head": head})
+        )
+        assert out.returncode == 5
+        assert f"'{field}'" in out.stderr
+        assert "Traceback" not in out.stderr
+
     def test_pipeline_identity(self, scene_paths):
         gen = run_cli(
             "generate", "--scene", str(scene_paths["blocks"]), "--target", "blk_a", "--json"
@@ -360,6 +373,18 @@ class TestEvaluate:
         out = run_cli("evaluate", "--config", str(path))
         assert out.returncode == 2
         assert "row 'listener'" in out.stderr
+        assert "Traceback" not in out.stderr
+
+    def test_unplaceable_tables_exit_2(self, tmp_path):
+        path = tmp_path / "crowded.json"
+        path.write_text(
+            json.dumps(
+                {"seed": 1, "n_scenes": 1, "trials_per_expression": 1, "objects": [2000, 2000]}
+            )
+        )
+        out = run_cli("evaluate", "--config", str(path))
+        assert out.returncode == 2
+        assert "could not place an object" in out.stderr
         assert "Traceback" not in out.stderr
 
     def test_out_naming_a_file_exits_1(self, config_path, tmp_path):

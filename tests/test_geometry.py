@@ -1,0 +1,323 @@
+"""The per-scene geometry: attribute index, relation partitions, lifetime.
+
+Each result read off ``Scene.geometry`` is compared with the entity-by-entity
+computation it replaces, exactly rather than within a tolerance.
+"""
+
+import gc
+import itertools
+import math
+import random
+import weakref
+
+import pytest
+
+from helpers import random_tree
+from pcsreg.frames import applicable_frames, default_preferences
+from pcsreg.harness import (
+    METHODS,
+    TrialConfig,
+    derive_seed,
+    run_comparison,
+    sample_scene,
+    simulate_listener,
+)
+from pcsreg.generator import GenerationError, build_landmark_chain, describe_visual
+from pcsreg.optimizer import generate
+from pcsreg.prepositions import PREPOSITION_ORDER, partitions, relation
+from pcsreg.resolver import (
+    AttributePhrase,
+    Compound,
+    Leaf,
+    PersonRef,
+    consistent_set,
+    denote,
+    depth,
+)
+from pcsreg.scene import Entity, EntityKind, Scene, TableExtent, landmark_type
+
+SIZES = [(3, 8), (8, 16), (16, 30)]
+HALF_PI = math.pi / 2
+
+
+def scan_matches(phrase, entity):
+    """Case-insensitive exact match of every attribute the phrase sets."""
+    if phrase.person is not None:
+        kind = EntityKind.SPEAKER if phrase.person is PersonRef.SPEAKER else EntityKind.LISTENER
+        return entity.kind is kind
+    for want, have in (
+        (phrase.category, entity.category),
+        (phrase.color, entity.color),
+        (phrase.shape, entity.shape),
+    ):
+        if want is not None and (have is None or want.lower() != have.lower()):
+            return False
+    return True
+
+
+def scan_set(phrase, scene, within=None):
+    ids = {e.id for e in scene.entities if scan_matches(phrase, e)}
+    return ids if within is None else ids & set(within)
+
+
+def reference_denote_full(tree, scene, prefs):
+    """The resolution model relation by relation, with no per-scene tables."""
+    if isinstance(tree, Leaf):
+        ids = scan_set(tree.head, scene)
+        if not ids:
+            return None
+        p = 1.0 / len(ids)
+        return {e.id: p for e in scene.entities if e.id in ids}
+    child = reference_denote_full(tree.landmark, scene, prefs)
+    if child is None:
+        return None
+    pp = {e.id: 0.0 for e in scene.entities}
+    for lm_id, p_child in child.items():
+        if p_child <= 0.0:
+            continue
+        lm = scene.entity(lm_id)
+        row = prefs.row(landmark_type(lm))
+        for frame in applicable_frames(lm, scene):
+            p_frame = row[frame.kind.order]
+            if p_frame == 0.0:
+                continue
+            for e in scene.entities:
+                if e.id != lm_id and relation(e, lm, frame) is tree.prep:
+                    pp[e.id] += p_frame * p_child
+    total = sum(pp.values())
+    if total <= 0.0:
+        return None
+    head_ids = scan_set(tree.head, scene)
+    if not head_ids:
+        return None
+    head_p = 1.0 / len(head_ids)
+    combined = {e.id: (pp[e.id] / total) * head_p for e in scene.entities if e.id in head_ids}
+    s = sum(combined.values())
+    if s <= 0.0:
+        return None
+    return {eid: p / s for eid, p in combined.items()}
+
+
+def reference_denote(tree, scene, prefs):
+    full = reference_denote_full(tree, scene, prefs)
+    if full is None:
+        return None
+    restricted = {eid: full.get(eid, 0.0) for eid in scene.referable_ids()}
+    total = sum(restricted.values())
+    if total <= 0.0:
+        return None
+    return {eid: p / total for eid, p in restricted.items()}
+
+
+@pytest.mark.parametrize("objects", SIZES, ids=str)
+@pytest.mark.parametrize("prefs_name", ["default", "two_frame"])
+def test_denote_equals_the_relation_by_relation_model(objects, prefs_name, request):
+    prefs = request.getfixturevalue(f"{prefs_name}_prefs")
+    depths = set()
+    for i in range(12):
+        scene = sample_scene(derive_seed(6, "denote", objects, i), objects=objects)
+        rng = random.Random(derive_seed(6, "trees", objects, i))
+        for _ in range(6):
+            tree = random_tree(scene, rng, max_depth=3)
+            depths.add(depth(tree))
+            got = denote(tree, scene, prefs)
+            want = reference_denote(tree, scene, prefs)
+            if want is None:
+                assert got.unresolvable
+            else:
+                assert list(got.probs.items()) == list(want.items())
+    assert depths == {0, 1, 2, 3}
+
+
+def test_partitions_hold_every_relation_in_scene_order():
+    for i, objects in enumerate(SIZES):
+        scene = sample_scene(derive_seed(6, "partitions", i), objects=objects)
+        for lm in scene.entities:
+            parts = partitions(lm, scene)
+            assert [p.frame for p in parts] == list(applicable_frames(lm, scene))
+            assert partitions(lm, scene) is parts  # built once per landmark
+            for part in parts:
+                for prep, ids in zip(PREPOSITION_ORDER, part.members):
+                    assert list(ids) == [
+                        e.id
+                        for e in scene.entities
+                        if e.id != lm.id and relation(e, lm, part.frame) is prep
+                    ]
+                    for eid in ids:
+                        assert part.relation_of(eid) is prep
+
+
+@pytest.fixture(scope="module")
+def mixed_case_scene():
+    """Case variants, an empty-string color and attribute-free objects."""
+    objects = [
+        ("b1", "block", "red", "square"),
+        ("b2", "Block", "RED", None),
+        ("b3", "BLOCK", "Red", "Square"),
+        ("b4", "block", "", "round"),
+        ("b5", "block", None, None),
+        ("c1", "cup", "", None),
+        ("c2", "Cup", "blue", "ROUND"),
+        ("r1", "robot", "red", None),
+    ]
+    return Scene(
+        entities=tuple(
+            Entity(eid, EntityKind.OBJECT, cat, (0.2 * i - 0.8, 0.1 * (i % 3)), col, shape)
+            for i, (eid, cat, col, shape) in enumerate(objects)
+        )
+        + (
+            Entity("speaker", EntityKind.SPEAKER, "robot", (0.0, -1.0), heading=HALF_PI),
+            Entity("listener", EntityKind.LISTENER, "person", (0.0, 1.0), heading=-HALF_PI),
+        ),
+        table=TableExtent((-1.5, -1.5), (1.5, 1.5)),
+    )
+
+
+def phrases_over(values):
+    """Every phrase over the given per-slot values that sets some truthy field."""
+    for category, color, shape in itertools.product(*values):
+        if category or color or shape:
+            yield AttributePhrase(category=category, color=color, shape=shape)
+
+
+def case_variants(*words):
+    return [None] + [case(w) for w in words for case in (str.lower, str.upper, str.title)]
+
+
+def test_consistent_set_equals_an_attribute_scan(mixed_case_scene):
+    scene = mixed_case_scene
+    values = (
+        case_variants("block", "cup", "robot", "person", "ultraviolet"),
+        case_variants("red", "blue") + [""],
+        case_variants("square", "round"),
+    )
+    ids = [e.id for e in scene.entities]
+    rng = random.Random(6)
+    withins = [None, [], ids, ids[::2], tuple(ids[1:4]), {"b1", "c1", "speaker", "nowhere"}]
+    phrases = list(phrases_over(values)) + [
+        AttributePhrase(person=PersonRef.SPEAKER),
+        AttributePhrase(person=PersonRef.LISTENER),
+    ]
+    sizes = set()
+    for phrase in phrases:
+        for within in withins + [rng.sample(ids, rng.randrange(len(ids)))]:
+            got = consistent_set(phrase, scene, within=within)
+            assert got == scan_set(phrase, scene, within)
+            sizes.add(len(got))
+    assert 0 in sizes and max(sizes) >= 5
+
+
+def test_consistent_set_on_sampled_tables():
+    for i, objects in enumerate(SIZES):
+        scene = sample_scene(derive_seed(6, "consistent", i), objects=objects)
+        values = [
+            [None] + sorted({getattr(e, slot) for e in scene.objects()} - {None})
+            for slot in ("category", "color", "shape")
+        ]
+        for phrase in phrases_over(values):
+            assert consistent_set(phrase, scene) == scan_set(phrase, scene)
+
+
+def test_consistent_set_returns_a_new_set(mixed_case_scene):
+    phrase = AttributePhrase(category="block")
+    first = consistent_set(phrase, mixed_case_scene)
+    first.clear()
+    first.add("intruder")
+    assert consistent_set(phrase, mixed_case_scene) == {"b1", "b2", "b3", "b4", "b5"}
+    speaker = consistent_set(AttributePhrase(person=PersonRef.SPEAKER), mixed_case_scene)
+    speaker.add("intruder")
+    assert consistent_set(AttributePhrase(person=PersonRef.SPEAKER), mixed_case_scene) == {
+        "speaker"
+    }
+
+
+def test_geometry_is_lazy_and_outside_equality():
+    a = sample_scene(derive_seed(6, "lazy"))
+    b = sample_scene(derive_seed(6, "lazy"))
+    assert a._geometry is None
+    consistent_set(AttributePhrase(category="block"), a)
+    assert a._geometry is not None and b._geometry is None
+    assert a == b and hash(a) == hash(b)
+    assert "geometry" not in repr(a)
+
+
+def test_a_scene_with_geometry_is_freed_without_the_cycle_collector(default_prefs):
+    gc.disable()
+    try:
+        scene = sample_scene(derive_seed(6, "weakref"), objects=(8, 16))
+        tree = Compound(
+            AttributePhrase(category=scene.objects()[0].category),
+            PREPOSITION_ORDER[0],
+            Leaf(AttributePhrase(category=scene.objects()[1].category)),
+        )
+        denote(tree, scene, default_prefs)
+        assert scene.geometry.relations  # partitions were built
+        ref = weakref.ref(scene)
+        del scene
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def reference_records(cfg):
+    """``run_comparison``'s records with a freshly seeded ``Random`` per method."""
+    assumed = cfg.assumed_prefs or default_preferences()
+    records = []
+    for scene_idx in range(cfg.n_scenes):
+        scene = sample_scene(derive_seed(cfg.seed, "scene", scene_idx), objects=cfg.objects)
+        all_ids = set(scene.referable_ids())
+        for target_id in scene.referable_ids():
+            if describe_visual(target_id, all_ids, scene).distinguishing:
+                continue
+            try:
+                chain = build_landmark_chain(target_id, scene, assumed)
+            except GenerationError:
+                chain = None
+            strategy_seed = derive_seed(cfg.seed, "strategy", scene_idx, target_id)
+            trees = {}
+            for method in cfg.methods:
+                trees[method] = None
+                if chain is not None:
+                    try:
+                        trees[method] = generate(method, chain, scene, assumed, seed=strategy_seed).tree
+                    except GenerationError:
+                        pass
+            for trial in range(cfg.trials_per_expression):
+                trial_seed = derive_seed(cfg.seed, "trial", scene_idx, target_id, trial)
+                for method in cfg.methods:
+                    tree = trees[method]
+                    identified = None
+                    if tree is not None:
+                        identified = simulate_listener(
+                            tree, scene, cfg.true_prefs, random.Random(trial_seed),
+                            cfg.consistency_coupling,
+                        )
+                    records.append(
+                        {
+                            "scene": scene_idx,
+                            "target": target_id,
+                            "method": method,
+                            "trial": trial,
+                            "k": None if tree is None else depth(tree),
+                            "identified": identified,
+                            "correct": identified == target_id,
+                        }
+                    )
+    return records
+
+
+@pytest.mark.parametrize("objects", [(3, 8), (8, 16)], ids=str)
+@pytest.mark.parametrize("coupling", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_run_comparison_replays_one_seeding_per_trial(objects, coupling, seed, default_prefs):
+    cfg = TrialConfig(
+        seed=seed,
+        n_scenes=3,
+        trials_per_expression=12,
+        true_prefs=default_prefs,
+        methods=METHODS,
+        objects=objects,
+        consistency_coupling=coupling,
+    )
+    records = run_comparison(cfg).records
+    assert records and records == reference_records(cfg)

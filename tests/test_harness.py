@@ -250,9 +250,9 @@ def method_trees(scene, prefs, seed):
         except GenerationError:
             continue
         yield select_greedy_max(chain, scene).tree
-        yield select_baseline("robot", chain, scene, prefs).tree
-        yield select_baseline("human", chain, scene, prefs).tree
-        yield select_baseline("random", chain, scene, prefs, seed=seed).tree
+        yield select_baseline("robot", chain, scene).tree
+        yield select_baseline("human", chain, scene).tree
+        yield select_baseline("random", chain, scene, seed=seed).tree
         try:
             yield select_best(expression_space(chain, scene), target, scene, prefs)[0].tree
         except ComplexityCapError:

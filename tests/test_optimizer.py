@@ -216,22 +216,20 @@ class TestGreedyMax:
 class TestBaselines:
     def test_robot_and_human_perspectives(self, blocks_car_scene, default_prefs):
         chain = build_landmark_chain("blk_a", blocks_car_scene, default_prefs)
-        robot = select_baseline("robot", chain, blocks_car_scene, default_prefs)
+        robot = select_baseline("robot", chain, blocks_car_scene)
         assert robot.surface == "the yellow block to the left of the car"
         assert robot.strategy.kinds == (FrameKind.EGOCENTRIC,)
-        human = select_baseline("human", chain, blocks_car_scene, default_prefs)
+        human = select_baseline("human", chain, blocks_car_scene)
         assert human.surface == "the yellow block to the right of the car"
         assert human.strategy.kinds == (FrameKind.ADDRESSEE,)
 
     def test_random_is_seeded(self, update_chain_scene, default_prefs):
         chain = build_landmark_chain("blk_a", update_chain_scene, default_prefs)
-        a = select_baseline("random", chain, update_chain_scene, default_prefs, seed=99)
-        b = select_baseline("random", chain, update_chain_scene, default_prefs, seed=99)
+        a = select_baseline("random", chain, update_chain_scene, seed=99)
+        b = select_baseline("random", chain, update_chain_scene, seed=99)
         assert a == b
         drawn = {
-            select_baseline(
-                "random", chain, update_chain_scene, default_prefs, seed=s
-            ).strategy.kinds
+            select_baseline("random", chain, update_chain_scene, seed=s).strategy.kinds
             for s in range(30)
         }
         assert len(drawn) > 1
@@ -239,21 +237,21 @@ class TestBaselines:
     def test_random_requires_seed(self, blocks_car_scene, default_prefs):
         chain = build_landmark_chain("blk_a", blocks_car_scene, default_prefs)
         with pytest.raises(ValueError):
-            select_baseline("random", chain, blocks_car_scene, default_prefs)
+            select_baseline("random", chain, blocks_car_scene)
 
     def test_unknown_baseline_rejected(self, blocks_car_scene, default_prefs):
         chain = build_landmark_chain("blk_a", blocks_car_scene, default_prefs)
         with pytest.raises(ValueError):
-            select_baseline("alien", chain, blocks_car_scene, default_prefs)
+            select_baseline("alien", chain, blocks_car_scene)
 
     def test_arguments_are_checked_without_landmarks(self, blocks_car_scene, default_prefs):
         chain = build_landmark_chain("car1", blocks_car_scene, default_prefs)
         assert chain.k == 0
         with pytest.raises(ValueError):
-            select_baseline("random", chain, blocks_car_scene, default_prefs)
+            select_baseline("random", chain, blocks_car_scene)
         with pytest.raises(ValueError):
-            select_baseline("alien", chain, blocks_car_scene, default_prefs)
-        robot = select_baseline("robot", chain, blocks_car_scene, default_prefs)
+            select_baseline("alien", chain, blocks_car_scene)
+        robot = select_baseline("robot", chain, blocks_car_scene)
         assert robot == expression_space(chain, blocks_car_scene)[0]
 
 

@@ -226,6 +226,22 @@ def test_parse_expression_json(facing_square_scene):
         parse_expression_json(json.dumps({"head": {"category": "x"}, "prep": "near", "landmark": {"head": {"category": "y"}}}))
 
 
+@pytest.mark.parametrize("field", ["category", "color", "shape"])
+@pytest.mark.parametrize("value", [5, 1.5, True, ["a"], {"x": "y"}])
+def test_phrase_fields_must_be_strings(field, value):
+    doc = {"head": {"category": "block", field: value}}
+    with pytest.raises(ParseError, match=f"'{field}'"):
+        tree_from_dict(doc)
+    nested = {"head": {"category": "block"}, "prep": "left", "landmark": doc}
+    with pytest.raises(ParseError, match=f"'{field}'"):
+        tree_from_dict(nested)
+
+
+def test_phrase_fields_may_be_null():
+    doc = {"head": {"category": "block", "color": None, "shape": None}}
+    assert tree_from_dict(doc) == Leaf(AttributePhrase(category="block"))
+
+
 def test_denotation_marker_behaviour():
     d = Denotation(None)
     assert d.unresolvable
