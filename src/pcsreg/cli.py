@@ -2,13 +2,15 @@
 
 Verbs: generate, resolve, explain, evaluate, schema.  Primary output goes
 to stdout and is byte-deterministic for fixed inputs and seeds; stderr
-carries diagnostics only.  Exit codes: 1 usage, 2 invalid scene/config,
-3 invalid target, 4 generation failed, 5 expression parse failure.
+carries diagnostics only.  Exit codes: 1 usage, unwritable output or a
+stdout closed by its reader, 2 invalid scene/config, 3 invalid target,
+4 generation failed, 5 expression parse failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import logging
 import os
@@ -299,7 +301,14 @@ def cmd_schema(_args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and shared by every ``main`` call.
+
+    Sharing is safe because ``parse_args`` leaves the parser unchanged, and
+    help, usage and error text read the terminal width and ``sys.stdout`` /
+    ``sys.stderr`` when printed, not when built.
+    """
     parser = _Parser(prog="pcsreg", description=__doc__)
     sub = parser.add_subparsers(dest="verb", required=True)
 
@@ -337,16 +346,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one CLI command and return its exit code; safe to call repeatedly."""
     _setup_logging()
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.verb == "generate" and args.method == "random" and args.seed is None:
-        print("error: --method random requires --seed", file=sys.stderr)
-        return EXIT_USAGE
     try:
-        return args.func(args)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+        try:
+            args = build_parser().parse_args(argv)
+            if args.verb == "generate" and args.method == "random" and args.seed is None:
+                _fail(EXIT_USAGE, "--method random requires --seed")
+            code = args.func(args)
+        except SystemExit as exc:
+            code = int(exc.code or 0)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+    except BrokenPipeError:
+        # The reader went away: point stdout at devnull so the interpreter's
+        # final flush of what is still buffered cannot fail again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_USAGE
+    return code
 
 
 if __name__ == "__main__":

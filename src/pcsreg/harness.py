@@ -19,6 +19,7 @@ import hashlib
 import io
 import json
 import random
+import weakref
 from dataclasses import dataclass, field
 
 from .frames import (
@@ -175,30 +176,32 @@ class _ListenerPlan:
 class _SceneListener:
     """Listener interpretation for one (scene, true preferences) pair.
 
-    ``plans`` holds one compiled plan per tree.
+    ``plans`` holds one compiled plan per tree.  The scene is held weakly,
+    so the cache never keeps a scene (or its geometry) alive; callers pass
+    the scene itself to ``plan`` and ``step``.
     """
 
     def __init__(self, scene: Scene, prefs: PreferenceTable):
-        self.scene = scene
+        self.scene = weakref.ref(scene)
         self.prefs = prefs
         self.plans: dict[ExpressionTree, _ListenerPlan] = {}
 
-    def plan(self, tree: ExpressionTree) -> _ListenerPlan:
+    def plan(self, tree: ExpressionTree, scene: Scene) -> _ListenerPlan:
         plan = self.plans.get(tree)
         if plan is None:
-            plan = self.plans[tree] = _ListenerPlan(tree, self.scene)
+            plan = self.plans[tree] = _ListenerPlan(tree, scene)
         return plan
 
-    def step(self, plan: _ListenerPlan, level: int, resolved_id: str):
+    def step(self, plan: _ListenerPlan, level: int, resolved_id: str, scene: Scene):
         """The unit's adoptable options and their total weight, memoized."""
         key = (level, resolved_id)
         entry = plan.steps.get(key)
         if entry is None:
             head_ids, prep = plan.units[level]
-            resolved = self.scene.entity(resolved_id)
+            resolved = scene.entity(resolved_id)
             row = self.prefs.row(landmark_type(resolved))
             options = []
-            for part in partitions(resolved, self.scene):
+            for part in partitions(resolved, scene):
                 p = row[part.frame.kind.order]
                 if p <= 0.0:
                     continue
@@ -218,7 +221,7 @@ _listener_cache: _SceneListener | None = None
 def _scene_listener(scene: Scene, prefs: PreferenceTable) -> _SceneListener:
     global _listener_cache
     cached = _listener_cache
-    if cached is None or cached.scene is not scene or cached.prefs is not prefs:
+    if cached is None or cached.scene() is not scene or cached.prefs is not prefs:
         cached = _listener_cache = _SceneListener(scene, prefs)
     return cached
 
@@ -255,13 +258,13 @@ def simulate_listener(
     uncached walk would.
     """
     listener = _scene_listener(scene, true_prefs)
-    plan = listener.plan(tree)
+    plan = listener.plan(tree, scene)
     resolved = plan.anchor
     if resolved is None:
         return None
     prev_kind: FrameKind | None = None
     for level in range(len(plan.units)):
-        options, total = listener.step(plan, level, resolved)
+        options, total = listener.step(plan, level, resolved, scene)
         if not options:
             return None
         draw = rng.random()

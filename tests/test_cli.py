@@ -1,6 +1,7 @@
 import copy
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -24,6 +25,24 @@ NAN_PREFS = {
     "listener": [float("nan"), 1.0, 0.0, 0.0],
     "oriented_object": [0.0, 0.0, 1.0, 0.0],
     "unoriented_object": [1.0, 0.0, 0.0, 0.0],
+}
+
+
+# Two yellow blocks that no landmark separates: generating for blk_a exits 4.
+AMBIGUOUS_SCENE = {
+    "table": {"min": [-1.5, -1.5], "max": [1.5, 1.5]},
+    "entities": [
+        {"id": "blk_a", "kind": "object", "category": "block", "color": "yellow",
+         "pos": [-0.5, 0.05]},
+        {"id": "blk_b", "kind": "object", "category": "block", "color": "yellow",
+         "pos": [-0.5, -0.05]},
+        {"id": "car1", "kind": "object", "category": "car", "pos": [0.0, 0.0],
+         "heading": 1.5707963267948966},
+        {"id": "speaker", "kind": "speaker", "category": "robot", "pos": [0.0, -1.0],
+         "heading": 1.5707963267948966},
+        {"id": "listener", "kind": "listener", "category": "person", "pos": [0.0, 1.0],
+         "heading": -1.5707963267948966},
+    ],
 }
 
 
@@ -114,23 +133,8 @@ class TestGenerate:
         assert out.returncode == 2
 
     def test_generation_failure_exits_4(self, tmp_path):
-        doc = {
-            "table": {"min": [-1.5, -1.5], "max": [1.5, 1.5]},
-            "entities": [
-                {"id": "blk_a", "kind": "object", "category": "block", "color": "yellow",
-                 "pos": [-0.5, 0.05]},
-                {"id": "blk_b", "kind": "object", "category": "block", "color": "yellow",
-                 "pos": [-0.5, -0.05]},
-                {"id": "car1", "kind": "object", "category": "car", "pos": [0.0, 0.0],
-                 "heading": 1.5707963267948966},
-                {"id": "speaker", "kind": "speaker", "category": "robot", "pos": [0.0, -1.0],
-                 "heading": 1.5707963267948966},
-                {"id": "listener", "kind": "listener", "category": "person", "pos": [0.0, 1.0],
-                 "heading": -1.5707963267948966},
-            ],
-        }
         path = tmp_path / "ambiguous.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps(AMBIGUOUS_SCENE))
         out = run_cli("generate", "--scene", str(path), "--target", "blk_a")
         assert out.returncode == 4
         assert "warning" in out.stderr
@@ -433,6 +437,104 @@ class TestSchema:
 def test_missing_verb_exits_1():
     out = run_cli()
     assert out.returncode == 1
+
+
+def test_usage_errors_return_their_code_in_process(scene_paths, capsys):
+    argv = ["resolve", "--scene", str(scene_paths["square"]),
+            "--expr", "the object in front of the square"]
+    assert cli.main(argv) == 0
+    before = capsys.readouterr()
+    assert cli.main(["resolve"]) == 1
+    assert "the following arguments are required: --scene, --expr" in capsys.readouterr().err
+    assert cli.main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: pcsreg")
+    assert cli.main(argv) == 0
+    assert capsys.readouterr() == before
+
+
+def test_parser_is_built_on_first_use_and_reused():
+    script = """
+import argparse, contextlib, io
+built = []
+init = argparse.ArgumentParser.__init__
+def counting_init(self, *args, **kwargs):
+    built.append(1)
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting_init
+import pcsreg, pcsreg.cli
+counts = [len(built)]
+for _ in range(3):
+    with contextlib.redirect_stdout(io.StringIO()):
+        pcsreg.cli.main(["schema"])
+    counts.append(len(built))
+print(counts)
+"""
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    counts = json.loads(out.stdout)
+    assert counts[0] == 0  # importing the package builds no parser
+    assert counts[1] > 0 and counts[1] == counts[2] == counts[3]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("schema",),
+        ("resolve", "--scene", str(DEMO / "facing_pair_square.json"),
+         "--expr", "the object in front of the square"),
+    ],
+    ids=["schema", "resolve"],
+)
+def test_closed_stdout_exits_1_without_traceback(args):
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before pcsreg writes anything
+    try:
+        out = subprocess.run(
+            [sys.executable, "-m", "pcsreg", *args],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert out.returncode == 1
+    assert "Traceback" not in out.stderr
+    assert "Exception ignored" not in out.stderr
+
+
+def test_repeated_main_calls_match_fresh_processes(scene_paths, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # help and usage wrap at the same width on both sides
+    ambiguous = tmp_path / "ambiguous.json"
+    ambiguous.write_text(json.dumps(AMBIGUOUS_SCENE))
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps({"seed": 3, "n_scenes": 1, "trials_per_expression": 2, "objects": [3, 4]})
+    )
+    blocks, square = str(scene_paths["blocks"]), str(scene_paths["square"])
+    calls = [
+        (["generate", "--scene", blocks, "--target", "blk_a", "--json"], 0),
+        (["generate", "--scene", blocks, "--target", "blk_a", "--method", "random"], 1),
+        (["generate", "--scene", str(tmp_path / "missing.json"), "--target", "blk_a"], 2),
+        (["resolve", "--scene", square, "--expr", "the object in front of the square"], 0),
+        (["resolve", "--scene", square, "--expr", "the object in front of"], 5),
+        (["resolve"], 1),
+        (["explain", "--scene", blocks, "--target", "ghost"], 3),
+        (["explain", "--scene", blocks, "--target", "blk_a"], 0),
+        (["generate", "--scene", str(ambiguous), "--target", "blk_a"], 4),
+        (["evaluate", "--config", str(config)], 0),
+        (["schema"], 0),
+        (["--help"], 0),
+        (["resolve", "--help"], 0),
+        ([], 1),
+        (["generate", "--scene", blocks, "--target", "blk_a", "--bogus"], 1),
+        (["resolve", "--scene", square, "--expr", "the object in front of the square",
+          "--target", "a", "--json"], 0),
+    ]
+    assert {code for _, code in calls} == {0, 1, 2, 3, 4, 5}
+    for argv, code in calls:
+        got = cli.main(argv)
+        captured = capsys.readouterr()
+        fresh = run_cli(*argv)
+        assert (got, captured.out, captured.err) == (code, fresh.stdout, fresh.stderr), argv
+        assert fresh.returncode == code
 
 
 @pytest.mark.parametrize("scene_file", DEMO_SCENES)

@@ -259,6 +259,25 @@ def test_a_scene_with_geometry_is_freed_without_the_cycle_collector(default_pref
         gc.enable()
 
 
+def test_the_listener_cache_does_not_keep_a_scene_alive(default_prefs):
+    gc.disable()
+    try:
+        scene = sample_scene(derive_seed(6, "listener"), objects=(16, 30))
+        tree = Compound(
+            AttributePhrase(category=scene.objects()[0].category),
+            PREPOSITION_ORDER[0],
+            Leaf(AttributePhrase(category=scene.objects()[1].category)),
+        )
+        for s in range(20):
+            simulate_listener(tree, scene, default_prefs, random.Random(s))
+        assert scene.geometry.relations  # the listener's steps built partitions
+        ref = weakref.ref(scene)
+        del scene
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def reference_records(cfg):
     """``run_comparison``'s records with a freshly seeded ``Random`` per method."""
     assumed = cfg.assumed_prefs or default_preferences()
