@@ -78,10 +78,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _setup_logging() -> None:
+    """Send the ``pcsreg`` logger's lines at the ``PCSREG_LOG`` level to the
+    current ``sys.stderr``, replacing the handler of any earlier call."""
     level = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}.get(
         os.environ.get("PCSREG_LOG", "error").lower(), logging.ERROR
     )
-    logging.basicConfig(level=level, stream=sys.stderr, format="%(levelname)s %(message)s")
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(message)s"))
+    log.handlers = [handler]
+    log.setLevel(level)
 
 
 def _fail(code: int, message: str) -> NoReturn:

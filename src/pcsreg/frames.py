@@ -237,7 +237,6 @@ class PreferenceState:
     """
 
     distributions: tuple[Row, ...]
-    iteration_count: int = 0
 
     def __post_init__(self):
         for row in self.distributions:
@@ -245,27 +244,16 @@ class PreferenceState:
                 raise FrameError(f"unit distribution does not sum to 1: {row}")
 
 
-def preference_state_from_table(
-    chain_types: Sequence[LandmarkType], base: PreferenceTable
-) -> PreferenceState:
-    return PreferenceState(tuple(base.row(lt) for lt in chain_types), 0)
-
-
 def update_preferences(
-    state: PreferenceState | None,
-    chain_types: Sequence[LandmarkType],
-    base: PreferenceTable,
+    state: PreferenceState, chain_types: Sequence[LandmarkType]
 ) -> PreferenceState:
     """One simultaneous content-window update of the per-unit distributions.
 
     The window couples each unit to its neighbor one step to the right in
     the surface string: a unit whose landmark has no orientation adopts the
     current distribution of that neighbor (the next-deeper unit).  All other
-    units, and the rightmost unit, are unchanged.  When ``state`` is None the
-    per-unit distributions are first seeded from ``base`` rows.
+    units, and the rightmost unit, are unchanged.
     """
-    if state is None:
-        state = preference_state_from_table(chain_types, base)
     if len(state.distributions) != len(chain_types):
         raise FrameError(
             f"state length {len(state.distributions)} does not match chain length {len(chain_types)}"
@@ -275,4 +263,4 @@ def update_preferences(
     for i, lt in enumerate(chain_types):
         if lt is LandmarkType.UNORIENTED_OBJECT and i + 1 < len(old):
             new[i] = old[i + 1]
-    return PreferenceState(tuple(new), state.iteration_count + 1)
+    return PreferenceState(tuple(new))

@@ -235,7 +235,6 @@ def build_landmark_chain(
     }
 
     iterations = 0
-    updates_applied = 0
     converged = False
     while True:
         iterations += 1
@@ -258,11 +257,8 @@ def build_landmark_chain(
             current = lm
 
         chain_types = [landmark_type(scene.entity(eid)) for eid in landmark_ids]
-        state = PreferenceState(
-            tuple(entity_rows[eid] for eid in landmark_ids), updates_applied
-        )
-        new_state = update_preferences(state, chain_types, base)
-        updates_applied = new_state.iteration_count
+        state = PreferenceState(tuple(entity_rows[eid] for eid in landmark_ids))
+        new_state = update_preferences(state, chain_types)
         if new_state.distributions == state.distributions:
             converged = True
             state = new_state

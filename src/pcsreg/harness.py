@@ -19,7 +19,6 @@ import hashlib
 import io
 import json
 import random
-import weakref
 from dataclasses import dataclass, field
 
 from .frames import (
@@ -57,6 +56,9 @@ DEFAULT_SHAPES = ("square", "round", "oblong")
 ORACLE_MAX_DEPTH = 3
 ORACLE_MAX_ENTITIES = 8
 
+# Random positions ``sample_scene`` tries for each object before giving up.
+PLACEMENT_ATTEMPTS = 200
+
 
 class HarnessError(ValueError):
     pass
@@ -73,11 +75,12 @@ def derive_seed(*parts) -> int:
 
 
 def _check_pools(objects: tuple[int, int], categories) -> None:
-    if not categories:
-        raise HarnessError("category pool must be non-empty")
-    lo, hi = objects
-    if lo < 2 or hi < lo:
-        raise HarnessError(f"object-count range must satisfy 2 <= lo <= hi, got {objects}")
+    """Raise ``HarnessError`` unless the sampling pools meet ``CONFIG_SCHEMA``
+    and the object-count range has ``lo <= hi``, which the schema cannot say."""
+    pools = {"objects": list(objects), "categories": list(categories)}
+    check_document(pools, {"properties": CONFIG_SCHEMA["properties"]}, _config_error)
+    if objects[0] > objects[1]:
+        raise HarnessError(f"config field 'objects' must have lo <= hi, got {list(objects)}")
 
 
 def sample_scene(
@@ -86,7 +89,6 @@ def sample_scene(
     categories=DEFAULT_CATEGORIES,
     colors=DEFAULT_COLORS,
     shapes=DEFAULT_SHAPES,
-    max_attempts: int = 200,
 ) -> Scene:
     """Deterministic random tabletop scene.
 
@@ -105,12 +107,14 @@ def sample_scene(
     positions = [(0.0, -1.0), (0.0, 1.0)]
 
     def place() -> tuple[float, float]:
-        for _ in range(max_attempts):
+        for _ in range(PLACEMENT_ATTEMPTS):
             p = (rng.uniform(-0.9, 0.9), rng.uniform(-0.7, 0.7))
             if all((p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 >= 0.05**2 for q in positions):
                 positions.append(p)
                 return p
-        raise HarnessError(f"could not place an object after {max_attempts} attempts (seed {seed})")
+        raise HarnessError(
+            f"could not place an object after {PLACEMENT_ATTEMPTS} attempts (seed {seed})"
+        )
 
     def visual() -> tuple[str, str | None, str | None]:
         category = categories[rng.randrange(len(categories))]
@@ -155,7 +159,8 @@ def _units_bottom_up(tree: ExpressionTree):
 
 
 class _ListenerPlan:
-    """One expression tree compiled against a scene for the listener.
+    """One expression tree compiled against a scene and the true preference
+    table ``prefs`` for the listener.
 
     ``anchor`` is the innermost phrase's referent (None if nothing matches)
     and ``units`` holds each relation unit's sorted head ids and
@@ -165,39 +170,20 @@ class _ListenerPlan:
     depends on earlier draws, so entries are filled as trials reach them.
     """
 
-    def __init__(self, tree: ExpressionTree, scene: Scene):
+    def __init__(self, tree: ExpressionTree, scene: Scene, prefs: PreferenceTable):
         units, anchor = _units_bottom_up(tree)
         ids = consistent_set(anchor, scene)
+        self.prefs = prefs
         self.anchor = min(ids) if ids else None
         self.units = [(sorted(consistent_set(head, scene)), prep) for head, prep in units]
         self.steps: dict[tuple[int, str], tuple[list, float]] = {}
 
-
-class _SceneListener:
-    """Listener interpretation for one (scene, true preferences) pair.
-
-    ``plans`` holds one compiled plan per tree.  The scene is held weakly,
-    so the cache never keeps a scene (or its geometry) alive; callers pass
-    the scene itself to ``plan`` and ``step``.
-    """
-
-    def __init__(self, scene: Scene, prefs: PreferenceTable):
-        self.scene = weakref.ref(scene)
-        self.prefs = prefs
-        self.plans: dict[ExpressionTree, _ListenerPlan] = {}
-
-    def plan(self, tree: ExpressionTree, scene: Scene) -> _ListenerPlan:
-        plan = self.plans.get(tree)
-        if plan is None:
-            plan = self.plans[tree] = _ListenerPlan(tree, scene)
-        return plan
-
-    def step(self, plan: _ListenerPlan, level: int, resolved_id: str, scene: Scene):
+    def step(self, level: int, resolved_id: str, scene: Scene):
         """The unit's adoptable options and their total weight, memoized."""
         key = (level, resolved_id)
-        entry = plan.steps.get(key)
+        entry = self.steps.get(key)
         if entry is None:
-            head_ids, prep = plan.units[level]
+            head_ids, prep = self.units[level]
             resolved = scene.entity(resolved_id)
             row = self.prefs.row(landmark_type(resolved))
             options = []
@@ -209,21 +195,8 @@ class _SceneListener:
                 survivor = next((eid for eid in head_ids if eid in ids), None)
                 if survivor is not None:
                     options.append((part.frame.kind, p, survivor))
-            entry = plan.steps[key] = (options, sum(p for _, p, _ in options))
+            entry = self.steps[key] = (options, sum(p for _, p, _ in options))
         return entry
-
-
-# Single-entry cache: the listener state of the most recent (scene, prefs)
-# pair, matched by identity so neither object is hashed.
-_listener_cache: _SceneListener | None = None
-
-
-def _scene_listener(scene: Scene, prefs: PreferenceTable) -> _SceneListener:
-    global _listener_cache
-    cached = _listener_cache
-    if cached is None or cached.scene() is not scene or cached.prefs is not prefs:
-        cached = _listener_cache = _SceneListener(scene, prefs)
-    return cached
 
 
 def simulate_listener(
@@ -252,19 +225,22 @@ def simulate_listener(
     unit's frame kind instead of sampling afresh; the default models fully
     independent per-unit frame choices.  Only ``rng.random()`` is called.
 
-    The interpretation is compiled once per (scene, expression): each
-    unit's options are cached for the most recent (scene, true_prefs) pair,
-    so repeated trials only draw random numbers, in the same order as an
-    uncached walk would.
+    The interpretation is compiled once per (scene, expression): the plan
+    lives in the scene's ``SceneGeometry.listener_plans`` and is rebuilt
+    only when ``true_prefs`` is another table than the one it was compiled
+    for, so repeated trials only draw random numbers, in the same order as
+    an uncompiled walk would.
     """
-    listener = _scene_listener(scene, true_prefs)
-    plan = listener.plan(tree, scene)
+    plans = scene.geometry.listener_plans
+    plan = plans.get(tree)
+    if plan is None or plan.prefs is not true_prefs:
+        plan = plans[tree] = _ListenerPlan(tree, scene, true_prefs)
     resolved = plan.anchor
     if resolved is None:
         return None
     prev_kind: FrameKind | None = None
     for level in range(len(plan.units)):
-        options, total = listener.step(plan, level, resolved, scene)
+        options, total = plan.step(level, resolved, scene)
         if not options:
             return None
         draw = rng.random()
@@ -378,15 +354,13 @@ class TrialConfig:
     per_trial_csv: bool = False
 
     def __post_init__(self):
-        if self.n_scenes <= 0 or self.trials_per_expression <= 0:
-            raise HarnessError("scene and trial counts must be positive")
-        if not self.methods:
-            raise HarnessError("at least one method is required")
-        unknown = set(self.methods) - set(METHODS)
-        if unknown:
-            raise HarnessError(f"unknown methods: {sorted(unknown)}")
-        if not 0.0 <= self.consistency_coupling <= 1.0:
-            raise HarnessError("consistency_coupling must be in [0, 1]")
+        # The fields as a config document, less the preference tables.
+        doc = {
+            key: list(value) if isinstance(value, tuple) else value
+            for key, value in vars(self).items()
+            if key not in ("true_prefs", "assumed_prefs")
+        }
+        check_document(doc, CONFIG_SCHEMA, _config_error)
         _check_pools(self.objects, self.categories)
 
 

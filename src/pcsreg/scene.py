@@ -101,12 +101,14 @@ class SceneGeometry:
     ``attributes`` maps (slot, lowercased value) to the ids of the entities
     with that value in that slot, in scene order.  ``relations`` holds, per
     landmark id, the frames and preposition partitions of
-    ``prepositions.partitions``, filled as landmarks are first used.  The
-    geometry keeps no reference to its scene, so a scene is freed as soon as
-    its last reference goes, without waiting for the cycle collector.
+    ``prepositions.partitions``, filled as landmarks are first used.
+    ``listener_plans`` holds, per expression tree, the simulated listener's
+    compiled plan (``harness.simulate_listener``).  The geometry keeps no
+    reference to its scene, so a scene is freed as soon as its last
+    reference goes, without waiting for the cycle collector.
     """
 
-    __slots__ = ("attributes", "relations")
+    __slots__ = ("attributes", "relations", "listener_plans")
 
     def __init__(self, entities: tuple[Entity, ...]):
         # Tuples of ids and interned values keep the index small: a scene
@@ -119,6 +121,7 @@ class SceneGeometry:
                     index.setdefault((slot, sys.intern(value.lower())), []).append(e.id)
         self.attributes = {key: tuple(ids) for key, ids in index.items()}
         self.relations: dict[str, tuple] = {}
+        self.listener_plans: dict = {}
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,9 @@
+import contextlib
 import copy
 import hashlib
+import io
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -535,6 +538,24 @@ def test_repeated_main_calls_match_fresh_processes(scene_paths, tmp_path, capsys
         fresh = run_cli(*argv)
         assert (got, captured.out, captured.err) == (code, fresh.stdout, fresh.stderr), argv
         assert fresh.returncode == code
+
+
+def test_log_lines_go_to_each_calls_stderr(tmp_path, monkeypatch):
+    monkeypatch.setenv("PCSREG_LOG", "info")
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps({"seed": 5, "n_scenes": 1, "trials_per_expression": 1, "methods": ["robot"]})
+    )
+    root = logging.getLogger()
+    root_before = (root.level, list(root.handlers))
+    for out in ("a", "b"):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main(["evaluate", "--config", str(config), "--out", str(tmp_path / out)])
+        assert code == 0
+        assert "INFO reports written to" in err.getvalue()
+    assert len(logging.getLogger("pcsreg").handlers) == 1
+    assert (root.level, list(root.handlers)) == root_before
 
 
 @pytest.mark.parametrize("scene_file", DEMO_SCENES)

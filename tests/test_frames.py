@@ -15,7 +15,6 @@ from pcsreg.frames import (
     preferences_from_dict,
     load_preferences,
     preference_entropy,
-    preference_state_from_table,
     update_preferences,
 )
 from pcsreg.geometry import dot, quarter_right
@@ -121,17 +120,16 @@ def test_axis_orthogonality(heading):
 
 def test_update_unoriented_takes_right_neighbor_row(default_prefs):
     types = [LandmarkType.UNORIENTED_OBJECT, LandmarkType.ORIENTED_OBJECT]
-    state = preference_state_from_table(types, default_prefs)
-    updated = update_preferences(state, types, default_prefs)
+    state = PreferenceState(tuple(default_prefs.row(lt) for lt in types))
+    updated = update_preferences(state, types)
     assert updated.distributions[0] == (0.045, 0.045, 0.905, 0.005)
     assert updated.distributions[1] == default_prefs.row(LandmarkType.ORIENTED_OBJECT)
-    assert updated.iteration_count == 1
 
 
 def test_update_single_unit_chain_is_identity(default_prefs):
     types = [LandmarkType.ORIENTED_OBJECT]
-    state = preference_state_from_table(types, default_prefs)
-    updated = update_preferences(state, types, default_prefs)
+    state = PreferenceState(tuple(default_prefs.row(lt) for lt in types))
+    updated = update_preferences(state, types)
     assert updated.distributions == state.distributions
 
 
@@ -145,25 +143,19 @@ def test_update_propagates_right_to_left(default_prefs):
     ]
     unoriented = default_prefs.row(LandmarkType.UNORIENTED_OBJECT)
     speaker = default_prefs.row(LandmarkType.SPEAKER)
-    s0 = preference_state_from_table(types, default_prefs)
-    s1 = update_preferences(s0, types, default_prefs)
+    s0 = PreferenceState(tuple(default_prefs.row(lt) for lt in types))
+    s1 = update_preferences(s0, types)
     assert s1.distributions == (unoriented, speaker, speaker)
-    s2 = update_preferences(s1, types, default_prefs)
+    s2 = update_preferences(s1, types)
     assert s2.distributions == (speaker, speaker, speaker)
-    s3 = update_preferences(s2, types, default_prefs)
+    s3 = update_preferences(s2, types)
     assert s3.distributions == s2.distributions
 
 
-def test_update_seeds_from_base_when_state_absent(default_prefs):
-    types = [LandmarkType.UNORIENTED_OBJECT, LandmarkType.ORIENTED_OBJECT]
-    updated = update_preferences(None, types, default_prefs)
-    assert updated.distributions[0] == default_prefs.row(LandmarkType.ORIENTED_OBJECT)
-
-
 def test_update_rejects_length_mismatch(default_prefs):
-    state = preference_state_from_table([LandmarkType.SPEAKER], default_prefs)
+    state = PreferenceState((default_prefs.row(LandmarkType.SPEAKER),))
     with pytest.raises(FrameError):
-        update_preferences(state, [LandmarkType.SPEAKER, LandmarkType.SPEAKER], default_prefs)
+        update_preferences(state, [LandmarkType.SPEAKER, LandmarkType.SPEAKER])
 
 
 @given(
@@ -171,11 +163,11 @@ def test_update_rejects_length_mismatch(default_prefs):
 )
 def test_update_reaches_fixed_point_within_chain_length(types):
     base = default_preferences()
-    state = preference_state_from_table(types, base)
+    state = PreferenceState(tuple(base.row(lt) for lt in types))
     k = len(types)
     for _ in range(k):
-        state = update_preferences(state, types, base)
-    settled = update_preferences(state, types, base)
+        state = update_preferences(state, types)
+    settled = update_preferences(state, types)
     assert settled.distributions == state.distributions
 
 
@@ -228,7 +220,7 @@ def test_preference_file_rejects_non_finite_entries(bad):
 
 def test_state_validates_rows():
     with pytest.raises(FrameError):
-        PreferenceState(((0.5, 0.1, 0.1, 0.1),), 0)
+        PreferenceState(((0.5, 0.1, 0.1, 0.1),))
 
 
 def test_canonical_frame_order():

@@ -83,7 +83,7 @@ class TestSampleScene:
 
     def test_placement_failure_is_reported(self):
         with pytest.raises(HarnessError, match="could not place"):
-            sample_scene(0, max_attempts=0)
+            sample_scene(0, objects=(2000, 2000))
 
 
 class TestSimulateListener:
@@ -284,6 +284,27 @@ class TestListenerEquivalence:
                             calls += 1
                             confused += expected is None
         assert calls > 1000
+        assert 0 < confused < calls
+
+    def test_interleaved_scenes_and_tables_match_reference(self, default_prefs, two_frame_prefs):
+        # Each call switches scene or table, so plans are rebuilt for a new
+        # table while plans for both scenes are alive.
+        scenes = [sample_scene(derive_seed("interleave", i)) for i in range(2)]
+        trees = [t for i, scene in enumerate(scenes) for t in method_trees(scene, default_prefs, i)]
+        calls = confused = 0
+        for trial in range(3):
+            for tree in trees:
+                for scene in scenes:
+                    for prefs in (default_prefs, two_frame_prefs):
+                        trial_seed = derive_seed("interleave", trial, calls)
+                        expected_rng = random.Random(trial_seed)
+                        rng = random.Random(trial_seed)
+                        expected = reference_listener(tree, scene, prefs, expected_rng)
+                        assert simulate_listener(tree, scene, prefs, rng) == expected
+                        assert rng.getstate() == expected_rng.getstate()
+                        calls += 1
+                        confused += expected is None
+        assert calls > 100
         assert 0 < confused < calls
 
 
@@ -533,13 +554,31 @@ class TestConfig:
         cfg = tiny_config(true_prefs=preferences_doc_all_ego())
         assert cfg.true_prefs.row(LandmarkType.LISTENER) == (1.0, 0.0, 0.0, 0.0)
 
-    def test_direct_constructor_validates(self):
-        with pytest.raises(HarnessError):
-            TrialConfig(
-                seed=1,
-                n_scenes=1,
-                trials_per_expression=1,
-                true_prefs=default_preferences(),
-                methods=("pcsreg",),
-                consistency_coupling=2.0,
-            )
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("consistency_coupling", 2.0),
+            ("methods", ()),
+            ("methods", ("pcsreg", "psychic")),
+            ("n_scenes", 0),
+            ("trials_per_expression", 0),
+            ("objects", (1, 3)),
+            ("objects", (5, 4)),
+            ("categories", ()),
+        ],
+        ids=[
+            "coupling", "no_methods", "unknown_method", "n_scenes", "trials",
+            "objects_below_2", "objects_hi_below_lo", "no_categories",
+        ],
+    )
+    def test_direct_constructor_validates(self, name, value):
+        fields = {
+            "seed": 1,
+            "n_scenes": 1,
+            "trials_per_expression": 1,
+            "true_prefs": default_preferences(),
+            "methods": ("pcsreg",),
+            name: value,
+        }
+        with pytest.raises(HarnessError, match=repr(name)):
+            TrialConfig(**fields)
