@@ -43,13 +43,12 @@ from .optimizer import (
     ComplexityCapError,
     Score,
     generate,
+    rank,
     score,
     score_denotation,
-    select_baseline,
     select_best,
-    select_greedy_max,
 )
-from .prepositions import Membership, Preposition, membership, relation
+from .prepositions import Preposition, membership, relation
 from .resolver import (
     AttributePhrase,
     Compound,

@@ -36,7 +36,7 @@ from .harness import (
     report_to_json,
     run_comparison,
 )
-from .optimizer import generate, score, score_denotation, select_best
+from .optimizer import generate, rank, score, score_denotation
 from .resolver import (
     Leaf,
     ParseError,
@@ -235,14 +235,13 @@ def cmd_explain(args) -> int:
     try:
         chain = build_landmark_chain(args.target, scene, prefs)
         candidates = expression_space(chain, scene)
-        selected, _ = select_best(candidates, args.target, scene, prefs)
+        selected, scored = rank(candidates, args.target, scene, prefs)
     except GenerationError as exc:
         print(f"warning: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_GENERATION_FAILED)
     rows = []
     for cand in candidates:
-        d = denote(cand.tree, scene, prefs)
-        sc = score_denotation(d, args.target)
+        d, sc = scored[cand.surface]
         rows.append(
             {
                 "surface": cand.surface,

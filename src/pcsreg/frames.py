@@ -16,7 +16,7 @@ import enum
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Sequence, Union
+from typing import Sequence, Union
 
 from .geometry import Vec, heading_vec, opposite, quarter_left, quarter_right
 from .scene import Entity, LandmarkType, Scene, check_document, landmark_type, read_json
@@ -206,8 +206,8 @@ def preferences_from_dict(doc: dict) -> PreferenceTable:
     return PreferenceTable({lt: _renormalize(doc[key]) for key, lt in _FILE_KEYS.items()})
 
 
-def load_preferences(source: Union[str, Path, bytes, IO]) -> PreferenceTable:
-    """Load a preference table from a path, JSON text or bytes, or an open file."""
+def load_preferences(source: Union[str, Path]) -> PreferenceTable:
+    """Load a preference table from a path or JSON text."""
     return preferences_from_dict(read_json(source, FrameError))
 
 

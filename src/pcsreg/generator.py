@@ -81,9 +81,6 @@ class LandmarkStack:
     def ids(self) -> tuple[str, ...]:
         return tuple(eid for eid, _ in self.entries)
 
-    def pop_order(self) -> tuple[tuple[str, VisualDescription], ...]:
-        return tuple(reversed(self.entries))
-
     def __len__(self) -> int:
         return len(self.entries)
 

@@ -35,7 +35,7 @@ from .frames import (
 )
 from .generator import GenerationError, LandmarkChain, build_landmark_chain, describe_visual
 from .geometry import heading_vec
-from .optimizer import generate
+from .optimizer import METHODS, generate
 from .prepositions import partitions, relation
 from .resolver import (
     Compound,
@@ -46,8 +46,6 @@ from .resolver import (
     depth,
 )
 from .scene import Entity, EntityKind, Scene, TableExtent, check_document, landmark_type
-
-METHODS = ("pcsreg", "max", "robot", "human", "random")
 
 DEFAULT_CATEGORIES = ("block", "car", "cup", "book")
 DEFAULT_COLORS = ("red", "yellow", "blue", "green")

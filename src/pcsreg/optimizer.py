@@ -5,8 +5,8 @@ the most probable referent of the expression?) and effectiveness (how much
 probability mass the target receives).  The optimal expression maximizes
 their sum over the exhaustively enumerated expression space.  A greedy
 variant picks each unit's most-preferred frame independently and never
-consults the resolution model, and three fixed-perspective baselines share
-the same landmark chain.
+consults the resolution model, and three baselines share the same landmark
+chain; ``generate`` is the one dispatch on the method name.
 """
 
 from __future__ import annotations
@@ -37,6 +37,8 @@ MAX_COMPLEXITY = 4
 class ComplexityCapError(GenerationError):
     """The landmark chain is longer than exhaustive search allows."""
 
+
+METHODS = ("pcsreg", "max", "robot", "human", "random")
 
 BASELINE_KINDS = {"robot": FrameKind.EGOCENTRIC, "human": FrameKind.ADDRESSEE}
 
@@ -82,69 +84,41 @@ def _selection_key(candidate: CandidateExpression, total: float):
     )
 
 
+def rank(
+    candidates: list[CandidateExpression],
+    target_id: str,
+    scene: Scene,
+    prefs: PreferenceTable,
+) -> tuple[CandidateExpression, dict[str, tuple[Denotation, Score]]]:
+    """Deterministic argmax of total score over the candidate list, with the
+    denotation and score of every distinct surface.
+
+    Duplicate trees (identical surfaces from different strategies) are
+    denoted and scored once; the winner among exact ties is the candidate
+    with a frame-consistent strategy, then the canonically smallest strategy.
+    """
+    if not candidates:
+        raise ValueError("no candidate expressions to select from")
+    if any(len(c.strategy) > MAX_COMPLEXITY for c in candidates):
+        raise ComplexityCapError(f"expression complexity exceeds the cap of {MAX_COMPLEXITY}")
+    scored: dict[str, tuple[Denotation, Score]] = {}
+    for c in candidates:
+        if c.surface not in scored:
+            d = denote(c.tree, scene, prefs)
+            scored[c.surface] = (d, score_denotation(d, target_id))
+    best = min(candidates, key=lambda c: _selection_key(c, scored[c.surface][1].total))
+    return best, scored
+
+
 def select_best(
     candidates: list[CandidateExpression],
     target_id: str,
     scene: Scene,
     prefs: PreferenceTable,
 ) -> tuple[CandidateExpression, Score]:
-    """Deterministic argmax of total score over the candidate list.
-
-    Duplicate trees (identical surfaces from different strategies) are
-    scored once; the winner among exact ties is the candidate with a
-    frame-consistent strategy, then the canonically smallest strategy.
-    """
-    if not candidates:
-        raise ValueError("no candidate expressions to select from")
-    if any(len(c.strategy) > MAX_COMPLEXITY for c in candidates):
-        raise ComplexityCapError(f"expression complexity exceeds the cap of {MAX_COMPLEXITY}")
-    by_surface: dict[str, Score] = {}
-    for c in candidates:
-        if c.surface not in by_surface:
-            by_surface[c.surface] = score(c, target_id, scene, prefs)
-    best = min(candidates, key=lambda c: _selection_key(c, by_surface[c.surface].total))
-    return best, by_surface[best.surface]
-
-
-def select_greedy_max(chain: LandmarkChain, scene: Scene) -> CandidateExpression:
-    """Per-unit argmax of the frame preference, ignoring the resolution model.
-
-    Each unit independently takes the most-preferred applicable frame for
-    its landmark (using the chain's settled per-unit distributions), so the
-    choice never looks at what the rest of the expression denotes.
-    """
-    # max() keeps the canonically first frame on ties.
-    return candidate(
-        chain,
-        tuple(
-            max(options, key=lambda pick: row[pick[0].kind.order])
-            for row, options in zip(chain.state.distributions, unit_options(chain, scene))
-        ),
-    )
-
-
-def select_baseline(
-    kind: str, chain: LandmarkChain, scene: Scene, seed: int | None = None
-) -> CandidateExpression:
-    """Fixed-perspective baselines sharing the chain and realization.
-
-    ``robot`` locates every unit in the speaker's frame, ``human`` in the
-    listener's; ``random`` draws one strategy uniformly from the applicable
-    strategy set (a seed is required for reproducibility).
-    """
-    if kind == "random":
-        if seed is None:
-            raise ValueError("the random baseline requires a seed")
-        rng = random.Random(seed)
-    elif kind not in BASELINE_KINDS:
-        raise ValueError(f"unknown baseline {kind!r} (expected robot, human, or random)")
-    picks = []
-    for options in unit_options(chain, scene):
-        if kind == "random":
-            picks.append(options[rng.randrange(len(options))])
-        else:
-            picks.append(next(o for o in options if o[0].kind is BASELINE_KINDS[kind]))
-    return candidate(chain, tuple(picks))
+    """``rank``'s winner and its score."""
+    best, scored = rank(candidates, target_id, scene, prefs)
+    return best, scored[best.surface][1]
 
 
 def generate(
@@ -156,13 +130,27 @@ def generate(
 ) -> CandidateExpression:
     """The candidate a generation method picks from the chain (unscored).
 
-    ``pcsreg`` is the exhaustive argmax of ``select_best``, ``max`` the
-    greedy per-unit choice, and ``robot``/``human``/``random`` the
-    baselines; ``seed`` is used by ``random`` only.
+    ``pcsreg`` is the exhaustive argmax of ``select_best``.  The other
+    methods pick one entry of ``unit_options`` per unit and never consult
+    the resolution model: ``max`` the most-preferred frame under the
+    chain's settled distributions (the canonically first on ties),
+    ``robot``/``human`` the speaker's/listener's frame, and ``random`` a
+    uniform draw per unit from ``Random(seed)``, so it requires a seed.
     """
     if method == "pcsreg":
         return select_best(expression_space(chain, scene), chain.target, scene, prefs)[0]
-    if method == "max":
-        return select_greedy_max(chain, scene)
-    return select_baseline(method, chain, scene, seed=seed)
-
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r} (expected one of {', '.join(METHODS)})")
+    if method == "random":
+        if seed is None:
+            raise ValueError("method 'random' requires a seed")
+        rng = random.Random(seed)
+    picks = []
+    for row, options in zip(chain.state.distributions, unit_options(chain, scene)):
+        if method == "max":
+            picks.append(max(options, key=lambda pick: row[pick[0].kind.order]))
+        elif method == "random":
+            picks.append(options[rng.randrange(len(options))])
+        else:
+            picks.append(next(o for o in options if o[0].kind is BASELINE_KINDS[method]))
+    return candidate(chain, tuple(picks))

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .frames import FrameInstance, applicable_frames
@@ -48,12 +47,6 @@ PREPOSITION_ORDER: tuple[Preposition, ...] = (
     Preposition.LEFT,
     Preposition.RIGHT,
 )
-
-
-@dataclass(frozen=True)
-class Membership:
-    preposition: Preposition
-    degree: float
 
 
 def _axis(prep: Preposition, frame: FrameInstance) -> Vec:
@@ -90,13 +83,6 @@ def membership(target, landmark_point, prep: Preposition, frame: FrameInstance) 
     axis = _axis(prep, frame)
     cos_theta = dot(d, axis) / (dist * norm(axis))
     return max(0.0, min(1.0, cos_theta))
-
-
-def memberships(target, landmark_point, frame: FrameInstance) -> tuple[Membership, ...]:
-    """All four degrees for one displacement, in canonical order."""
-    return tuple(
-        Membership(p, membership(target, landmark_point, p, frame)) for p in PREPOSITION_ORDER
-    )
 
 
 def relation(target, landmark, frame: FrameInstance) -> Preposition:

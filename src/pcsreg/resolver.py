@@ -294,7 +294,10 @@ def parse_expression(text: str, lexicon: Lexicon) -> ExpressionTree:
     tokens = text.lower().split()
     if not tokens:
         raise ParseError("empty expression")
-    return _parse_np(tokens, lexicon)
+    try:
+        return _parse_np(tokens, lexicon)
+    except RecursionError:
+        raise ParseError("expression nested too deeply") from None
 
 
 # --- structured (JSON) form -------------------------------------------------
@@ -358,7 +361,8 @@ def tree_from_dict(doc: dict) -> ExpressionTree:
 
 def parse_expression_json(text: str) -> ExpressionTree:
     try:
-        doc = json.loads(text)
+        return tree_from_dict(json.loads(text))
     except json.JSONDecodeError as exc:
         raise ParseError(f"not valid JSON: {exc}") from None
-    return tree_from_dict(doc)
+    except RecursionError:
+        raise ParseError("expression nested too deeply") from None

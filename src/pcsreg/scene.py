@@ -15,7 +15,7 @@ import reprlib
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Callable, Union
+from typing import Callable, Union
 
 from .geometry import Vec, distance
 
@@ -303,28 +303,23 @@ def scene_to_dict(scene: Scene) -> dict:
     }
 
 
-def read_json(source: Union[str, Path, bytes, IO], invalid: Callable[[str], Exception]):
-    """Parse the JSON document in ``source``.
+def read_json(source: Union[str, Path], invalid: Callable[[str], Exception]):
+    """Parse the JSON document in ``source``, a filesystem path or JSON text.
 
-    ``source`` may be a filesystem path, raw JSON text/bytes, or an open
-    file object; a ``str`` whose first non-blank character is ``{`` or
-    ``[`` is JSON text.  Text that is not JSON raises ``invalid(message)``.
+    A ``str`` whose first non-blank character is ``{`` or ``[`` is JSON
+    text.  Text that is not JSON, or is nested too deeply for the parser,
+    raises ``invalid(message)``.
     """
-    if isinstance(source, bytes):
-        text = source.decode("utf-8")
-    elif isinstance(source, str) and source.lstrip().startswith(("{", "[")):
+    if isinstance(source, str) and source.lstrip().startswith(("{", "[")):
         text = source
-    elif isinstance(source, (str, Path)):
-        text = Path(source).read_text(encoding="utf-8")
-    elif hasattr(source, "read"):
-        data = source.read()
-        text = data.decode("utf-8") if isinstance(data, bytes) else data
     else:
-        raise TypeError(f"unsupported document source: {type(source)!r}")
+        text = Path(source).read_text(encoding="utf-8")
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise invalid(f"not valid JSON: {exc}") from None
+    except RecursionError:
+        raise invalid("nested too deeply") from None
 
 
 class _Invalid(Exception):
@@ -424,7 +419,7 @@ def check_document(doc, schema: dict, invalid: Callable[[tuple, str], Exception]
         raise invalid(tuple(reversed(exc.path)), exc.args[0]) from None
 
 
-def load_scene(source: Union[str, Path, bytes, IO]) -> Scene:
+def load_scene(source: Union[str, Path]) -> Scene:
     """Load and validate a scene from a JSON document (see ``read_json``).
 
     Entity order is preserved from the document.
@@ -439,11 +434,8 @@ def dump_scene(scene: Scene) -> str:
 
 def attribute_vocabulary(scene: Scene) -> dict[str, set[str]]:
     """Lowercased category/color/shape vocabularies present in the scene."""
-    vocab: dict[str, set[str]] = {"category": set(), "color": set(), "shape": set()}
-    for e in scene.entities:
-        vocab["category"].add(e.category.lower())
-        if e.color:
-            vocab["color"].add(e.color.lower())
-        if e.shape:
-            vocab["shape"].add(e.shape.lower())
+    vocab: dict[str, set[str]] = {slot: set() for slot in ATTRIBUTE_SLOTS}
+    for slot, value in scene.geometry.attributes:
+        if value:
+            vocab[slot].add(value)
     return vocab

@@ -31,7 +31,7 @@ from pcsreg.harness import (
     run_comparison,
     sample_scene,
 )
-from pcsreg.optimizer import score, select_best, select_greedy_max
+from pcsreg.optimizer import generate, score, select_best
 from pcsreg.prepositions import Preposition
 from pcsreg.resolver import AttributePhrase, Compound, Leaf, denote
 from pcsreg.scene import LandmarkType, dump_scene
@@ -147,7 +147,7 @@ def test_criterion_4_selection_optimality(property_generations):
         n_checked += 1
         rescored = [score(c, target, scene, prefs).total for c in space]
         assert best_score.total == max(rescored), (target, best.surface)
-        greedy = select_greedy_max(chain, scene)
+        greedy = generate("max", chain, scene, prefs)
         assert best_score.total >= score(greedy, target, scene, prefs).total
     assert n_checked >= N_PROPERTY_SCENES  # at least one ambiguous target per scene
     _passed(4, started, 120.0, f"{n_checked} generations optimal and >= greedy")

@@ -13,10 +13,10 @@ import pytest
 
 from pcsreg import cli
 from pcsreg.frames import FrameError, default_preferences, preferences_from_dict
-from pcsreg.generator import GenerationError, build_landmark_chain, realize
-from pcsreg.harness import METHODS, HarnessError, config_from_dict
-from pcsreg.optimizer import generate
-from pcsreg.resolver import tree_to_dict
+from pcsreg.generator import GenerationError, build_landmark_chain, expression_space, realize
+from pcsreg.harness import METHODS, HarnessError, config_from_dict, derive_seed, sample_scene
+from pcsreg.optimizer import MAX_COMPLEXITY, generate, score_denotation, select_best
+from pcsreg.resolver import denote, tree_to_dict
 from pcsreg.scene import SceneError, dump_scene, load_scene, scene_from_dict
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
@@ -312,6 +312,47 @@ class TestExplain:
         assert selected["total"] == max(totals)
         assert all("denotation" in c for c in doc["candidates"])
 
+    def test_rows_match_independent_scoring(self, tmp_path, capsys):
+        # Chains with k >= 2 give strategies that share a surface, so rows
+        # repeat a surface and must repeat its denotation and score.
+        prefs = default_preferences()
+        checked = duplicated = 0
+        for i in range(40):
+            scene = sample_scene(
+                derive_seed(9, "explain", i),
+                objects=(8, 16),
+                categories=("block", "cup"),
+                colors=("red", "blue"),
+                shapes=(),
+            )
+            path = tmp_path / f"scene{i}.json"
+            path.write_text(dump_scene(scene))
+            for target in scene.referable_ids():
+                try:
+                    chain = build_landmark_chain(target, scene, prefs)
+                except GenerationError:
+                    continue
+                if not 2 <= chain.k <= MAX_COMPLEXITY:
+                    continue
+                assert cli.main(["explain", "--scene", str(path), "--target", target]) == 0
+                doc = json.loads(capsys.readouterr().out)
+                candidates = expression_space(chain, scene)
+                best, _ = select_best(candidates, target, scene, prefs)
+                assert doc["selected_index"] == candidates.index(best)
+                assert [row["surface"] for row in doc["candidates"]] == [
+                    c.surface for c in candidates
+                ]
+                for row, cand in zip(doc["candidates"], candidates):
+                    d = denote(cand.tree, scene, prefs)
+                    sc = score_denotation(d, target)
+                    assert row["appropriateness"] == sc.appropriateness
+                    assert row["effectiveness"] == sc.effectiveness
+                    assert row["total"] == sc.total
+                    assert row["denotation"] == (None if d.unresolvable else dict(d.probs))
+                checked += 1
+                duplicated += len({c.surface for c in candidates}) < len(candidates)
+        assert checked >= 20 and duplicated >= 10
+
 
 class TestEvaluate:
     @pytest.fixture()
@@ -556,6 +597,34 @@ def test_log_lines_go_to_each_calls_stderr(tmp_path, monkeypatch):
         assert "INFO reports written to" in err.getvalue()
     assert len(logging.getLogger("pcsreg").handlers) == 1
     assert (root.level, list(root.handlers)) == root_before
+
+
+@pytest.mark.parametrize(
+    "case, code",
+    [("surface", 5), ("json", 5), ("scene", 2), ("prefs", 2), ("config", 2)],
+)
+def test_over_deep_documents_exit_without_traceback(case, code, tmp_path):
+    """Nesting past the interpreter's recursion limit is a documented failure."""
+    deep = tmp_path / "deep"
+    if case == "surface":
+        deep.write_text("the yellow block to the left of " * 3000 + "the car")
+    elif case == "json":
+        unit = '{"head": {"category": "block"}, "prep": "left", "landmark": '
+        deep.write_text(unit * 3000 + '{"head": {"category": "car"}}' + "}" * 3000)
+    else:
+        deep.write_text("[" * 100_000)
+    scene = str(DEMO / "two_blocks_car.json")
+    args = {
+        "surface": ("resolve", "--scene", scene, "--expr", f"@{deep}"),
+        "json": ("resolve", "--scene", scene, "--expr", f"@{deep}"),
+        "scene": ("resolve", "--scene", str(deep), "--expr", "the car"),
+        "prefs": ("generate", "--scene", scene, "--target", "blk_a", "--prefs", str(deep)),
+        "config": ("evaluate", "--config", str(deep)),
+    }[case]
+    out = run_cli(*args)
+    assert out.returncode == code
+    assert "Traceback" not in out.stderr
+    assert "nested too deeply" in out.stderr
 
 
 @pytest.mark.parametrize("scene_file", DEMO_SCENES)

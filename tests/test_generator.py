@@ -305,12 +305,6 @@ class TestStack:
         with pytest.raises(ValueError):
             LandmarkStack((("car1", d), ("car1", d)))
 
-    def test_pop_order_reverses(self):
-        d = VisualDescription(AttributePhrase(category="car"), True)
-        e = VisualDescription(AttributePhrase(category="cuboid"), True)
-        stack = LandmarkStack((("cub1", e), ("car1", d)))
-        assert stack.pop_order() == (("car1", d), ("cub1", e))
-
     def test_domain_shrinks_monotonically(self, default_prefs):
         # Chains can never exceed the entity count.
         for seed in range(15):

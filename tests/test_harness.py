@@ -32,7 +32,7 @@ from pcsreg.harness import (
     sample_scene,
     simulate_listener,
 )
-from pcsreg.optimizer import ComplexityCapError, select_baseline, select_best, select_greedy_max
+from pcsreg.optimizer import ComplexityCapError, generate, select_best
 from pcsreg.prepositions import Preposition, relation
 from pcsreg.resolver import AttributePhrase, Compound, Leaf, consistent_set, denote
 from pcsreg.scene import LandmarkType, dump_scene, landmark_type
@@ -249,10 +249,9 @@ def method_trees(scene, prefs, seed):
             chain = build_landmark_chain(target, scene, prefs)
         except GenerationError:
             continue
-        yield select_greedy_max(chain, scene).tree
-        yield select_baseline("robot", chain, scene).tree
-        yield select_baseline("human", chain, scene).tree
-        yield select_baseline("random", chain, scene, seed=seed).tree
+        for method in ("max", "robot", "human"):
+            yield generate(method, chain, scene, prefs).tree
+        yield generate("random", chain, scene, prefs, seed=seed).tree
         try:
             yield select_best(expression_space(chain, scene), target, scene, prefs)[0].tree
         except ComplexityCapError:

@@ -12,9 +12,7 @@ from pcsreg.optimizer import (
     Score,
     generate,
     score,
-    select_baseline,
     select_best,
-    select_greedy_max,
 )
 from pcsreg.prepositions import Preposition
 from pcsreg.resolver import AttributePhrase, Compound, Leaf
@@ -154,7 +152,7 @@ class TestSelectBest:
 class TestGreedyMax:
     def test_oriented_landmark_takes_intrinsic(self, blocks_car_scene, default_prefs):
         chain = build_landmark_chain("blk_a", blocks_car_scene, default_prefs)
-        cand = select_greedy_max(chain, blocks_car_scene)
+        cand = generate("max", chain, blocks_car_scene, default_prefs)
         assert cand.strategy.kinds == (FrameKind.INTRINSIC,)
         assert cand.surface == "the yellow block to the left of the car"
 
@@ -174,7 +172,7 @@ class TestGreedyMax:
         )
         chain = build_landmark_chain("blk_a", scene, default_prefs)
         assert chain.stack.ids() == ("listener",)
-        cand = select_greedy_max(chain, scene)
+        cand = generate("max", chain, scene, default_prefs)
         assert cand.strategy.kinds == (FrameKind.ADDRESSEE,)
 
     def test_unoriented_landmark_takes_egocentric(self, default_prefs):
@@ -195,7 +193,7 @@ class TestGreedyMax:
         )
         chain = build_landmark_chain("blk_a", scene, default_prefs)
         assert chain.stack.ids() == ("cub1",)
-        cand = select_greedy_max(chain, scene)
+        cand = generate("max", chain, scene, default_prefs)
         assert cand.strategy.kinds == (FrameKind.EGOCENTRIC,)
 
     def test_pcsreg_dominates_greedy(self, default_prefs):
@@ -208,7 +206,7 @@ class TestGreedyMax:
                     continue
                 space = expression_space(chain, scene)
                 _, best_score = select_best(space, target, scene, default_prefs)
-                greedy = select_greedy_max(chain, scene)
+                greedy = generate("max", chain, scene, default_prefs)
                 greedy_score = score(greedy, target, scene, default_prefs)
                 assert best_score.total >= greedy_score.total
 
@@ -216,42 +214,42 @@ class TestGreedyMax:
 class TestBaselines:
     def test_robot_and_human_perspectives(self, blocks_car_scene, default_prefs):
         chain = build_landmark_chain("blk_a", blocks_car_scene, default_prefs)
-        robot = select_baseline("robot", chain, blocks_car_scene)
+        robot = generate("robot", chain, blocks_car_scene, default_prefs)
         assert robot.surface == "the yellow block to the left of the car"
         assert robot.strategy.kinds == (FrameKind.EGOCENTRIC,)
-        human = select_baseline("human", chain, blocks_car_scene)
+        human = generate("human", chain, blocks_car_scene, default_prefs)
         assert human.surface == "the yellow block to the right of the car"
         assert human.strategy.kinds == (FrameKind.ADDRESSEE,)
 
     def test_random_is_seeded(self, update_chain_scene, default_prefs):
         chain = build_landmark_chain("blk_a", update_chain_scene, default_prefs)
-        a = select_baseline("random", chain, update_chain_scene, seed=99)
-        b = select_baseline("random", chain, update_chain_scene, seed=99)
+        a = generate("random", chain, update_chain_scene, default_prefs, seed=99)
+        b = generate("random", chain, update_chain_scene, default_prefs, seed=99)
         assert a == b
         drawn = {
-            select_baseline("random", chain, update_chain_scene, seed=s).strategy.kinds
+            generate("random", chain, update_chain_scene, default_prefs, seed=s).strategy.kinds
             for s in range(30)
         }
         assert len(drawn) > 1
 
     def test_random_requires_seed(self, blocks_car_scene, default_prefs):
         chain = build_landmark_chain("blk_a", blocks_car_scene, default_prefs)
-        with pytest.raises(ValueError):
-            select_baseline("random", chain, blocks_car_scene)
+        with pytest.raises(ValueError, match="method 'random' requires a seed"):
+            generate("random", chain, blocks_car_scene, default_prefs)
 
     def test_unknown_baseline_rejected(self, blocks_car_scene, default_prefs):
         chain = build_landmark_chain("blk_a", blocks_car_scene, default_prefs)
-        with pytest.raises(ValueError):
-            select_baseline("alien", chain, blocks_car_scene)
+        with pytest.raises(ValueError, match="unknown method 'alien'"):
+            generate("alien", chain, blocks_car_scene, default_prefs)
 
     def test_arguments_are_checked_without_landmarks(self, blocks_car_scene, default_prefs):
         chain = build_landmark_chain("car1", blocks_car_scene, default_prefs)
         assert chain.k == 0
-        with pytest.raises(ValueError):
-            select_baseline("random", chain, blocks_car_scene)
-        with pytest.raises(ValueError):
-            select_baseline("alien", chain, blocks_car_scene)
-        robot = select_baseline("robot", chain, blocks_car_scene)
+        with pytest.raises(ValueError, match="method 'random' requires a seed"):
+            generate("random", chain, blocks_car_scene, default_prefs)
+        with pytest.raises(ValueError, match="unknown method 'alien'"):
+            generate("alien", chain, blocks_car_scene, default_prefs)
+        robot = generate("robot", chain, blocks_car_scene, default_prefs)
         assert robot == expression_space(chain, blocks_car_scene)[0]
 
 

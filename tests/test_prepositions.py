@@ -12,7 +12,6 @@ from pcsreg.prepositions import (
     CoincidentPointsError,
     Preposition,
     membership,
-    memberships,
     relation,
 )
 from pcsreg.scene import MIN_SEPARATION
@@ -75,8 +74,8 @@ def test_partition_exactly_one_relation(theta, r, head):
     target = (r * math.cos(theta), r * math.sin(theta))
     result = relation(target, (0.0, 0.0), frame)
     assert result in PREPOSITION_ORDER
-    degrees = memberships(target, (0.0, 0.0), frame)
-    assert max(m.degree for m in degrees) == pytest.approx(
+    degrees = [membership(target, (0.0, 0.0), p, frame) for p in PREPOSITION_ORDER]
+    assert max(degrees) == pytest.approx(
         membership(target, (0.0, 0.0), result, frame)
     )
 
@@ -87,7 +86,7 @@ def test_rotation_equivariance(theta, r, head, rot):
     # (checked away from the quadrant boundaries where ties flip).
     frame = FrameInstance(FrameKind.EGOCENTRIC, None, heading_vec(head))
     target = (r * math.cos(theta), r * math.sin(theta))
-    degrees = sorted(m.degree for m in memberships(target, (0.0, 0.0), frame))
+    degrees = sorted(membership(target, (0.0, 0.0), p, frame) for p in PREPOSITION_ORDER)
     if abs(degrees[-1] - degrees[-2]) < 1e-6:
         return  # boundary: tie-break direction is not rotation-equivariant
     rotated_frame = FrameInstance(FrameKind.EGOCENTRIC, None, rotate(frame.front_axis, rot))
@@ -121,7 +120,7 @@ def test_quarter_turn_consistency(theta, r):
     # A frame rotated +90deg sees the previous front as its right, etc.
     frame = EGO_UP
     target = (r * math.cos(theta), r * math.sin(theta))
-    degrees = sorted(m.degree for m in memberships(target, (0.0, 0.0), frame))
+    degrees = sorted(membership(target, (0.0, 0.0), p, frame) for p in PREPOSITION_ORDER)
     if abs(degrees[-1] - degrees[-2]) < 1e-6:
         return
     turned = FrameInstance(FrameKind.EGOCENTRIC, None, (-frame.front_axis[1], frame.front_axis[0]))
@@ -134,7 +133,8 @@ def test_quarter_turn_consistency(theta, r):
 def test_at_most_two_positive_memberships(theta, r, head):
     frame = FrameInstance(FrameKind.EGOCENTRIC, None, heading_vec(head))
     target = (r * math.cos(theta), r * math.sin(theta))
-    positive = [m for m in memberships(target, (0.0, 0.0), frame) if m.degree > 1e-12]
+    degrees = [membership(target, (0.0, 0.0), p, frame) for p in PREPOSITION_ORDER]
+    positive = [d for d in degrees if d > 1e-12]
     assert 1 <= len(positive) <= 2
 
 

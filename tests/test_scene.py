@@ -12,6 +12,7 @@ from pcsreg.scene import (
     Scene,
     SceneError,
     TableExtent,
+    attribute_vocabulary,
     dump_scene,
     landmark_type,
     load_scene,
@@ -142,6 +143,28 @@ def test_array_text_is_parsed_not_opened(text):
         load_scene(text)
     assert err.value.path == "$"
     assert "must be of type object" in str(err.value)
+
+
+def test_attribute_vocabulary_lowercases_present_values():
+    doc = minimal_doc()
+    doc["entities"][0].update(category="Block", color="", shape="Round")
+    doc["entities"].append(
+        {"id": "b2", "kind": "object", "category": "CUP", "color": "Red", "pos": [0.3, 0.2]}
+    )
+    assert attribute_vocabulary(load_scene(json.dumps(doc))) == {
+        "category": {"block", "cup", "robot", "person"},
+        "color": {"red"},
+        "shape": {"round"},
+    }
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_attribute_vocabulary_matches_entities(seed):
+    scene = sample_scene(seed, objects=(8, 16))
+    assert attribute_vocabulary(scene) == {
+        slot: {getattr(e, slot).lower() for e in scene.entities if getattr(e, slot)}
+        for slot in ("category", "color", "shape")
+    }
 
 
 def test_speaker_listener_not_referable():
