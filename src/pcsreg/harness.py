@@ -156,6 +156,10 @@ def _units_bottom_up(tree: ExpressionTree):
     return list(reversed(units)), node.head
 
 
+# ``_ListenerPlan.fixed`` when the listener's answer depends on its draws.
+_DEPENDS_ON_DRAWS = object()
+
+
 class _ListenerPlan:
     """One expression tree compiled against a scene and the true preference
     table ``prefs`` for the listener.
@@ -166,6 +170,10 @@ class _ListenerPlan:
     resolved landmark id), the unit's adoptable options as (kind, weight,
     first survivor) plus their total weight; the landmark a unit sees
     depends on earlier draws, so entries are filled as trials reach them.
+
+    ``fixed`` is the listener's answer when no step on the path from the
+    anchor offers more than one option, so that every draw picks the same
+    one; otherwise it is ``_DEPENDS_ON_DRAWS``.
     """
 
     def __init__(self, tree: ExpressionTree, scene: Scene, prefs: PreferenceTable):
@@ -175,6 +183,18 @@ class _ListenerPlan:
         self.anchor = min(ids) if ids else None
         self.units = [(sorted(consistent_set(head, scene)), prep) for head, prep in units]
         self.steps: dict[tuple[int, str], tuple[list, float]] = {}
+        self.fixed = self._fixed_answer(scene)
+
+    def _fixed_answer(self, scene: Scene):
+        resolved = self.anchor
+        for level in range(len(self.units)):
+            if resolved is None:
+                return None
+            options, _ = self.step(level, resolved, scene)
+            if len(options) > 1:
+                return _DEPENDS_ON_DRAWS
+            resolved = options[0][2] if options else None
+        return resolved
 
     def step(self, level: int, resolved_id: str, scene: Scene):
         """The unit's adoptable options and their total weight, memoized."""
@@ -195,6 +215,15 @@ class _ListenerPlan:
                     options.append((part.frame.kind, p, survivor))
             entry = self.steps[key] = (options, sum(p for _, p, _ in options))
         return entry
+
+
+def _listener_plan(tree: ExpressionTree, scene: Scene, prefs: PreferenceTable) -> _ListenerPlan:
+    """The scene's plan for ``tree``, rebuilt if it was compiled for another table."""
+    plans = scene.geometry.listener_plans
+    plan = plans.get(tree)
+    if plan is None or plan.prefs is not prefs:
+        plan = plans[tree] = _ListenerPlan(tree, scene, prefs)
+    return plan
 
 
 def simulate_listener(
@@ -229,10 +258,7 @@ def simulate_listener(
     for, so repeated trials only draw random numbers, in the same order as
     an uncompiled walk would.
     """
-    plans = scene.geometry.listener_plans
-    plan = plans.get(tree)
-    if plan is None or plan.prefs is not true_prefs:
-        plan = plans[tree] = _ListenerPlan(tree, scene, true_prefs)
+    plan = _listener_plan(tree, scene, true_prefs)
     resolved = plan.anchor
     if resolved is None:
         return None
@@ -443,18 +469,20 @@ def _bucket(k: int | None) -> str:
 
 
 class _Replay:
-    """The ``random()`` draws of one seeded ``Random``, replayed from the
-    start after each ``rewind()``.
+    """The ``random()`` draws of ``Random(derive_seed(*seed_parts))``,
+    replayed from the start after each ``rewind()``.
 
-    Every method's listener on a trial sees the draws that a freshly seeded
-    ``Random(seed)`` would give it, while the generator is seeded once and
-    each number is drawn once.
+    Every listener on a trial sees the draws that a freshly seeded
+    ``Random`` would give it, while the generator is seeded once and each
+    number is drawn once.  The seed is derived and the generator seeded on
+    the first draw, so a trial that nothing draws from seeds nothing.
     """
 
-    __slots__ = ("_rng", "_drawn", "_next")
+    __slots__ = ("_seed_parts", "_rng", "_drawn", "_next")
 
-    def __init__(self, seed: int):
-        self._rng = random.Random(seed)
+    def __init__(self, *seed_parts):
+        self._seed_parts = seed_parts
+        self._rng: random.Random | None = None
         self._drawn: list[float] = []
         self._next = 0
 
@@ -466,6 +494,8 @@ class _Replay:
         i = self._next
         self._next = i + 1
         if i == len(self._drawn):
+            if self._rng is None:
+                self._rng = random.Random(derive_seed(*self._seed_parts))
             self._drawn.append(self._rng.random())
         return self._drawn[i]
 
@@ -478,11 +508,18 @@ def run_comparison(cfg: TrialConfig, collect_records: bool = True) -> TrialRepor
     ``trials_per_expression`` simulated listeners whose randomness depends
     only on (seed, scene, target, trial), never on the method, so methods
     are compared on identical listener draws.
+
+    Methods whose expressions are equal share one listener answer per
+    trial.  An expression whose listener plan has one possible answer
+    (``_ListenerPlan.fixed``) is not simulated, and a trial's seed is
+    derived only when some listener draws from it; when no expression
+    needs draws and no records are collected, the trials are not walked.
     """
     assumed = cfg.assumed_prefs or default_preferences()
     stats = {m: MethodStats() for m in cfg.methods}
     records: list[dict] = []
     n_targets = 0
+    trials = cfg.trials_per_expression
 
     for scene_idx in range(cfg.n_scenes):
         scene = sample_scene(
@@ -503,7 +540,11 @@ def run_comparison(cfg: TrialConfig, collect_records: bool = True) -> TrialRepor
             except GenerationError:
                 chain = None
 
-            expressions: dict[str, ExpressionTree | None] = {}
+            # The distinct trees (None for no tree) in method order, each
+            # with its plan's fixed answer; ``group[method]`` indexes them.
+            trees: list[ExpressionTree | None] = []
+            answers: list = []
+            group: dict[str, int] = {}
             ks: dict[str, int | None] = {}
             strategy_seed = derive_seed(cfg.seed, "strategy", scene_idx, target_id)
             for method in cfg.methods:
@@ -513,7 +554,6 @@ def run_comparison(cfg: TrialConfig, collect_records: bool = True) -> TrialRepor
                         tree = generate(method, chain, scene, assumed, seed=strategy_seed).tree
                     except GenerationError:  # e.g. the chain is over the complexity cap
                         tree = None
-                expressions[method] = tree
                 ks[method] = depth(tree) if tree is not None else None
                 st = stats[method]
                 st.n_expressions += 1
@@ -522,42 +562,52 @@ def run_comparison(cfg: TrialConfig, collect_records: bool = True) -> TrialRepor
                 else:
                     d = denote(tree, scene, cfg.true_prefs)
                     st.expected_sum += d.get(target_id, 0.0)
+                if tree not in trees:
+                    trees.append(tree)
+                    plan = None if tree is None else _listener_plan(tree, scene, cfg.true_prefs)
+                    answers.append(None if plan is None else plan.fixed)
+                group[method] = trees.index(tree)
 
-            for trial in range(cfg.trials_per_expression):
-                draws = _Replay(derive_seed(cfg.seed, "trial", scene_idx, target_id, trial))
-                for method in cfg.methods:
-                    tree = expressions[method]
-                    if tree is None:
-                        identified = None
-                    else:
-                        identified = simulate_listener(
-                            tree, scene, cfg.true_prefs, draws.rewind(), cfg.consistency_coupling
+            correct = [trials * (answer == target_id) for answer in answers]
+            drawn = [i for i, answer in enumerate(answers) if answer is _DEPENDS_ON_DRAWS]
+            if drawn or collect_records:
+                for trial in range(trials):
+                    draws = _Replay(cfg.seed, "trial", scene_idx, target_id, trial)
+                    for i in drawn:
+                        answers[i] = simulate_listener(
+                            trees[i], scene, cfg.true_prefs, draws.rewind(),
+                            cfg.consistency_coupling,
                         )
-                    correct = identified == target_id
-                    st = stats[method]
-                    st.n_trials += 1
-                    st.n_correct += int(correct)
-                    bucket = st.by_k[_bucket(ks[method])]
-                    bucket["trials"] += 1
-                    bucket["correct"] += int(correct)
+                        correct[i] += answers[i] == target_id
                     if collect_records:
-                        records.append(
-                            {
-                                "scene": scene_idx,
-                                "target": target_id,
-                                "method": method,
-                                "trial": trial,
-                                "k": ks[method],
-                                "identified": identified,
-                                "correct": correct,
-                            }
-                        )
+                        for method in cfg.methods:
+                            identified = answers[group[method]]
+                            records.append(
+                                {
+                                    "scene": scene_idx,
+                                    "target": target_id,
+                                    "method": method,
+                                    "trial": trial,
+                                    "k": ks[method],
+                                    "identified": identified,
+                                    "correct": identified == target_id,
+                                }
+                            )
+
+            for method in cfg.methods:
+                n_correct = correct[group[method]]
+                st = stats[method]
+                st.n_trials += trials
+                st.n_correct += n_correct
+                bucket = st.by_k[_bucket(ks[method])]
+                bucket["trials"] += trials
+                bucket["correct"] += n_correct
 
     return TrialReport(
         config_seed=cfg.seed,
         n_scenes=cfg.n_scenes,
         n_targets=n_targets,
-        trials_per_expression=cfg.trials_per_expression,
+        trials_per_expression=trials,
         stats=stats,
         records=records,
     )

@@ -150,46 +150,50 @@ class Denotation:
 def _denote_full(
     tree: ExpressionTree, scene: Scene, prefs: PreferenceTable
 ) -> dict[str, float] | None:
-    if isinstance(tree, Leaf):
-        ids = consistent_set(tree.head, scene)
-        if not ids:
-            return None
-        p = 1.0 / len(ids)
-        return {e.id: p for e in scene.entities if e.id in ids}
-
-    child = _denote_full(tree.landmark, scene, prefs)
-    if child is None:
+    """The innermost leaf's distribution, carried out through each relation
+    unit from the innermost outwards (a loop, so depth is not bounded by
+    the interpreter's recursion limit)."""
+    spine = []
+    while isinstance(tree, Compound):
+        spine.append(tree)
+        tree = tree.landmark
+    ids = consistent_set(tree.head, scene)
+    if not ids:
         return None
+    p = 1.0 / len(ids)
+    child = {e.id: p for e in scene.entities if e.id in ids}
 
-    pp = {e.id: 0.0 for e in scene.entities}
-    side = tree.prep.order
-    for lm_id, p_child in child.items():
-        if p_child <= 0.0:
-            continue
-        lm = scene.entity(lm_id)
-        row = prefs.row(landmark_type(lm))
-        for part in partitions(lm, scene):
-            p_frame = row[part.frame.kind.order]
-            if p_frame == 0.0:
+    for node in reversed(spine):
+        pp = {e.id: 0.0 for e in scene.entities}
+        side = node.prep.order
+        for lm_id, p_child in child.items():
+            if p_child <= 0.0:
                 continue
-            weight = p_frame * p_child
-            for eid in part.members[side]:
-                pp[eid] += weight
+            lm = scene.entity(lm_id)
+            row = prefs.row(landmark_type(lm))
+            for part in partitions(lm, scene):
+                p_frame = row[part.frame.kind.order]
+                if p_frame == 0.0:
+                    continue
+                weight = p_frame * p_child
+                for eid in part.members[side]:
+                    pp[eid] += weight
 
-    total = sum(pp.values())
-    if total <= 0.0:
-        return None
-    head_ids = consistent_set(tree.head, scene)
-    if not head_ids:
-        return None
-    head_p = 1.0 / len(head_ids)
-    combined = {
-        e.id: (pp[e.id] / total) * head_p for e in scene.entities if e.id in head_ids
-    }
-    s = sum(combined.values())
-    if s <= 0.0:
-        return None
-    return {eid: p / s for eid, p in combined.items()}
+        total = sum(pp.values())
+        if total <= 0.0:
+            return None
+        head_ids = consistent_set(node.head, scene)
+        if not head_ids:
+            return None
+        head_p = 1.0 / len(head_ids)
+        combined = {
+            e.id: (pp[e.id] / total) * head_p for e in scene.entities if e.id in head_ids
+        }
+        s = sum(combined.values())
+        if s <= 0.0:
+            return None
+        child = {eid: p / s for eid, p in combined.items()}
+    return child
 
 
 def denote(tree: ExpressionTree, scene: Scene, prefs: PreferenceTable) -> Denotation:

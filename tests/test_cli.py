@@ -627,6 +627,32 @@ def test_over_deep_documents_exit_without_traceback(case, code, tmp_path):
     assert "nested too deeply" in out.stderr
 
 
+def _expression_of(units: int, form: str) -> str:
+    if form == "surface":
+        return "the yellow block to the left of " * units + "the car"
+    unit = '{"head": {"category": "block"}, "prep": "left", "landmark": '
+    return unit * units + '{"head": {"category": "car"}}' + "}" * units
+
+
+@pytest.mark.parametrize("form", ["surface", "json"])
+def test_expressions_up_to_the_parser_limit_resolve_without_traceback(form, tmp_path):
+    """Every expression the parser accepts also denotes: from 980 units up
+    to two past the parser's limit, resolve exits 0 or 5, never with a
+    traceback."""
+    scene = str(DEMO / "two_blocks_car.json")
+    path = tmp_path / "expr"
+    codes = {}
+    units = 980
+    while codes.get(units - 2) != 5 or codes.get(units - 1) != 5:
+        assert units < 1200, f"the parser still accepts {units} units"
+        path.write_text(_expression_of(units, form))
+        out = run_cli("resolve", "--scene", scene, "--expr", f"@{path}")
+        assert out.returncode in (0, 5), (units, out.stderr)
+        assert "Traceback" not in out.stderr, units
+        codes[units] = out.returncode
+        units += 1
+
+
 @pytest.mark.parametrize("scene_file", DEMO_SCENES)
 def test_generate_matches_cli_surface(scene_file, capsys):
     path = DEMO / scene_file

@@ -13,8 +13,10 @@ import weakref
 import pytest
 
 from helpers import random_tree
-from pcsreg.frames import applicable_frames, default_preferences
+from pcsreg.frames import PreferenceTable, applicable_frames, default_preferences
 from pcsreg.harness import (
+    _DEPENDS_ON_DRAWS,
+    _listener_plan,
     METHODS,
     TrialConfig,
     derive_seed,
@@ -34,7 +36,7 @@ from pcsreg.resolver import (
     denote,
     depth,
 )
-from pcsreg.scene import Entity, EntityKind, Scene, TableExtent, landmark_type
+from pcsreg.scene import Entity, EntityKind, LandmarkType, Scene, TableExtent, landmark_type
 
 SIZES = [(3, 8), (8, 16), (16, 30)]
 HALF_PI = math.pi / 2
@@ -278,10 +280,10 @@ def test_the_listener_cache_does_not_keep_a_scene_alive(default_prefs):
         gc.enable()
 
 
-def reference_records(cfg):
-    """``run_comparison``'s records with a freshly seeded ``Random`` per method."""
+def comparison_trees(cfg):
+    """(scene index, scene, target, each method's tree or None) in
+    ``run_comparison``'s order."""
     assumed = cfg.assumed_prefs or default_preferences()
-    records = []
     for scene_idx in range(cfg.n_scenes):
         scene = sample_scene(derive_seed(cfg.seed, "scene", scene_idx), objects=cfg.objects)
         all_ids = set(scene.referable_ids())
@@ -301,27 +303,34 @@ def reference_records(cfg):
                         trees[method] = generate(method, chain, scene, assumed, seed=strategy_seed).tree
                     except GenerationError:
                         pass
-            for trial in range(cfg.trials_per_expression):
-                trial_seed = derive_seed(cfg.seed, "trial", scene_idx, target_id, trial)
-                for method in cfg.methods:
-                    tree = trees[method]
-                    identified = None
-                    if tree is not None:
-                        identified = simulate_listener(
-                            tree, scene, cfg.true_prefs, random.Random(trial_seed),
-                            cfg.consistency_coupling,
-                        )
-                    records.append(
-                        {
-                            "scene": scene_idx,
-                            "target": target_id,
-                            "method": method,
-                            "trial": trial,
-                            "k": None if tree is None else depth(tree),
-                            "identified": identified,
-                            "correct": identified == target_id,
-                        }
+            yield scene_idx, scene, target_id, trees
+
+
+def reference_records(cfg):
+    """``run_comparison``'s records with a freshly seeded ``Random`` per method."""
+    records = []
+    for scene_idx, scene, target_id, trees in comparison_trees(cfg):
+        for trial in range(cfg.trials_per_expression):
+            trial_seed = derive_seed(cfg.seed, "trial", scene_idx, target_id, trial)
+            for method in cfg.methods:
+                tree = trees[method]
+                identified = None
+                if tree is not None:
+                    identified = simulate_listener(
+                        tree, scene, cfg.true_prefs, random.Random(trial_seed),
+                        cfg.consistency_coupling,
                     )
+                records.append(
+                    {
+                        "scene": scene_idx,
+                        "target": target_id,
+                        "method": method,
+                        "trial": trial,
+                        "k": None if tree is None else depth(tree),
+                        "identified": identified,
+                        "correct": identified == target_id,
+                    }
+                )
     return records
 
 
@@ -340,3 +349,76 @@ def test_run_comparison_replays_one_seeding_per_trial(objects, coupling, seed, d
     )
     records = run_comparison(cfg).records
     assert records and records == reference_records(cfg)
+
+
+def tallied(records, cfg):
+    """Per-method counts of ``MethodStats`` tallied record by record."""
+    counts = {}
+    for method in cfg.methods:
+        mine = [r for r in records if r["method"] == method]
+        by_k = {b: {"trials": 0, "correct": 0} for b in ("k1", "k2plus", "failed")}
+        for r in mine:
+            bucket = by_k["failed" if r["k"] is None else "k1" if r["k"] == 1 else "k2plus"]
+            bucket["trials"] += 1
+            bucket["correct"] += r["correct"]
+        counts[method] = {
+            "n_expressions": len(mine) // cfg.trials_per_expression,
+            "n_failures": sum(r["k"] is None for r in mine) // cfg.trials_per_expression,
+            "n_trials": len(mine),
+            "n_correct": sum(r["correct"] for r in mine),
+            "by_k": by_k,
+        }
+    return counts
+
+
+def counts_of(stats):
+    return {
+        method: {
+            "n_expressions": st.n_expressions,
+            "n_failures": st.n_failures,
+            "n_trials": st.n_trials,
+            "n_correct": st.n_correct,
+            "by_k": st.by_k,
+        }
+        for method, st in stats.items()
+    }
+
+
+INTRINSIC_ONLY = PreferenceTable({lt: (0.0, 0.0, 1.0, 0.0) for lt in LandmarkType})
+
+
+@pytest.mark.parametrize("objects", [(3, 8), (8, 16)], ids=str)
+@pytest.mark.parametrize("prefs_name", ["default", "two_frame", "intrinsic_only"])
+def test_both_tally_paths_equal_the_reference_counts(objects, prefs_name, request):
+    if prefs_name == "intrinsic_only":
+        true_prefs = INTRINSIC_ONLY
+    else:
+        true_prefs = request.getfixturevalue(f"{prefs_name}_prefs")
+    kinds = set()
+    for coupling in (0.0, 0.5, 1.0):
+        cfg = TrialConfig(
+            seed=4,
+            n_scenes=3,
+            trials_per_expression=12,
+            true_prefs=true_prefs,
+            methods=METHODS,
+            objects=objects,
+            consistency_coupling=coupling,
+        )
+        want = tallied(reference_records(cfg), cfg)
+        without = run_comparison(cfg, collect_records=False)
+        with_records = run_comparison(cfg, collect_records=True)
+        assert not without.records
+        assert counts_of(without.stats) == counts_of(with_records.stats) == want
+        assert [st.expected_sum for st in without.stats.values()] == [
+            st.expected_sum for st in with_records.stats.values()
+        ]
+        for _, scene, _, trees in comparison_trees(cfg):
+            if all(tree is None for tree in trees.values()):
+                kinds.add("no tree")
+            for tree in filter(None, trees.values()):
+                fixed = _listener_plan(tree, scene, true_prefs).fixed
+                kinds.add("draws" if fixed is _DEPENDS_ON_DRAWS else "fixed")
+    # One frame kind per landmark leaves every step at most one option.
+    drawing = set() if prefs_name == "intrinsic_only" else {"draws"}
+    assert kinds == {"no tree", "fixed"} | drawing

@@ -20,6 +20,8 @@ from pcsreg.frames import (
 from pcsreg.generator import GenerationError, build_landmark_chain, describe_visual, expression_space
 from pcsreg.geometry import heading_vec
 from pcsreg.harness import (
+    _DEPENDS_ON_DRAWS,
+    _listener_plan,
     HarnessError,
     TrialConfig,
     config_from_dict,
@@ -307,6 +309,31 @@ class TestListenerEquivalence:
         assert 0 < confused < calls
 
 
+def test_fixed_plans_answer_every_draw(default_prefs, two_frame_prefs):
+    intrinsic_only = PreferenceTable({lt: (0.0, 0.0, 1.0, 0.0) for lt in LandmarkType})
+    answers = []
+    drawing = 0
+    for seed in range(30):
+        scene = sample_scene(derive_seed("fixed", seed), objects=(3, 8))
+        rng = random.Random(seed)
+        trees = list(method_trees(scene, default_prefs, seed))
+        trees += [random_tree(scene, rng, max_depth=3) for _ in range(4)]
+        for tree in trees:
+            for prefs in (default_prefs, two_frame_prefs, intrinsic_only):
+                fixed = _listener_plan(tree, scene, prefs).fixed
+                if fixed is _DEPENDS_ON_DRAWS:
+                    drawing += 1
+                    continue
+                answers.append(fixed)
+                for s in range(20):
+                    for coupling in (0.0, 0.5, 1.0):
+                        for listener in (simulate_listener, reference_listener):
+                            rng = random.Random(s)
+                            assert listener(tree, scene, prefs, rng, coupling) == fixed
+    assert drawing > 0
+    assert None in answers and len(set(answers)) > 10
+
+
 GOLDEN_DIGESTS = {
     # sha256 of report_to_json + records_to_csv for demo/eval_config.json,
     # as-is and with consistency_coupling 0.3; records are kept in both.
@@ -322,6 +349,16 @@ def test_demo_report_bytes_are_golden(coupling):
     report = run_comparison(config_from_dict(doc), collect_records=True)
     text = report_to_json(report) + records_to_csv(report)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == GOLDEN_DIGESTS[coupling]
+
+
+@pytest.mark.parametrize("coupling", sorted(GOLDEN_DIGESTS))
+def test_demo_report_without_records_equals_the_golden_run(coupling):
+    doc = json.loads(DEMO_CONFIG.read_text(encoding="utf-8"))
+    doc["consistency_coupling"] = coupling
+    cfg = config_from_dict(doc)
+    assert not cfg.per_trial_csv  # what ``pcsreg evaluate`` runs on the demo config
+    with_records = report_to_json(run_comparison(cfg, collect_records=True))
+    assert report_to_json(run_comparison(cfg, collect_records=False)) == with_records
 
 
 class TestOracle:
