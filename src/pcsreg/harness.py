@@ -169,11 +169,14 @@ class _ListenerPlan:
     preposition, deepest first.  ``steps`` memoizes, per (unit level,
     resolved landmark id), the unit's adoptable options as (kind, weight,
     first survivor) plus their total weight; the landmark a unit sees
-    depends on earlier draws, so entries are filled as trials reach them.
+    depends on earlier draws, so the plan fills an entry for every
+    landmark that some draws reach.
 
-    ``fixed`` is the listener's answer when no step on the path from the
-    anchor offers more than one option, so that every draw picks the same
-    one; otherwise it is ``_DEPENDS_ON_DRAWS``.
+    ``fixed`` is the listener's answer when it has one reachable answer,
+    and ``_DEPENDS_ON_DRAWS`` otherwise.  The reachable answers are found
+    by following every option of every step from the anchor (None when a
+    step has no option); whatever the draws or the coupling, the listener
+    returns one of them.
     """
 
     def __init__(self, tree: ExpressionTree, scene: Scene, prefs: PreferenceTable):
@@ -186,15 +189,17 @@ class _ListenerPlan:
         self.fixed = self._fixed_answer(scene)
 
     def _fixed_answer(self, scene: Scene):
-        resolved = self.anchor
+        reachable = {self.anchor}
         for level in range(len(self.units)):
-            if resolved is None:
-                return None
-            options, _ = self.step(level, resolved, scene)
-            if len(options) > 1:
-                return _DEPENDS_ON_DRAWS
-            resolved = options[0][2] if options else None
-        return resolved
+            after = set()
+            for resolved in reachable:
+                options = self.step(level, resolved, scene)[0] if resolved is not None else ()
+                if options:
+                    after.update(survivor for _, _, survivor in options)
+                else:
+                    after.add(None)
+            reachable = after
+        return next(iter(reachable)) if len(reachable) == 1 else _DEPENDS_ON_DRAWS
 
     def step(self, level: int, resolved_id: str, scene: Scene):
         """The unit's adoptable options and their total weight, memoized."""
@@ -509,11 +514,12 @@ def run_comparison(cfg: TrialConfig, collect_records: bool = True) -> TrialRepor
     only on (seed, scene, target, trial), never on the method, so methods
     are compared on identical listener draws.
 
-    Methods whose expressions are equal share one listener answer per
-    trial.  An expression whose listener plan has one possible answer
-    (``_ListenerPlan.fixed``) is not simulated, and a trial's seed is
-    derived only when some listener draws from it; when no expression
-    needs draws and no records are collected, the trials are not walked.
+    Methods whose expressions are equal share one denotation per target
+    and one listener answer per trial.  An expression whose listener plan
+    has one reachable answer (``_ListenerPlan.fixed``) is not simulated,
+    and a trial's seed is derived only when some listener draws from it;
+    when no expression needs draws and no records are collected, the
+    trials are not walked.
     """
     assumed = cfg.assumed_prefs or default_preferences()
     stats = {m: MethodStats() for m in cfg.methods}
@@ -541,9 +547,11 @@ def run_comparison(cfg: TrialConfig, collect_records: bool = True) -> TrialRepor
                 chain = None
 
             # The distinct trees (None for no tree) in method order, each
-            # with its plan's fixed answer; ``group[method]`` indexes them.
+            # with its plan's fixed answer and the target's probability
+            # under its denotation; ``group[method]`` indexes them.
             trees: list[ExpressionTree | None] = []
             answers: list = []
+            expected: list[float] = []
             group: dict[str, int] = {}
             ks: dict[str, int | None] = {}
             strategy_seed = derive_seed(cfg.seed, "strategy", scene_idx, target_id)
@@ -555,18 +563,21 @@ def run_comparison(cfg: TrialConfig, collect_records: bool = True) -> TrialRepor
                     except GenerationError:  # e.g. the chain is over the complexity cap
                         tree = None
                 ks[method] = depth(tree) if tree is not None else None
+                if tree not in trees:
+                    trees.append(tree)
+                    if tree is None:
+                        answers.append(None)
+                        expected.append(0.0)
+                    else:
+                        answers.append(_listener_plan(tree, scene, cfg.true_prefs).fixed)
+                        expected.append(denote(tree, scene, cfg.true_prefs).get(target_id, 0.0))
+                group[method] = trees.index(tree)
                 st = stats[method]
                 st.n_expressions += 1
                 if tree is None:
                     st.n_failures += 1
                 else:
-                    d = denote(tree, scene, cfg.true_prefs)
-                    st.expected_sum += d.get(target_id, 0.0)
-                if tree not in trees:
-                    trees.append(tree)
-                    plan = None if tree is None else _listener_plan(tree, scene, cfg.true_prefs)
-                    answers.append(None if plan is None else plan.fixed)
-                group[method] = trees.index(tree)
+                    st.expected_sum += expected[group[method]]
 
             correct = [trials * (answer == target_id) for answer in answers]
             drawn = [i for i, answer in enumerate(answers) if answer is _DEPENDS_ON_DRAWS]

@@ -130,13 +130,19 @@ class Scene:
     table: TableExtent
     north: Vec = (0.0, 1.0)
     _by_id: dict = field(init=False, repr=False, compare=False, hash=False, default=None)
+    _speaker: Entity = field(init=False, repr=False, compare=False, hash=False, default=None)
+    _listener: Entity = field(init=False, repr=False, compare=False, hash=False, default=None)
+    _referable_ids: tuple = field(init=False, repr=False, compare=False, hash=False, default=None)
     _geometry: SceneGeometry | None = field(
         init=False, repr=False, compare=False, hash=False, default=None
     )
 
     def __post_init__(self):
-        _validate(self)
-        object.__setattr__(self, "_by_id", {e.id: e for e in self.entities})
+        by_id, speaker, listener, referable = _validate(self)
+        object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "_speaker", speaker)
+        object.__setattr__(self, "_listener", listener)
+        object.__setattr__(self, "_referable_ids", referable)
 
     @property
     def geometry(self) -> SceneGeometry:
@@ -158,32 +164,40 @@ class Scene:
 
     @property
     def speaker(self) -> Entity:
-        return next(e for e in self.entities if e.kind is EntityKind.SPEAKER)
+        return self._speaker
 
     @property
     def listener(self) -> Entity:
-        return next(e for e in self.entities if e.kind is EntityKind.LISTENER)
+        return self._listener
 
     def objects(self) -> tuple[Entity, ...]:
         return tuple(e for e in self.entities if e.kind is EntityKind.OBJECT)
 
     def referable_ids(self) -> tuple[str, ...]:
-        return tuple(e.id for e in self.entities if e.referable_as_target)
+        return self._referable_ids
 
 
-def _validate(scene: Scene) -> None:
-    seen: set[str] = set()
+def _validate(scene: Scene) -> tuple[dict, Entity, Entity, tuple[str, ...]]:
+    """Raise ``SceneError`` for the first invalid field; otherwise return
+    the scene's id index, speaker, listener and referable ids, all found in
+    the pass that checks ids and agents."""
+    by_id: dict[str, Entity] = {}
+    agents: dict[EntityKind, list[Entity]] = {EntityKind.SPEAKER: [], EntityKind.LISTENER: []}
+    referable = []
     for i, e in enumerate(scene.entities):
-        if e.id in seen:
+        if e.id in by_id:
             raise SceneError(f"entities[{i}].id", f"duplicate id {e.id!r}")
-        seen.add(e.id)
-        if e.kind in (EntityKind.SPEAKER, EntityKind.LISTENER) and e.heading is None:
-            raise SceneError(f"entities[{i}].heading", f"{e.kind.value} must have a heading")
-    for kind in (EntityKind.SPEAKER, EntityKind.LISTENER):
-        n = sum(1 for e in scene.entities if e.kind is kind)
-        if n == 0:
+        by_id[e.id] = e
+        if e.kind in agents:
+            if e.heading is None:
+                raise SceneError(f"entities[{i}].heading", f"{e.kind.value} must have a heading")
+            agents[e.kind].append(e)
+        if e.referable_as_target:
+            referable.append(e.id)
+    for kind, found in agents.items():
+        if not found:
             raise SceneError("entities", f"missing {kind.value}")
-        if n > 1:
+        if len(found) > 1:
             raise SceneError("entities", f"more than one {kind.value}")
     for i, e in enumerate(scene.entities):
         if not scene.table.contains(e.centroid):
@@ -203,6 +217,7 @@ def _validate(scene: Scene) -> None:
         and scene.table.min_corner[1] < scene.table.max_corner[1]
     ):
         raise SceneError("table", "min corner must be strictly below max corner")
+    return by_id, agents[EntityKind.SPEAKER][0], agents[EntityKind.LISTENER][0], tuple(referable)
 
 
 SCENE_SCHEMA = {

@@ -13,6 +13,7 @@ import weakref
 import pytest
 
 from helpers import random_tree
+from pcsreg import harness
 from pcsreg.frames import PreferenceTable, applicable_frames, default_preferences
 from pcsreg.harness import (
     _DEPENDS_ON_DRAWS,
@@ -422,3 +423,42 @@ def test_both_tally_paths_equal_the_reference_counts(objects, prefs_name, reques
     # One frame kind per landmark leaves every step at most one option.
     drawing = set() if prefs_name == "intrinsic_only" else {"draws"}
     assert kinds == {"no tree", "fixed"} | drawing
+
+
+@pytest.mark.parametrize("objects", [(3, 8), (8, 16)], ids=str)
+@pytest.mark.parametrize("prefs_name", ["default", "two_frame"])
+def test_each_distinct_tree_is_denoted_once_per_target(objects, prefs_name, request, monkeypatch):
+    true_prefs = request.getfixturevalue(f"{prefs_name}_prefs")
+    cfg = TrialConfig(
+        seed=5,
+        n_scenes=6,
+        trials_per_expression=3,
+        true_prefs=true_prefs,
+        methods=METHODS,
+        objects=objects,
+    )
+    want_calls = n_trees = 0
+    sums = {method: 0.0 for method in cfg.methods}
+    for _, scene, target_id, trees in comparison_trees(cfg):
+        distinct = []
+        for method, tree in trees.items():
+            if tree is None:
+                continue
+            n_trees += 1
+            if tree not in distinct:
+                distinct.append(tree)
+            sums[method] += denote(tree, scene, true_prefs).get(target_id, 0.0)
+        want_calls += len(distinct)
+    assert 0 < want_calls < n_trees
+
+    calls = []
+
+    def counting_denote(tree, scene, prefs):
+        calls.append(tree)
+        return denote(tree, scene, prefs)
+
+    monkeypatch.setattr(harness, "denote", counting_denote)
+    report = run_comparison(cfg, collect_records=False)
+    assert len(calls) == want_calls
+    for method, st in report.stats.items():
+        assert st.expected_accuracy == sums[method] / st.n_expressions

@@ -37,9 +37,11 @@ from pcsreg.harness import (
 from pcsreg.optimizer import ComplexityCapError, generate, select_best
 from pcsreg.prepositions import Preposition, relation
 from pcsreg.resolver import AttributePhrase, Compound, Leaf, consistent_set, denote
-from pcsreg.scene import LandmarkType, dump_scene, landmark_type
+from pcsreg.scene import LandmarkType, dump_scene, landmark_type, load_scene
 
-DEMO_CONFIG = Path(__file__).resolve().parent.parent / "demo" / "eval_config.json"
+DEMO_DIR = Path(__file__).resolve().parent.parent / "demo"
+DEMO_CONFIG = DEMO_DIR / "eval_config.json"
+DEMO_SCENES = ("facing_pair_square.json", "two_blocks_car.json")
 
 SQUARE_EXPR = Compound(
     AttributePhrase(category="object"),
@@ -49,6 +51,7 @@ SQUARE_EXPR = Compound(
 
 ALL_EGO = PreferenceTable({lt: (1.0, 0.0, 0.0, 0.0) for lt in LandmarkType})
 ALL_ADDR = PreferenceTable({lt: (0.0, 1.0, 0.0, 0.0) for lt in LandmarkType})
+INTRINSIC_ONLY = PreferenceTable({lt: (0.0, 0.0, 1.0, 0.0) for lt in LandmarkType})
 
 
 class TestSampleScene:
@@ -106,11 +109,10 @@ class TestSimulateListener:
         assert simulate_listener(tree, facing_square_scene, ALL_EGO, random.Random(0)) is None
 
     def test_confused_when_no_frame_applicable(self, facing_square_scene):
-        intrinsic_only = PreferenceTable({lt: (0.0, 0.0, 1.0, 0.0) for lt in LandmarkType})
         # The square is unoriented, so an intrinsic-only listener cannot
         # interpret a relation anchored at it.
         assert (
-            simulate_listener(SQUARE_EXPR, facing_square_scene, intrinsic_only, random.Random(0))
+            simulate_listener(SQUARE_EXPR, facing_square_scene, INTRINSIC_ONLY, random.Random(0))
             is None
         )
 
@@ -184,41 +186,52 @@ class TestSimulateListener:
         assert coupled > independent + 0.1 * n
 
 
-def reference_listener(tree, scene, true_prefs, rng, consistency_coupling=0.0):
-    """The uncompiled listener: recomputes every relation on every trial."""
+def reference_units(tree):
+    """The tree's relation units deepest-first, and the innermost phrase."""
     units = []
     node = tree
     while isinstance(node, Compound):
         units.append((node.head, node.prep))
         node = node.landmark
     units.reverse()
-    ids = consistent_set(node.head, scene)
+    return units, node.head
+
+
+def reference_options(head, prep, resolved, scene, true_prefs):
+    """The unit's adoptable frames at ``resolved`` as (kind, weight, survivors)."""
+    head_ids = sorted(consistent_set(head, scene))
+    row = true_prefs.row(landmark_type(resolved))
+    options = []
+    for kind in FRAME_ORDER:
+        p = row[kind.order]
+        if p <= 0.0:
+            continue
+        if kind is FrameKind.INTRINSIC:
+            if not supports_intrinsic(resolved):
+                continue
+            frame = FrameInstance(kind, resolved.id, heading_vec(resolved.heading))
+        else:
+            frame = frame_instance(kind, scene)
+        survivors = [
+            eid
+            for eid in head_ids
+            if eid != resolved.id and relation(scene.entity(eid), resolved, frame) is prep
+        ]
+        if survivors:
+            options.append((kind, p, survivors))
+    return options
+
+
+def reference_listener(tree, scene, true_prefs, rng, consistency_coupling=0.0):
+    """The uncompiled listener: recomputes every relation on every trial."""
+    units, anchor = reference_units(tree)
+    ids = consistent_set(anchor, scene)
     if not ids:
         return None
     resolved = scene.entity(min(ids))
     prev_kind = None
     for head, prep in units:
-        head_ids = sorted(consistent_set(head, scene))
-        row = true_prefs.row(landmark_type(resolved))
-        options = []
-        for kind in FRAME_ORDER:
-            p = row[kind.order]
-            if p <= 0.0:
-                continue
-            if kind is FrameKind.INTRINSIC:
-                if not supports_intrinsic(resolved):
-                    continue
-                frame = FrameInstance(kind, resolved.id, heading_vec(resolved.heading))
-            else:
-                frame = frame_instance(kind, scene)
-            survivors = [
-                eid
-                for eid in head_ids
-                if eid != resolved.id and relation(scene.entity(eid), resolved, frame) is prep
-            ]
-            if not survivors:
-                continue
-            options.append((kind, p, survivors))
+        options = reference_options(head, prep, resolved, scene, true_prefs)
         if not options:
             return None
         total = sum(p for _, p, _ in options)
@@ -265,8 +278,7 @@ class TestListenerEquivalence:
 
     @pytest.mark.parametrize("objects", [(3, 8), (8, 16)])
     def test_matches_reference(self, objects, default_prefs, two_frame_prefs):
-        intrinsic_only = PreferenceTable({lt: (0.0, 0.0, 1.0, 0.0) for lt in LandmarkType})
-        tables = (default_prefs, two_frame_prefs, intrinsic_only)
+        tables = (default_prefs, two_frame_prefs, INTRINSIC_ONLY)
         calls = confused = 0
         for seed in range(100):
             scene = sample_scene(derive_seed("listener", seed), objects=objects)
@@ -309,29 +321,73 @@ class TestListenerEquivalence:
         assert 0 < confused < calls
 
 
+def reference_reachable(tree, scene, true_prefs):
+    """Every answer of the uncompiled listener over every option of every
+    unit, by enumerating each path of options."""
+    units, anchor = reference_units(tree)
+    ids = consistent_set(anchor, scene)
+    if not ids:
+        return {None}
+
+    def walk(level, resolved):
+        if level == len(units):
+            return {resolved.id}
+        head, prep = units[level]
+        options = reference_options(head, prep, resolved, scene, true_prefs)
+        if not options:
+            return {None}
+        return set().union(
+            *(walk(level + 1, scene.entity(survivors[0])) for _, _, survivors in options)
+        )
+
+    return walk(0, scene.entity(min(ids)))
+
+
 def test_fixed_plans_answer_every_draw(default_prefs, two_frame_prefs):
-    intrinsic_only = PreferenceTable({lt: (0.0, 0.0, 1.0, 0.0) for lt in LandmarkType})
     answers = []
-    drawing = 0
+    drawing = branching = 0
     for seed in range(30):
         scene = sample_scene(derive_seed("fixed", seed), objects=(3, 8))
         rng = random.Random(seed)
         trees = list(method_trees(scene, default_prefs, seed))
         trees += [random_tree(scene, rng, max_depth=3) for _ in range(4)]
         for tree in trees:
-            for prefs in (default_prefs, two_frame_prefs, intrinsic_only):
-                fixed = _listener_plan(tree, scene, prefs).fixed
+            for prefs in (default_prefs, two_frame_prefs, INTRINSIC_ONLY):
+                plan = _listener_plan(tree, scene, prefs)
+                fixed = plan.fixed
                 if fixed is _DEPENDS_ON_DRAWS:
                     drawing += 1
                     continue
                 answers.append(fixed)
+                # A step with several options whose paths all end alike.
+                branching += any(len(options) > 1 for options, _ in plan.steps.values())
                 for s in range(20):
                     for coupling in (0.0, 0.5, 1.0):
                         for listener in (simulate_listener, reference_listener):
                             rng = random.Random(s)
                             assert listener(tree, scene, prefs, rng, coupling) == fixed
-    assert drawing > 0
+    assert drawing > 0 and branching > 0
     assert None in answers and len(set(answers)) > 10
+
+
+@pytest.mark.parametrize("source", ["demo", (3, 8), (8, 16)], ids=str)
+def test_fixed_is_the_one_reachable_answer(source, default_prefs, two_frame_prefs):
+    if source == "demo":
+        scenes = [load_scene(DEMO_DIR / name) for name in DEMO_SCENES]
+    else:
+        scenes = [sample_scene(derive_seed("reachable", seed), objects=source) for seed in range(50)]
+    n_reachable = set()
+    for i, scene in enumerate(scenes):
+        rng = random.Random(i)
+        trees = list(method_trees(scene, default_prefs, i))
+        trees += [random_tree(scene, rng, max_depth=3) for _ in range(6)]
+        for tree in trees:
+            for prefs in (default_prefs, two_frame_prefs, INTRINSIC_ONLY):
+                reachable = reference_reachable(tree, scene, prefs)
+                n_reachable.add(min(len(reachable), 2))
+                want = reachable.pop() if len(reachable) == 1 else _DEPENDS_ON_DRAWS
+                assert _listener_plan(tree, scene, prefs).fixed == want, tree
+    assert n_reachable == {1, 2}
 
 
 GOLDEN_DIGESTS = {
