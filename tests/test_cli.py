@@ -747,3 +747,40 @@ def test_loaders_accept_only_what_the_schemas_accept():
     for schema, loader, doc in cases[:5]:
         assert jsonschema.Draft7Validator(schema).is_valid(doc) and _accepts(loader, doc)
     assert rejected > checked // 2
+
+
+# One sha256 per demo scene over the stdout of the generate, explain and
+# resolve runs in ``_golden_stdout``.
+GOLDEN_CLI_STDOUT = {
+    "two_blocks_car.json": "81e8fd9444a4c59553e820dd0ae5e17b4b77514c5d97c6a02c4e131e38beeeaf",
+    "facing_pair_square.json": "e8c0ae3b15bc17f38bffdd964307bba45652af1261123ec731d2782516808c15",
+}
+
+
+def _golden_stdout(path: Path, capsys) -> bytes:
+    """Exit codes and stdout of ``generate --json --seed 7`` for every
+    referable target and method, ``explain`` for every target, and
+    ``resolve --json`` of each generated surface for its target."""
+    out = []
+
+    def run(*argv):
+        code = cli.main([argv[0], "--scene", str(path), *argv[1:]])
+        text = capsys.readouterr().out
+        out.append(f"{' '.join(argv)}\n{code}\n{text}")
+        return code, text
+
+    for target in load_scene(path).referable_ids():
+        for method in METHODS:
+            code, text = run(
+                "generate", "--target", target, "--method", method, "--seed", "7", "--json"
+            )
+            if code == 0:
+                run("resolve", "--expr", json.loads(text)["surface"], "--target", target, "--json")
+        run("explain", "--target", target)
+    return "".join(out).encode()
+
+
+@pytest.mark.parametrize("scene_file", DEMO_SCENES)
+def test_cli_stdout_bytes_are_golden(scene_file, capsys):
+    stdout = _golden_stdout(DEMO / scene_file, capsys)
+    assert hashlib.sha256(stdout).hexdigest() == GOLDEN_CLI_STDOUT[scene_file]
