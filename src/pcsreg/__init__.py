@@ -22,7 +22,6 @@ from .generator import (
     CandidateExpression,
     GenerationError,
     LandmarkChain,
-    LandmarkStack,
     Strategy,
     VisualDescription,
     build_landmark_chain,

@@ -42,12 +42,7 @@ class FrameKind(enum.Enum):
         return FRAME_ORDER.index(self)
 
 
-FRAME_ORDER: tuple[FrameKind, ...] = (
-    FrameKind.EGOCENTRIC,
-    FrameKind.ADDRESSEE,
-    FrameKind.INTRINSIC,
-    FrameKind.EXTRINSIC,
-)
+FRAME_ORDER: tuple[FrameKind, ...] = tuple(FrameKind)
 
 
 @dataclass(frozen=True)
@@ -134,12 +129,7 @@ _DEFAULT_ROWS: dict[LandmarkType, Row] = {
     LandmarkType.UNORIENTED_OBJECT: (0.6667, 0.2014, 0.1181, 0.0138),
 }
 
-_FILE_KEYS = {
-    "speaker": LandmarkType.SPEAKER,
-    "listener": LandmarkType.LISTENER,
-    "oriented_object": LandmarkType.ORIENTED_OBJECT,
-    "unoriented_object": LandmarkType.UNORIENTED_OBJECT,
-}
+_FILE_KEYS = {lt.value: lt for lt in LandmarkType}
 
 
 def _renormalize(row: Sequence[float]) -> Row:

@@ -6,8 +6,9 @@ to single it out, candidate landmarks are tried in order of increasing
 frame-preference entropy until one separates the target from every
 same-description distractor under the generation-time default frame.  The
 selected landmark becomes the new thing to describe and the loop repeats
-until some landmark is uniquely describable.  Selected landmarks live on a
-stack; popping them yields the nesting of the final expression.
+until some landmark is uniquely describable.  The selected landmarks, in
+push order with the anchor last, are the paper's stack model: popping them
+yields the nesting of the final expression.
 
 Second, the per-unit preference distributions are run through the
 content-window update; if any distribution changes, landmark selection is
@@ -67,25 +68,6 @@ class VisualDescription:
 
 
 @dataclass(frozen=True)
-class LandmarkStack:
-    """Selected landmarks paired with their own visual descriptions, in
-    push order; the final push is the uniquely-describable anchor."""
-
-    entries: tuple[tuple[str, VisualDescription], ...]
-
-    def __post_init__(self):
-        ids = [eid for eid, _ in self.entries]
-        if len(ids) != len(set(ids)):
-            raise ValueError(f"landmark repeated in stack: {ids}")
-
-    def ids(self) -> tuple[str, ...]:
-        return tuple(eid for eid, _ in self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
-@dataclass(frozen=True)
 class Strategy:
     """One frame assignment per relation unit: (kind, origin entity id)."""
 
@@ -115,7 +97,7 @@ class LandmarkChain:
     """Everything landmark selection produced for one target."""
 
     target: str
-    stack: LandmarkStack
+    landmarks: tuple[str, ...]  # push order, the anchor last
     descriptions: tuple[VisualDescription, ...]  # target first, anchor last
     state: PreferenceState
     default_frame: FrameInstance
@@ -124,7 +106,7 @@ class LandmarkChain:
 
     @property
     def k(self) -> int:
-        return len(self.stack)
+        return len(self.landmarks)
 
 
 def _person_phrase(entity: Entity) -> AttributePhrase:
@@ -266,12 +248,9 @@ def build_landmark_chain(
             state = new_state
             break
 
-    stack = LandmarkStack(
-        tuple((eid, descriptions[i + 1]) for i, eid in enumerate(landmark_ids))
-    )
     return LandmarkChain(
         target=target_id,
-        stack=stack,
+        landmarks=tuple(landmark_ids),
         descriptions=tuple(descriptions),
         state=state,
         default_frame=default_frame,
@@ -289,10 +268,10 @@ def unit_options(
     under that frame: the target for the first unit, then each landmark in
     turn.
     """
-    sources = (chain.target,) + chain.stack.ids()[:-1]
+    sources = (chain.target,) + chain.landmarks[:-1]
     return [
         [(p.frame, p.relation_of(src_id)) for p in partitions(scene.entity(lm_id), scene)]
-        for src_id, lm_id in zip(sources, chain.stack.ids())
+        for src_id, lm_id in zip(sources, chain.landmarks)
     ]
 
 
@@ -355,8 +334,7 @@ def verify_chain_discrimination(chain: LandmarkChain, scene: Scene) -> bool:
     """
     domain = set(scene.referable_ids())
     current = chain.target
-    for i, (lm_id, _) in enumerate(chain.stack.entries):
-        d_vf = chain.descriptions[i]
+    for d_vf, lm_id in zip(chain.descriptions, chain.landmarks):
         matching = consistent_set(d_vf.attrs, scene, within=domain)
         distractors = sorted(matching - {current})
         lm = scene.entity(lm_id)

@@ -44,6 +44,7 @@ from .resolver import (
     consistent_set,
     denote,
     depth,
+    spine,
 )
 from .scene import Entity, EntityKind, Scene, TableExtent, check_document, landmark_type
 
@@ -146,16 +147,6 @@ def sample_scene(
 # --- simulated listener -------------------------------------------------------
 
 
-def _units_bottom_up(tree: ExpressionTree):
-    """Relation units deepest-first, plus the innermost leaf phrase."""
-    units = []
-    node = tree
-    while isinstance(node, Compound):
-        units.append((node.head, node.prep))
-        node = node.landmark
-    return list(reversed(units)), node.head
-
-
 # ``_ListenerPlan.fixed`` when the listener's answer depends on its draws.
 _DEPENDS_ON_DRAWS = object()
 
@@ -180,11 +171,11 @@ class _ListenerPlan:
     """
 
     def __init__(self, tree: ExpressionTree, scene: Scene, prefs: PreferenceTable):
-        units, anchor = _units_bottom_up(tree)
-        ids = consistent_set(anchor, scene)
+        units, leaf = spine(tree)
+        ids = consistent_set(leaf.head, scene)
         self.prefs = prefs
         self.anchor = min(ids) if ids else None
-        self.units = [(sorted(consistent_set(head, scene)), prep) for head, prep in units]
+        self.units = [(sorted(consistent_set(u.head, scene)), u.prep) for u in reversed(units)]
         self.steps: dict[tuple[int, str], tuple[list, float]] = {}
         self.fixed = self._fixed_answer(scene)
 

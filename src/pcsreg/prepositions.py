@@ -41,12 +41,7 @@ class Preposition(enum.Enum):
         return PREPOSITION_ORDER.index(self)
 
 
-PREPOSITION_ORDER: tuple[Preposition, ...] = (
-    Preposition.FRONT,
-    Preposition.BEHIND,
-    Preposition.LEFT,
-    Preposition.RIGHT,
-)
+PREPOSITION_ORDER: tuple[Preposition, ...] = tuple(Preposition)
 
 
 def _axis(prep: Preposition, frame: FrameInstance) -> Vec:

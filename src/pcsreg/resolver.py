@@ -81,13 +81,19 @@ class Compound:
 ExpressionTree = Union[Leaf, Compound]
 
 
+def spine(tree: ExpressionTree) -> tuple[list[Compound], Leaf]:
+    """The relation units, outermost first, and the innermost leaf (a loop,
+    so depth is not bounded by the interpreter's recursion limit)."""
+    units = []
+    while isinstance(tree, Compound):
+        units.append(tree)
+        tree = tree.landmark
+    return units, tree
+
+
 def depth(tree: ExpressionTree) -> int:
     """Number of relation units (the expression's complexity)."""
-    d = 0
-    while isinstance(tree, Compound):
-        d += 1
-        tree = tree.landmark
-    return d
+    return len(spine(tree)[0])
 
 
 def consistent_set(
@@ -127,11 +133,6 @@ class Denotation:
     def unresolvable(self) -> bool:
         return self.probs is None
 
-    def __getitem__(self, entity_id: str) -> float:
-        if self.probs is None:
-            raise KeyError("unresolvable denotation has no entries")
-        return self.probs[entity_id]
-
     def get(self, entity_id: str, default: float = 0.0) -> float:
         if self.probs is None:
             return default
@@ -151,19 +152,15 @@ def _denote_full(
     tree: ExpressionTree, scene: Scene, prefs: PreferenceTable
 ) -> dict[str, float] | None:
     """The innermost leaf's distribution, carried out through each relation
-    unit from the innermost outwards (a loop, so depth is not bounded by
-    the interpreter's recursion limit)."""
-    spine = []
-    while isinstance(tree, Compound):
-        spine.append(tree)
-        tree = tree.landmark
-    ids = consistent_set(tree.head, scene)
+    unit from the innermost outwards."""
+    units, leaf = spine(tree)
+    ids = consistent_set(leaf.head, scene)
     if not ids:
         return None
     p = 1.0 / len(ids)
     child = {e.id: p for e in scene.entities if e.id in ids}
 
-    for node in reversed(spine):
+    for node in reversed(units):
         pp = {e.id: 0.0 for e in scene.entities}
         side = node.prep.order
         for lm_id, p_child in child.items():
@@ -321,19 +318,17 @@ def phrase_to_dict(phrase: AttributePhrase) -> dict:
 def phrase_from_dict(doc: dict) -> AttributePhrase:
     if not isinstance(doc, dict):
         raise ParseError(f"phrase must be an object, got {doc!r}")
-    if "person" in doc:
-        try:
-            return AttributePhrase(person=PersonRef(doc["person"]))
-        except ValueError:
-            raise ParseError(f"unknown person {doc['person']!r}") from None
-    for key in ATTRIBUTE_SLOTS:
-        value = doc.get(key)
+    fields = {key: doc.get(key) for key in ATTRIBUTE_SLOTS}
+    for key, value in fields.items():
         if value is not None and not isinstance(value, str):
             raise ParseError(f"phrase field {key!r} must be a string or null, got {value!r}")
+    if "person" in doc:
+        try:
+            fields["person"] = PersonRef(doc["person"])
+        except ValueError:
+            raise ParseError(f"unknown person {doc['person']!r}") from None
     try:
-        return AttributePhrase(
-            category=doc.get("category"), color=doc.get("color"), shape=doc.get("shape")
-        )
+        return AttributePhrase(**fields)
     except ValueError as exc:
         raise ParseError(str(exc)) from None
 

@@ -130,8 +130,8 @@ class Scene:
     table: TableExtent
     north: Vec = (0.0, 1.0)
     _by_id: dict = field(init=False, repr=False, compare=False, hash=False, default=None)
-    _speaker: Entity = field(init=False, repr=False, compare=False, hash=False, default=None)
-    _listener: Entity = field(init=False, repr=False, compare=False, hash=False, default=None)
+    speaker: Entity = field(init=False, repr=False, compare=False, hash=False, default=None)
+    listener: Entity = field(init=False, repr=False, compare=False, hash=False, default=None)
     _referable_ids: tuple = field(init=False, repr=False, compare=False, hash=False, default=None)
     _geometry: SceneGeometry | None = field(
         init=False, repr=False, compare=False, hash=False, default=None
@@ -140,8 +140,8 @@ class Scene:
     def __post_init__(self):
         by_id, speaker, listener, referable = _validate(self)
         object.__setattr__(self, "_by_id", by_id)
-        object.__setattr__(self, "_speaker", speaker)
-        object.__setattr__(self, "_listener", listener)
+        object.__setattr__(self, "speaker", speaker)
+        object.__setattr__(self, "listener", listener)
         object.__setattr__(self, "_referable_ids", referable)
 
     @property
@@ -161,14 +161,6 @@ class Scene:
 
     def has_entity(self, entity_id: str) -> bool:
         return entity_id in self._by_id
-
-    @property
-    def speaker(self) -> Entity:
-        return self._speaker
-
-    @property
-    def listener(self) -> Entity:
-        return self._listener
 
     def objects(self) -> tuple[Entity, ...]:
         return tuple(e for e in self.entities if e.kind is EntityKind.OBJECT)

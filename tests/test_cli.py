@@ -239,6 +239,13 @@ class TestResolve:
             "resolve", "--scene", str(scene_paths["blocks"]), "--expr", "the block near the car"
         )
         assert topo.returncode == 5
+        person = run_cli(
+            "resolve", "--scene", str(scene_paths["blocks"]),
+            "--expr", json.dumps({"head": {"person": "speaker", "category": "block"}}),
+        )
+        assert person.returncode == 5
+        assert "person phrase cannot carry visual attributes" in person.stderr
+        assert "Traceback" not in person.stderr
 
     def test_missing_expression_file_exits_5(self, scene_paths, tmp_path):
         out = run_cli(

@@ -6,9 +6,7 @@ from pcsreg.frames import FrameInstance, FrameKind, frame_instance
 from pcsreg.generator import (
     MAX_CHAIN_REBUILDS,
     GenerationError,
-    LandmarkStack,
     NoDiscriminatingLandmarkError,
-    VisualDescription,
     build_landmark_chain,
     describe_visual,
     expression_space,
@@ -122,7 +120,7 @@ class TestBuildChain:
     def test_blocks_car_chain(self, blocks_car_scene, default_prefs):
         chain = build_landmark_chain("blk_a", blocks_car_scene, default_prefs)
         assert chain.k == 1
-        assert chain.stack.ids() == ("car1",)
+        assert chain.landmarks == ("car1",)
         assert [d.attrs for d in chain.descriptions] == [
             AttributePhrase(category="block", color="yellow"),
             AttributePhrase(category="car"),
@@ -138,7 +136,7 @@ class TestBuildChain:
 
     def test_update_rebuild_fixed_point(self, update_chain_scene, default_prefs):
         chain = build_landmark_chain("blk_a", update_chain_scene, default_prefs)
-        assert chain.stack.ids() == ("cub1", "car1")
+        assert chain.landmarks == ("cub1", "car1")
         # The cuboid unit adopted its right neighbor's (oriented) row.
         oriented = default_prefs.row(LandmarkType.ORIENTED_OBJECT)
         assert chain.state.distributions == (oriented, oriented)
@@ -157,7 +155,7 @@ class TestBuildChain:
             table=TableExtent((-1.5, -1.5), (1.5, 1.5)),
         )
         chain = build_landmark_chain("blk_a", scene, default_prefs)
-        assert chain.stack.ids() == ("listener",)
+        assert chain.landmarks == ("listener",)
         assert chain.descriptions[-1].attrs == AttributePhrase(person=PersonRef.LISTENER)
 
     def test_rejects_non_referable_target(self, blocks_car_scene, default_prefs):
@@ -203,7 +201,7 @@ class TestBuildChain:
                 turned_chain = build_landmark_chain(
                     target, scene, default_prefs, default_frame=turned
                 )
-                assert turned_chain.stack.ids() == base_chain.stack.ids()
+                assert turned_chain.landmarks == base_chain.landmarks
 
     def test_oscillating_rebuild_stops_at_the_cap(self, default_prefs):
         # With the default table the rebuild for cup6 alternates between two
@@ -245,7 +243,7 @@ class TestExpressionSpace:
             table=TableExtent((-1.5, -1.5), (1.5, 1.5)),
         )
         chain = build_landmark_chain("blk_a", scene, default_prefs)
-        assert chain.stack.ids() == ("cub1",)
+        assert chain.landmarks == ("cub1",)
         space = expression_space(chain, scene)
         assert len(space) == 3
         assert FrameKind.INTRINSIC not in {c.strategy.kinds[0] for c in space}
@@ -300,11 +298,6 @@ class TestRealize:
 
 
 class TestStack:
-    def test_rejects_duplicates(self):
-        d = VisualDescription(AttributePhrase(category="car"), True)
-        with pytest.raises(ValueError):
-            LandmarkStack((("car1", d), ("car1", d)))
-
     def test_domain_shrinks_monotonically(self, default_prefs):
         # Chains can never exceed the entity count.
         for seed in range(15):
@@ -315,5 +308,5 @@ class TestStack:
                 except GenerationError:
                     continue
                 assert chain.k <= len(scene.entities)
-                assert len(set(chain.stack.ids())) == chain.k
+                assert len(set(chain.landmarks)) == chain.k
                 assert verify_chain_discrimination(chain, scene)

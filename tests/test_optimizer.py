@@ -171,7 +171,7 @@ class TestGreedyMax:
             table=TableExtent((-1.5, -1.5), (1.5, 1.5)),
         )
         chain = build_landmark_chain("blk_a", scene, default_prefs)
-        assert chain.stack.ids() == ("listener",)
+        assert chain.landmarks == ("listener",)
         cand = generate("max", chain, scene, default_prefs)
         assert cand.strategy.kinds == (FrameKind.ADDRESSEE,)
 
@@ -192,7 +192,7 @@ class TestGreedyMax:
             table=TableExtent((-1.5, -1.5), (1.5, 1.5)),
         )
         chain = build_landmark_chain("blk_a", scene, default_prefs)
-        assert chain.stack.ids() == ("cub1",)
+        assert chain.landmarks == ("cub1",)
         cand = generate("max", chain, scene, default_prefs)
         assert cand.strategy.kinds == (FrameKind.EGOCENTRIC,)
 

@@ -57,6 +57,7 @@ def test_relation_square_scene(facing_square_scene):
 
 
 def test_relation_tie_on_boundary_prefers_canonical_order():
+    assert [p.value for p in PREPOSITION_ORDER] == ["front", "behind", "left", "right"]
     tie = relation((1.0, 1.0), (0.0, 0.0), EGO_UP)
     assert tie is Preposition.FRONT  # front beats right on the exact boundary
     assert relation((1.0, -1.0), (0.0, 0.0), EGO_UP) is Preposition.BEHIND

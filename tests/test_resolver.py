@@ -237,6 +237,13 @@ def test_phrase_fields_must_be_strings(field, value):
         tree_from_dict(nested)
 
 
+@pytest.mark.parametrize("field", ["category", "color", "shape"])
+def test_person_phrase_rejects_visual_fields(field):
+    doc = {"head": {"person": "speaker", field: "block"}}
+    with pytest.raises(ParseError, match="person phrase cannot carry visual attributes"):
+        tree_from_dict(doc)
+
+
 def test_phrase_fields_may_be_null():
     doc = {"head": {"category": "block", "color": None, "shape": None}}
     assert tree_from_dict(doc) == Leaf(AttributePhrase(category="block"))
@@ -246,5 +253,3 @@ def test_denotation_marker_behaviour():
     d = Denotation(None)
     assert d.unresolvable
     assert d.get("anything") == 0.0
-    with pytest.raises(KeyError):
-        d["anything"]
