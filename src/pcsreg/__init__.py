@@ -9,7 +9,6 @@ evaluation harness.
 from .frames import (
     FrameInstance,
     FrameKind,
-    PreferenceState,
     PreferenceTable,
     applicable_frames,
     default_preferences,
@@ -22,7 +21,6 @@ from .generator import (
     CandidateExpression,
     GenerationError,
     LandmarkChain,
-    Strategy,
     VisualDescription,
     build_landmark_chain,
     describe_visual,
@@ -31,6 +29,7 @@ from .generator import (
     select_landmark,
 )
 from .harness import (
+    ListenerPlan,
     TrialConfig,
     TrialReport,
     oracle_denote,

@@ -122,9 +122,7 @@ def _check_target(scene: Scene, target: str) -> None:
 
 
 def _strategy_json(strategy) -> list[dict]:
-    return [
-        {"kind": kind.value, "origin": origin} for kind, origin in strategy.assignments
-    ]
+    return [{"kind": kind.value, "origin": origin} for kind, origin in strategy]
 
 
 def cmd_generate(args) -> int:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence, Union
 
-from .geometry import Vec, heading_vec, opposite, quarter_left, quarter_right
+from .geometry import Vec, heading_vec
 from .scene import Entity, LandmarkType, Scene, check_document, landmark_type, read_json
 
 ROW_SUM_TOL = 1e-9
@@ -50,25 +50,12 @@ class FrameInstance:
     """A frame kind bound to a concrete origin in a scene.
 
     ``front_axis`` is the origin's view direction (scene north for the
-    extrinsic frame).  Right is the viewer's right seen from above, i.e. a
-    clockwise quarter turn of front.
+    extrinsic frame); ``prepositions`` derives the other axes from it.
     """
 
     kind: FrameKind
     origin_entity: str | None
     front_axis: Vec
-
-    @property
-    def right_axis(self) -> Vec:
-        return quarter_right(self.front_axis)
-
-    @property
-    def behind_axis(self) -> Vec:
-        return opposite(self.front_axis)
-
-    @property
-    def left_axis(self) -> Vec:
-        return quarter_left(self.front_axis)
 
 
 def frame_instance(
@@ -218,39 +205,24 @@ def preference_entropy(p: Sequence[float]) -> float:
     return -sum(v * math.log2(v) for v in p if v > 0.0)
 
 
-@dataclass(frozen=True)
-class PreferenceState:
-    """Per relation-unit preference distributions for one landmark chain.
-
-    Index 0 is the leftmost (shallowest) unit; the last index is the chain
-    anchor.
-    """
-
-    distributions: tuple[Row, ...]
-
-    def __post_init__(self):
-        for row in self.distributions:
-            if abs(sum(row) - 1.0) > ROW_SUM_TOL:
-                raise FrameError(f"unit distribution does not sum to 1: {row}")
-
-
 def update_preferences(
-    state: PreferenceState, chain_types: Sequence[LandmarkType]
-) -> PreferenceState:
+    distributions: tuple[Row, ...], chain_types: Sequence[LandmarkType]
+) -> tuple[Row, ...]:
     """One simultaneous content-window update of the per-unit distributions.
 
-    The window couples each unit to its neighbor one step to the right in
-    the surface string: a unit whose landmark has no orientation adopts the
+    ``distributions`` holds one row per relation unit of a landmark chain,
+    the leftmost (shallowest) unit first and the chain anchor last.  The
+    window couples each unit to its neighbor one step to the right in the
+    surface string: a unit whose landmark has no orientation adopts the
     current distribution of that neighbor (the next-deeper unit).  All other
     units, and the rightmost unit, are unchanged.
     """
-    if len(state.distributions) != len(chain_types):
+    if len(distributions) != len(chain_types):
         raise FrameError(
-            f"state length {len(state.distributions)} does not match chain length {len(chain_types)}"
+            f"{len(distributions)} distributions for a chain of length {len(chain_types)}"
         )
-    old = state.distributions
-    new = list(old)
-    for i, lt in enumerate(chain_types):
-        if lt is LandmarkType.UNORIENTED_OBJECT and i + 1 < len(old):
-            new[i] = old[i + 1]
-    return PreferenceState(tuple(new))
+    new = list(distributions)
+    for i, lt in enumerate(chain_types[:-1]):
+        if lt is LandmarkType.UNORIENTED_OBJECT:
+            new[i] = distributions[i + 1]
+    return tuple(new)

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from .frames import (
     FrameInstance,
     FrameKind,
-    PreferenceState,
     PreferenceTable,
+    Row,
     frame_instance,
     preference_entropy,
     update_preferences,
@@ -68,27 +68,9 @@ class VisualDescription:
 
 
 @dataclass(frozen=True)
-class Strategy:
-    """One frame assignment per relation unit: (kind, origin entity id)."""
-
-    assignments: tuple[tuple[FrameKind, str | None], ...]
-
-    @property
-    def kinds(self) -> tuple[FrameKind, ...]:
-        return tuple(kind for kind, _ in self.assignments)
-
-    @property
-    def consistent(self) -> bool:
-        return len(set(self.kinds)) <= 1
-
-    def __len__(self) -> int:
-        return len(self.assignments)
-
-
-@dataclass(frozen=True)
 class CandidateExpression:
     tree: ExpressionTree
-    strategy: Strategy
+    strategy: tuple[tuple[FrameKind, str | None], ...]  # (kind, origin id) per relation unit
     surface: str
 
 
@@ -99,7 +81,7 @@ class LandmarkChain:
     target: str
     landmarks: tuple[str, ...]  # push order, the anchor last
     descriptions: tuple[VisualDescription, ...]  # target first, anchor last
-    state: PreferenceState
+    distributions: tuple[Row, ...]  # settled frame preferences per unit, shallowest first
     default_frame: FrameInstance
     iterations: int  # outer (re)build passes, for convergence checks
     converged: bool = True
@@ -200,7 +182,7 @@ def build_landmark_chain(
     Runs landmark selection to completion, applies the content-window
     preference update, and rebuilds the chain while any per-unit
     distribution changes.  The returned chain carries the fixed-point
-    preference state and the number of build passes taken.
+    per-unit distributions and the number of build passes taken.
     """
     if not scene.has_entity(target_id):
         raise GenerationError(f"no entity with id {target_id!r}")
@@ -236,23 +218,22 @@ def build_landmark_chain(
             current = lm
 
         chain_types = [landmark_type(scene.entity(eid)) for eid in landmark_ids]
-        state = PreferenceState(tuple(entity_rows[eid] for eid in landmark_ids))
-        new_state = update_preferences(state, chain_types)
-        if new_state.distributions == state.distributions:
+        distributions = tuple(entity_rows[eid] for eid in landmark_ids)
+        updated = update_preferences(distributions, chain_types)
+        if updated == distributions:
             converged = True
-            state = new_state
             break
-        for eid, row in zip(landmark_ids, new_state.distributions):
+        for eid, row in zip(landmark_ids, updated):
             entity_rows[eid] = row
         if iterations >= MAX_CHAIN_REBUILDS:
-            state = new_state
+            distributions = updated
             break
 
     return LandmarkChain(
         target=target_id,
         landmarks=tuple(landmark_ids),
         descriptions=tuple(descriptions),
-        state=state,
+        distributions=distributions,
         default_frame=default_frame,
         iterations=iterations,
         converged=converged,
@@ -288,7 +269,7 @@ def candidate(
     tree: ExpressionTree = Leaf(chain.descriptions[-1].attrs)
     for i in range(chain.k - 1, -1, -1):
         tree = Compound(chain.descriptions[i].attrs, picks[i][1], tree)
-    strategy = Strategy(tuple((frame.kind, frame.origin_entity) for frame, _ in picks))
+    strategy = tuple((frame.kind, frame.origin_entity) for frame, _ in picks)
     return CandidateExpression(tree, strategy, realize(tree))
 
 

@@ -5,7 +5,8 @@ method for every target whose visual description is ambiguous, and measures
 how often a simulated listener identifies the intended target.  All
 randomness is derived from the master seed through stable hashes, so trials
 are reproducible and all methods see identical listener randomness on the
-same trial.
+same trial.  The listener reads a ``ListenerPlan``, which its caller
+compiles once per expression, scene and true-preference table.
 
 ``oracle_denote`` is an independent check on the recursive resolution
 model: it enumerates every joint assignment of a concrete landmark and a
@@ -147,13 +148,13 @@ def sample_scene(
 # --- simulated listener -------------------------------------------------------
 
 
-# ``_ListenerPlan.fixed`` when the listener's answer depends on its draws.
+# ``ListenerPlan.fixed`` when the listener's answer depends on its draws.
 _DEPENDS_ON_DRAWS = object()
 
 
-class _ListenerPlan:
+class ListenerPlan:
     """One expression tree compiled against a scene and the true preference
-    table ``prefs`` for the listener.
+    table ``prefs`` for the listener; ``simulate_listener`` reads it.
 
     ``anchor`` is the innermost phrase's referent (None if nothing matches)
     and ``units`` holds each relation unit's sorted head ids and
@@ -173,18 +174,19 @@ class _ListenerPlan:
     def __init__(self, tree: ExpressionTree, scene: Scene, prefs: PreferenceTable):
         units, leaf = spine(tree)
         ids = consistent_set(leaf.head, scene)
+        self.scene = scene
         self.prefs = prefs
         self.anchor = min(ids) if ids else None
         self.units = [(sorted(consistent_set(u.head, scene)), u.prep) for u in reversed(units)]
         self.steps: dict[tuple[int, str], tuple[list, float]] = {}
-        self.fixed = self._fixed_answer(scene)
+        self.fixed = self._fixed_answer()
 
-    def _fixed_answer(self, scene: Scene):
+    def _fixed_answer(self):
         reachable = {self.anchor}
         for level in range(len(self.units)):
             after = set()
             for resolved in reachable:
-                options = self.step(level, resolved, scene)[0] if resolved is not None else ()
+                options = self.step(level, resolved)[0] if resolved is not None else ()
                 if options:
                     after.update(survivor for _, _, survivor in options)
                 else:
@@ -192,16 +194,16 @@ class _ListenerPlan:
             reachable = after
         return next(iter(reachable)) if len(reachable) == 1 else _DEPENDS_ON_DRAWS
 
-    def step(self, level: int, resolved_id: str, scene: Scene):
+    def step(self, level: int, resolved_id: str):
         """The unit's adoptable options and their total weight, memoized."""
         key = (level, resolved_id)
         entry = self.steps.get(key)
         if entry is None:
             head_ids, prep = self.units[level]
-            resolved = scene.entity(resolved_id)
+            resolved = self.scene.entity(resolved_id)
             row = self.prefs.row(landmark_type(resolved))
             options = []
-            for part in partitions(resolved, scene):
+            for part in partitions(resolved, self.scene):
                 p = row[part.frame.kind.order]
                 if p <= 0.0:
                     continue
@@ -213,23 +215,10 @@ class _ListenerPlan:
         return entry
 
 
-def _listener_plan(tree: ExpressionTree, scene: Scene, prefs: PreferenceTable) -> _ListenerPlan:
-    """The scene's plan for ``tree``, rebuilt if it was compiled for another table."""
-    plans = scene.geometry.listener_plans
-    plan = plans.get(tree)
-    if plan is None or plan.prefs is not prefs:
-        plan = plans[tree] = _ListenerPlan(tree, scene, prefs)
-    return plan
-
-
 def simulate_listener(
-    tree: ExpressionTree,
-    scene: Scene,
-    true_prefs: PreferenceTable,
-    rng: random.Random,
-    consistency_coupling: float = 0.0,
+    plan: ListenerPlan, rng: random.Random, consistency_coupling: float = 0.0
 ) -> str | None:
-    """One listener's crisp interpretation of an expression.
+    """One listener's crisp interpretation of the expression ``plan`` compiles.
 
     The listener resolves bottom-up and commits: the innermost phrase
     resolves to its first consistent entity, then for each relation unit one
@@ -246,21 +235,16 @@ def simulate_listener(
 
     ``consistency_coupling`` is the probability of reusing the previous
     unit's frame kind instead of sampling afresh; the default models fully
-    independent per-unit frame choices.  Only ``rng.random()`` is called.
-
-    The interpretation is compiled once per (scene, expression): the plan
-    lives in the scene's ``SceneGeometry.listener_plans`` and is rebuilt
-    only when ``true_prefs`` is another table than the one it was compiled
-    for, so repeated trials only draw random numbers, in the same order as
-    an uncompiled walk would.
+    independent per-unit frame choices.  Only ``rng.random()`` is called,
+    in the same order as an uncompiled walk would call it, so trials that
+    share a plan differ only in their draws.
     """
-    plan = _listener_plan(tree, scene, true_prefs)
     resolved = plan.anchor
     if resolved is None:
         return None
     prev_kind: FrameKind | None = None
     for level in range(len(plan.units)):
-        options, total = plan.step(level, resolved, scene)
+        options, total = plan.step(level, resolved)
         if not options:
             return None
         draw = rng.random()
@@ -397,9 +381,9 @@ CONFIG_SCHEMA = {
         "true_prefs": {"$ref": "#/definitions/preferences"},
         "assumed_prefs": {"$ref": "#/definitions/preferences"},
         "objects": {"type": "array", "items": {"type": "integer", "minimum": 2}, "minItems": 2, "maxItems": 2},
-        "categories": {"type": "array", "items": {"type": "string"}, "minItems": 1},
-        "colors": {"type": "array", "items": {"type": "string"}},
-        "shapes": {"type": "array", "items": {"type": "string"}},
+        "categories": {"type": "array", "items": {"type": "string", "minLength": 1}, "minItems": 1},
+        "colors": {"type": "array", "items": {"type": "string", "minLength": 1}},
+        "shapes": {"type": "array", "items": {"type": "string", "minLength": 1}},
         "consistency_coupling": {"type": "number", "minimum": 0, "maximum": 1},
         "per_trial_csv": {"type": "boolean"},
     },
@@ -505,12 +489,12 @@ def run_comparison(cfg: TrialConfig, collect_records: bool = True) -> TrialRepor
     only on (seed, scene, target, trial), never on the method, so methods
     are compared on identical listener draws.
 
-    Methods whose expressions are equal share one denotation per target
-    and one listener answer per trial.  An expression whose listener plan
-    has one reachable answer (``_ListenerPlan.fixed``) is not simulated,
-    and a trial's seed is derived only when some listener draws from it;
-    when no expression needs draws and no records are collected, the
-    trials are not walked.
+    Methods whose expressions are equal share one denotation and one
+    ``ListenerPlan`` per target and one listener answer per trial.  An
+    expression whose plan has one reachable answer (``ListenerPlan.fixed``)
+    is not simulated, and a trial's seed is derived only when some listener
+    draws from it; when no expression needs draws and no records are
+    collected, the trials are not walked.
     """
     assumed = cfg.assumed_prefs or default_preferences()
     stats = {m: MethodStats() for m in cfg.methods}
@@ -538,10 +522,10 @@ def run_comparison(cfg: TrialConfig, collect_records: bool = True) -> TrialRepor
                 chain = None
 
             # The distinct trees (None for no tree) in method order, each
-            # with its plan's fixed answer and the target's probability
-            # under its denotation; ``group[method]`` indexes them.
+            # with its listener plan and the target's probability under its
+            # denotation; ``group[method]`` indexes them.
             trees: list[ExpressionTree | None] = []
-            answers: list = []
+            plans: list[ListenerPlan | None] = []
             expected: list[float] = []
             group: dict[str, int] = {}
             ks: dict[str, int | None] = {}
@@ -557,10 +541,10 @@ def run_comparison(cfg: TrialConfig, collect_records: bool = True) -> TrialRepor
                 if tree not in trees:
                     trees.append(tree)
                     if tree is None:
-                        answers.append(None)
+                        plans.append(None)
                         expected.append(0.0)
                     else:
-                        answers.append(_listener_plan(tree, scene, cfg.true_prefs).fixed)
+                        plans.append(ListenerPlan(tree, scene, cfg.true_prefs))
                         expected.append(denote(tree, scene, cfg.true_prefs).get(target_id, 0.0))
                 group[method] = trees.index(tree)
                 st = stats[method]
@@ -570,6 +554,7 @@ def run_comparison(cfg: TrialConfig, collect_records: bool = True) -> TrialRepor
                 else:
                     st.expected_sum += expected[group[method]]
 
+            answers = [None if plan is None else plan.fixed for plan in plans]
             correct = [trials * (answer == target_id) for answer in answers]
             drawn = [i for i, answer in enumerate(answers) if answer is _DEPENDS_ON_DRAWS]
             if drawn or collect_records:
@@ -577,8 +562,7 @@ def run_comparison(cfg: TrialConfig, collect_records: bool = True) -> TrialRepor
                     draws = _Replay(cfg.seed, "trial", scene_idx, target_id, trial)
                     for i in drawn:
                         answers[i] = simulate_listener(
-                            trees[i], scene, cfg.true_prefs, draws.rewind(),
-                            cfg.consistency_coupling,
+                            plans[i], draws.rewind(), cfg.consistency_coupling
                         )
                         correct[i] += answers[i] == target_id
                     if collect_records:

@@ -75,13 +75,9 @@ def score(
 def _selection_key(candidate: CandidateExpression, total: float):
     # Higher total first; ties prefer frame-consistent strategies, then the
     # canonically smallest strategy, then the shortest surface.
-    return (
-        -total,
-        0 if candidate.strategy.consistent else 1,
-        tuple(kind.order for kind in candidate.strategy.kinds),
-        len(candidate.surface),
-        candidate.surface,
-    )
+    kinds = tuple(kind.order for kind, _ in candidate.strategy)
+    mixed = 0 if len(set(kinds)) <= 1 else 1
+    return (-total, mixed, kinds, len(candidate.surface), candidate.surface)
 
 
 def rank(
@@ -146,7 +142,7 @@ def generate(
             raise ValueError("method 'random' requires a seed")
         rng = random.Random(seed)
     picks = []
-    for row, options in zip(chain.state.distributions, unit_options(chain, scene)):
+    for row, options in zip(chain.distributions, unit_options(chain, scene)):
         if method == "max":
             picks.append(max(options, key=lambda pick: row[pick[0].kind.order]))
         elif method == "random":

@@ -5,7 +5,7 @@ from a landmark is the clamped cosine of the angular deviation from that
 direction's canonical axis in the active reference frame.  Distance plays no
 role, so membership is invariant under scaling about the landmark, and the
 crisp relation partitions the plane into four quadrants around the frame's
-axes.
+axes: its front axis and the exact half and quarter turns of it (``_axis``).
 
 Topological prepositions ("near") carry no frame dependence and are outside
 this model; the expression parser rejects them.
@@ -18,7 +18,7 @@ import math
 from typing import NamedTuple
 
 from .frames import FrameInstance, applicable_frames
-from .geometry import Vec, dot, norm, sub
+from .geometry import Vec, dot, norm, opposite, quarter_left, quarter_right, sub
 from .scene import MIN_SEPARATION, Entity, Scene
 
 RELATION_TIE_TOL = 1e-12
@@ -45,28 +45,16 @@ PREPOSITION_ORDER: tuple[Preposition, ...] = tuple(Preposition)
 
 
 def _axis(prep: Preposition, frame: FrameInstance) -> Vec:
+    """The preposition's canonical axis: front, or an exact quarter or half
+    turn of it, with right the viewer's right seen from above."""
+    front = frame.front_axis
     if prep is Preposition.FRONT:
-        return frame.front_axis
+        return front
     if prep is Preposition.BEHIND:
-        return frame.behind_axis
+        return opposite(front)
     if prep is Preposition.LEFT:
-        return frame.left_axis
-    return frame.right_axis
-
-
-def _as_point(target) -> Vec:
-    return target.centroid if isinstance(target, Entity) else target
-
-
-def _displacement(target, landmark) -> tuple[Vec, float]:
-    """The landmark-to-target vector and its length; coincident points raise."""
-    d = sub(_as_point(target), _as_point(landmark))
-    dist = norm(d)
-    if dist < MIN_SEPARATION:
-        raise CoincidentPointsError(
-            f"target and landmark are coincident (separation {dist} < {MIN_SEPARATION})"
-        )
-    return d, dist
+        return quarter_left(front)
+    return quarter_right(front)
 
 
 def membership(target, landmark_point, prep: Preposition, frame: FrameInstance) -> float:
@@ -74,7 +62,14 @@ def membership(target, landmark_point, prep: Preposition, frame: FrameInstance) 
 
     ``target`` and ``landmark_point`` may be entities or raw points.
     """
-    d, dist = _displacement(target, landmark_point)
+    t = target.centroid if isinstance(target, Entity) else target
+    o = landmark_point.centroid if isinstance(landmark_point, Entity) else landmark_point
+    d = sub(t, o)
+    dist = norm(d)
+    if dist < MIN_SEPARATION:
+        raise CoincidentPointsError(
+            f"target and landmark are coincident (separation {dist} < {MIN_SEPARATION})"
+        )
     axis = _axis(prep, frame)
     cos_theta = dot(d, axis) / (dist * norm(axis))
     return max(0.0, min(1.0, cos_theta))
@@ -143,9 +138,9 @@ def partitions(landmark: Entity, scene: Scene) -> tuple[Partition, ...]:
     under each frame of ``applicable_frames(landmark, scene)``, in that order.
 
     Each partition lists the ids in each preposition in scene entity order.
-    Computed once per landmark and kept in ``scene.geometry``.
+    Computed once per landmark and kept in ``scene.relations``.
     """
-    memo = scene.geometry.relations
+    memo = scene.relations
     parts = memo.get(landmark.id)
     if parts is None:
         lx, ly = landmark.centroid

@@ -108,7 +108,7 @@ def consistent_set(
         target = scene.speaker if phrase.person is PersonRef.SPEAKER else scene.listener
         ids = {target.id}
     else:
-        index = scene.geometry.attributes
+        index = scene.attributes
         ids = None
         for slot in ATTRIBUTE_SLOTS:
             value = getattr(phrase, slot)
@@ -148,15 +148,19 @@ class Denotation:
         return None
 
 
-def _denote_full(
-    tree: ExpressionTree, scene: Scene, prefs: PreferenceTable
-) -> dict[str, float] | None:
-    """The innermost leaf's distribution, carried out through each relation
-    unit from the innermost outwards."""
+def denote(tree: ExpressionTree, scene: Scene, prefs: PreferenceTable) -> Denotation:
+    """Resolve an expression to a distribution over referable entities.
+
+    The innermost leaf's distribution is carried out through each relation
+    unit from the innermost outwards.  Each unit counts a candidate toward
+    the preposition's mass under every applicable frame where the crisp
+    relation holds, weighted by the frame preference for the landmark's
+    type.
+    """
     units, leaf = spine(tree)
     ids = consistent_set(leaf.head, scene)
     if not ids:
-        return None
+        return Denotation(None)
     p = 1.0 / len(ids)
     child = {e.id: p for e in scene.entities if e.id in ids}
 
@@ -178,33 +182,20 @@ def _denote_full(
 
         total = sum(pp.values())
         if total <= 0.0:
-            return None
+            return Denotation(None)
         head_ids = consistent_set(node.head, scene)
         if not head_ids:
-            return None
+            return Denotation(None)
         head_p = 1.0 / len(head_ids)
         combined = {
             e.id: (pp[e.id] / total) * head_p for e in scene.entities if e.id in head_ids
         }
         s = sum(combined.values())
         if s <= 0.0:
-            return None
+            return Denotation(None)
         child = {eid: p / s for eid, p in combined.items()}
-    return child
 
-
-def denote(tree: ExpressionTree, scene: Scene, prefs: PreferenceTable) -> Denotation:
-    """Resolve an expression to a distribution over referable entities.
-
-    Each relation unit counts a candidate toward the preposition's mass under
-    every applicable frame where the crisp relation holds, weighted by the
-    frame preference for the landmark's type.
-    """
-    full = _denote_full(tree, scene, prefs)
-    if full is None:
-        return Denotation(None)
-    referable = scene.referable_ids()
-    restricted = {eid: full.get(eid, 0.0) for eid in referable}
+    restricted = {eid: child.get(eid, 0.0) for eid in scene.referable_ids()}
     total = sum(restricted.values())
     if total <= 0.0:
         return Denotation(None)
@@ -320,8 +311,10 @@ def phrase_from_dict(doc: dict) -> AttributePhrase:
         raise ParseError(f"phrase must be an object, got {doc!r}")
     fields = {key: doc.get(key) for key in ATTRIBUTE_SLOTS}
     for key, value in fields.items():
-        if value is not None and not isinstance(value, str):
-            raise ParseError(f"phrase field {key!r} must be a string or null, got {value!r}")
+        if value is not None and not (isinstance(value, str) and value):
+            raise ParseError(
+                f"phrase field {key!r} must be a non-empty string or null, got {value!r}"
+            )
     if "person" in doc:
         try:
             fields["person"] = PersonRef(doc["person"])

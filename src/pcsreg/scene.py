@@ -3,7 +3,8 @@
 A scene is a flat list of entities on a table plane.  Two of the entities
 are the conversation participants (speaker and listener); they can serve as
 landmarks but never as reference targets.  Everything is validated on
-construction so no partially built scene can escape.
+construction so no partially built scene can escape, and the scene carries
+the attribute index and per-landmark relation memo that its readers share.
 """
 
 from __future__ import annotations
@@ -94,38 +95,19 @@ class TableExtent:
 ATTRIBUTE_SLOTS = ("category", "color", "shape")
 
 
-class SceneGeometry:
-    """Facts about one scene that scoring, landmark selection and the
-    simulated listener read many times.
-
-    ``attributes`` maps (slot, lowercased value) to the ids of the entities
-    with that value in that slot, in scene order.  ``relations`` holds, per
-    landmark id, the frames and preposition partitions of
-    ``prepositions.partitions``, filled as landmarks are first used.
-    ``listener_plans`` holds, per expression tree, the simulated listener's
-    compiled plan (``harness.simulate_listener``).  The geometry keeps no
-    reference to its scene, so a scene is freed as soon as its last
-    reference goes, without waiting for the cycle collector.
-    """
-
-    __slots__ = ("attributes", "relations", "listener_plans")
-
-    def __init__(self, entities: tuple[Entity, ...]):
-        # Tuples of ids and interned values keep the index small: a scene
-        # holds it for as long as it lives.
-        index: dict[tuple[str, str], list[str]] = {}
-        for e in entities:
-            for slot in ATTRIBUTE_SLOTS:
-                value = getattr(e, slot)
-                if value is not None:
-                    index.setdefault((slot, sys.intern(value.lower())), []).append(e.id)
-        self.attributes = {key: tuple(ids) for key, ids in index.items()}
-        self.relations: dict[str, tuple] = {}
-        self.listener_plans: dict = {}
-
-
 @dataclass(frozen=True)
 class Scene:
+    """Entities on a table, validated on construction.
+
+    Two derived fields sit outside equality, hashing and ``repr`` and hold
+    no reference back to the scene, so a scene is freed as soon as its last
+    reference goes.  ``attributes`` maps (slot, lowercased value) to the
+    ids of the entities with that value in that slot, in scene order.
+    ``relations`` holds, per landmark id, the frames and preposition
+    partitions of ``prepositions.partitions``, filled as landmarks are
+    first used.
+    """
+
     entities: tuple[Entity, ...]
     table: TableExtent
     north: Vec = (0.0, 1.0)
@@ -133,9 +115,8 @@ class Scene:
     speaker: Entity = field(init=False, repr=False, compare=False, hash=False, default=None)
     listener: Entity = field(init=False, repr=False, compare=False, hash=False, default=None)
     _referable_ids: tuple = field(init=False, repr=False, compare=False, hash=False, default=None)
-    _geometry: SceneGeometry | None = field(
-        init=False, repr=False, compare=False, hash=False, default=None
-    )
+    attributes: dict = field(init=False, repr=False, compare=False, hash=False, default=None)
+    relations: dict = field(init=False, repr=False, compare=False, hash=False, default_factory=dict)
 
     def __post_init__(self):
         by_id, speaker, listener, referable = _validate(self)
@@ -143,15 +124,15 @@ class Scene:
         object.__setattr__(self, "speaker", speaker)
         object.__setattr__(self, "listener", listener)
         object.__setattr__(self, "_referable_ids", referable)
-
-    @property
-    def geometry(self) -> SceneGeometry:
-        """The scene's ``SceneGeometry``, built on first use."""
-        geometry = self._geometry
-        if geometry is None:
-            geometry = SceneGeometry(self.entities)
-            object.__setattr__(self, "_geometry", geometry)
-        return geometry
+        # Tuples of ids and interned values keep the index small: a scene
+        # holds it for as long as it lives.
+        index: dict[tuple[str, str], list[str]] = {}
+        for e in self.entities:
+            for slot in ATTRIBUTE_SLOTS:
+                value = getattr(e, slot)
+                if value is not None:
+                    index.setdefault((slot, sys.intern(value.lower())), []).append(e.id)
+        object.__setattr__(self, "attributes", {key: tuple(ids) for key, ids in index.items()})
 
     def entity(self, entity_id: str) -> Entity:
         try:
@@ -242,8 +223,8 @@ SCENE_SCHEMA = {
                     "id": {"type": "string", "minLength": 1},
                     "kind": {"enum": [kind.value for kind in EntityKind]},
                     "category": {"type": "string", "minLength": 1},
-                    "color": {"type": ["string", "null"]},
-                    "shape": {"type": ["string", "null"]},
+                    "color": {"type": ["string", "null"], "minLength": 1},
+                    "shape": {"type": ["string", "null"], "minLength": 1},
                     "pos": {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2},
                     "heading": {
                         "type": ["number", "null"],
@@ -398,6 +379,8 @@ def _check(value, schema: dict, root: dict) -> None:
                 want = _PLURALS.get(items.get("type"), f"values from {items.get('enum')}")
                 if "minimum" in items:
                     want += f" >= {items['minimum']}"
+                if "minLength" in items:
+                    want += f" of at least {items['minLength']} characters"
                 raise _Invalid(f"must contain {want}, got {reprlib.repr(value)}") from None
     elif name == "number" or name == "integer":
         # Also rejects ints beyond the float range, such as 10**400.
@@ -442,7 +425,7 @@ def dump_scene(scene: Scene) -> str:
 def attribute_vocabulary(scene: Scene) -> dict[str, set[str]]:
     """Lowercased category/color/shape vocabularies present in the scene."""
     vocab: dict[str, set[str]] = {slot: set() for slot in ATTRIBUTE_SLOTS}
-    for slot, value in scene.geometry.attributes:
+    for slot, value in scene.attributes:
         if value:
             vocab[slot].add(value)
     return vocab

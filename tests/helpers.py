@@ -1,7 +1,9 @@
-"""Shared helpers: deterministic random expression trees over a scene."""
+"""Shared helpers: deterministic random expression trees over a scene, and
+a simulated listener that compiles its own plan."""
 
 import random
 
+from pcsreg.harness import ListenerPlan, simulate_listener
 from pcsreg.prepositions import Preposition
 from pcsreg.resolver import AttributePhrase, Compound, Leaf, PersonRef
 from pcsreg.scene import Scene
@@ -38,3 +40,8 @@ def random_tree(scene: Scene, rng: random.Random, max_depth: int = 2):
     for _ in range(target_depth):
         node = Compound(random_phrase(scene, rng), PREPS[rng.randrange(4)], node)
     return node
+
+
+def listen(tree, scene, true_prefs, rng, consistency_coupling=0.0):
+    """``simulate_listener`` on a plan compiled for this one call."""
+    return simulate_listener(ListenerPlan(tree, scene, true_prefs), rng, consistency_coupling)

@@ -178,6 +178,18 @@ class TestGenerate:
         assert "entities[2].heading" in out.stderr
         assert "Traceback" not in out.stderr
 
+    @pytest.mark.parametrize("slot", ["color", "shape"])
+    def test_empty_attribute_string_exits_2(self, tmp_path, slot):
+        doc = json.loads((DEMO / "two_blocks_car.json").read_text())
+        doc["entities"][0][slot] = ""
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(doc))
+        out = run_cli("generate", "--json", "--scene", str(path), "--target", "blk_a")
+        assert out.returncode == 2
+        assert f"entities[0].{slot}" in out.stderr
+        assert "Traceback" not in out.stderr
+        assert out.stdout == ""
+
     def test_non_finite_prefs_exit_2(self, tmp_path, scene_paths):
         path = tmp_path / "nan_prefs.json"
         path.write_text(json.dumps(NAN_PREFS))
@@ -278,8 +290,13 @@ class TestResolve:
 
     @pytest.mark.parametrize(
         "head, field",
-        [({"category": 5}, "category"), ({"color": ["a"]}, "color")],
-        ids=["category_number", "color_list"],
+        [
+            ({"category": 5}, "category"),
+            ({"color": ["a"]}, "color"),
+            ({"person": "speaker", "category": ""}, "category"),
+            ({"category": "", "color": "yellow"}, "category"),
+        ],
+        ids=["category_number", "color_list", "person_empty_category", "empty_category"],
     )
     def test_non_string_attribute_exits_5(self, scene_paths, head, field):
         out = run_cli(
@@ -407,7 +424,15 @@ class TestEvaluate:
 
     @pytest.mark.parametrize(
         "override",
-        [{"objects": [1, 3]}, {"categories": []}, {"objects": 5}, {"objects": ["a", "b"]}],
+        [
+            {"objects": [1, 3]},
+            {"categories": []},
+            {"objects": 5},
+            {"objects": ["a", "b"]},
+            {"categories": [""]},
+            {"colors": [""]},
+            {"shapes": ["round", ""]},
+        ],
     )
     def test_bad_sampling_pools_exit_2(self, tmp_path, override):
         path = tmp_path / "bad.json"
@@ -416,6 +441,7 @@ class TestEvaluate:
         )
         out = run_cli("evaluate", "--config", str(path))
         assert out.returncode == 2
+        assert repr(next(iter(override))) in out.stderr
         assert "Traceback" not in out.stderr
 
     def test_non_finite_true_prefs_exit_2(self, tmp_path):
@@ -481,7 +507,7 @@ class TestSchema:
     def test_schema_bytes_are_pinned(self):
         out = run_cli("schema")
         assert hashlib.sha256(out.stdout.encode()).hexdigest() == (
-            "5b3c268d0020dfa2bce46b0fe49075546e8fb0ebe753bc7c8f5fa048cdc1b562"
+            "547e14915d014b2715656dffaba8f444278375ddc24297f0cd3a6bc1169b04b3"
         )
 
 

@@ -8,7 +8,6 @@ from pcsreg.frames import (
     FRAME_ORDER,
     FrameError,
     FrameKind,
-    PreferenceState,
     applicable_frames,
     default_preferences,
     frame_instance,
@@ -110,27 +109,30 @@ def test_intrinsic_rejects_agents(blocks_car_scene):
 def test_axis_orthogonality(heading):
     from pcsreg.geometry import heading_vec
     from pcsreg.frames import FrameInstance
+    from pcsreg.prepositions import PREPOSITION_ORDER, _axis
 
     fr = FrameInstance(FrameKind.EGOCENTRIC, "speaker", heading_vec(heading))
-    assert dot(fr.front_axis, fr.right_axis) == 0.0
-    assert fr.right_axis == quarter_right(fr.front_axis)
-    assert fr.behind_axis == (-fr.front_axis[0], -fr.front_axis[1])
-    assert fr.left_axis == (-fr.right_axis[0], -fr.right_axis[1])
+    front, behind, left, right = (_axis(prep, fr) for prep in PREPOSITION_ORDER)
+    assert front == fr.front_axis
+    assert dot(front, right) == 0.0
+    assert right == quarter_right(front)
+    assert behind == (-front[0], -front[1])
+    assert left == (-right[0], -right[1])
 
 
 def test_update_unoriented_takes_right_neighbor_row(default_prefs):
     types = [LandmarkType.UNORIENTED_OBJECT, LandmarkType.ORIENTED_OBJECT]
-    state = PreferenceState(tuple(default_prefs.row(lt) for lt in types))
+    state = tuple(default_prefs.row(lt) for lt in types)
     updated = update_preferences(state, types)
-    assert updated.distributions[0] == (0.045, 0.045, 0.905, 0.005)
-    assert updated.distributions[1] == default_prefs.row(LandmarkType.ORIENTED_OBJECT)
+    assert updated[0] == (0.045, 0.045, 0.905, 0.005)
+    assert updated[1] == default_prefs.row(LandmarkType.ORIENTED_OBJECT)
 
 
 def test_update_single_unit_chain_is_identity(default_prefs):
     types = [LandmarkType.ORIENTED_OBJECT]
-    state = PreferenceState(tuple(default_prefs.row(lt) for lt in types))
+    state = tuple(default_prefs.row(lt) for lt in types)
     updated = update_preferences(state, types)
-    assert updated.distributions == state.distributions
+    assert updated == state
 
 
 def test_update_propagates_right_to_left(default_prefs):
@@ -143,17 +145,17 @@ def test_update_propagates_right_to_left(default_prefs):
     ]
     unoriented = default_prefs.row(LandmarkType.UNORIENTED_OBJECT)
     speaker = default_prefs.row(LandmarkType.SPEAKER)
-    s0 = PreferenceState(tuple(default_prefs.row(lt) for lt in types))
+    s0 = tuple(default_prefs.row(lt) for lt in types)
     s1 = update_preferences(s0, types)
-    assert s1.distributions == (unoriented, speaker, speaker)
+    assert s1 == (unoriented, speaker, speaker)
     s2 = update_preferences(s1, types)
-    assert s2.distributions == (speaker, speaker, speaker)
+    assert s2 == (speaker, speaker, speaker)
     s3 = update_preferences(s2, types)
-    assert s3.distributions == s2.distributions
+    assert s3 == s2
 
 
 def test_update_rejects_length_mismatch(default_prefs):
-    state = PreferenceState((default_prefs.row(LandmarkType.SPEAKER),))
+    state = (default_prefs.row(LandmarkType.SPEAKER),)
     with pytest.raises(FrameError):
         update_preferences(state, [LandmarkType.SPEAKER, LandmarkType.SPEAKER])
 
@@ -163,12 +165,12 @@ def test_update_rejects_length_mismatch(default_prefs):
 )
 def test_update_reaches_fixed_point_within_chain_length(types):
     base = default_preferences()
-    state = PreferenceState(tuple(base.row(lt) for lt in types))
+    state = tuple(base.row(lt) for lt in types)
     k = len(types)
     for _ in range(k):
         state = update_preferences(state, types)
     settled = update_preferences(state, types)
-    assert settled.distributions == state.distributions
+    assert settled == state
 
 
 def test_preference_file_round_trip(tmp_path, default_prefs):
@@ -216,11 +218,6 @@ def test_preference_file_rejects_non_finite_entries(bad):
     }
     with pytest.raises(FrameError, match="row 'listener' must contain finite numbers"):
         load_preferences(json.dumps(doc))
-
-
-def test_state_validates_rows():
-    with pytest.raises(FrameError):
-        PreferenceState(((0.5, 0.1, 0.1, 0.1),))
 
 
 def test_canonical_frame_order():

@@ -139,7 +139,7 @@ class TestBuildChain:
         assert chain.landmarks == ("cub1", "car1")
         # The cuboid unit adopted its right neighbor's (oriented) row.
         oriented = default_prefs.row(LandmarkType.ORIENTED_OBJECT)
-        assert chain.state.distributions == (oriented, oriented)
+        assert chain.distributions == (oriented, oriented)
         assert chain.iterations == 2
         assert chain.iterations <= chain.k + 1
         assert chain.converged
@@ -224,7 +224,7 @@ class TestExpressionSpace:
         chain = build_landmark_chain("blk_a", blocks_car_scene, default_prefs)
         space = expression_space(chain, blocks_car_scene)
         assert len(space) == 4
-        kinds = {c.strategy.kinds[0] for c in space}
+        kinds = {c.strategy[0][0] for c in space}
         assert kinds == set(FrameKind)
         assert {c.surface for c in space} == {
             "the yellow block to the left of the car",
@@ -246,7 +246,7 @@ class TestExpressionSpace:
         assert chain.landmarks == ("cub1",)
         space = expression_space(chain, scene)
         assert len(space) == 3
-        assert FrameKind.INTRINSIC not in {c.strategy.kinds[0] for c in space}
+        assert FrameKind.INTRINSIC not in {c.strategy[0][0] for c in space}
 
     def test_two_unit_space_size(self, update_chain_scene, default_prefs):
         chain = build_landmark_chain("blk_a", update_chain_scene, default_prefs)

@@ -1,7 +1,8 @@
-"""The per-scene geometry: attribute index, relation partitions, lifetime.
+"""The scene's derived fields: attribute index, relation partitions, lifetime.
 
-Each result read off ``Scene.geometry`` is compared with the entity-by-entity
-computation it replaces, exactly rather than within a tolerance.
+Each result read off ``Scene.attributes`` or ``Scene.relations`` is compared
+with the entity-by-entity computation it replaces, exactly rather than
+within a tolerance.
 """
 
 import gc
@@ -12,18 +13,17 @@ import weakref
 
 import pytest
 
-from helpers import random_tree
+from helpers import listen, random_tree
 from pcsreg import harness
 from pcsreg.frames import PreferenceTable, applicable_frames, default_preferences
 from pcsreg.harness import (
     _DEPENDS_ON_DRAWS,
-    _listener_plan,
     METHODS,
+    ListenerPlan,
     TrialConfig,
     derive_seed,
     run_comparison,
     sample_scene,
-    simulate_listener,
 )
 from pcsreg.generator import GenerationError, build_landmark_chain, describe_visual
 from pcsreg.optimizer import generate
@@ -234,14 +234,14 @@ def test_consistent_set_returns_a_new_set(mixed_case_scene):
     }
 
 
-def test_geometry_is_lazy_and_outside_equality():
+def test_derived_fields_are_outside_equality_and_repr():
     a = sample_scene(derive_seed(6, "lazy"))
     b = sample_scene(derive_seed(6, "lazy"))
-    assert a._geometry is None
-    consistent_set(AttributePhrase(category="block"), a)
-    assert a._geometry is not None and b._geometry is None
+    partitions(a.speaker, a)
+    assert a.relations and not b.relations
     assert a == b and hash(a) == hash(b)
-    assert "geometry" not in repr(a)
+    assert repr(a) == repr(b)
+    assert "attributes" not in repr(a) and "relations" not in repr(a)
 
 
 def test_a_scene_with_geometry_is_freed_without_the_cycle_collector(default_prefs):
@@ -254,26 +254,7 @@ def test_a_scene_with_geometry_is_freed_without_the_cycle_collector(default_pref
             Leaf(AttributePhrase(category=scene.objects()[1].category)),
         )
         denote(tree, scene, default_prefs)
-        assert scene.geometry.relations  # partitions were built
-        ref = weakref.ref(scene)
-        del scene
-        assert ref() is None
-    finally:
-        gc.enable()
-
-
-def test_the_listener_cache_does_not_keep_a_scene_alive(default_prefs):
-    gc.disable()
-    try:
-        scene = sample_scene(derive_seed(6, "listener"), objects=(16, 30))
-        tree = Compound(
-            AttributePhrase(category=scene.objects()[0].category),
-            PREPOSITION_ORDER[0],
-            Leaf(AttributePhrase(category=scene.objects()[1].category)),
-        )
-        for s in range(20):
-            simulate_listener(tree, scene, default_prefs, random.Random(s))
-        assert scene.geometry.relations  # the listener's steps built partitions
+        assert scene.relations  # partitions were built
         ref = weakref.ref(scene)
         del scene
         assert ref() is None
@@ -317,7 +298,7 @@ def reference_records(cfg):
                 tree = trees[method]
                 identified = None
                 if tree is not None:
-                    identified = simulate_listener(
+                    identified = listen(
                         tree, scene, cfg.true_prefs, random.Random(trial_seed),
                         cfg.consistency_coupling,
                     )
@@ -418,7 +399,7 @@ def test_both_tally_paths_equal_the_reference_counts(objects, prefs_name, reques
             if all(tree is None for tree in trees.values()):
                 kinds.add("no tree")
             for tree in filter(None, trees.values()):
-                fixed = _listener_plan(tree, scene, true_prefs).fixed
+                fixed = ListenerPlan(tree, scene, true_prefs).fixed
                 kinds.add("draws" if fixed is _DEPENDS_ON_DRAWS else "fixed")
     # One frame kind per landmark leaves every step at most one option.
     drawing = set() if prefs_name == "intrinsic_only" else {"draws"}
@@ -452,13 +433,20 @@ def test_each_distinct_tree_is_denoted_once_per_target(objects, prefs_name, requ
     assert 0 < want_calls < n_trees
 
     calls = []
+    plans = []
 
     def counting_denote(tree, scene, prefs):
         calls.append(tree)
         return denote(tree, scene, prefs)
 
+    def counting_plan(tree, scene, prefs):
+        plans.append(tree)
+        return ListenerPlan(tree, scene, prefs)
+
     monkeypatch.setattr(harness, "denote", counting_denote)
+    monkeypatch.setattr(harness, "ListenerPlan", counting_plan)
     report = run_comparison(cfg, collect_records=False)
     assert len(calls) == want_calls
+    assert plans == calls  # one plan per distinct tree per target
     for method, st in report.stats.items():
         assert st.expected_accuracy == sums[method] / st.n_expressions

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import random_tree
+from helpers import listen, random_tree
 
 from pcsreg.frames import (
     FRAME_ORDER,
@@ -21,8 +21,8 @@ from pcsreg.generator import GenerationError, build_landmark_chain, describe_vis
 from pcsreg.geometry import heading_vec
 from pcsreg.harness import (
     _DEPENDS_ON_DRAWS,
-    _listener_plan,
     HarnessError,
+    ListenerPlan,
     TrialConfig,
     config_from_dict,
     derive_seed,
@@ -97,8 +97,8 @@ class TestSimulateListener:
         # Speaker-only preferences resolve the split toward the entity in
         # front of the square from the speaker's side, listener-only toward
         # the other one.
-        assert simulate_listener(SQUARE_EXPR, facing_square_scene, ALL_EGO, rng) == "d"
-        assert simulate_listener(SQUARE_EXPR, facing_square_scene, ALL_ADDR, rng) == "a"
+        assert listen(SQUARE_EXPR, facing_square_scene, ALL_EGO, rng) == "d"
+        assert listen(SQUARE_EXPR, facing_square_scene, ALL_ADDR, rng) == "a"
 
     def test_confused_on_empty_anchor(self, facing_square_scene):
         tree = Compound(
@@ -106,20 +106,17 @@ class TestSimulateListener:
             Preposition.FRONT,
             Leaf(AttributePhrase(color="purple")),
         )
-        assert simulate_listener(tree, facing_square_scene, ALL_EGO, random.Random(0)) is None
+        assert listen(tree, facing_square_scene, ALL_EGO, random.Random(0)) is None
 
     def test_confused_when_no_frame_applicable(self, facing_square_scene):
         # The square is unoriented, so an intrinsic-only listener cannot
         # interpret a relation anchored at it.
-        assert (
-            simulate_listener(SQUARE_EXPR, facing_square_scene, INTRINSIC_ONLY, random.Random(0))
-            is None
-        )
+        assert listen(SQUARE_EXPR, facing_square_scene, INTRINSIC_ONLY, random.Random(0)) is None
 
     def test_inapplicable_mass_renormalizes(self, facing_square_scene):
         half_intrinsic = PreferenceTable({lt: (0.5, 0.0, 0.5, 0.0) for lt in LandmarkType})
         outcomes = {
-            simulate_listener(SQUARE_EXPR, facing_square_scene, half_intrinsic, random.Random(s))
+            listen(SQUARE_EXPR, facing_square_scene, half_intrinsic, random.Random(s))
             for s in range(50)
         }
         assert outcomes == {"d"}  # egocentric is the only applicable frame
@@ -133,7 +130,7 @@ class TestSimulateListener:
         hits = 0
         for trial in range(n):
             rng = random.Random(derive_seed(123, trial))
-            hits += simulate_listener(SQUARE_EXPR, facing_square_scene, two_frame_prefs, rng) == "a"
+            hits += listen(SQUARE_EXPR, facing_square_scene, two_frame_prefs, rng) == "a"
         expected = denote(SQUARE_EXPR, facing_square_scene, two_frame_prefs).get("a")
         stderr = math.sqrt(expected * (1 - expected) / n)
         assert abs(hits / n - expected) <= 3 * stderr
@@ -173,14 +170,11 @@ class TestSimulateListener:
         two_frame = PreferenceTable({lt: (0.5, 0.5, 0.0, 0.0) for lt in LandmarkType})
         n = 400
         independent = sum(
-            simulate_listener(tree, scene, two_frame, random.Random(s)) == "blk_p"
+            listen(tree, scene, two_frame, random.Random(s)) == "blk_p"
             for s in range(n)
         )
         coupled = sum(
-            simulate_listener(
-                tree, scene, two_frame, random.Random(s), consistency_coupling=1.0
-            )
-            == "blk_p"
+            listen(tree, scene, two_frame, random.Random(s), consistency_coupling=1.0) == "blk_p"
             for s in range(n)
         )
         assert coupled > independent + 0.1 * n
@@ -292,7 +286,7 @@ class TestListenerEquivalence:
                             expected = reference_listener(
                                 tree, scene, prefs, expected_rng, coupling
                             )
-                            assert simulate_listener(tree, scene, prefs, rng, coupling) == expected
+                            assert listen(tree, scene, prefs, rng, coupling) == expected
                             assert rng.getstate() == expected_rng.getstate()
                             calls += 1
                             confused += expected is None
@@ -300,8 +294,8 @@ class TestListenerEquivalence:
         assert 0 < confused < calls
 
     def test_interleaved_scenes_and_tables_match_reference(self, default_prefs, two_frame_prefs):
-        # Each call switches scene or table, so plans are rebuilt for a new
-        # table while plans for both scenes are alive.
+        # Each call switches scene or table: every tree is compiled against
+        # both scenes, including the one it was not generated for.
         scenes = [sample_scene(derive_seed("interleave", i)) for i in range(2)]
         trees = [t for i, scene in enumerate(scenes) for t in method_trees(scene, default_prefs, i)]
         calls = confused = 0
@@ -313,7 +307,7 @@ class TestListenerEquivalence:
                         expected_rng = random.Random(trial_seed)
                         rng = random.Random(trial_seed)
                         expected = reference_listener(tree, scene, prefs, expected_rng)
-                        assert simulate_listener(tree, scene, prefs, rng) == expected
+                        assert listen(tree, scene, prefs, rng) == expected
                         assert rng.getstate() == expected_rng.getstate()
                         calls += 1
                         confused += expected is None
@@ -353,7 +347,7 @@ def test_fixed_plans_answer_every_draw(default_prefs, two_frame_prefs):
         trees += [random_tree(scene, rng, max_depth=3) for _ in range(4)]
         for tree in trees:
             for prefs in (default_prefs, two_frame_prefs, INTRINSIC_ONLY):
-                plan = _listener_plan(tree, scene, prefs)
+                plan = ListenerPlan(tree, scene, prefs)
                 fixed = plan.fixed
                 if fixed is _DEPENDS_ON_DRAWS:
                     drawing += 1
@@ -363,9 +357,9 @@ def test_fixed_plans_answer_every_draw(default_prefs, two_frame_prefs):
                 branching += any(len(options) > 1 for options, _ in plan.steps.values())
                 for s in range(20):
                     for coupling in (0.0, 0.5, 1.0):
-                        for listener in (simulate_listener, reference_listener):
-                            rng = random.Random(s)
-                            assert listener(tree, scene, prefs, rng, coupling) == fixed
+                        assert simulate_listener(plan, random.Random(s), coupling) == fixed
+                        rng = random.Random(s)
+                        assert reference_listener(tree, scene, prefs, rng, coupling) == fixed
     assert drawing > 0 and branching > 0
     assert None in answers and len(set(answers)) > 10
 
@@ -386,7 +380,7 @@ def test_fixed_is_the_one_reachable_answer(source, default_prefs, two_frame_pref
                 reachable = reference_reachable(tree, scene, prefs)
                 n_reachable.add(min(len(reachable), 2))
                 want = reachable.pop() if len(reachable) == 1 else _DEPENDS_ON_DRAWS
-                assert _listener_plan(tree, scene, prefs).fixed == want, tree
+                assert ListenerPlan(tree, scene, prefs).fixed == want, tree
     assert n_reachable == {1, 2}
 
 
@@ -636,6 +630,11 @@ class TestConfig:
     def test_rejects_empty_pools(self, override):
         with pytest.raises(HarnessError):
             tiny_config(**override)
+
+    @pytest.mark.parametrize("pool", ["categories", "colors", "shapes"])
+    def test_rejects_empty_strings_in_pools(self, pool):
+        with pytest.raises(HarnessError, match=f"'{pool}' must contain strings of at least 1 char"):
+            tiny_config(**{pool: ["red", ""]})
 
     @pytest.mark.parametrize("override", [{"seed": 10**400}, {"objects": [3, 10**400]}])
     def test_rejects_ints_beyond_float_range(self, override):

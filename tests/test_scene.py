@@ -147,7 +147,7 @@ def test_array_text_is_parsed_not_opened(text):
 
 def test_attribute_vocabulary_lowercases_present_values():
     doc = minimal_doc()
-    doc["entities"][0].update(category="Block", color="", shape="Round")
+    doc["entities"][0].update(category="Block", color=None, shape="Round")
     doc["entities"].append(
         {"id": "b2", "kind": "object", "category": "CUP", "color": "Red", "pos": [0.3, 0.2]}
     )
@@ -156,6 +156,14 @@ def test_attribute_vocabulary_lowercases_present_values():
         "color": {"red"},
         "shape": {"round"},
     }
+
+
+@pytest.mark.parametrize("slot", ["color", "shape"])
+def test_empty_attribute_strings_are_rejected_at_load(slot):
+    doc = minimal_doc()
+    doc["entities"][0][slot] = ""
+    with pytest.raises(SceneError, match=rf"^entities\[0\]\.{slot}: must have at least 1"):
+        load_scene(json.dumps(doc))
 
 
 @pytest.mark.parametrize("seed", range(10))
