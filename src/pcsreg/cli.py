@@ -55,6 +55,7 @@ EXIT_GENERATION_FAILED = 4
 EXIT_PARSE_FAILURE = 5
 
 log = logging.getLogger("pcsreg")
+_log_handler: logging.StreamHandler | None = None  # installed by the last ``_setup_logging``
 
 # Imperative verb prefixes stripped (case-insensitively) before parsing;
 # the expression model covers only the referring noun phrase.
@@ -79,13 +80,16 @@ class _Parser(argparse.ArgumentParser):
 
 def _setup_logging() -> None:
     """Send the ``pcsreg`` logger's lines at the ``PCSREG_LOG`` level to the
-    current ``sys.stderr``, replacing the handler of any earlier call."""
+    current ``sys.stderr``.  An earlier call's handler is kept while it is the
+    logger's only handler and writes to that stream; otherwise it is replaced."""
+    global _log_handler
     level = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}.get(
         os.environ.get("PCSREG_LOG", "error").lower(), logging.ERROR
     )
-    handler = logging.StreamHandler(sys.stderr)
-    handler.setFormatter(logging.Formatter("%(levelname)s %(message)s"))
-    log.handlers = [handler]
+    if log.handlers != [_log_handler] or _log_handler.stream is not sys.stderr:
+        _log_handler = logging.StreamHandler(sys.stderr)
+        _log_handler.setFormatter(logging.Formatter("%(levelname)s %(message)s"))
+        log.handlers = [_log_handler]
     log.setLevel(level)
 
 

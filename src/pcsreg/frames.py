@@ -13,10 +13,12 @@ code, and can be replaced from a JSON file.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence, Union
+from types import MappingProxyType
+from typing import Mapping, Sequence, Union
 
 from .geometry import Vec, heading_vec
 from .scene import Entity, LandmarkType, Scene, check_document, landmark_type, read_json
@@ -126,11 +128,15 @@ def _renormalize(row: Sequence[float]) -> Row:
 
 @dataclass(frozen=True)
 class PreferenceTable:
-    """Per landmark-type probability distribution over frame kinds."""
+    """Per landmark-type probability distribution over frame kinds.
 
-    rows: dict[LandmarkType, Row]
+    ``rows`` is stored as a read-only copy, so a table can be shared.
+    """
+
+    rows: Mapping[LandmarkType, Row]
 
     def __post_init__(self):
+        object.__setattr__(self, "rows", MappingProxyType(dict(self.rows)))
         for lt in LandmarkType:
             if lt not in self.rows:
                 raise FrameError(f"preference table missing row for {lt.value}")
@@ -146,7 +152,9 @@ class PreferenceTable:
         return self.rows[lt]
 
 
+@functools.cache
 def default_preferences() -> PreferenceTable:
+    """The built-in table, built once and shared by every caller."""
     return PreferenceTable({lt: _renormalize(row) for lt, row in _DEFAULT_ROWS.items()})
 
 

@@ -216,6 +216,8 @@ for _prep, _surface in LISTENER_SURFACE.items():
     if _surface != PLAIN_SURFACE[_prep] + " you":
         _MARKERS.append((tuple(_surface.split()), _prep, PersonRef.LISTENER))
 _MARKERS.sort(key=lambda m: -len(m[0]))
+# A marker sequence can match only where its first token stands.
+_MARKER_STARTS = {seq[0] for seq, _, _ in _MARKERS} | {seq[0] for seq in TOPOLOGICAL_MARKERS}
 
 Lexicon = Mapping[str, set]
 
@@ -254,24 +256,27 @@ def _parse_np(tokens: list[str], lexicon: Lexicon) -> ExpressionTree:
     i = 1
     words: list[str] = []
     while i < len(tokens):
-        for seq in TOPOLOGICAL_MARKERS:
-            if _match_at(tokens, i, seq):
-                raise TopologicalPrepositionError(
-                    f"topological preposition {' '.join(seq)!r} is not supported; "
-                    "use a projective preposition (front/behind/left/right)"
-                )
-        marker = next((m for m in _MARKERS if _match_at(tokens, i, m[0])), None)
-        if marker is not None:
-            seq, prep, person = marker
-            if not words:
-                raise ParseError(f"missing noun phrase before {' '.join(seq)!r}")
-            head = _classify_attrs(words, lexicon)
-            rest = tokens[i + len(seq) :]
-            if person is not None:
-                if rest:
-                    raise ParseError(f"unexpected tokens after {' '.join(seq)!r}: {' '.join(rest)!r}")
-                return Compound(head, prep, Leaf(AttributePhrase(person=person)))
-            return Compound(head, prep, _parse_np(rest, lexicon))
+        if tokens[i] in _MARKER_STARTS:
+            for seq in TOPOLOGICAL_MARKERS:
+                if _match_at(tokens, i, seq):
+                    raise TopologicalPrepositionError(
+                        f"topological preposition {' '.join(seq)!r} is not supported; "
+                        "use a projective preposition (front/behind/left/right)"
+                    )
+            marker = next((m for m in _MARKERS if _match_at(tokens, i, m[0])), None)
+            if marker is not None:
+                seq, prep, person = marker
+                if not words:
+                    raise ParseError(f"missing noun phrase before {' '.join(seq)!r}")
+                head = _classify_attrs(words, lexicon)
+                rest = tokens[i + len(seq) :]
+                if person is not None:
+                    if rest:
+                        raise ParseError(
+                            f"unexpected tokens after {' '.join(seq)!r}: {' '.join(rest)!r}"
+                        )
+                    return Compound(head, prep, Leaf(AttributePhrase(person=person)))
+                return Compound(head, prep, _parse_np(rest, lexicon))
         words.append(tokens[i])
         i += 1
     return Leaf(_classify_attrs(words, lexicon))

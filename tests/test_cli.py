@@ -632,6 +632,26 @@ def test_log_lines_go_to_each_calls_stderr(tmp_path, monkeypatch):
     assert (root.level, list(root.handlers)) == root_before
 
 
+def test_a_kept_log_handler_follows_each_calls_level(tmp_path, monkeypatch):
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps({"seed": 5, "n_scenes": 1, "trials_per_expression": 1, "methods": ["robot"]})
+    )
+    err = io.StringIO()
+    outputs, handlers = [], []
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        for level in ("info", "error"):
+            monkeypatch.setenv("PCSREG_LOG", level)
+            start = len(err.getvalue())
+            code = cli.main(["evaluate", "--config", str(config), "--out", str(tmp_path / level)])
+            assert code == 0
+            outputs.append(err.getvalue()[start:])
+            handlers.append(list(logging.getLogger("pcsreg").handlers))
+    assert len(handlers[0]) == 1 and handlers[1] == handlers[0]
+    assert "INFO reports written to" in outputs[0]
+    assert "INFO reports written to" not in outputs[1]
+
+
 @pytest.mark.parametrize(
     "case, code",
     [("surface", 5), ("json", 5), ("scene", 2), ("prefs", 2), ("config", 2)],

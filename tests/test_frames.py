@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from pcsreg.frames import (
+    _DEFAULT_ROWS,
     FRAME_ORDER,
     FrameError,
     FrameKind,
+    PreferenceTable,
     applicable_frames,
     default_preferences,
     frame_instance,
@@ -30,6 +32,17 @@ def test_default_rows_match_elicited_ratios():
     assert prefs.row(LandmarkType.LISTENER) == (0.0408, 0.9592, 0.0, 0.0)
     assert prefs.row(LandmarkType.ORIENTED_OBJECT) == (0.045, 0.045, 0.905, 0.005)
     assert prefs.row(LandmarkType.UNORIENTED_OBJECT) == (0.6667, 0.2014, 0.1181, 0.0138)
+
+
+def test_default_table_is_one_shared_read_only_table():
+    prefs = default_preferences()
+    assert default_preferences() is prefs
+    assert prefs == PreferenceTable(
+        {lt: tuple(v / sum(row) for v in row) for lt, row in _DEFAULT_ROWS.items()}
+    )
+    with pytest.raises(TypeError):
+        prefs.rows[LandmarkType.SPEAKER] = (0.0, 1.0, 0.0, 0.0)
+    assert prefs.row(LandmarkType.SPEAKER) == (1.0, 0.0, 0.0, 0.0)
 
 
 def test_rows_are_stochastic():

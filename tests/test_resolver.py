@@ -1,11 +1,14 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pcsreg.generator import realize
-from pcsreg.prepositions import Preposition
+from pcsreg.prepositions import TOPOLOGICAL_MARKERS, Preposition
 from pcsreg.resolver import (
+    _MARKERS,
+    _classify_attrs,
+    _match_at,
     AttributePhrase,
     Compound,
     Denotation,
@@ -215,6 +218,96 @@ def test_parse_realize_round_trip(tree):
 def test_structured_json_round_trip(tree):
     doc = tree_to_dict(tree)
     assert tree_from_dict(json.loads(json.dumps(doc))) == tree
+
+
+MARKER_TOKENS = [
+    "in", "front", "of", "to", "the", "left", "on", "my", "your",
+    "behind", "near", "next", "beside", "close", "me", "you",
+]
+# Colors and shapes that are also marker words, so a marker token can be a
+# noun-phrase word wherever no marker sequence matches.
+OVERLAP_VOCAB = {
+    "category": {"block", "car"},
+    "color": {"red", "left", "close"},
+    "shape": {"round", "front", "near"},
+}
+
+
+def _full_scan_parse_np(tokens, lexicon):
+    """The parser loop that tries every marker sequence at every token."""
+    if tokens == ["me"]:
+        return Leaf(AttributePhrase(person=PersonRef.SPEAKER))
+    if tokens == ["you"]:
+        return Leaf(AttributePhrase(person=PersonRef.LISTENER))
+    if not tokens or tokens[0] != "the":
+        raise ParseError(f"expected a noun phrase, got {' '.join(tokens) or '<empty>'!r}")
+    i = 1
+    words = []
+    while i < len(tokens):
+        for seq in TOPOLOGICAL_MARKERS:
+            if _match_at(tokens, i, seq):
+                raise TopologicalPrepositionError(
+                    f"topological preposition {' '.join(seq)!r} is not supported; "
+                    "use a projective preposition (front/behind/left/right)"
+                )
+        marker = next((m for m in _MARKERS if _match_at(tokens, i, m[0])), None)
+        if marker is not None:
+            seq, prep, person = marker
+            if not words:
+                raise ParseError(f"missing noun phrase before {' '.join(seq)!r}")
+            head = _classify_attrs(words, lexicon)
+            rest = tokens[i + len(seq) :]
+            if person is not None:
+                if rest:
+                    raise ParseError(
+                        f"unexpected tokens after {' '.join(seq)!r}: {' '.join(rest)!r}"
+                    )
+                return Compound(head, prep, Leaf(AttributePhrase(person=person)))
+            return Compound(head, prep, _full_scan_parse_np(rest, lexicon))
+        words.append(tokens[i])
+        i += 1
+    return Leaf(_classify_attrs(words, lexicon))
+
+
+def _outcome(parse, *args):
+    try:
+        return parse(*args)
+    except ParseError as exc:
+        return type(exc), str(exc)
+
+
+WORDS = sorted(set(MARKER_TOKENS).union(*OVERLAP_VOCAB.values()))
+# Whole marker sequences, so that relation units form often; the
+# projective ones three times as often as the topological ones.
+MARKER_SEQS = [seq for seq, _, _ in _MARKERS] * 3 + list(TOPOLOGICAL_MARKERS)
+# A noun phrase: "the" (sometimes left out), lexicon words in realization
+# order, and sometimes one more token of any kind.
+noun_phrases = st.builds(
+    lambda the, attrs, extra: [*the, *(w for w in attrs if w), *extra],
+    st.sampled_from([("the",)] * 4 + [()]),
+    st.tuples(
+        *(
+            st.none() | st.sampled_from(sorted(OVERLAP_VOCAB[slot]))
+            for slot in ("color", "shape", "category")
+        )
+    ),
+    st.just(()) | st.lists(st.sampled_from(WORDS), max_size=1),
+)
+token_lists = st.builds(
+    lambda units, last: [t for np, seq in units for t in (*np, *seq)] + last,
+    st.lists(st.tuples(noun_phrases, st.sampled_from(MARKER_SEQS)), max_size=3),
+    noun_phrases | st.sampled_from([["me"], ["you"]]),
+) | st.lists(st.sampled_from(WORDS), max_size=12).map(lambda words: ["the", *words])
+
+
+@settings(max_examples=300)
+@given(token_lists)
+def test_parse_matches_the_full_marker_scan(tokens):
+    if not tokens:
+        return  # parse_expression rejects empty text before the loop
+    assert _outcome(parse_expression, " ".join(tokens), OVERLAP_VOCAB) == _outcome(
+        _full_scan_parse_np, tokens, OVERLAP_VOCAB
+    )
 
 
 def test_parse_expression_json(facing_square_scene):
