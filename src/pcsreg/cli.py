@@ -278,7 +278,7 @@ def cmd_evaluate(args) -> int:
         except OSError as exc:
             _fail(EXIT_USAGE, f"cannot create output directory {out}: {exc}")
     try:
-        report = run_comparison(cfg, collect_records=cfg.per_trial_csv)
+        report = run_comparison(cfg, collect_records=cfg.per_trial_csv and out is not None)
     except HarnessError as exc:  # e.g. tables too small for the object counts
         _fail(EXIT_BAD_SCENE, f"invalid config: {exc}")
     text = format_report_text(report)

@@ -4,8 +4,8 @@ The harness samples random tabletop scenes, generates one expression per
 method for every target whose visual description is ambiguous, and measures
 how often a simulated listener identifies the intended target.  All
 randomness is derived from the master seed through stable hashes, so trials
-are reproducible and all methods see identical listener randomness on the
-same trial.  The listener reads a ``ListenerPlan``, which its caller
+are reproducible and every method's listener reads one list of draws on
+the same trial.  The listener reads a ``ListenerPlan``, which its caller
 compiles once per expression, scene and true-preference table.
 
 ``oracle_denote`` is an independent check on the recursive resolution
@@ -21,6 +21,7 @@ import io
 import json
 import random
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .frames import (
     FRAME_ORDER,
@@ -157,66 +158,51 @@ class ListenerPlan:
     table ``prefs`` for the listener; ``simulate_listener`` reads it.
 
     ``anchor`` is the innermost phrase's referent (None if nothing matches)
-    and ``units`` holds each relation unit's sorted head ids and
-    preposition, deepest first.  ``steps`` memoizes, per (unit level,
-    resolved landmark id), the unit's adoptable options as (kind, weight,
-    first survivor) plus their total weight; the landmark a unit sees
-    depends on earlier draws, so the plan fills an entry for every
-    landmark that some draws reach.
+    and ``depth`` the number of relation units.  ``steps`` maps (unit level,
+    resolved landmark id) to the unit's adoptable options as (kind, weight,
+    first survivor) and their total weight.  It is filled by following every
+    option of every step from the anchor (None when a step has no option),
+    which reaches every landmark that some draws reach.
 
-    ``fixed`` is the listener's answer when it has one reachable answer,
-    and ``_DEPENDS_ON_DRAWS`` otherwise.  The reachable answers are found
-    by following every option of every step from the anchor (None when a
-    step has no option); whatever the draws or the coupling, the listener
-    returns one of them.
+    ``fixed`` is the listener's answer when that walk ends at one answer,
+    and ``_DEPENDS_ON_DRAWS`` otherwise; whatever the draws or the
+    coupling, the listener returns one of the answers it ends at.
     """
 
     def __init__(self, tree: ExpressionTree, scene: Scene, prefs: PreferenceTable):
         units, leaf = spine(tree)
         ids = consistent_set(leaf.head, scene)
-        self.scene = scene
-        self.prefs = prefs
         self.anchor = min(ids) if ids else None
-        self.units = [(sorted(consistent_set(u.head, scene)), u.prep) for u in reversed(units)]
+        self.depth = len(units)
         self.steps: dict[tuple[int, str], tuple[list, float]] = {}
-        self.fixed = self._fixed_answer()
-
-    def _fixed_answer(self):
         reachable = {self.anchor}
-        for level in range(len(self.units)):
+        for level, unit in enumerate(reversed(units)):
+            head_ids = sorted(consistent_set(unit.head, scene))
             after = set()
-            for resolved in reachable:
-                options = self.step(level, resolved)[0] if resolved is not None else ()
+            for resolved_id in reachable:
+                options = []
+                if resolved_id is not None:
+                    resolved = scene.entity(resolved_id)
+                    row = prefs.row(landmark_type(resolved))
+                    for part in partitions(resolved, scene):
+                        p = row[part.frame.kind.order]
+                        if p <= 0.0:
+                            continue
+                        members = part.members[unit.prep.order]
+                        survivor = next((eid for eid in head_ids if eid in members), None)
+                        if survivor is not None:
+                            options.append((part.frame.kind, p, survivor))
+                    self.steps[level, resolved_id] = (options, sum(p for _, p, _ in options))
                 if options:
                     after.update(survivor for _, _, survivor in options)
                 else:
                     after.add(None)
             reachable = after
-        return next(iter(reachable)) if len(reachable) == 1 else _DEPENDS_ON_DRAWS
-
-    def step(self, level: int, resolved_id: str):
-        """The unit's adoptable options and their total weight, memoized."""
-        key = (level, resolved_id)
-        entry = self.steps.get(key)
-        if entry is None:
-            head_ids, prep = self.units[level]
-            resolved = self.scene.entity(resolved_id)
-            row = self.prefs.row(landmark_type(resolved))
-            options = []
-            for part in partitions(resolved, self.scene):
-                p = row[part.frame.kind.order]
-                if p <= 0.0:
-                    continue
-                ids = part.members[prep.order]
-                survivor = next((eid for eid in head_ids if eid in ids), None)
-                if survivor is not None:
-                    options.append((part.frame.kind, p, survivor))
-            entry = self.steps[key] = (options, sum(p for _, p, _ in options))
-        return entry
+        self.fixed = next(iter(reachable)) if len(reachable) == 1 else _DEPENDS_ON_DRAWS
 
 
 def simulate_listener(
-    plan: ListenerPlan, rng: random.Random, consistency_coupling: float = 0.0
+    plan: ListenerPlan, draw: Callable[[], float], consistency_coupling: float = 0.0
 ) -> str | None:
     """One listener's crisp interpretation of the expression ``plan`` compiles.
 
@@ -235,28 +221,25 @@ def simulate_listener(
 
     ``consistency_coupling`` is the probability of reusing the previous
     unit's frame kind instead of sampling afresh; the default models fully
-    independent per-unit frame choices.  Only ``rng.random()`` is called,
-    in the same order as an uncompiled walk would call it, so trials that
-    share a plan differ only in their draws.
+    independent per-unit frame choices.  ``draw()`` returns the next
+    uniform number, e.g. ``rng.random``; it is called at most twice per
+    unit, in the order an uncompiled walk calls ``rng.random()``, so trials
+    that share a plan differ only in their draws.
     """
     resolved = plan.anchor
     if resolved is None:
         return None
     prev_kind: FrameKind | None = None
-    for level in range(len(plan.units)):
-        options, total = plan.step(level, resolved)
+    for level in range(plan.depth):
+        options, total = plan.steps[level, resolved]
         if not options:
             return None
-        draw = rng.random()
         chosen = None
-        if (
-            prev_kind is not None
-            and consistency_coupling > 0.0
-            and draw < consistency_coupling
-        ):
+        # Every unit takes the coupling's draw, whether or not it can reuse a kind.
+        if draw() < consistency_coupling and prev_kind is not None:
             chosen = next((o for o in options if o[0] is prev_kind), None)
         if chosen is None:
-            u = rng.random() * total
+            u = draw() * total
             acc = 0.0
             chosen = options[-1]
             for option in options:
@@ -448,38 +431,6 @@ def _bucket(k: int | None) -> str:
     return "k1" if k == 1 else "k2plus"
 
 
-class _Replay:
-    """The ``random()`` draws of ``Random(derive_seed(*seed_parts))``,
-    replayed from the start after each ``rewind()``.
-
-    Every listener on a trial sees the draws that a freshly seeded
-    ``Random`` would give it, while the generator is seeded once and each
-    number is drawn once.  The seed is derived and the generator seeded on
-    the first draw, so a trial that nothing draws from seeds nothing.
-    """
-
-    __slots__ = ("_seed_parts", "_rng", "_drawn", "_next")
-
-    def __init__(self, *seed_parts):
-        self._seed_parts = seed_parts
-        self._rng: random.Random | None = None
-        self._drawn: list[float] = []
-        self._next = 0
-
-    def rewind(self) -> "_Replay":
-        self._next = 0
-        return self
-
-    def random(self) -> float:
-        i = self._next
-        self._next = i + 1
-        if i == len(self._drawn):
-            if self._rng is None:
-                self._rng = random.Random(derive_seed(*self._seed_parts))
-            self._drawn.append(self._rng.random())
-        return self._drawn[i]
-
-
 def run_comparison(cfg: TrialConfig, collect_records: bool = True) -> TrialReport:
     """Generate-and-listen comparison across methods, deterministic per seed.
 
@@ -492,9 +443,9 @@ def run_comparison(cfg: TrialConfig, collect_records: bool = True) -> TrialRepor
     Methods whose expressions are equal share one denotation and one
     ``ListenerPlan`` per target and one listener answer per trial.  An
     expression whose plan has one reachable answer (``ListenerPlan.fixed``)
-    is not simulated, and a trial's seed is derived only when some listener
-    draws from it; when no expression needs draws and no records are
-    collected, the trials are not walked.
+    is not simulated; every drawing plan on a trial reads one list of draws
+    from a ``Random`` seeded per trial.  When no expression needs draws and
+    no records are collected, the trials are not walked.
     """
     assumed = cfg.assumed_prefs or default_preferences()
     stats = {m: MethodStats() for m in cfg.methods}
@@ -557,14 +508,17 @@ def run_comparison(cfg: TrialConfig, collect_records: bool = True) -> TrialRepor
             answers = [None if plan is None else plan.fixed for plan in plans]
             correct = [trials * (answer == target_id) for answer in answers]
             drawn = [i for i, answer in enumerate(answers) if answer is _DEPENDS_ON_DRAWS]
+            n_draws = 2 * max((plans[i].depth for i in drawn), default=0)
             if drawn or collect_records:
                 for trial in range(trials):
-                    draws = _Replay(cfg.seed, "trial", scene_idx, target_id, trial)
-                    for i in drawn:
-                        answers[i] = simulate_listener(
-                            plans[i], draws.rewind(), cfg.consistency_coupling
-                        )
-                        correct[i] += answers[i] == target_id
+                    if drawn:
+                        rng = random.Random(derive_seed(cfg.seed, "trial", scene_idx, target_id, trial))
+                        draws = [rng.random() for _ in range(n_draws)]
+                        for i in drawn:
+                            answers[i] = simulate_listener(
+                                plans[i], iter(draws).__next__, cfg.consistency_coupling
+                            )
+                            correct[i] += answers[i] == target_id
                     if collect_records:
                         for method in cfg.methods:
                             identified = answers[group[method]]

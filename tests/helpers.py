@@ -44,4 +44,6 @@ def random_tree(scene: Scene, rng: random.Random, max_depth: int = 2):
 
 def listen(tree, scene, true_prefs, rng, consistency_coupling=0.0):
     """``simulate_listener`` on a plan compiled for this one call."""
-    return simulate_listener(ListenerPlan(tree, scene, true_prefs), rng, consistency_coupling)
+    return simulate_listener(
+        ListenerPlan(tree, scene, true_prefs), rng.random, consistency_coupling
+    )

@@ -14,7 +14,14 @@ import pytest
 from pcsreg import cli
 from pcsreg.frames import FrameError, default_preferences, preferences_from_dict
 from pcsreg.generator import GenerationError, build_landmark_chain, expression_space, realize
-from pcsreg.harness import METHODS, HarnessError, config_from_dict, derive_seed, sample_scene
+from pcsreg.harness import (
+    METHODS,
+    HarnessError,
+    config_from_dict,
+    derive_seed,
+    format_report_text,
+    sample_scene,
+)
 from pcsreg.optimizer import MAX_COMPLEXITY, generate, score_denotation, select_best
 from pcsreg.resolver import denote, tree_to_dict
 from pcsreg.scene import SceneError, dump_scene, load_scene, scene_from_dict
@@ -477,8 +484,18 @@ class TestEvaluate:
         assert "cannot create output directory" in out.stderr
         assert "Traceback" not in out.stderr
 
-    @pytest.mark.parametrize("per_trial_csv", [False, True])
-    def test_records_collected_only_for_trials_csv(self, tmp_path, monkeypatch, per_trial_csv):
+    @pytest.mark.parametrize(
+        "per_trial_csv, with_out",
+        [
+            pytest.param(False, True, id="False"),
+            pytest.param(True, True, id="True"),
+            # Without --out nothing writes trials.csv, so nothing collects records.
+            pytest.param(True, False, id="True-without-out"),
+        ],
+    )
+    def test_records_collected_only_for_trials_csv(
+        self, tmp_path, monkeypatch, capsys, per_trial_csv, with_out
+    ):
         path = tmp_path / "config.json"
         path.write_text(
             json.dumps({"seed": 5, "n_scenes": 1, "trials_per_expression": 1,
@@ -492,8 +509,14 @@ class TestEvaluate:
             return real(cfg, collect_records)
 
         monkeypatch.setattr(cli, "run_comparison", spy)
-        assert cli.main(["evaluate", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
-        assert collected == [per_trial_csv]
+        argv = ["evaluate", "--config", str(path)]
+        if with_out:
+            argv += ["--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 0
+        assert collected == [per_trial_csv and with_out]
+        # The report printed is the one a run that collects records prints.
+        with_records = real(config_from_dict(json.loads(path.read_text())), True)
+        assert capsys.readouterr().out == format_report_text(with_records)
 
 
 class TestSchema:

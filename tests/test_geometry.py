@@ -254,10 +254,12 @@ def test_a_scene_with_geometry_is_freed_without_the_cycle_collector(default_pref
             Leaf(AttributePhrase(category=scene.objects()[1].category)),
         )
         denote(tree, scene, default_prefs)
+        plan = ListenerPlan(tree, scene, default_prefs)
         assert scene.relations  # partitions were built
         ref = weakref.ref(scene)
         del scene
         assert ref() is None
+        assert plan.steps  # the plan outlives its scene
     finally:
         gc.enable()
 

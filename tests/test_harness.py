@@ -36,7 +36,7 @@ from pcsreg.harness import (
 )
 from pcsreg.optimizer import ComplexityCapError, generate, select_best
 from pcsreg.prepositions import Preposition, relation
-from pcsreg.resolver import AttributePhrase, Compound, Leaf, consistent_set, denote
+from pcsreg.resolver import AttributePhrase, Compound, Leaf, consistent_set, denote, depth
 from pcsreg.scene import LandmarkType, dump_scene, landmark_type, load_scene
 
 DEMO_DIR = Path(__file__).resolve().parent.parent / "demo"
@@ -267,6 +267,16 @@ def method_trees(scene, prefs, seed):
             pass
 
 
+class CountingRandom(random.Random):
+    """A ``Random`` that counts its ``random()`` calls."""
+
+    calls = 0
+
+    def random(self):
+        self.calls += 1
+        return super().random()
+
+
 class TestListenerEquivalence:
     """The compiled listener matches the uncompiled walk draw for draw."""
 
@@ -282,12 +292,14 @@ class TestListenerEquivalence:
                         for trial in range(2):
                             trial_seed = derive_seed(seed, trial)
                             expected_rng = random.Random(trial_seed)
-                            rng = random.Random(trial_seed)
+                            rng = CountingRandom(trial_seed)
                             expected = reference_listener(
                                 tree, scene, prefs, expected_rng, coupling
                             )
                             assert listen(tree, scene, prefs, rng, coupling) == expected
                             assert rng.getstate() == expected_rng.getstate()
+                            # ``run_comparison`` precomputes this many draws.
+                            assert rng.calls <= 2 * depth(tree)
                             calls += 1
                             confused += expected is None
         assert calls > 1000
@@ -317,15 +329,18 @@ class TestListenerEquivalence:
 
 def reference_reachable(tree, scene, true_prefs):
     """Every answer of the uncompiled listener over every option of every
-    unit, by enumerating each path of options."""
+    unit, by enumerating each path of options, and the (unit level,
+    landmark id) pairs at which some path resolves a unit."""
     units, anchor = reference_units(tree)
     ids = consistent_set(anchor, scene)
+    visited = set()
     if not ids:
-        return {None}
+        return {None}, visited
 
     def walk(level, resolved):
         if level == len(units):
             return {resolved.id}
+        visited.add((level, resolved.id))
         head, prep = units[level]
         options = reference_options(head, prep, resolved, scene, true_prefs)
         if not options:
@@ -334,7 +349,7 @@ def reference_reachable(tree, scene, true_prefs):
             *(walk(level + 1, scene.entity(survivors[0])) for _, _, survivors in options)
         )
 
-    return walk(0, scene.entity(min(ids)))
+    return walk(0, scene.entity(min(ids))), visited
 
 
 def test_fixed_plans_answer_every_draw(default_prefs, two_frame_prefs):
@@ -357,7 +372,7 @@ def test_fixed_plans_answer_every_draw(default_prefs, two_frame_prefs):
                 branching += any(len(options) > 1 for options, _ in plan.steps.values())
                 for s in range(20):
                     for coupling in (0.0, 0.5, 1.0):
-                        assert simulate_listener(plan, random.Random(s), coupling) == fixed
+                        assert simulate_listener(plan, random.Random(s).random, coupling) == fixed
                         rng = random.Random(s)
                         assert reference_listener(tree, scene, prefs, rng, coupling) == fixed
     assert drawing > 0 and branching > 0
@@ -377,10 +392,13 @@ def test_fixed_is_the_one_reachable_answer(source, default_prefs, two_frame_pref
         trees += [random_tree(scene, rng, max_depth=3) for _ in range(6)]
         for tree in trees:
             for prefs in (default_prefs, two_frame_prefs, INTRINSIC_ONLY):
-                reachable = reference_reachable(tree, scene, prefs)
+                reachable, visited = reference_reachable(tree, scene, prefs)
                 n_reachable.add(min(len(reachable), 2))
                 want = reachable.pop() if len(reachable) == 1 else _DEPENDS_ON_DRAWS
-                assert ListenerPlan(tree, scene, prefs).fixed == want, tree
+                plan = ListenerPlan(tree, scene, prefs)
+                assert plan.fixed == want, tree
+                # The plan's table holds exactly the steps some path reaches.
+                assert set(plan.steps) == visited, tree
     assert n_reachable == {1, 2}
 
 
