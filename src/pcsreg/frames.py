@@ -196,10 +196,6 @@ def load_preferences(source: Union[str, Path]) -> PreferenceTable:
     return preferences_from_dict(read_json(source, FrameError))
 
 
-def preferences_to_dict(table: PreferenceTable) -> dict:
-    return {key: list(table.row(lt)) for key, lt in _FILE_KEYS.items()}
-
-
 def preference_entropy(p: Sequence[float]) -> float:
     """Shannon entropy in bits; 0*lg(0) taken as 0.
 

@@ -22,6 +22,7 @@ the crisp preposition each assignment produces.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .frames import (
@@ -37,8 +38,10 @@ from .geometry import distance
 from .prepositions import (
     LISTENER_SURFACE,
     PLAIN_SURFACE,
+    RELATION_TIE_TOL,
     SPEAKER_SURFACE,
     Preposition,
+    coincident,
     partitions,
     relation,
 )
@@ -50,7 +53,7 @@ from .resolver import (
     PersonRef,
     consistent_set,
 )
-from .scene import Entity, EntityKind, Scene, landmark_type
+from .scene import MIN_SEPARATION, Entity, EntityKind, Scene, landmark_type
 
 
 class GenerationError(RuntimeError):
@@ -132,7 +135,11 @@ def select_landmark(
     not distinguishing, the highest-priority candidate landmark whose
     relation to the target (under the default frame) differs from its
     relation to every distractor.  Candidates are prioritized by ascending
-    preference entropy, then distance to the target, then id.
+    preference entropy, then distance to the target, then id, and tested in
+    that order until one separates.  The test is ``relation``'s arithmetic
+    (``prepositions._quadrant``) run inline, with the default frame's axis
+    and its length read once per call: the target's quadrant first, then
+    each distractor's until one shares it.
     """
     target = scene.entity(target_id)
     if target.kind is not EntityKind.OBJECT:
@@ -143,24 +150,43 @@ def select_landmark(
         return d_vf, None
 
     described = consistent_set(d_vf.attrs, scene)
-    distractors = [scene.entity(eid) for eid in sorted((described & domain) - {target_id})]
+    distractors = sorted((described & domain) - {target_id})
     pool = [scene.entity(eid) for eid in sorted(domain)] + [scene.speaker, scene.listener]
-    candidates = [e for e in pool if e.id not in described]
-    entropy = {row: preference_entropy(row) for row in {entity_rows[e.id] for e in candidates}}
-    candidates.sort(
-        key=lambda e: (
-            entropy[entity_rows[e.id]],
-            distance(e.centroid, target.centroid),
-            e.id,
-        )
-    )
-    for cand in candidates:
-        r = relation(target, cand, default_frame)
-        if all(relation(d, cand, default_frame) is not r for d in distractors):
-            return d_vf, cand.id
+    entropy: dict[Row, float] = {}
+    candidates = []
+    for e in pool:
+        if e.id not in described:
+            row = entity_rows[e.id]
+            h = entropy.get(row)
+            if h is None:
+                h = entropy[row] = preference_entropy(row)
+            candidates.append((h, distance(e.centroid, target.centroid), e.id, e.centroid))
+    candidates.sort()  # ids are unique, so centroids are never compared
+
+    fx, fy = default_frame.front_axis
+    flen = math.hypot(fx, fy)
+    located = [target.centroid] + [scene.entity(eid).centroid for eid in distractors]
+    for _, _, cand_id, (cx, cy) in candidates:
+        target_quadrant = -1
+        for px, py in located:
+            dx = px - cx
+            dy = py - cy
+            dist = math.hypot(dx, dy)
+            if dist < MIN_SEPARATION:
+                raise coincident(dist)
+            scale = dist * flen
+            f = (dx * fx + dy * fy) / scale
+            r = (dx * fy + dy * -fx) / scale
+            floor = min(1.0, max(abs(f), abs(r))) - RELATION_TIE_TOL
+            q = 0 if f >= floor else 1 if -f >= floor else 2 if -r >= floor else 3
+            if q == target_quadrant:
+                break
+            if target_quadrant < 0:
+                target_quadrant = q
+        else:
+            return d_vf, cand_id
     raise NoDiscriminatingLandmarkError(
-        f"no candidate landmark discriminates {target_id!r} from "
-        f"{[d.id for d in distractors]}"
+        f"no candidate landmark discriminates {target_id!r} from {distractors}"
     )
 
 
@@ -191,8 +217,9 @@ def build_landmark_chain(
     if default_frame is None:
         default_frame = frame_instance(FrameKind.EGOCENTRIC, scene)
 
+    rows = base.rows
     entity_rows: dict[str, tuple[float, ...]] = {
-        e.id: base.row(landmark_type(e)) for e in scene.entities
+        e.id: rows[landmark_type(e)] for e in scene.entities
     }
 
     iterations = 0

@@ -33,11 +33,6 @@ def heading_vec(angle: float) -> Vec:
     return (math.cos(angle), math.sin(angle))
 
 
-def rotate(v: Vec, angle: float) -> Vec:
-    c, s = math.cos(angle), math.sin(angle)
-    return (c * v[0] - s * v[1], s * v[0] + c * v[1])
-
-
 def quarter_left(v: Vec) -> Vec:
     """Exact +90 deg (counterclockwise) rotation."""
     return (-v[1], v[0])

@@ -55,7 +55,6 @@ DEFAULT_COLORS = ("red", "yellow", "blue", "green")
 DEFAULT_SHAPES = ("square", "round", "oblong")
 
 ORACLE_MAX_DEPTH = 3
-ORACLE_MAX_ENTITIES = 8
 
 # Random positions ``sample_scene`` tries for each object before giving up.
 PLACEMENT_ATTEMPTS = 200
@@ -259,15 +258,12 @@ def oracle_denote(tree: ExpressionTree, scene: Scene, prefs: PreferenceTable) ->
 
     Kept structurally independent of the recursive model: weights multiply
     along a full assignment and are normalized exactly once.  Exponential in
-    depth, so bounded to small inputs.
+    depth, so bounded to ``ORACLE_MAX_DEPTH`` relation units; its cost grows
+    with the phrase sets' sizes, not with the entity count as such.
     """
     k = depth(tree)
     if k > ORACLE_MAX_DEPTH:
         raise HarnessError(f"oracle limited to depth {ORACLE_MAX_DEPTH}, got {k}")
-    if len(scene.entities) > ORACLE_MAX_ENTITIES:
-        raise HarnessError(
-            f"oracle limited to {ORACLE_MAX_ENTITIES} entities, got {len(scene.entities)}"
-        )
 
     heads = []
     node = tree

@@ -7,6 +7,12 @@ role, so membership is invariant under scaling about the landmark, and the
 crisp relation partitions the plane into four quadrants around the frame's
 axes: its front axis and the exact half and quarter turns of it (``_axis``).
 
+``membership`` computes one degree and is the reference.  ``_quadrant``
+computes the crisp relation of one pair; ``partitions`` and
+``generator.select_landmark`` run the same arithmetic inline over many
+pairs, computing each displacement length and each ``|front|`` once.  Tests
+hold all three to ``membership`` bit for bit.
+
 Topological prepositions ("near") carry no frame dependence and are outside
 this model; the expression parser rejects them.
 """
@@ -26,6 +32,13 @@ RELATION_TIE_TOL = 1e-12
 
 class CoincidentPointsError(ValueError):
     pass
+
+
+def coincident(dist: float) -> CoincidentPointsError:
+    """The error for a target and landmark ``dist`` apart, under ``MIN_SEPARATION``."""
+    return CoincidentPointsError(
+        f"target and landmark are coincident (separation {dist} < {MIN_SEPARATION})"
+    )
 
 
 class Preposition(enum.Enum):
@@ -67,9 +80,7 @@ def membership(target, landmark_point, prep: Preposition, frame: FrameInstance) 
     d = sub(t, o)
     dist = norm(d)
     if dist < MIN_SEPARATION:
-        raise CoincidentPointsError(
-            f"target and landmark are coincident (separation {dist} < {MIN_SEPARATION})"
-        )
+        raise coincident(dist)
     axis = _axis(prep, frame)
     cos_theta = dot(d, axis) / (dist * norm(axis))
     return max(0.0, min(1.0, cos_theta))
@@ -100,9 +111,7 @@ def _quadrant(dx: float, dy: float, fx: float, fy: float) -> int:
     """
     dist = math.hypot(dx, dy)
     if dist < MIN_SEPARATION:
-        raise CoincidentPointsError(
-            f"target and landmark are coincident (separation {dist} < {MIN_SEPARATION})"
-        )
+        raise coincident(dist)
     scale = dist * math.hypot(fx, fy)
     f = (dx * fx + dy * fy) / scale
     r = (dx * fy + dy * -fx) / scale
@@ -138,23 +147,35 @@ def partitions(landmark: Entity, scene: Scene) -> tuple[Partition, ...]:
     under each frame of ``applicable_frames(landmark, scene)``, in that order.
 
     Each partition lists the ids in each preposition in scene entity order.
-    Computed once per landmark and kept in ``scene.relations``.
+    Computed once per landmark and kept in ``scene.relations``.  Each
+    displacement and its length are computed once for all frames, and
+    ``_quadrant``'s arithmetic runs inline.
     """
     memo = scene.relations
     parts = memo.get(landmark.id)
     if parts is None:
         lx, ly = landmark.centroid
-        others = [
-            (e.id, e.centroid[0] - lx, e.centroid[1] - ly)
-            for e in scene.entities
-            if e.id != landmark.id
-        ]
+        others = []
+        for e in scene.entities:
+            if e.id != landmark.id:
+                dx = e.centroid[0] - lx
+                dy = e.centroid[1] - ly
+                dist = math.hypot(dx, dy)
+                if dist < MIN_SEPARATION:
+                    raise coincident(dist)
+                others.append((e.id, dx, dy, dist))
         built = []
         for frame in applicable_frames(landmark, scene):
             fx, fy = frame.front_axis
+            flen = math.hypot(fx, fy)
             members: tuple[list[str], ...] = ([], [], [], [])
-            for eid, dx, dy in others:
-                members[_quadrant(dx, dy, fx, fy)].append(eid)
+            for eid, dx, dy, dist in others:
+                scale = dist * flen
+                f = (dx * fx + dy * fy) / scale
+                r = (dx * fy + dy * -fx) / scale
+                floor = min(1.0, max(abs(f), abs(r))) - RELATION_TIE_TOL
+                q = 0 if f >= floor else 1 if -f >= floor else 2 if -r >= floor else 3
+                members[q].append(eid)
             built.append(Partition(frame, tuple(map(tuple, members))))
         parts = memo[landmark.id] = tuple(built)
     return parts

@@ -311,9 +311,18 @@ def phrase_to_dict(phrase: AttributePhrase) -> dict:
     return out
 
 
+def _reject_unknown_keys(doc: dict, known: tuple[str, ...], what: str) -> None:
+    unknown = [key for key in doc if key not in known]
+    if unknown:
+        raise ParseError(
+            f"{what} has unknown keys {unknown} (expected some of {list(known)})"
+        )
+
+
 def phrase_from_dict(doc: dict) -> AttributePhrase:
     if not isinstance(doc, dict):
         raise ParseError(f"phrase must be an object, got {doc!r}")
+    _reject_unknown_keys(doc, ATTRIBUTE_SLOTS + ("person",), "phrase")
     fields = {key: doc.get(key) for key in ATTRIBUTE_SLOTS}
     for key, value in fields.items():
         if value is not None and not (isinstance(value, str) and value):
@@ -344,6 +353,7 @@ def tree_to_dict(tree: ExpressionTree) -> dict:
 def tree_from_dict(doc: dict) -> ExpressionTree:
     if not isinstance(doc, dict) or "head" not in doc:
         raise ParseError("expression object must contain 'head'")
+    _reject_unknown_keys(doc, ("head", "prep", "landmark"), "expression object")
     head = phrase_from_dict(doc["head"])
     if "prep" not in doc and "landmark" not in doc:
         return Leaf(head)
@@ -353,7 +363,10 @@ def tree_from_dict(doc: dict) -> ExpressionTree:
         prep = Preposition(doc["prep"])
     except ValueError:
         raise ParseError(f"unknown preposition {doc['prep']!r}") from None
-    return Compound(head, prep, tree_from_dict(doc["landmark"]))
+    landmark = doc["landmark"]
+    if not isinstance(landmark, dict):
+        raise ParseError(f"'landmark' must be an expression object, got {landmark!r}")
+    return Compound(head, prep, tree_from_dict(landmark))
 
 
 def parse_expression_json(text: str) -> ExpressionTree:

@@ -71,13 +71,14 @@ class Entity:
 
 def landmark_type(entity: Entity) -> LandmarkType:
     """Classify an entity for preference-table lookup (total function)."""
-    if entity.kind is EntityKind.SPEAKER:
-        return LandmarkType.SPEAKER
-    if entity.kind is EntityKind.LISTENER:
-        return LandmarkType.LISTENER
-    if entity.oriented:
+    kind = entity.kind
+    if kind is EntityKind.OBJECT:
+        if entity.heading is None:
+            return LandmarkType.UNORIENTED_OBJECT
         return LandmarkType.ORIENTED_OBJECT
-    return LandmarkType.UNORIENTED_OBJECT
+    if kind is EntityKind.SPEAKER:
+        return LandmarkType.SPEAKER
+    return LandmarkType.LISTENER
 
 
 @dataclass(frozen=True)

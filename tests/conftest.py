@@ -81,3 +81,37 @@ def update_chain_scene():
         ),
         table=TableExtent((-1.5, -1.5), (1.5, 1.5)),
     )
+
+
+@pytest.fixture(scope="session")
+def diagonal_scene():
+    """Blocks on the 45-degree diagonals of a blue cup, seen by a speaker
+    facing up the table.
+
+    The cup sits at (0.21, 0.13), so some displacements from it come out a
+    unit in the last place apart in x and y: the strict maximum of the
+    degrees would put red ``block1`` and ``block3`` to the cup's right, and
+    the ``RELATION_TIE_TOL`` tie rule puts them in front and behind.  Red
+    ``block4`` lies plainly to the right, so the cup separates the three red
+    blocks only under the tie rule.
+    """
+    cx, cy = 0.21, 0.13
+    blocks = {
+        "block1": ((0.3, 0.3), "red"),
+        "block2": ((-0.3, 0.3), "green"),
+        "block3": ((0.3, -0.3), "red"),
+        "block4": ((0.45, 0.0), "red"),
+    }
+    return Scene(
+        entities=(Entity("cup1", EntityKind.OBJECT, "cup", (cx, cy), color="blue"),)
+        + tuple(
+            Entity(bid, EntityKind.OBJECT, "block", (cx + ox, cy + oy), color=color)
+            for bid, ((ox, oy), color) in blocks.items()
+        )
+        + (
+            Entity("cup2", EntityKind.OBJECT, "cup", (-1.0, -0.9), color="blue"),
+            Entity("speaker", EntityKind.SPEAKER, "robot", (0.0, -1.2), heading=HALF_PI),
+            Entity("listener", EntityKind.LISTENER, "person", (0.0, 1.2), heading=-HALF_PI),
+        ),
+        table=TableExtent((-1.5, -1.5), (1.5, 1.5)),
+    )

@@ -1,14 +1,20 @@
-"""Shared helpers: deterministic random expression trees over a scene, and
-a simulated listener that compiles its own plan."""
+"""Shared helpers: deterministic random expression trees over a scene, a
+simulated listener that compiles its own plan, a rotation and the
+preference-file form of a table."""
 
+import math
 import random
 
 from pcsreg.harness import ListenerPlan, simulate_listener
 from pcsreg.prepositions import Preposition
 from pcsreg.resolver import AttributePhrase, Compound, Leaf, PersonRef
-from pcsreg.scene import Scene
+from pcsreg.scene import LandmarkType, Scene
 
 PREPS = list(Preposition)
+
+# The sampling pools of the benchmark's crowded tables: two categories, two
+# colors and no shapes, so many objects share a description.
+CROWDED_POOLS = {"categories": ("block", "cup"), "colors": ("red", "blue"), "shapes": ()}
 
 
 def random_phrase(scene: Scene, rng: random.Random) -> AttributePhrase:
@@ -47,3 +53,14 @@ def listen(tree, scene, true_prefs, rng, consistency_coupling=0.0):
     return simulate_listener(
         ListenerPlan(tree, scene, true_prefs), rng.random, consistency_coupling
     )
+
+
+def rotate(v, angle):
+    """``v`` turned counterclockwise by ``angle`` radians."""
+    c, s = math.cos(angle), math.sin(angle)
+    return (c * v[0] - s * v[1], s * v[0] + c * v[1])
+
+
+def preferences_to_dict(table):
+    """The preference-file document of ``table``, one row per landmark type."""
+    return {lt.value: list(table.row(lt)) for lt in LandmarkType}

@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from helpers import random_tree
+from helpers import random_tree, rotate
 
 from pcsreg.frames import default_preferences, preference_entropy
 from pcsreg.generator import (
@@ -25,7 +25,6 @@ from pcsreg.generator import (
     verify_chain_discrimination,
 )
 from pcsreg.frames import FrameInstance, FrameKind, frame_instance
-from pcsreg.geometry import rotate
 from pcsreg.harness import (
     config_from_dict,
     derive_seed,

@@ -313,6 +313,26 @@ class TestResolve:
         assert f"'{field}'" in out.stderr
         assert "Traceback" not in out.stderr
 
+    @pytest.mark.parametrize(
+        "expr, message",
+        [
+            ({"head": {"category": "block", "extra": 1}}, "phrase has unknown keys ['extra']"),
+            ({"head": {"category": "block"}, "extra": 1}, "expression object has unknown keys ['extra']"),
+            (
+                {"head": {"category": "block"}, "prep": "front", "landmark": 5},
+                "'landmark' must be an expression object, got 5",
+            ),
+        ],
+        ids=["phrase_key", "expression_key", "landmark_number"],
+    )
+    def test_malformed_json_expression_exits_5(self, scene_paths, expr, message):
+        out = run_cli(
+            "resolve", "--scene", str(scene_paths["blocks"]), "--expr", json.dumps(expr)
+        )
+        assert out.returncode == 5
+        assert message in out.stderr
+        assert "Traceback" not in out.stderr
+
     def test_pipeline_identity(self, scene_paths):
         gen = run_cli(
             "generate", "--scene", str(scene_paths["blocks"]), "--target", "blk_a", "--json"

@@ -4,6 +4,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from helpers import preferences_to_dict
 from pcsreg.frames import (
     _DEFAULT_ROWS,
     FRAME_ORDER,
@@ -187,8 +188,6 @@ def test_update_reaches_fixed_point_within_chain_length(types):
 
 
 def test_preference_file_round_trip(tmp_path, default_prefs):
-    from pcsreg.frames import preferences_to_dict
-
     path = tmp_path / "prefs.json"
     path.write_text(json.dumps(preferences_to_dict(default_prefs)))
     assert load_preferences(path).rows == default_prefs.rows

@@ -2,7 +2,8 @@ import math
 
 import pytest
 
-from pcsreg.frames import FrameInstance, FrameKind, frame_instance
+from helpers import CROWDED_POOLS, rotate
+from pcsreg.frames import FrameInstance, FrameKind, frame_instance, preference_entropy
 from pcsreg.generator import (
     MAX_CHAIN_REBUILDS,
     GenerationError,
@@ -14,10 +15,10 @@ from pcsreg.generator import (
     select_landmark,
     verify_chain_discrimination,
 )
-from pcsreg.geometry import rotate
+from pcsreg.geometry import distance
 from pcsreg.harness import derive_seed, sample_scene
-from pcsreg.prepositions import Preposition
-from pcsreg.resolver import AttributePhrase, Compound, Leaf, PersonRef
+from pcsreg.prepositions import Preposition, relation
+from pcsreg.resolver import AttributePhrase, Compound, Leaf, PersonRef, consistent_set
 from pcsreg.scene import Entity, EntityKind, LandmarkType, Scene, TableExtent, landmark_type
 
 HALF_PI = math.pi / 2
@@ -114,6 +115,104 @@ class TestSelectLandmark:
         rows = entity_rows(scene, default_prefs)
         d, lm = select_landmark("blk_a", set(scene.referable_ids()), scene, rows, ego)
         assert lm == "listener"
+
+
+def reference_landmark(target_id, domain, scene, rows, default_frame):
+    """Landmark selection by brute force: every candidate sorted by
+    (entropy, distance, id), each related to the target and to every
+    distractor through ``relation``."""
+    d_vf = describe_visual(target_id, domain, scene)
+    if d_vf.distinguishing:
+        return d_vf, None
+    target = scene.entity(target_id)
+    described = consistent_set(d_vf.attrs, scene)
+    distractors = sorted((described & domain) - {target_id})
+    pool = [scene.entity(eid) for eid in domain] + [scene.speaker, scene.listener]
+    ranked = sorted(
+        (e for e in pool if e.id not in described),
+        key=lambda e: (
+            preference_entropy(rows[e.id]),
+            distance(e.centroid, target.centroid),
+            e.id,
+        ),
+    )
+    for cand in ranked:
+        r = relation(target, cand, default_frame)
+        if all(relation(scene.entity(d), cand, default_frame) is not r for d in distractors):
+            return d_vf, cand.id
+    raise NoDiscriminatingLandmarkError(
+        f"no candidate landmark discriminates {target_id!r} from {distractors}"
+    )
+
+
+def outcome(select, *args):
+    try:
+        return select(*args)
+    except NoDiscriminatingLandmarkError as exc:
+        return str(exc)
+
+
+def compare_along_chain_domains(scene, prefs, default_frame):
+    """``select_landmark`` against the reference at every step of every
+    referable target's first build pass; returns (steps, failed steps)."""
+    rows = entity_rows(scene, prefs)
+    steps = failures = 0
+    for target in scene.referable_ids():
+        domain = set(scene.referable_ids())
+        current = target
+        while scene.entity(current).kind is EntityKind.OBJECT:
+            args = (current, domain, scene, rows, default_frame)
+            want = outcome(reference_landmark, *args)
+            assert outcome(select_landmark, *args) == want, (target, current)
+            steps += 1
+            if isinstance(want, str):
+                failures += 1
+                break
+            d_vf, lm = want
+            if lm is None:
+                break
+            domain = domain - consistent_set(d_vf.attrs, scene, within=domain)
+            current = lm
+    return steps, failures
+
+
+VOCABULARIES = {"default": {}, "crowded": CROWDED_POOLS}
+
+
+class TestSelectLandmarkMatchesReference:
+    @pytest.mark.parametrize("objects", [(3, 8), (8, 16), (16, 30)], ids=str)
+    @pytest.mark.parametrize("vocabulary", sorted(VOCABULARIES))
+    @pytest.mark.parametrize("prefs_name", ["default", "two_frame"])
+    def test_sampled_scenes(self, objects, vocabulary, prefs_name, request):
+        prefs = request.getfixturevalue(f"{prefs_name}_prefs")
+        steps = failures = 0
+        for i in range(8):
+            scene = sample_scene(
+                derive_seed("select-reference", objects, vocabulary, i),
+                objects=objects,
+                **VOCABULARIES[vocabulary],
+            )
+            ego = frame_instance(FrameKind.EGOCENTRIC, scene)
+            # A front axis of another length and direction than any heading's.
+            skewed = FrameInstance(ego.kind, ego.origin_entity, (0.6, -1.3))
+            for frame in (ego, skewed):
+                n, f = compare_along_chain_domains(scene, prefs, frame)
+                steps += n
+                failures += f
+        assert 0 < failures < steps
+
+    def test_diagonal_ties(self, diagonal_scene, default_prefs, two_frame_prefs):
+        ego = frame_instance(FrameKind.EGOCENTRIC, diagonal_scene)
+        cup = diagonal_scene.entity("cup1")
+        # The tie rule, not the strict maximum, decides these relations.
+        for bid, prep in (("block1", Preposition.FRONT), ("block3", Preposition.BEHIND)):
+            assert relation(diagonal_scene.entity(bid), cup, ego) is prep
+        rows = entity_rows(diagonal_scene, default_prefs)
+        referable = set(diagonal_scene.referable_ids())
+        assert select_landmark("block1", referable, diagonal_scene, rows, ego)[1] == "cup1"
+        for prefs in (default_prefs, two_frame_prefs):
+            steps, _ = compare_along_chain_domains(diagonal_scene, prefs, ego)
+            assert steps >= len(referable)
 
 
 class TestBuildChain:

@@ -132,9 +132,9 @@ def test_denote_equals_the_relation_by_relation_model(objects, prefs_name, reque
     assert depths == {0, 1, 2, 3}
 
 
-def test_partitions_hold_every_relation_in_scene_order():
-    for i, objects in enumerate(SIZES):
-        scene = sample_scene(derive_seed(6, "partitions", i), objects=objects)
+def test_partitions_hold_every_relation_in_scene_order(diagonal_scene):
+    scenes = [sample_scene(derive_seed(6, "partitions", i), objects=o) for i, o in enumerate(SIZES)]
+    for scene in scenes + [diagonal_scene]:
         for lm in scene.entities:
             parts = partitions(lm, scene)
             assert [p.frame for p in parts] == list(applicable_frames(lm, scene))

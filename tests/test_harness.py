@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from helpers import listen, random_tree
+from helpers import CROWDED_POOLS, listen, random_tree
 
 from pcsreg.frames import (
     FRAME_ORDER,
@@ -21,6 +21,7 @@ from pcsreg.generator import GenerationError, build_landmark_chain, describe_vis
 from pcsreg.geometry import heading_vec
 from pcsreg.harness import (
     _DEPENDS_ON_DRAWS,
+    ORACLE_MAX_DEPTH,
     HarnessError,
     ListenerPlan,
     TrialConfig,
@@ -429,6 +430,18 @@ def test_demo_report_without_records_equals_the_golden_run(coupling):
     assert report_to_json(run_comparison(cfg, collect_records=False)) == with_records
 
 
+def oracle_difference(tree, scene, prefs):
+    """Max |denote - oracle_denote| over the referable ids, or None when
+    both are unresolvable."""
+    a = denote(tree, scene, prefs)
+    b = oracle_denote(tree, scene, prefs)
+    assert a.unresolvable == b.unresolvable, tree
+    if a.unresolvable:
+        return None
+    assert a.probs.keys() == b.probs.keys()
+    return max(abs(a.probs[eid] - b.probs[eid]) for eid in a.probs)
+
+
 class TestOracle:
     def test_square_scene(self, facing_square_scene, two_frame_prefs):
         d = oracle_denote(SQUARE_EXPR, facing_square_scene, two_frame_prefs)
@@ -458,10 +471,50 @@ class TestOracle:
         assert checked > 50
         assert worst <= 1e-9
 
+    @pytest.mark.parametrize("objects", [(8, 16), (16, 30)], ids=str)
+    def test_random_trees_match_denote_on_larger_tables(self, objects, default_prefs):
+        worst = 0.0
+        checked = 0
+        depths = set()
+        for i in range(150):
+            scene = sample_scene(derive_seed("oracle-large", objects, i // 5), objects=objects)
+            tree = random_tree(
+                scene, random.Random(derive_seed("oracle-tree", objects, i)), ORACLE_MAX_DEPTH
+            )
+            depths.add(depth(tree))
+            diff = oracle_difference(tree, scene, default_prefs)
+            if diff is not None:
+                checked += 1
+                worst = max(worst, diff)
+        assert depths == set(range(ORACLE_MAX_DEPTH + 1))
+        assert checked > 75
+        assert worst <= 1e-9
+
+    @pytest.mark.parametrize("objects", [(8, 16), (16, 30)], ids=str)
+    @pytest.mark.parametrize("vocabulary", ["default", "crowded"])
+    def test_expression_space_surfaces_match_denote(self, objects, vocabulary, default_prefs):
+        # Every distinct tree of every chain the oracle's depth bound admits.
+        pools = {"default": {}, "crowded": CROWDED_POOLS}[vocabulary]
+        worst = 0.0
+        trees_checked = 0
+        for i in range(15):
+            scene = sample_scene(derive_seed("oracle-space", objects, vocabulary, i), objects=objects, **pools)
+            for target in scene.referable_ids():
+                try:
+                    chain = build_landmark_chain(target, scene, default_prefs)
+                except GenerationError:
+                    continue
+                if chain.k > ORACLE_MAX_DEPTH:
+                    continue
+                for tree in {c.tree for c in expression_space(chain, scene)}:
+                    diff = oracle_difference(tree, scene, default_prefs)
+                    if diff is not None:
+                        worst = max(worst, diff)
+                        trees_checked += 1
+        assert trees_checked > 200
+        assert worst <= 1e-9
+
     def test_size_limits(self, default_prefs):
-        big = sample_scene(1, objects=(8, 8))
-        with pytest.raises(HarnessError):
-            oracle_denote(Leaf(AttributePhrase(category="block")), big, default_prefs)
         deep = Leaf(AttributePhrase(category="block"))
         for _ in range(4):
             deep = Compound(AttributePhrase(category="block"), Preposition.FRONT, deep)

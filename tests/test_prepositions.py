@@ -5,7 +5,8 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from pcsreg.frames import FrameInstance, FrameKind, frame_instance
-from pcsreg.geometry import heading_vec, quarter_left, rotate
+from helpers import rotate
+from pcsreg.geometry import heading_vec, quarter_left
 from pcsreg.prepositions import (
     PREPOSITION_ORDER,
     RELATION_TIE_TOL,

@@ -337,6 +337,35 @@ def test_person_phrase_rejects_visual_fields(field):
         tree_from_dict(doc)
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"head": {"category": "block", "extra": 1}}, r"phrase has unknown keys \['extra'\]"),
+        ({"head": {"person": "you", "name": "x"}}, r"phrase has unknown keys \['name'\]"),
+        ({"head": {"category": "block"}, "extra": 1}, r"expression object has unknown keys \['extra'\]"),
+        (
+            {"head": {"category": "block"}, "prep": "left", "landmark": {"head": {"category": "car"}, "x": 1, "y": 2}},
+            r"expression object has unknown keys \['x', 'y'\]",
+        ),
+        (
+            {"head": {"category": "block"}, "prep": "left", "landmark": {"head": {"shape": "round", "size": 2}}},
+            r"phrase has unknown keys \['size'\]",
+        ),
+    ],
+    ids=["phrase", "person_phrase", "expression", "nested_expression", "nested_phrase"],
+)
+def test_unknown_keys_are_rejected_by_name(doc, message):
+    with pytest.raises(ParseError, match=message):
+        tree_from_dict(doc)
+
+
+@pytest.mark.parametrize("landmark", [5, "the car", ["head"], None, True])
+def test_landmark_must_be_an_object(landmark):
+    doc = {"head": {"category": "block"}, "prep": "front", "landmark": landmark}
+    with pytest.raises(ParseError, match="'landmark' must be an expression object"):
+        tree_from_dict(doc)
+
+
 def test_phrase_fields_may_be_null():
     doc = {"head": {"category": "block", "color": None, "shape": None}}
     assert tree_from_dict(doc) == Leaf(AttributePhrase(category="block"))
