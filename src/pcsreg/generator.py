@@ -14,9 +14,10 @@ Second, the per-unit preference distributions are run through the
 content-window update; if any distribution changes, landmark selection is
 re-run with the revised priorities, until a fixed point.
 
-The expression space is the set of candidate surface expressions obtained by
-assigning every applicable frame kind to every relation unit and reading off
-the crisp preposition each assignment produces.
+The finished chain also holds each relation unit's options: every
+applicable frame with the crisp preposition it produces.  The expression
+space is the set of candidate surface expressions obtained by picking one
+option per unit.
 """
 
 from __future__ import annotations
@@ -64,6 +65,15 @@ class NoDiscriminatingLandmarkError(GenerationError):
     """No candidate landmark separates the target from its distractors."""
 
 
+# Exhaustive search is exponential in expression complexity; desk-scale
+# chains stay well under this.
+MAX_COMPLEXITY = 4
+
+
+class ComplexityCapError(GenerationError):
+    """The landmark chain is longer than exhaustive search allows."""
+
+
 @dataclass(frozen=True)
 class VisualDescription:
     attrs: AttributePhrase
@@ -85,6 +95,9 @@ class LandmarkChain:
     landmarks: tuple[str, ...]  # push order, the anchor last
     descriptions: tuple[VisualDescription, ...]  # target first, anchor last
     distributions: tuple[Row, ...]  # settled frame preferences per unit, shallowest first
+    # Per unit, (frame, relation of the target or previous landmark to the
+    # unit's landmark under that frame), in ``applicable_frames`` order.
+    options: tuple[tuple[tuple[FrameInstance, Preposition], ...], ...]
     default_frame: FrameInstance
     iterations: int  # outer (re)build passes, for convergence checks
     converged: bool = True
@@ -261,26 +274,14 @@ def build_landmark_chain(
         landmarks=tuple(landmark_ids),
         descriptions=tuple(descriptions),
         distributions=distributions,
+        options=tuple(
+            tuple((p.frame, p.relation_of(src_id)) for p in partitions(scene.entity(lm_id), scene))
+            for src_id, lm_id in zip([target_id, *landmark_ids], landmark_ids)
+        ),
         default_frame=default_frame,
         iterations=iterations,
         converged=converged,
     )
-
-
-def unit_options(
-    chain: LandmarkChain, scene: Scene
-) -> list[list[tuple[FrameInstance, Preposition]]]:
-    """Each unit's (frame, crisp preposition) pairs, in ``applicable_frames`` order.
-
-    The preposition is the located entity's relation to the unit's landmark
-    under that frame: the target for the first unit, then each landmark in
-    turn.
-    """
-    sources = (chain.target,) + chain.landmarks[:-1]
-    return [
-        [(p.frame, p.relation_of(src_id)) for p in partitions(scene.entity(lm_id), scene)]
-        for src_id, lm_id in zip(sources, chain.landmarks)
-    ]
 
 
 def candidate(
@@ -291,8 +292,6 @@ def candidate(
     The chain's descriptions nest target outermost, each unit joined by its
     pick's preposition; the strategy records each pick's frame.
     """
-    if len(picks) != chain.k:
-        raise ValueError(f"expected {chain.k} picks, got {len(picks)}")
     tree: ExpressionTree = Leaf(chain.descriptions[-1].attrs)
     for i in range(chain.k - 1, -1, -1):
         tree = Compound(chain.descriptions[i].attrs, picks[i][1], tree)
@@ -303,13 +302,18 @@ def candidate(
 def expression_space(chain: LandmarkChain, scene: Scene) -> list[CandidateExpression]:
     """All candidate expressions reachable from a chain.
 
-    One candidate per frame strategy, i.e. per choice of an applicable frame
-    at every unit's landmark; strategies that produce identical
+    One candidate per frame strategy, i.e. per pick of one of
+    ``chain.options`` at every unit; strategies that produce identical
     prepositions yield identical trees and surfaces (kept, so the scorer
     can explain every strategy; deduplicate by surface when counting).  A
-    chain without landmarks has the single leaf candidate.
+    chain without landmarks has the single leaf candidate.  Raises
+    ``ComplexityCapError``, before enumerating, when the chain has more
+    than ``MAX_COMPLEXITY`` units.  ``scene`` is unused; it stays because
+    ``perfbench/workloads.py`` calls this with two arguments.
     """
-    return [candidate(chain, picks) for picks in itertools.product(*unit_options(chain, scene))]
+    if chain.k > MAX_COMPLEXITY:
+        raise ComplexityCapError(f"expression complexity exceeds the cap of {MAX_COMPLEXITY}")
+    return [candidate(chain, picks) for picks in itertools.product(*chain.options)]
 
 
 def _phrase_surface(phrase: AttributePhrase) -> str:

@@ -74,11 +74,12 @@ def derive_seed(*parts) -> int:
 # --- scene sampling ----------------------------------------------------------
 
 
-def _check_pools(objects: tuple[int, int], categories) -> None:
+def _check_pools(objects: tuple[int, int], categories, colors, shapes) -> None:
     """Raise ``HarnessError`` unless the sampling pools meet ``CONFIG_SCHEMA``
     and the object-count range has ``lo <= hi``, which the schema cannot say."""
-    pools = {"objects": list(objects), "categories": list(categories)}
-    check_document(pools, {"properties": CONFIG_SCHEMA["properties"]}, _config_error)
+    pools = {"objects": objects, "categories": categories, "colors": colors, "shapes": shapes}
+    doc = {key: list(pool) for key, pool in pools.items()}
+    check_document(doc, {"properties": CONFIG_SCHEMA["properties"]}, _config_error)
     if objects[0] > objects[1]:
         raise HarnessError(f"config field 'objects' must have lo <= hi, got {list(objects)}")
 
@@ -96,7 +97,7 @@ def sample_scene(
     objects always share a full visual description so at least one target
     needs a spatial reference.
     """
-    _check_pools(objects, categories)
+    _check_pools(objects, categories, colors, shapes)
     rng = random.Random(seed)
     n = rng.randint(*objects)
 
@@ -344,7 +345,7 @@ class TrialConfig:
             if key not in ("true_prefs", "assumed_prefs")
         }
         check_document(doc, CONFIG_SCHEMA, _config_error)
-        _check_pools(self.objects, self.categories)
+        _check_pools(self.objects, self.categories, self.colors, self.shapes)
 
 
 CONFIG_SCHEMA = {
@@ -484,7 +485,7 @@ def run_comparison(cfg: TrialConfig, collect_records: bool = True) -> TrialRepor
                         tree = generate(method, chain, scene, assumed, seed=strategy_seed).tree
                     except GenerationError:  # e.g. the chain is over the complexity cap
                         tree = None
-                ks[method] = depth(tree) if tree is not None else None
+                ks[method] = chain.k if tree is not None else None
                 if tree not in trees:
                     trees.append(tree)
                     if tree is None:

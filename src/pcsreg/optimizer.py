@@ -15,28 +15,20 @@ import random
 from dataclasses import dataclass
 
 from .frames import FrameKind, PreferenceTable
+# MAX_COMPLEXITY and ComplexityCapError are re-exported; expression_space checks the cap.
 from .generator import (
+    MAX_COMPLEXITY,
     CandidateExpression,
-    GenerationError,
+    ComplexityCapError,
     LandmarkChain,
     candidate,
     expression_space,
-    unit_options,
 )
 from .resolver import Denotation, denote
 from .scene import Scene
 
 # A target ties for the maximum when within this of the top probability.
 APPROPRIATENESS_TIE_TOL = 1e-12
-
-# Exhaustive search is exponential in expression complexity; desk-scale
-# chains stay well under this.
-MAX_COMPLEXITY = 4
-
-
-class ComplexityCapError(GenerationError):
-    """The landmark chain is longer than exhaustive search allows."""
-
 
 METHODS = ("pcsreg", "max", "robot", "human", "random")
 
@@ -95,8 +87,6 @@ def rank(
     """
     if not candidates:
         raise ValueError("no candidate expressions to select from")
-    if any(len(c.strategy) > MAX_COMPLEXITY for c in candidates):
-        raise ComplexityCapError(f"expression complexity exceeds the cap of {MAX_COMPLEXITY}")
     scored: dict[str, tuple[Denotation, Score]] = {}
     for c in candidates:
         if c.surface not in scored:
@@ -127,7 +117,7 @@ def generate(
     """The candidate a generation method picks from the chain (unscored).
 
     ``pcsreg`` is the exhaustive argmax of ``select_best``.  The other
-    methods pick one entry of ``unit_options`` per unit and never consult
+    methods pick one of ``chain.options`` per unit and never consult
     the resolution model: ``max`` the most-preferred frame under the
     chain's settled distributions (the canonically first on ties),
     ``robot``/``human`` the speaker's/listener's frame, and ``random`` a
@@ -142,7 +132,7 @@ def generate(
             raise ValueError("method 'random' requires a seed")
         rng = random.Random(seed)
     picks = []
-    for row, options in zip(chain.distributions, unit_options(chain, scene)):
+    for row, options in zip(chain.distributions, chain.options):
         if method == "max":
             picks.append(max(options, key=lambda pick: row[pick[0].kind.order]))
         elif method == "random":

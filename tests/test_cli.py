@@ -164,11 +164,12 @@ class TestGenerate:
         )
         path = tmp_path / "deep.json"
         path.write_text(dump_scene(scene))
-        out = run_cli("generate", "--scene", str(path), "--target", "block15")
-        assert out.returncode == 4
-        assert "complexity exceeds the cap" in out.stderr
-        assert "Traceback" not in out.stderr
-        assert out.stdout == ""
+        for verb in ("generate", "explain"):
+            out = run_cli(verb, "--scene", str(path), "--target", "block15")
+            assert out.returncode == 4, verb
+            assert "complexity exceeds the cap" in out.stderr, verb
+            assert "Traceback" not in out.stderr, verb
+            assert out.stdout == "", verb
 
     def test_directory_scene_exits_2(self, tmp_path):
         out = run_cli("generate", "--scene", str(tmp_path), "--target", "blk_a")

@@ -3,9 +3,16 @@ import math
 import pytest
 
 from helpers import CROWDED_POOLS, rotate
-from pcsreg.frames import FrameInstance, FrameKind, frame_instance, preference_entropy
+from pcsreg.frames import (
+    FrameInstance,
+    FrameKind,
+    applicable_frames,
+    frame_instance,
+    preference_entropy,
+)
 from pcsreg.generator import (
     MAX_CHAIN_REBUILDS,
+    MAX_COMPLEXITY,
     GenerationError,
     NoDiscriminatingLandmarkError,
     build_landmark_chain,
@@ -359,6 +366,39 @@ class TestExpressionSpace:
         assert len(space) == 1
         assert space[0].surface == "the car"
         assert len(space[0].strategy) == 0
+
+
+class TestChainOptions:
+    @pytest.mark.parametrize("objects", [(3, 8), (8, 16), (16, 30)], ids=str)
+    @pytest.mark.parametrize("vocabulary", sorted(VOCABULARIES))
+    def test_options_match_reference(self, objects, vocabulary, default_prefs):
+        # Each unit's options are every applicable frame at its landmark with
+        # the located entity's relation under it: the target for the first
+        # unit, then each landmark in turn.
+        ks = []
+        for i in range(6):
+            scene = sample_scene(
+                derive_seed("chain-options", objects, vocabulary, i),
+                objects=objects,
+                **VOCABULARIES[vocabulary],
+            )
+            for target in scene.referable_ids():
+                try:
+                    chain = build_landmark_chain(target, scene, default_prefs)
+                except GenerationError:
+                    continue
+                want = []
+                located = (chain.target,) + chain.landmarks[:-1]
+                for src_id, lm_id in zip(located, chain.landmarks):
+                    src, landmark = scene.entity(src_id), scene.entity(lm_id)
+                    frames = applicable_frames(landmark, scene)
+                    want.append(tuple((f, relation(src, landmark, f)) for f in frames))
+                assert chain.options == tuple(want), (i, target)
+                ks.append(chain.k)
+                if chain.k <= MAX_COMPLEXITY:
+                    counts = [len(options) for options in chain.options]
+                    assert len(expression_space(chain, scene)) == math.prod(counts)
+        assert 0 in ks and max(ks) >= 2  # later units locate a landmark, not the target
 
 
 class TestRealize:

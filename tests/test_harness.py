@@ -86,6 +86,9 @@ class TestSampleScene:
             sample_scene(0, categories=())
         with pytest.raises(HarnessError):
             sample_scene(0, objects=(1, 4))
+        for pool in ("colors", "shapes"):  # a sampled "" would fail load_scene
+            with pytest.raises(HarnessError, match=f"'{pool}' must contain strings"):
+                sample_scene(3, **{pool: ("",)})
 
     def test_placement_failure_is_reported(self):
         with pytest.raises(HarnessError, match="could not place"):
@@ -635,8 +638,9 @@ def test_complexity_cap_is_a_generation_error(default_prefs):
     scene = cap_scene()
     chain = build_landmark_chain("block15", scene, default_prefs)
     assert chain.k == 5
+    # The cap is checked on the chain, before any candidate is built.
     with pytest.raises(ComplexityCapError) as info:
-        select_best(expression_space(chain, scene), "block15", scene, default_prefs)
+        expression_space(chain, scene)
     assert isinstance(info.value, GenerationError)
 
 
