@@ -100,6 +100,8 @@ def _fail(code: int, message: str) -> NoReturn:
 
 def _read(what: str, path: str, load, code: int = EXIT_BAD_SCENE):
     """``load(Path(path))``; an unreadable file or a rejected document exits ``code``."""
+    if "\0" in path:  # ``open`` raises ValueError, not OSError, for these
+        _fail(code, f"cannot read {what} file {path!r}: embedded null byte")
     try:
         return load(Path(path))
     except FileNotFoundError:

@@ -22,6 +22,7 @@ option per unit.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -35,16 +36,15 @@ from .frames import (
     preference_entropy,
     update_preferences,
 )
-from .geometry import distance
 from .prepositions import (
     LISTENER_SURFACE,
     PLAIN_SURFACE,
-    RELATION_TIE_TOL,
     SPEAKER_SURFACE,
     Preposition,
-    coincident,
+    _quadrant,
     partitions,
     relation,
+    sign_margin,
 )
 from .resolver import (
     AttributePhrase,
@@ -54,7 +54,7 @@ from .resolver import (
     PersonRef,
     consistent_set,
 )
-from .scene import MIN_SEPARATION, Entity, EntityKind, Scene, landmark_type
+from .scene import Entity, EntityKind, Scene, landmark_type
 
 
 class GenerationError(RuntimeError):
@@ -135,6 +135,12 @@ def describe_visual(target_id: str, domain: set[str], scene: Scene) -> VisualDes
     return VisualDescription(phrase, distinguishing)
 
 
+# Each distinct preference row's entropy, computed (and the row validated)
+# on its first use in the process.  Rows are the preference table's and the
+# content-window update's, so a few dozen distinct rows cover a long run.
+_row_entropy = functools.lru_cache(maxsize=1024)(preference_entropy)
+
+
 def select_landmark(
     target_id: str,
     domain: set[str],
@@ -149,10 +155,13 @@ def select_landmark(
     relation to the target (under the default frame) differs from its
     relation to every distractor.  Candidates are prioritized by ascending
     preference entropy, then distance to the target, then id, and tested in
-    that order until one separates.  The test is ``relation``'s arithmetic
-    (``prepositions._quadrant``) run inline, with the default frame's axis
-    and its length read once per call: the target's quadrant first, then
-    each distractor's until one shares it.
+    that order until one separates: the target's quadrant first, then each
+    distractor's until one shares it.  The target and the distractors are
+    projected onto the default frame's two diagonals once per call, and
+    each candidate once; each pair's quadrant is decided by the signs of
+    the differences, and by ``prepositions._quadrant``, which is
+    ``relation``, only within ``sign_margin`` of a diagonal (the
+    ``prepositions`` module docstring has the argument).
     """
     target = scene.entity(target_id)
     if target.kind is not EntityKind.OBJECT:
@@ -165,33 +174,36 @@ def select_landmark(
     described = consistent_set(d_vf.attrs, scene)
     distractors = sorted((described & domain) - {target_id})
     pool = [scene.entity(eid) for eid in sorted(domain)] + [scene.speaker, scene.listener]
-    entropy: dict[Row, float] = {}
+    tx, ty = target.centroid
+    hypot = math.hypot
     candidates = []
     for e in pool:
         if e.id not in described:
-            row = entity_rows[e.id]
-            h = entropy.get(row)
-            if h is None:
-                h = entropy[row] = preference_entropy(row)
-            candidates.append((h, distance(e.centroid, target.centroid), e.id, e.centroid))
+            ex, ey = e.centroid
+            # ``geometry.distance(e.centroid, target.centroid)``, inline.
+            dist = hypot(ex - tx, ey - ty)
+            candidates.append((_row_entropy(entity_rows[e.id]), dist, e.id, ex, ey))
     candidates.sort()  # ids are unique, so centroids are never compared
 
     fx, fy = default_frame.front_axis
-    flen = math.hypot(fx, fy)
-    located = [target.centroid] + [scene.entity(eid).centroid for eid in distractors]
-    for _, _, cand_id, (cx, cy) in candidates:
+    a, b = fx + fy, fy - fx  # front + right; front - right is (-b, a)
+    m = sign_margin(scene.table, default_frame.front_axis)
+    nm = -m
+    located = [
+        (px * a + py * b, py * a - px * b, px, py)
+        for px, py in [target.centroid] + [scene.entity(eid).centroid for eid in distractors]
+    ]
+    for _, _, cand_id, cx, cy in candidates:
+        cu = cx * a + cy * b
+        cv = cy * a - cx * b
         target_quadrant = -1
-        for px, py in located:
-            dx = px - cx
-            dy = py - cy
-            dist = math.hypot(dx, dy)
-            if dist < MIN_SEPARATION:
-                raise coincident(dist)
-            scale = dist * flen
-            f = (dx * fx + dy * fy) / scale
-            r = (dx * fy + dy * -fx) / scale
-            floor = min(1.0, max(abs(f), abs(r))) - RELATION_TIE_TOL
-            q = 0 if f >= floor else 1 if -f >= floor else 2 if -r >= floor else 3
+        for pu, pv, px, py in located:
+            u = pu - cu
+            v = pv - cv
+            if (u > m or u < nm) and (v > m or v < nm):
+                q = (0 if v > 0 else 3) if u > 0 else (2 if v > 0 else 1)
+            else:
+                q = _quadrant(px - cx, py - cy, fx, fy)
             if q == target_quadrant:
                 break
             if target_quadrant < 0:

@@ -76,10 +76,15 @@ def derive_seed(*parts) -> int:
 
 def _check_pools(objects: tuple[int, int], categories, colors, shapes) -> None:
     """Raise ``HarnessError`` unless the sampling pools meet ``CONFIG_SCHEMA``
-    and the object-count range has ``lo <= hi``, which the schema cannot say."""
+    and the object-count range has ``lo <= hi``."""
     pools = {"objects": objects, "categories": categories, "colors": colors, "shapes": shapes}
     doc = {key: list(pool) for key, pool in pools.items()}
     check_document(doc, {"properties": CONFIG_SCHEMA["properties"]}, _config_error)
+    _check_object_range(objects)
+
+
+def _check_object_range(objects: tuple[int, int]) -> None:
+    """The one pool rule the schema cannot say: ``lo <= hi``."""
     if objects[0] > objects[1]:
         raise HarnessError(f"config field 'objects' must have lo <= hi, got {list(objects)}")
 
@@ -345,7 +350,7 @@ class TrialConfig:
             if key not in ("true_prefs", "assumed_prefs")
         }
         check_document(doc, CONFIG_SCHEMA, _config_error)
-        _check_pools(self.objects, self.categories, self.colors, self.shapes)
+        _check_object_range(self.objects)
 
 
 CONFIG_SCHEMA = {

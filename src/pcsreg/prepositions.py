@@ -8,10 +8,34 @@ crisp relation partitions the plane into four quadrants around the frame's
 axes: its front axis and the exact half and quarter turns of it (``_axis``).
 
 ``membership`` computes one degree and is the reference.  ``_quadrant``
-computes the crisp relation of one pair; ``partitions`` and
-``generator.select_landmark`` run the same arithmetic inline over many
-pairs, computing each displacement length and each ``|front|`` once.  Tests
-hold all three to ``membership`` bit for bit.
+computes the crisp relation of one pair from the degrees, bit for bit, and
+is the exact reference for ``relation``.  Tests hold it to ``membership``.
+
+The quadrant boundaries are the frame's two 45-degree diagonals, so with
+front (fx, fy) and right (fy, -fx) the relation of a displacement d follows
+from the signs of u = d.(front + right) and v = d.(front - right): front
+when both are positive, behind when both are negative, left when u < 0 < v
+and right when v < 0 < u.  ``partitions`` and ``generator.select_landmark``
+decide each pair by these signs when |u| and |v| both exceed the margin
+M = 1e-9 * max(1, C) * (|fx| + |fy|) of ``sign_margin``, C being the
+largest |coordinate| of a table corner, and call ``_quadrant`` on every
+other pair.  Outside that band the signs give ``_quadrant``'s answer:
+
+- u / (|d| |front|) is f + r and v / (|d| |front|) is f - r, where f and r
+  are ``_quadrant``'s degrees toward front and right, and the largest
+  degree exceeds each other one by at least the smaller of |f + r| and
+  |f - r|.  ``Scene`` keeps every centroid inside the table, so
+  |d| <= 2 sqrt(2) max(1, C); with |front| <= |fx| + |fy| that gap exceeds
+  1e-9 / (2 sqrt(2)), about 3.5e-10, so neither ``RELATION_TIE_TOL``
+  (1e-12) nor the rounding of f and r (about 1e-16) can change the answer.
+- u and v computed in floating point, from the displacement or as the
+  difference of two projected points, are off by about 1e-15 * C *
+  (|fx| + |fy|), far below M, so their signs are those of the exact u and v
+  of the displacement that ``_quadrant`` would be given.
+
+The sign path skips ``_quadrant``'s coincidence check: ``Scene`` validation
+already rejects any two centroids closer than ``MIN_SEPARATION``, measured
+by the same ``math.hypot``.  A non-finite u or v falls to ``_quadrant``.
 
 Topological prepositions ("near") carry no frame dependence and are outside
 this model; the expression parser rejects them.
@@ -25,7 +49,7 @@ from typing import NamedTuple
 
 from .frames import FrameInstance, applicable_frames
 from .geometry import Vec, dot, norm, opposite, quarter_left, quarter_right, sub
-from .scene import MIN_SEPARATION, Entity, Scene
+from .scene import MIN_SEPARATION, Entity, Scene, TableExtent
 
 RELATION_TIE_TOL = 1e-12
 
@@ -128,6 +152,15 @@ def _quadrant(dx: float, dy: float, fx: float, fy: float) -> int:
     return 3
 
 
+def sign_margin(table: TableExtent, front: Vec) -> float:
+    """The margin M outside which the signs of the diagonal projections
+    decide the relation under the front axis ``front`` for centroids inside
+    ``table`` (module docstring)."""
+    (x0, y0), (x1, y1) = table.min_corner, table.max_corner
+    extent = max(1.0, abs(x0), abs(y0), abs(x1), abs(y1))
+    return 1e-9 * extent * (abs(front[0]) + abs(front[1]))
+
+
 class Partition(NamedTuple):
     """Every other entity's relation to one landmark under one frame."""
 
@@ -148,33 +181,33 @@ def partitions(landmark: Entity, scene: Scene) -> tuple[Partition, ...]:
 
     Each partition lists the ids in each preposition in scene entity order.
     Computed once per landmark and kept in ``scene.relations``.  Each
-    displacement and its length are computed once for all frames, and
-    ``_quadrant``'s arithmetic runs inline.
+    displacement is computed once for all frames and decided by the signs
+    of its diagonal projections, with ``_quadrant`` inside the tie band
+    (module docstring).
     """
     memo = scene.relations
     parts = memo.get(landmark.id)
     if parts is None:
         lx, ly = landmark.centroid
-        others = []
-        for e in scene.entities:
-            if e.id != landmark.id:
-                dx = e.centroid[0] - lx
-                dy = e.centroid[1] - ly
-                dist = math.hypot(dx, dy)
-                if dist < MIN_SEPARATION:
-                    raise coincident(dist)
-                others.append((e.id, dx, dy, dist))
+        others = [
+            (e.id, e.centroid[0] - lx, e.centroid[1] - ly)
+            for e in scene.entities
+            if e.id != landmark.id
+        ]
         built = []
         for frame in applicable_frames(landmark, scene):
             fx, fy = frame.front_axis
-            flen = math.hypot(fx, fy)
+            a, b = fx + fy, fy - fx  # front + right; front - right is (-b, a)
+            m = sign_margin(scene.table, frame.front_axis)
+            nm = -m
             members: tuple[list[str], ...] = ([], [], [], [])
-            for eid, dx, dy, dist in others:
-                scale = dist * flen
-                f = (dx * fx + dy * fy) / scale
-                r = (dx * fy + dy * -fx) / scale
-                floor = min(1.0, max(abs(f), abs(r))) - RELATION_TIE_TOL
-                q = 0 if f >= floor else 1 if -f >= floor else 2 if -r >= floor else 3
+            for eid, dx, dy in others:
+                u = dx * a + dy * b
+                v = dy * a - dx * b
+                if (u > m or u < nm) and (v > m or v < nm):
+                    q = (0 if v > 0 else 3) if u > 0 else (2 if v > 0 else 1)
+                else:
+                    q = _quadrant(dx, dy, fx, fy)
                 members[q].append(eid)
             built.append(Partition(frame, tuple(map(tuple, members))))
         parts = memo[landmark.id] = tuple(built)

@@ -1,11 +1,16 @@
 import math
 
 import pytest
+from hypothesis import settings
 
 from pcsreg.frames import PreferenceTable, default_preferences
 from pcsreg.scene import Entity, EntityKind, LandmarkType, Scene, TableExtent
 
 HALF_PI = math.pi / 2
+
+# A long run of the property tests that take their example count from the
+# profile: ``pytest --hypothesis-profile=deep``.
+settings.register_profile("deep", max_examples=3000, deadline=None)
 
 
 @pytest.fixture(scope="session")

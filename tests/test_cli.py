@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from pcsreg import cli
 from pcsreg.frames import FrameError, default_preferences, preferences_from_dict
@@ -23,8 +24,20 @@ from pcsreg.harness import (
     sample_scene,
 )
 from pcsreg.optimizer import MAX_COMPLEXITY, generate, score_denotation, select_best
+from pcsreg.prepositions import (
+    LISTENER_SURFACE,
+    PLAIN_SURFACE,
+    SPEAKER_SURFACE,
+    TOPOLOGICAL_MARKERS,
+)
 from pcsreg.resolver import denote, tree_to_dict
-from pcsreg.scene import SceneError, dump_scene, load_scene, scene_from_dict
+from pcsreg.scene import (
+    SceneError,
+    attribute_vocabulary,
+    dump_scene,
+    load_scene,
+    scene_from_dict,
+)
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
 DEMO_SCENES = ("two_blocks_car.json", "facing_pair_square.json")
@@ -881,3 +894,105 @@ def _golden_stdout(path: Path, capsys) -> bytes:
 def test_cli_stdout_bytes_are_golden(scene_file, capsys):
     stdout = _golden_stdout(DEMO / scene_file, capsys)
     assert hashlib.sha256(stdout).hexdigest() == GOLDEN_CLI_STDOUT[scene_file]
+
+
+# --- resolve fuzzing ------------------------------------------------------------
+
+# Every word and whole surface of a preposition marker, every word of the
+# demo scenes' vocabularies (alone and after "the") and of the stripped
+# prefixes, so token strings reach the parser's branches and often parse.
+_MARKER_SURFACES = [
+    surface
+    for table in (PLAIN_SURFACE, SPEAKER_SURFACE, LISTENER_SURFACE)
+    for surface in table.values()
+] + [" ".join(seq) for seq in TOPOLOGICAL_MARKERS]
+_VOCABULARY = {
+    word
+    for name in DEMO_SCENES
+    for words in attribute_vocabulary(load_scene(DEMO / name)).values()
+    for word in words
+}
+_FUZZ_WORDS = sorted(
+    {word for surface in _MARKER_SURFACES for word in surface.split()}
+    | _VOCABULARY
+    | {word for prefix in cli.IMPERATIVE_PREFIXES for word in prefix.split()}
+    | {"the", "me", "you", "please", "Please", "THE", "Block"}
+)
+_FUZZ_PIECES = sorted(
+    set(_FUZZ_WORDS) | set(_MARKER_SURFACES) | {f"the {word}" for word in _VOCABULARY}
+)
+_FUZZ_KEYS = ["head", "prep", "landmark", "person", "category", "color", "shape", "x"]
+_json_values = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-2, max_value=2)
+    | st.sampled_from(_FUZZ_WORDS + ["", "front", "left", "speaker", "listener"]),
+    lambda inner: st.lists(inner, max_size=2)
+    | st.dictionaries(st.sampled_from(_FUZZ_KEYS), inner, max_size=3),
+    max_leaves=6,
+)
+_json_objects = st.dictionaries(st.sampled_from(_FUZZ_KEYS), _json_values, max_size=3).map(
+    json.dumps
+)
+_noun_phrases = st.lists(st.sampled_from(sorted(_VOCABULARY)), min_size=1, max_size=3).map(
+    lambda words: "the " + " ".join(words)
+)
+_fuzz_expressions = st.one_of(
+    st.lists(st.sampled_from(_FUZZ_PIECES), max_size=8).map(" ".join),
+    # Noun phrases joined by markers: these often parse and denote.
+    st.builds(
+        lambda units, last: " ".join(f"{np} {marker}" for np, marker in units) + " " + last,
+        st.lists(st.tuples(_noun_phrases, st.sampled_from(_MARKER_SURFACES)), max_size=3),
+        _noun_phrases | st.sampled_from(["me", "you"]),
+    ),
+    _json_objects,
+    # Cut short or with a stray tail, so most of these are malformed JSON.
+    st.builds(
+        lambda doc, cut, tail: doc[:cut] + tail,
+        _json_objects,
+        st.integers(min_value=0, max_value=80),
+        st.sampled_from(["", "}", ",", "]"]),
+    ),
+    st.sampled_from(
+        [
+            f"@{DEMO}",  # a directory
+            f"@{DEMO / 'no-such-expression.txt'}",
+            f"@{DEMO / 'no-such-dir' / 'expression.txt'}",
+            f"@{DEMO / 'null'}\0byte.txt",
+            "@",
+        ]
+    ),
+)
+
+
+@given(
+    st.sampled_from(DEMO_SCENES),
+    _fuzz_expressions,
+    st.none() | st.sampled_from(["blk_a", "car1", "speaker", "a", "no-such-id"]),
+    st.booleans(),
+)
+def test_resolve_fuzz_exits_with_a_documented_code(scene_file, expr, target, as_json):
+    argv = ["resolve", "--scene", str(DEMO / scene_file), "--expr", expr]
+    if target is not None:
+        argv += ["--target", target]
+    if as_json:
+        argv.append("--json")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert 0 <= code <= 5, (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["resolve", "--scene", str(DEMO / "two_blocks_car.json"), "--expr", "@x\0y"], 5),
+        (["generate", "--scene", "x\0y.json", "--target", "blk_a"], 2),
+        (["evaluate", "--config", "x\0y.json"], 2),
+    ],
+)
+def test_paths_with_a_null_byte_exit_with_their_code(argv, code, capsys):
+    """Only an in-process caller can pass one: ``open`` raises ValueError."""
+    assert cli.main(argv) == code
+    assert "embedded null byte" in capsys.readouterr().err

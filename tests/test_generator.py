@@ -1,8 +1,10 @@
 import math
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from helpers import CROWDED_POOLS, rotate
+from pcsreg import generator, prepositions
 from pcsreg.frames import (
     FrameInstance,
     FrameKind,
@@ -22,11 +24,19 @@ from pcsreg.generator import (
     select_landmark,
     verify_chain_discrimination,
 )
-from pcsreg.geometry import distance
+from pcsreg.geometry import distance, heading_vec
 from pcsreg.harness import derive_seed, sample_scene
-from pcsreg.prepositions import Preposition, relation
+from pcsreg.prepositions import Preposition, partitions, relation
 from pcsreg.resolver import AttributePhrase, Compound, Leaf, PersonRef, consistent_set
-from pcsreg.scene import Entity, EntityKind, LandmarkType, Scene, TableExtent, landmark_type
+from pcsreg.scene import (
+    Entity,
+    EntityKind,
+    LandmarkType,
+    Scene,
+    SceneError,
+    TableExtent,
+    landmark_type,
+)
 
 HALF_PI = math.pi / 2
 
@@ -220,6 +230,126 @@ class TestSelectLandmarkMatchesReference:
         for prefs in (default_prefs, two_frame_prefs):
             steps, _ = compare_along_chain_domains(diagonal_scene, prefs, ego)
             assert steps >= len(referable)
+
+
+def assert_partitions_match_relation(scene, landmarks):
+    for lm in landmarks:
+        for part in partitions(lm, scene):
+            for e in scene.entities:
+                if e.id != lm.id:
+                    assert part.relation_of(e.id) is relation(e, lm, part.frame), (lm.id, e.id)
+
+
+# Angular offsets from a 45-degree diagonal, in radians: on it, under and
+# over the tie tolerance, and around the sign test's margin.
+DIAGONAL_OFFSETS = [0.0] + [s * o for o in (1e-16, 1e-12, 1e-9, 1e-6) for s in (1.0, -1.0)]
+headings = st.floats(min_value=-10.0, max_value=10.0)
+
+
+@st.composite
+def diagonal_tables(draw):
+    """A table 0.01 to 1e4 wide with red blocks on the 45-degree diagonals
+    of the oriented ``car0`` under one frame, a few cups, and that frame."""
+    size = draw(st.floats(min_value=0.01, max_value=1e4))
+    fraction = st.floats(min_value=-1.0, max_value=1.0)
+    mid = (draw(fraction) * size, draw(fraction) * size)
+    kind = draw(st.sampled_from(FrameKind))
+    speaker_h, listener_h, car_h, north_h = (draw(headings) for _ in range(4))
+    front = heading_vec(
+        {
+            FrameKind.EGOCENTRIC: speaker_h,
+            FrameKind.ADDRESSEE: listener_h,
+            FrameKind.INTRINSIC: car_h,
+            FrameKind.EXTRINSIC: north_h,
+        }[kind]
+    )
+    fx, fy = front
+    car = (mid[0] + draw(fraction) * size / 4, mid[1] + draw(fraction) * size / 4)
+    entities = [Entity("car0", EntityKind.OBJECT, "car", car, heading=car_h)]
+    for i in range(draw(st.integers(min_value=2, max_value=8))):
+        # Radii at least size / 200 apart keep blocks on one diagonal apart.
+        radius = size * (0.02 + 0.015 * i + 0.01 * draw(st.floats(0.0, 1.0)))
+        a, b = draw(st.sampled_from([(1, 1), (1, -1), (-1, 1), (-1, -1)]))
+        offset = draw(st.sampled_from(DIAGONAL_OFFSETS) | st.floats(-1e-6, 1e-6))
+        if offset == 0.0 and draw(st.booleans()):
+            # Exactly on the diagonal: a sign flip and swap of the front axis.
+            d = (radius * (a * fx + b * fy), radius * (a * fy - b * fx))
+        else:
+            theta = math.atan2(fy, fx) + math.atan2(b, a) + offset
+            d = (radius * math.cos(theta), radius * math.sin(theta))
+        centroid = (car[0] + d[0], car[1] + d[1])
+        entities.append(Entity(f"block{i}", EntityKind.OBJECT, "block", centroid, color="red"))
+    for i in range(draw(st.integers(min_value=0, max_value=3))):
+        centroid = (mid[0] + draw(fraction) * size / 2, mid[1] + draw(fraction) * size / 2)
+        entities.append(Entity(f"cup{i}", EntityKind.OBJECT, "cup", centroid))
+    low, high = (mid[0], mid[1] - 0.49 * size), (mid[0], mid[1] + 0.49 * size)
+    entities += [
+        Entity("speaker", EntityKind.SPEAKER, "robot", low, heading=speaker_h),
+        Entity("listener", EntityKind.LISTENER, "person", high, heading=listener_h),
+    ]
+    half = size / 2
+    table = TableExtent((mid[0] - half, mid[1] - half), (mid[0] + half, mid[1] + half))
+    try:
+        scene = Scene(tuple(entities), table, north=heading_vec(north_h))
+    except SceneError:  # a cup drawn onto another entity
+        assume(False)
+    return scene, kind
+
+
+UNIFORM_ROW = (0.25, 0.25, 0.25, 0.25)
+
+
+class TestSignQuadrantMatchesRelation:
+    """``partitions`` and ``select_landmark`` decide quadrants by the signs
+    of diagonal projections, with ``_quadrant`` in a tie band; both must
+    agree with ``relation`` everywhere."""
+
+    @settings(deadline=None)
+    @given(diagonal_tables())
+    def test_on_the_diagonals(self, drawn):
+        scene, kind = drawn
+        assert_partitions_match_relation(scene, scene.entities)
+        frame = frame_instance(kind, scene, "car0")
+        # The car goes first, so its diagonal displacements are tested.
+        rows = {e.id: UNIFORM_ROW for e in scene.entities} | {"car0": (1.0, 0.0, 0.0, 0.0)}
+        domain = set(scene.referable_ids())
+        for target in domain:
+            args = (target, domain, scene, rows, frame)
+            assert outcome(select_landmark, *args) == outcome(reference_landmark, *args)
+
+    @settings(deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=2**63 - 1),
+        st.sampled_from(sorted(VOCABULARIES)),
+        st.sampled_from(FrameKind),
+        headings,
+    )
+    def test_on_sampled_tables(self, default_prefs, seed, vocabulary, kind, heading):
+        scene = sample_scene(seed, objects=(16, 30), **VOCABULARIES[vocabulary])
+        assert_partitions_match_relation(scene, scene.entities)
+        frame = FrameInstance(kind, None, heading_vec(heading))
+        compare_along_chain_domains(scene, default_prefs, frame)
+
+    def test_diagonal_ties_take_the_exact_fallback(self, diagonal_scene, default_prefs, monkeypatch):
+        calls = []
+        exact = prepositions._quadrant
+
+        def counted(*args):
+            calls.append(args)
+            return exact(*args)
+
+        fresh = Scene(diagonal_scene.entities, diagonal_scene.table)  # no partitions yet
+        ego = frame_instance(FrameKind.EGOCENTRIC, fresh)
+        rows = entity_rows(fresh, default_prefs)
+        monkeypatch.setattr(generator, "_quadrant", counted)
+        assert select_landmark("block1", set(fresh.referable_ids()), fresh, rows, ego)[1] == "cup1"
+        assert calls
+        calls.clear()
+        monkeypatch.setattr(prepositions, "_quadrant", counted)
+        partitions(fresh.entity("cup1"), fresh)
+        assert calls
+        monkeypatch.undo()
+        assert_partitions_match_relation(fresh, [fresh.entity("cup1")])
 
 
 class TestBuildChain:
