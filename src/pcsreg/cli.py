@@ -38,6 +38,7 @@ from .harness import (
 )
 from .optimizer import generate, rank, score, score_denotation
 from .resolver import (
+    EXPRESSION_SCHEMA,
     Leaf,
     ParseError,
     denote,
@@ -299,13 +300,13 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_schema(_args) -> int:
-    print(
-        json.dumps(
-            {"scene": SCENE_SCHEMA, "preferences": PREFS_SCHEMA, "config": CONFIG_SCHEMA},
-            indent=2,
-            sort_keys=True,
-        )
-    )
+    schemas = {
+        "scene": SCENE_SCHEMA,
+        "preferences": PREFS_SCHEMA,
+        "config": CONFIG_SCHEMA,
+        "expression": EXPRESSION_SCHEMA,
+    }
+    print(json.dumps(schemas, indent=2, sort_keys=True))
     return 0
 
 
@@ -348,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--out", help="directory for report.json / report.txt")
     ev.set_defaults(func=cmd_evaluate)
 
-    sch = sub.add_parser("schema", help="print the scene/preferences/config JSON schemas")
+    sch = sub.add_parser("schema", help="print the scene/preferences/config/expression JSON schemas")
     sch.set_defaults(func=cmd_schema)
     return parser
 

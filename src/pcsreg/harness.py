@@ -474,14 +474,11 @@ def run_comparison(cfg: TrialConfig, collect_records: bool = True) -> TrialRepor
             except GenerationError:
                 chain = None
 
-            # The distinct trees (None for no tree) in method order, each
-            # with its listener plan and the target's probability under its
-            # denotation; ``group[method]`` indexes them.
-            trees: list[ExpressionTree | None] = []
-            plans: list[ListenerPlan | None] = []
-            expected: list[float] = []
-            group: dict[str, int] = {}
-            ks: dict[str, int | None] = {}
+            # Per distinct tree (None for no tree): [listener plan, the
+            # target's mass under its denotation, the listener's answer,
+            # trials answered correctly], shared by the methods that chose it.
+            outcomes: dict[ExpressionTree | None, list] = {None: [None, 0.0, None, 0]}
+            outcome_of: dict[str, list] = {}
             strategy_seed = derive_seed(cfg.seed, "strategy", scene_idx, target_id)
             for method in cfg.methods:
                 tree: ExpressionTree | None = None
@@ -489,59 +486,51 @@ def run_comparison(cfg: TrialConfig, collect_records: bool = True) -> TrialRepor
                     try:
                         tree = generate(method, chain, scene, assumed, seed=strategy_seed).tree
                     except GenerationError:  # e.g. the chain is over the complexity cap
-                        tree = None
-                ks[method] = chain.k if tree is not None else None
-                if tree not in trees:
-                    trees.append(tree)
-                    if tree is None:
-                        plans.append(None)
-                        expected.append(0.0)
-                    else:
-                        plans.append(ListenerPlan(tree, scene, cfg.true_prefs))
-                        expected.append(denote(tree, scene, cfg.true_prefs).get(target_id, 0.0))
-                group[method] = trees.index(tree)
+                        pass
+                if tree not in outcomes:
+                    plan = ListenerPlan(tree, scene, cfg.true_prefs)
+                    mass = denote(tree, scene, cfg.true_prefs).get(target_id, 0.0)
+                    outcomes[tree] = [plan, mass, plan.fixed, trials * (plan.fixed == target_id)]
+                outcome_of[method] = outcomes[tree]
                 st = stats[method]
                 st.n_expressions += 1
-                if tree is None:
-                    st.n_failures += 1
-                else:
-                    st.expected_sum += expected[group[method]]
+                st.n_failures += tree is None
+                st.expected_sum += outcomes[tree][1]
 
-            answers = [None if plan is None else plan.fixed for plan in plans]
-            correct = [trials * (answer == target_id) for answer in answers]
-            drawn = [i for i, answer in enumerate(answers) if answer is _DEPENDS_ON_DRAWS]
-            n_draws = 2 * max((plans[i].depth for i in drawn), default=0)
+            drawn = [outcome for outcome in outcomes.values() if outcome[2] is _DEPENDS_ON_DRAWS]
+            n_draws = 2 * max((plan.depth for plan, *_ in drawn), default=0)
             if drawn or collect_records:
                 for trial in range(trials):
                     if drawn:
                         rng = random.Random(derive_seed(cfg.seed, "trial", scene_idx, target_id, trial))
                         draws = [rng.random() for _ in range(n_draws)]
-                        for i in drawn:
-                            answers[i] = simulate_listener(
-                                plans[i], iter(draws).__next__, cfg.consistency_coupling
+                        for outcome in drawn:
+                            answer = simulate_listener(
+                                outcome[0], iter(draws).__next__, cfg.consistency_coupling
                             )
-                            correct[i] += answers[i] == target_id
+                            outcome[2] = answer
+                            outcome[3] += answer == target_id
                     if collect_records:
                         for method in cfg.methods:
-                            identified = answers[group[method]]
+                            plan, _, identified, _ = outcome_of[method]
                             records.append(
                                 {
                                     "scene": scene_idx,
                                     "target": target_id,
                                     "method": method,
                                     "trial": trial,
-                                    "k": ks[method],
+                                    "k": None if plan is None else plan.depth,
                                     "identified": identified,
                                     "correct": identified == target_id,
                                 }
                             )
 
             for method in cfg.methods:
-                n_correct = correct[group[method]]
+                plan, _, _, n_correct = outcome_of[method]
                 st = stats[method]
                 st.n_trials += trials
                 st.n_correct += n_correct
-                bucket = st.by_k[_bucket(ks[method])]
+                bucket = st.by_k[_bucket(None if plan is None else plan.depth)]
                 bucket["trials"] += trials
                 bucket["correct"] += n_correct
 

@@ -16,7 +16,6 @@ nothing), so it is reported as an unresolvable marker rather than raised.
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
@@ -29,7 +28,7 @@ from .prepositions import (
     Preposition,
     partitions,
 )
-from .scene import ATTRIBUTE_SLOTS, Scene, landmark_type
+from .scene import ATTRIBUTE_SLOTS, Scene, check_document, dotted_path, landmark_type, parse_json
 
 
 class ParseError(ValueError):
@@ -303,41 +302,8 @@ def parse_expression(text: str, lexicon: Lexicon) -> ExpressionTree:
 def phrase_to_dict(phrase: AttributePhrase) -> dict:
     if phrase.person is not None:
         return {"person": phrase.person.value}
-    out = {}
-    for key in ("category", "color", "shape"):
-        v = getattr(phrase, key)
-        if v is not None:
-            out[key] = v
-    return out
-
-
-def _reject_unknown_keys(doc: dict, known: tuple[str, ...], what: str) -> None:
-    unknown = [key for key in doc if key not in known]
-    if unknown:
-        raise ParseError(
-            f"{what} has unknown keys {unknown} (expected some of {list(known)})"
-        )
-
-
-def phrase_from_dict(doc: dict) -> AttributePhrase:
-    if not isinstance(doc, dict):
-        raise ParseError(f"phrase must be an object, got {doc!r}")
-    _reject_unknown_keys(doc, ATTRIBUTE_SLOTS + ("person",), "phrase")
-    fields = {key: doc.get(key) for key in ATTRIBUTE_SLOTS}
-    for key, value in fields.items():
-        if value is not None and not (isinstance(value, str) and value):
-            raise ParseError(
-                f"phrase field {key!r} must be a non-empty string or null, got {value!r}"
-            )
-    if "person" in doc:
-        try:
-            fields["person"] = PersonRef(doc["person"])
-        except ValueError:
-            raise ParseError(f"unknown person {doc['person']!r}") from None
-    try:
-        return AttributePhrase(**fields)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    fields = {slot: getattr(phrase, slot) for slot in ATTRIBUTE_SLOTS}
+    return {slot: value for slot, value in fields.items() if value is not None}
 
 
 def tree_to_dict(tree: ExpressionTree) -> dict:
@@ -350,29 +316,64 @@ def tree_to_dict(tree: ExpressionTree) -> dict:
     }
 
 
+EXPRESSION_SCHEMA = {
+    "$schema": "http://json-schema.org/draft-07/schema#",
+    "title": "Expression",
+    "$ref": "#/definitions/expression",
+    "definitions": {
+        "expression": {
+            "type": "object",
+            "required": ["head"],
+            "additionalProperties": False,
+            "dependencies": {"prep": ["landmark"], "landmark": ["prep"]},
+            "properties": {
+                "head": {
+                    "type": "object",
+                    "additionalProperties": False,
+                    "properties": {
+                        **{
+                            slot: {"type": ["string", "null"], "minLength": 1}
+                            for slot in ATTRIBUTE_SLOTS
+                        },
+                        "person": {"enum": [person.value for person in PersonRef]},
+                    },
+                    "description": "person alone, or at least one non-null category, color or shape",
+                },
+                "prep": {"enum": [prep.value for prep in Preposition]},
+                "landmark": {"$ref": "#/definitions/expression"},
+            },
+        }
+    },
+}
+
+
+def _expression_error(path: tuple, message: str) -> ParseError:
+    return ParseError(f"{dotted_path(path)}: {message}")
+
+
 def tree_from_dict(doc: dict) -> ExpressionTree:
-    if not isinstance(doc, dict) or "head" not in doc:
-        raise ParseError("expression object must contain 'head'")
-    _reject_unknown_keys(doc, ("head", "prep", "landmark"), "expression object")
-    head = phrase_from_dict(doc["head"])
-    if "prep" not in doc and "landmark" not in doc:
-        return Leaf(head)
-    if "prep" not in doc or "landmark" not in doc:
-        raise ParseError("relation node needs both 'prep' and 'landmark'")
-    try:
-        prep = Preposition(doc["prep"])
-    except ValueError:
-        raise ParseError(f"unknown preposition {doc['prep']!r}") from None
-    landmark = doc["landmark"]
-    if not isinstance(landmark, dict):
-        raise ParseError(f"'landmark' must be an expression object, got {landmark!r}")
-    return Compound(head, prep, tree_from_dict(landmark))
+    """Check ``doc`` against ``EXPRESSION_SCHEMA`` and ``AttributePhrase``'s
+    rules, outermost unit first, then build the tree in a loop."""
+    check_document(doc, EXPRESSION_SCHEMA, _expression_error)
+    heads, preps = [], []
+    while True:
+        head = doc["head"]
+        fields = {slot: head.get(slot) for slot in ATTRIBUTE_SLOTS}
+        if "person" in head:
+            fields["person"] = PersonRef(head["person"])
+        try:
+            heads.append(AttributePhrase(**fields))
+        except ValueError as exc:
+            raise _expression_error(("landmark",) * len(preps) + ("head",), str(exc)) from None
+        if "landmark" not in doc:
+            break
+        preps.append(Preposition(doc["prep"]))
+        doc = doc["landmark"]
+    tree: ExpressionTree = Leaf(heads.pop())
+    while heads:
+        tree = Compound(heads.pop(), preps.pop(), tree)
+    return tree
 
 
 def parse_expression_json(text: str) -> ExpressionTree:
-    try:
-        return tree_from_dict(json.loads(text))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"not valid JSON: {exc}") from None
-    except RecursionError:
-        raise ParseError("expression nested too deeply") from None
+    return tree_from_dict(parse_json(text, ParseError))

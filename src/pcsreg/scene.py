@@ -238,7 +238,7 @@ SCENE_SCHEMA = {
 }
 
 
-def _dotted(path: tuple) -> str:
+def dotted_path(path: tuple) -> str:
     """``("entities", 0, "pos")`` -> ``"entities[0].pos"``; the root is ``"$"``."""
     text = "".join(f"[{key}]" if isinstance(key, int) else f".{key}" for key in path)
     return text[1:] or "$"
@@ -250,7 +250,7 @@ def _point(value) -> Vec:
 
 def scene_from_dict(doc: dict) -> Scene:
     """Check ``doc`` against ``SCENE_SCHEMA``, then build and validate the scene."""
-    check_document(doc, SCENE_SCHEMA, lambda path, message: SceneError(_dotted(path), message))
+    check_document(doc, SCENE_SCHEMA, lambda path, message: SceneError(dotted_path(path), message))
     table = doc["table"]
     return Scene(
         entities=tuple(
@@ -292,23 +292,23 @@ def scene_to_dict(scene: Scene) -> dict:
     }
 
 
-def read_json(source: Union[str, Path], invalid: Callable[[str], Exception]):
-    """Parse the JSON document in ``source``, a filesystem path or JSON text.
-
-    A ``str`` whose first non-blank character is ``{`` or ``[`` is JSON
-    text.  Text that is not JSON, or is nested too deeply for the parser,
-    raises ``invalid(message)``.
-    """
-    if isinstance(source, str) and source.lstrip().startswith(("{", "[")):
-        text = source
-    else:
-        text = Path(source).read_text(encoding="utf-8")
+def parse_json(text: str, invalid: Callable[[str], Exception]):
+    """Parse JSON ``text``; text that is not JSON, or is nested too deeply
+    for the parser, raises ``invalid(message)``."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise invalid(f"not valid JSON: {exc}") from None
     except RecursionError:
         raise invalid("nested too deeply") from None
+
+
+def read_json(source: Union[str, Path], invalid: Callable[[str], Exception]):
+    """``parse_json`` of ``source``: a ``str`` whose first non-blank character
+    is ``{`` or ``[`` is JSON text, anything else a filesystem path."""
+    if not (isinstance(source, str) and source.lstrip().startswith(("{", "["))):
+        source = Path(source).read_text(encoding="utf-8")
+    return parse_json(source, invalid)
 
 
 class _Invalid(Exception):
@@ -353,6 +353,10 @@ def _check(value, schema: dict, root: dict) -> None:
         for key in schema.get("required", ()):
             if key not in value:
                 raise _Invalid("is missing", key)
+        for key, needs in schema.get("dependencies", {}).items():
+            for other in needs:
+                if key in value and other not in value:
+                    raise _Invalid(f"is required when {key!r} is present", other)
         if schema.get("additionalProperties") is False:
             for key in value:
                 if key not in properties:
@@ -399,15 +403,19 @@ def check_document(doc, schema: dict, invalid: Callable[[tuple, str], Exception]
 
     Covers the JSON-schema keywords the document schemas use: ``type``,
     ``enum``, ``minimum``/``maximum``, ``minLength``, ``required``,
-    ``properties``, ``additionalProperties: false``, ``items``,
-    ``minItems``/``maxItems`` and ``$ref`` into ``definitions``.  Every
-    number must also be finite.  ``path`` holds the keys and indexes down to
-    the bad value; a bad item of a list of scalars is reported at the list.
+    ``dependencies`` (array form), ``properties``,
+    ``additionalProperties: false``, ``items``, ``minItems``/``maxItems``
+    and ``$ref`` into ``definitions``.  Every number must also be finite.
+    ``path`` holds the keys and indexes down to the bad value; a bad item of
+    a list of scalars is reported at the list.  A document too deep for the
+    check to recurse through is ``invalid((), "nested too deeply")``.
     """
     try:
         _check(doc, schema, schema)
     except _Invalid as exc:
         raise invalid(tuple(reversed(exc.path)), exc.args[0]) from None
+    except RecursionError:
+        raise invalid((), "nested too deeply") from None
 
 
 def load_scene(source: Union[str, Path]) -> Scene:

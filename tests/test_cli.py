@@ -30,7 +30,7 @@ from pcsreg.prepositions import (
     SPEAKER_SURFACE,
     TOPOLOGICAL_MARKERS,
 )
-from pcsreg.resolver import denote, tree_to_dict
+from pcsreg.resolver import ParseError, denote, depth, spine, tree_from_dict, tree_to_dict
 from pcsreg.scene import (
     SceneError,
     attribute_vocabulary,
@@ -324,28 +324,35 @@ class TestResolve:
             "resolve", "--scene", str(scene_paths["blocks"]), "--expr", json.dumps({"head": head})
         )
         assert out.returncode == 5
-        assert f"'{field}'" in out.stderr
+        assert f"cannot parse expression: head.{field}: " in out.stderr
         assert "Traceback" not in out.stderr
 
     @pytest.mark.parametrize(
         "expr, message",
         [
-            ({"head": {"category": "block", "extra": 1}}, "phrase has unknown keys ['extra']"),
-            ({"head": {"category": "block"}, "extra": 1}, "expression object has unknown keys ['extra']"),
+            ({"head": {"category": "block", "extra": 1}}, "head.extra: is not allowed"),
+            ({"head": {"category": "block"}, "extra": 1}, "extra: is not allowed"),
             (
                 {"head": {"category": "block"}, "prep": "front", "landmark": 5},
-                "'landmark' must be an expression object, got 5",
+                "landmark: must be of type object, got 5",
+            ),
+            (
+                {
+                    "head": {"category": "block"},
+                    "prep": "front",
+                    "landmark": {"head": {"category": "car", "size": 2}},
+                },
+                "landmark.head.size: is not allowed",
             ),
         ],
-        ids=["phrase_key", "expression_key", "landmark_number"],
+        ids=["phrase_key", "expression_key", "landmark_number", "nested_phrase_key"],
     )
     def test_malformed_json_expression_exits_5(self, scene_paths, expr, message):
         out = run_cli(
             "resolve", "--scene", str(scene_paths["blocks"]), "--expr", json.dumps(expr)
         )
         assert out.returncode == 5
-        assert message in out.stderr
-        assert "Traceback" not in out.stderr
+        assert out.stderr == f"error: cannot parse expression: {message}\n"
 
     def test_pipeline_identity(self, scene_paths):
         gen = run_cli(
@@ -558,13 +565,20 @@ class TestSchema:
         out = run_cli("schema")
         assert out.returncode == 0
         doc = json.loads(out.stdout)
-        assert set(doc) == {"scene", "preferences", "config"}
+        assert set(doc) == {"scene", "preferences", "config", "expression"}
         assert doc["scene"]["properties"]["entities"]["type"] == "array"
+        expression = doc["expression"]["definitions"]["expression"]
+        assert expression["properties"]["landmark"] == {"$ref": "#/definitions/expression"}
+
+    def test_printed_schemas_are_valid_draft_7(self):
+        jsonschema = pytest.importorskip("jsonschema")
+        for schema in json.loads(run_cli("schema").stdout).values():
+            jsonschema.Draft7Validator.check_schema(schema)
 
     def test_schema_bytes_are_pinned(self):
         out = run_cli("schema")
         assert hashlib.sha256(out.stdout.encode()).hexdigest() == (
-            "547e14915d014b2715656dffaba8f444278375ddc24297f0cd3a6bc1169b04b3"
+            "053a44f0955e84244f6b764924e2a8d67635c2b3203b324e7b8c9a2b7093e902"
         )
 
 
@@ -828,24 +842,44 @@ def _mutants(doc):
 def _accepts(loader, doc) -> bool:
     try:
         loader(doc)
-    except (SceneError, FrameError, HarnessError):
+    except (SceneError, FrameError, HarnessError, ParseError):
         return False
     return True
+
+
+def _generated_trees() -> list:
+    """The expressions generated for the demo scenes and for one sampled
+    scene, which has a two-unit chain with a person landmark."""
+    prefs = default_preferences()
+    scenes = [load_scene(DEMO / name) for name in DEMO_SCENES] + [sample_scene(12)]
+    trees = []
+    for scene in scenes:
+        for target in scene.referable_ids():
+            try:
+                chain = build_landmark_chain(target, scene, prefs)
+            except GenerationError:
+                continue
+            trees += [candidate.tree for candidate in expression_space(chain, scene)]
+    return trees
 
 
 def test_loaders_accept_only_what_the_schemas_accept():
     jsonschema = pytest.importorskip("jsonschema")
     prefs_doc = json.loads((DEMO / "preferences_two_frame.json").read_text())
     config_doc = json.loads((DEMO / "eval_config.json").read_text())
-    cases = [
+    trees = _generated_trees()
+    assert max(map(depth, trees)) >= 2
+    assert any(spine(tree)[1].head.person is not None for tree in trees)
+    expressions = {json.dumps(tree_to_dict(tree), sort_keys=True) for tree in trees}
+    valid = [
         (cli.SCENE_SCHEMA, scene_from_dict, json.loads((DEMO / name).read_text()))
         for name in DEMO_SCENES
     ] + [
         (cli.PREFS_SCHEMA, preferences_from_dict, prefs_doc),
         (cli.CONFIG_SCHEMA, config_from_dict, config_doc),
         (cli.CONFIG_SCHEMA, config_from_dict, {**config_doc, "true_prefs": prefs_doc}),
-        (cli.CONFIG_SCHEMA, config_from_dict, {**config_doc, "objects": [1, 3]}),
-    ]
+    ] + [(cli.EXPRESSION_SCHEMA, tree_from_dict, json.loads(doc)) for doc in sorted(expressions)]
+    cases = valid + [(cli.CONFIG_SCHEMA, config_from_dict, {**config_doc, "objects": [1, 3]})]
     checked = rejected = 0
     for schema, loader, doc in cases:
         validator = jsonschema.Draft7Validator(schema)
@@ -854,7 +888,7 @@ def test_loaders_accept_only_what_the_schemas_accept():
             assert schema_ok or not _accepts(loader, mutant), mutant
             checked += 1
             rejected += not schema_ok
-    for schema, loader, doc in cases[:5]:
+    for schema, loader, doc in valid:
         assert jsonschema.Draft7Validator(schema).is_valid(doc) and _accepts(loader, doc)
     assert rejected > checked // 2
 

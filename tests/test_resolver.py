@@ -323,10 +323,10 @@ def test_parse_expression_json(facing_square_scene):
 @pytest.mark.parametrize("value", [5, 1.5, True, ["a"], {"x": "y"}])
 def test_phrase_fields_must_be_strings(field, value):
     doc = {"head": {"category": "block", field: value}}
-    with pytest.raises(ParseError, match=f"'{field}'"):
+    with pytest.raises(ParseError, match=rf"^head\.{field}: must be of type string or null, got "):
         tree_from_dict(doc)
     nested = {"head": {"category": "block"}, "prep": "left", "landmark": doc}
-    with pytest.raises(ParseError, match=f"'{field}'"):
+    with pytest.raises(ParseError, match=rf"^landmark\.head\.{field}: must be of type string or null"):
         tree_from_dict(nested)
 
 
@@ -340,29 +340,88 @@ def test_person_phrase_rejects_visual_fields(field):
 @pytest.mark.parametrize(
     "doc, message",
     [
-        ({"head": {"category": "block", "extra": 1}}, r"phrase has unknown keys \['extra'\]"),
-        ({"head": {"person": "you", "name": "x"}}, r"phrase has unknown keys \['name'\]"),
-        ({"head": {"category": "block"}, "extra": 1}, r"expression object has unknown keys \['extra'\]"),
+        ({"head": {"person": "speaker", "color": "red"}}, "head: person phrase cannot carry"),
+        (
+            {"head": {"category": "block"}, "prep": "left", "landmark": {"head": {}}},
+            "landmark.head: attribute phrase must set at least one field",
+        ),
+        (
+            {
+                "head": {"shape": None},
+                "prep": "left",
+                "landmark": {"head": {"person": "listener", "shape": "round"}},
+            },
+            "head: attribute phrase must set at least one field",
+        ),
+    ],
+    ids=["root", "nested", "outermost_first"],
+)
+def test_phrase_rules_name_the_head(doc, message):
+    with pytest.raises(ParseError) as info:
+        tree_from_dict(doc)
+    assert str(info.value).startswith(message)
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"head": {"category": "block", "extra": 1}}, "head.extra: is not allowed"),
+        ({"head": {"person": "you", "name": "x"}}, "head.name: is not allowed"),
+        ({"head": {"category": "block"}, "extra": 1}, "extra: is not allowed"),
         (
             {"head": {"category": "block"}, "prep": "left", "landmark": {"head": {"category": "car"}, "x": 1, "y": 2}},
-            r"expression object has unknown keys \['x', 'y'\]",
+            "landmark.x: is not allowed",
         ),
         (
             {"head": {"category": "block"}, "prep": "left", "landmark": {"head": {"shape": "round", "size": 2}}},
-            r"phrase has unknown keys \['size'\]",
+            "landmark.head.size: is not allowed",
         ),
     ],
     ids=["phrase", "person_phrase", "expression", "nested_expression", "nested_phrase"],
 )
 def test_unknown_keys_are_rejected_by_name(doc, message):
-    with pytest.raises(ParseError, match=message):
+    with pytest.raises(ParseError) as info:
         tree_from_dict(doc)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("landmark", [5, "the car", ["head"], None, True])
 def test_landmark_must_be_an_object(landmark):
     doc = {"head": {"category": "block"}, "prep": "front", "landmark": landmark}
-    with pytest.raises(ParseError, match="'landmark' must be an expression object"):
+    with pytest.raises(ParseError, match=r"^landmark: must be of type object, got "):
+        tree_from_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"head": {"category": "block"}, "prep": "left"}, "landmark: is required when 'prep' is present"),
+        (
+            {"head": {"category": "block"}, "landmark": {"head": {"category": "car"}}},
+            "prep: is required when 'landmark' is present",
+        ),
+        (
+            {"head": {"category": "block"}, "prep": "left", "landmark": {"head": {"category": "car"}, "prep": "left"}},
+            "landmark.landmark: is required when 'prep' is present",
+        ),
+        ({"prep": "left"}, "head: is missing"),
+        ({"head": {"person": "me"}}, "head.person: must be one of ['speaker', 'listener'], got 'me'"),
+        (["head"], "$: must be of type object, got ['head']"),
+    ],
+    ids=["prep_alone", "landmark_alone", "nested_prep_alone", "no_head", "person", "root"],
+)
+def test_malformed_documents_name_the_field(doc, message):
+    with pytest.raises(ParseError) as info:
+        tree_from_dict(doc)
+    assert str(info.value) == message
+
+
+def test_deep_documents_are_a_parse_error():
+    """Deeper than the schema check can recurse, on every Python version."""
+    doc = {"head": {"category": "car"}}
+    for _ in range(5000):
+        doc = {"head": {"category": "block"}, "prep": "left", "landmark": doc}
+    with pytest.raises(ParseError, match="nested too deeply"):
         tree_from_dict(doc)
 
 
