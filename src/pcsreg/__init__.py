@@ -19,6 +19,7 @@ from .frames import (
 )
 from .generator import (
     CandidateExpression,
+    ComplexityCapError,
     GenerationError,
     LandmarkChain,
     VisualDescription,
@@ -38,7 +39,6 @@ from .harness import (
     simulate_listener,
 )
 from .optimizer import (
-    ComplexityCapError,
     Score,
     generate,
     rank,

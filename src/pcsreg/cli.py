@@ -142,12 +142,8 @@ def cmd_generate(args) -> int:
     except GenerationError as exc:
         print(f"warning: {exc}", file=sys.stderr)
         fallback = describe_visual(args.target, set(scene.referable_ids()), scene)
-        if not fallback.distinguishing:
-            print(
-                "warning: best-effort ambiguous description: "
-                f"{realize(Leaf(fallback.attrs))!r}",
-                file=sys.stderr,
-            )
+        surface = realize(Leaf(fallback.attrs))
+        print(f"warning: best-effort ambiguous description: {surface!r}", file=sys.stderr)
         raise SystemExit(EXIT_GENERATION_FAILED)
     if not chain.converged:
         log.info("preference updating hit the rebuild cap without a fixed point")

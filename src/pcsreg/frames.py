@@ -130,23 +130,20 @@ def _renormalize(row: Sequence[float]) -> Row:
 class PreferenceTable:
     """Per landmark-type probability distribution over frame kinds.
 
-    ``rows`` is stored as a read-only copy, so a table can be shared.
+    ``rows`` is stored as a read-only copy, so a table can be shared.  Each
+    row meets ``PREFS_SCHEMA`` and sums to 1 within ``ROW_SUM_TOL``, entries <= 1.
     """
 
     rows: Mapping[LandmarkType, Row]
 
     def __post_init__(self):
-        object.__setattr__(self, "rows", MappingProxyType(dict(self.rows)))
-        for lt in LandmarkType:
-            if lt not in self.rows:
-                raise FrameError(f"preference table missing row for {lt.value}")
-            row = self.rows[lt]
-            if len(row) != len(FRAME_ORDER):
-                raise FrameError(f"row {lt.value} must have {len(FRAME_ORDER)} entries")
-            if any(v < 0.0 or v > 1.0 for v in row):
-                raise FrameError(f"row {lt.value} has entries outside [0, 1]: {row}")
-            if abs(sum(row) - 1.0) > ROW_SUM_TOL:
-                raise FrameError(f"row {lt.value} does not sum to 1: {row}")
+        rows = MappingProxyType(dict(self.rows))
+        object.__setattr__(self, "rows", rows)
+        doc = {lt.value: list(rows[lt]) for lt in LandmarkType if lt in rows}
+        check_document(doc, PREFS_SCHEMA, preference_error)
+        for key, row in doc.items():
+            if max(row) > 1.0 or abs(sum(row) - 1.0) > ROW_SUM_TOL:
+                raise FrameError(f"row {key!r} must sum to 1 within {ROW_SUM_TOL}, entries <= 1")
 
     def row(self, lt: LandmarkType) -> Row:
         return self.rows[lt]

@@ -173,7 +173,7 @@ def select_landmark(
 
     described = consistent_set(d_vf.attrs, scene)
     distractors = sorted((described & domain) - {target_id})
-    pool = [scene.entity(eid) for eid in sorted(domain)] + [scene.speaker, scene.listener]
+    pool = [scene.entity(eid) for eid in domain] + [scene.speaker, scene.listener]
     tx, ty = target.centroid
     hypot = math.hypot
     candidates = []

@@ -26,6 +26,7 @@ from typing import Callable
 from .frames import (
     FRAME_ORDER,
     PREFS_SCHEMA,
+    FrameError,
     FrameInstance,
     FrameKind,
     PreferenceTable,
@@ -377,9 +378,9 @@ CONFIG_SCHEMA = {
 }
 
 
-def _config_error(path: tuple, message: str) -> ValueError:
+def _config_error(path: tuple, message: str) -> HarnessError:
     if len(path) > 1:  # inside true_prefs or assumed_prefs: a preference error
-        return preference_error(path[1:], message)
+        message = str(preference_error(path[1:], message))
     return HarnessError(f"config field {path[0]!r} {message}" if path else f"config {message}")
 
 
@@ -389,7 +390,10 @@ def config_from_dict(doc: dict) -> TrialConfig:
     fields = {key: tuple(value) if isinstance(value, list) else value for key, value in doc.items()}
     for key in ("true_prefs", "assumed_prefs"):
         if key in doc:
-            fields[key] = preferences_from_dict(doc[key])
+            try:
+                fields[key] = preferences_from_dict(doc[key])
+            except FrameError as exc:
+                raise HarnessError(f"config field {key!r} {exc}") from None
     if "consistency_coupling" in doc:
         fields["consistency_coupling"] = float(doc["consistency_coupling"])
     return TrialConfig(**{"true_prefs": default_preferences(), "methods": METHODS, **fields})

@@ -15,15 +15,7 @@ import random
 from dataclasses import dataclass
 
 from .frames import FrameKind, PreferenceTable
-# MAX_COMPLEXITY and ComplexityCapError are re-exported; expression_space checks the cap.
-from .generator import (
-    MAX_COMPLEXITY,
-    CandidateExpression,
-    ComplexityCapError,
-    LandmarkChain,
-    candidate,
-    expression_space,
-)
+from .generator import CandidateExpression, LandmarkChain, candidate, expression_space
 from .resolver import Denotation, denote
 from .scene import Scene
 

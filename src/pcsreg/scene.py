@@ -64,10 +64,6 @@ class Entity:
     def referable_as_target(self) -> bool:
         return self.kind is EntityKind.OBJECT
 
-    @property
-    def oriented(self) -> bool:
-        return self.heading is not None
-
 
 def landmark_type(entity: Entity) -> LandmarkType:
     """Classify an entity for preference-table lookup (total function)."""
@@ -162,6 +158,8 @@ def _validate(scene: Scene) -> tuple[dict, Entity, Entity, tuple[str, ...]]:
         if e.id in by_id:
             raise SceneError(f"entities[{i}].id", f"duplicate id {e.id!r}")
         by_id[e.id] = e
+        if e.heading is not None and not math.isfinite(e.heading):
+            raise SceneError(f"entities[{i}].heading", f"must be finite, got {e.heading}")
         if e.kind in agents:
             if e.heading is None:
                 raise SceneError(f"entities[{i}].heading", f"{e.kind.value} must have a heading")
@@ -184,7 +182,7 @@ def _validate(scene: Scene) -> tuple[dict, Entity, Entity, tuple[str, ...]]:
                     f"entities[{i}].pos",
                     f"centroid collides with entity {other.id!r} (separation < {MIN_SEPARATION})",
                 )
-    if abs(math.hypot(*scene.north) - 1.0) > UNIT_NORM_TOL:
+    if not abs(math.hypot(*scene.north) - 1.0) <= UNIT_NORM_TOL:  # NaN fails too
         raise SceneError("north", f"must be a unit vector, got {scene.north}")
     if not (
         scene.table.min_corner[0] < scene.table.max_corner[0]

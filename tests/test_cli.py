@@ -14,7 +14,13 @@ from hypothesis import given, strategies as st
 
 from pcsreg import cli
 from pcsreg.frames import FrameError, default_preferences, preferences_from_dict
-from pcsreg.generator import GenerationError, build_landmark_chain, expression_space, realize
+from pcsreg.generator import (
+    MAX_COMPLEXITY,
+    GenerationError,
+    build_landmark_chain,
+    expression_space,
+    realize,
+)
 from pcsreg.harness import (
     METHODS,
     HarnessError,
@@ -23,7 +29,7 @@ from pcsreg.harness import (
     format_report_text,
     sample_scene,
 )
-from pcsreg.optimizer import MAX_COMPLEXITY, generate, score_denotation, select_best
+from pcsreg.optimizer import generate, score_denotation, select_best
 from pcsreg.prepositions import (
     LISTENER_SURFACE,
     PLAIN_SURFACE,
@@ -1030,3 +1036,96 @@ def test_paths_with_a_null_byte_exit_with_their_code(argv, code, capsys):
     """Only an in-process caller can pass one: ``open`` raises ValueError."""
     assert cli.main(argv) == code
     assert "embedded null byte" in capsys.readouterr().err
+
+
+# --- document fuzzing -----------------------------------------------------------
+
+# A mutation replaces the value at one path with one of these, deletes it,
+# or gives the nearest enclosing object an unknown key.
+_FUZZ_VALUES = [float("nan"), None, "", [], {}, -1, [0.5, 0.25, 0.25]]
+_DELETE, _ADD_KEY = "delete", "add key"
+_PREFS_DOC = json.loads((DEMO / "preferences_two_frame.json").read_text())
+# The demo config at two scenes of two trials, with both preference tables.
+_CONFIG_DOC = {
+    **json.loads((DEMO / "eval_config.json").read_text()),
+    "n_scenes": 2,
+    "trials_per_expression": 2,
+    "true_prefs": _PREFS_DOC,
+    "assumed_prefs": _PREFS_DOC,
+}
+
+
+def _node(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _mutate(doc, path, edit):
+    """A copy of ``doc`` with ``edit`` applied at ``path``."""
+    if edit not in (_DELETE, _ADD_KEY):
+        return _with(doc, path, edit)
+    doc = copy.deepcopy(doc)
+    if edit == _DELETE:
+        del _node(doc, path[:-1])[path[-1]]
+        return doc
+    while not isinstance(_node(doc, path), dict):
+        path = path[:-1]
+    _node(doc, path)["unknown"] = 1
+    return doc
+
+
+def _fuzzed(doc):
+    """Copies of ``doc`` mutated at one drawn path."""
+    paths = list(_paths(doc))
+    return st.sampled_from(_FUZZ_VALUES + [_DELETE, _ADD_KEY]).flatmap(
+        lambda edit: st.sampled_from(paths[1:] if edit == _DELETE else paths).map(
+            lambda path: _mutate(doc, path, edit)
+        )
+    )
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def _assert_documented_exit(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert 0 <= code <= 5, (code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+
+
+def _write(path: Path, doc) -> str:
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+@given(
+    st.sampled_from(DEMO_SCENES).flatmap(
+        lambda name: _fuzzed(json.loads((DEMO / name).read_text()))
+    ),
+    st.sampled_from(["blk_a", "car1", "a", "c", "speaker", "no-such-id"]),
+    st.sampled_from(METHODS),
+)
+def test_scene_fuzz_exits_with_a_documented_code(fuzz_dir, scene, target, method):
+    path = _write(fuzz_dir / "scene.json", scene)
+    _assert_documented_exit(
+        ["generate", "--scene", path, "--target", target, "--method", method, "--seed", "7", "--json"]
+    )
+    _assert_documented_exit(["explain", "--scene", path, "--target", target])
+
+
+@given(_fuzzed(_PREFS_DOC), st.sampled_from(DEMO_SCENES), st.sampled_from(["blk_a", "a"]))
+def test_preferences_fuzz_exits_with_a_documented_code(fuzz_dir, prefs, scene_file, target):
+    path = _write(fuzz_dir / "prefs.json", prefs)
+    scene = str(DEMO / scene_file)
+    _assert_documented_exit(["generate", "--scene", scene, "--target", target, "--prefs", path])
+    _assert_documented_exit(["explain", "--scene", scene, "--target", target, "--prefs", path])
+
+
+@given(_fuzzed(_CONFIG_DOC))
+def test_config_fuzz_exits_with_a_documented_code(fuzz_dir, config):
+    _assert_documented_exit(["evaluate", "--config", _write(fuzz_dir / "config.json", config)])

@@ -53,6 +53,30 @@ def test_rows_are_stochastic():
         assert all(0.0 <= v <= 1.0 for v in row)
 
 
+BAD_ROWS = {
+    "nan": ((math.nan, 0.0, 0.0, 1.0), "must contain finite numbers >= 0"),
+    "inf": ((math.inf, 0.0, 0.0, 0.0), "must contain finite numbers >= 0"),
+    "minus_inf": ((-math.inf, 0.0, 0.0, 1.0), "must contain finite numbers >= 0"),
+    "negative": ((-0.5, 0.5, 0.5, 0.5), "must contain finite numbers >= 0"),
+    "above_one": ((1.0 + 5e-10, 0.0, 0.0, 0.0), "must sum to 1 within 1e-09, entries <= 1"),
+    "bad_sum": ((0.5, 0.5, 0.1, 0.0), "must sum to 1 within 1e-09, entries <= 1"),
+    "short": ((0.5, 0.5, 0.0), r"must have \[4, 4\] items"),
+    "missing": (None, "is missing"),
+}
+
+
+@pytest.mark.parametrize("row, message", BAD_ROWS.values(), ids=list(BAD_ROWS))
+def test_table_rejects_bad_rows_by_name(row, message):
+    """A table built in Python meets ``PREFS_SCHEMA`` and the row rule."""
+    rows = {lt: (0.25, 0.25, 0.25, 0.25) for lt in LandmarkType}
+    if row is None:
+        del rows[LandmarkType.LISTENER]
+    else:
+        rows[LandmarkType.LISTENER] = row
+    with pytest.raises(FrameError, match=f"^row 'listener' {message}"):
+        PreferenceTable(rows)
+
+
 def test_entropy_degenerate_and_uniform():
     assert preference_entropy((1.0, 0.0, 0.0, 0.0)) == 0.0
     assert preference_entropy((0.25, 0.25, 0.25, 0.25)) == pytest.approx(2.0, abs=1e-12)

@@ -17,7 +17,13 @@ from pcsreg.frames import (
     frame_instance,
     supports_intrinsic,
 )
-from pcsreg.generator import GenerationError, build_landmark_chain, describe_visual, expression_space
+from pcsreg.generator import (
+    ComplexityCapError,
+    GenerationError,
+    build_landmark_chain,
+    describe_visual,
+    expression_space,
+)
 from pcsreg.geometry import heading_vec
 from pcsreg.harness import (
     _DEPENDS_ON_DRAWS,
@@ -35,7 +41,7 @@ from pcsreg.harness import (
     sample_scene,
     simulate_listener,
 )
-from pcsreg.optimizer import ComplexityCapError, generate, select_best
+from pcsreg.optimizer import generate, select_best
 from pcsreg.prepositions import Preposition, relation
 from pcsreg.resolver import AttributePhrase, Compound, Leaf, consistent_set, denote, depth
 from pcsreg.scene import LandmarkType, dump_scene, landmark_type, load_scene
@@ -693,6 +699,13 @@ class TestConfig:
             {"consistency_coupling": True},
             {"per_trial_csv": "yes"},
             {"true_prefs": [1.0, 0.0, 0.0, 0.0]},
+        ]
+        # A short row fails the schema, a row summing to 0.5 the sum rule;
+        # the message names the table and the row.
+        + [
+            {table: {**preferences_doc_all_ego(), "speaker": row}}
+            for table in ("true_prefs", "assumed_prefs")
+            for row in ([1, 0, 0], [0.5, 0.0, 0.0, 0.0])
         ],
     )
     def test_rejects_wrong_types(self, override):

@@ -2,13 +2,13 @@ import pytest
 
 from pcsreg.frames import FrameKind, PreferenceTable, default_preferences
 from pcsreg.generator import (
+    MAX_COMPLEXITY,
     GenerationError,
     build_landmark_chain,
     expression_space,
 )
 from pcsreg.harness import derive_seed, sample_scene
 from pcsreg.optimizer import (
-    MAX_COMPLEXITY,
     Score,
     generate,
     score,

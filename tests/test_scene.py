@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -45,9 +46,9 @@ def test_load_scene_preserves_order_and_fields():
     assert b1.color == "red"
     assert b1.shape is None
     assert b1.heading is None
-    assert not b1.oriented
+    assert landmark_type(b1) is LandmarkType.UNORIENTED_OBJECT
     assert scene.speaker.id == "speaker"
-    assert scene.listener.oriented
+    assert scene.listener.heading is not None
 
 
 def test_duplicate_id_rejected():
@@ -115,6 +116,29 @@ def test_non_finite_numbers_rejected(path, mutate):
         load_scene(json.dumps(doc))
     assert err.value.path == path
     assert "finite" in str(err.value)
+
+
+PYTHON_NON_FINITE_CASES = [
+    ("entities[0].heading", 0, NAN, (0.0, 1.0)),
+    ("entities[1].heading", 1, INF, (0.0, 1.0)),
+    ("entities[2].heading", 2, -INF, (0.0, 1.0)),
+    ("entities[2].heading", 2, NAN, (0.0, 1.0)),
+    ("north", None, None, (NAN, 1.0)),
+    ("north", None, None, (NAN, NAN)),
+    ("north", None, None, (0.0, INF)),
+]
+
+
+@pytest.mark.parametrize("path, index, heading, north", PYTHON_NON_FINITE_CASES)
+def test_python_scene_rejects_non_finite_headings_and_north(path, index, heading, north):
+    """The schema keeps these out of scene files; a ``Scene`` built in
+    Python is checked on construction.  A NaN north has no unit norm."""
+    entities = list(load_scene(json.dumps(minimal_doc())).entities)
+    if index is not None:
+        entities[index] = dataclasses.replace(entities[index], heading=heading)
+    with pytest.raises(SceneError) as err:
+        Scene(tuple(entities), TableExtent((-1.0, -1.0), (1.0, 1.0)), north)
+    assert err.value.path == path
 
 
 def test_north_defaults_when_absent():
