@@ -36,9 +36,9 @@ from .frames import (
     preferences_from_dict,
     supports_intrinsic,
 )
-from .generator import GenerationError, LandmarkChain, build_landmark_chain, describe_visual
+from .generator import CandidateExpression, GenerationError, build_landmark_chain, describe_visual
 from .geometry import heading_vec
-from .optimizer import METHODS, generate
+from .optimizer import METHODS, generate_methods
 from .prepositions import partitions, relation
 from .resolver import (
     Compound,
@@ -68,8 +68,25 @@ class HarnessError(ValueError):
 def derive_seed(*parts) -> int:
     """Stable 63-bit seed from heterogeneous parts (not Python's hash())."""
     text = ":".join(str(p) for p in parts)
-    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    return int(digest[:16], 16) & (2**63 - 1)
+    return _digest_seed(hashlib.sha256(text.encode("utf-8")))
+
+
+def derive_seeds(*parts, count: int) -> list[int]:
+    """``[derive_seed(*parts, i) for i in range(count)]``, hashing the
+    shared prefix once."""
+    prefix = hashlib.sha256("".join(f"{p}:" for p in parts).encode("utf-8"))
+    seeds = []
+    for i in range(count):
+        h = prefix.copy()
+        h.update(b"%d" % i)
+        seeds.append(_digest_seed(h))
+    return seeds
+
+
+def _digest_seed(h) -> int:
+    """The seed of a sha256 hash: its first eight bytes, big-endian, with
+    the top bit cleared."""
+    return int.from_bytes(h.digest()[:8], "big") & (2**63 - 1)
 
 
 # --- scene sampling ----------------------------------------------------------
@@ -446,14 +463,22 @@ def run_comparison(cfg: TrialConfig, collect_records: bool = True) -> TrialRepor
     only on (seed, scene, target, trial), never on the method, so methods
     are compared on identical listener draws.
 
-    Methods whose expressions are equal share one denotation and one
-    ``ListenerPlan`` per target and one listener answer per trial.  An
-    expression whose plan has one reachable answer (``ListenerPlan.fixed``)
-    is not simulated; every drawing plan on a trial reads one list of draws
-    from a ``Random`` seeded per trial.  When no expression needs draws and
-    no records are collected, the trials are not walked.
+    Methods whose expressions have equal surfaces share one denotation and
+    one ``ListenerPlan`` per target and one listener answer per trial.
+    When the true and assumed tables are equal, a surface's denotation is
+    the one ``generate_methods``'s ranking already holds, and only surfaces
+    it did not score are denoted.  An expression whose plan has one
+    reachable answer (``ListenerPlan.fixed``) is not simulated; every
+    drawing plan on a trial reads one list of draws from one ``Random``,
+    reseeded per trial with ``derive_seed(seed, "trial", scene, target,
+    trial)``.  When no expression needs draws and no records are
+    collected, the trials are not walked.
     """
     assumed = cfg.assumed_prefs or default_preferences()
+    # The ranking's denotations are the listener's when the tables agree.
+    same_tables = cfg.true_prefs == assumed
+    # Reseeded before each trial that draws; ``seed(s)`` gives ``Random(s)``'s state.
+    rng = random.Random(0)
     stats = {m: MethodStats() for m in cfg.methods}
     records: list[dict] = []
     n_targets = 0
@@ -472,41 +497,48 @@ def run_comparison(cfg: TrialConfig, collect_records: bool = True) -> TrialRepor
             if describe_visual(target_id, all_ids, scene).distinguishing:
                 continue
             n_targets += 1
-            chain: LandmarkChain | None
             try:
                 chain = build_landmark_chain(target_id, scene, assumed)
             except GenerationError:
-                chain = None
+                picks, scored = {}, {}
+            else:
+                strategy_seed = derive_seed(cfg.seed, "strategy", scene_idx, target_id)
+                picks, scored = generate_methods(
+                    cfg.methods, chain, scene, assumed, seed=strategy_seed
+                )
 
-            # Per distinct tree (None for no tree): [listener plan, the
-            # target's mass under its denotation, the listener's answer,
+            # Per distinct surface (None for no expression): [listener plan,
+            # the target's mass under its denotation, the listener's answer,
             # trials answered correctly], shared by the methods that chose it.
-            outcomes: dict[ExpressionTree | None, list] = {None: [None, 0.0, None, 0]}
+            outcomes: dict[str | None, list] = {None: [None, 0.0, None, 0]}
             outcome_of: dict[str, list] = {}
-            strategy_seed = derive_seed(cfg.seed, "strategy", scene_idx, target_id)
             for method in cfg.methods:
-                tree: ExpressionTree | None = None
-                if chain is not None:
-                    try:
-                        tree = generate(method, chain, scene, assumed, seed=strategy_seed).tree
-                    except GenerationError:  # e.g. the chain is over the complexity cap
-                        pass
-                if tree not in outcomes:
-                    plan = ListenerPlan(tree, scene, cfg.true_prefs)
-                    mass = denote(tree, scene, cfg.true_prefs).get(target_id, 0.0)
-                    outcomes[tree] = [plan, mass, plan.fixed, trials * (plan.fixed == target_id)]
-                outcome_of[method] = outcomes[tree]
+                pick = picks.get(method)
+                surface = pick.surface if isinstance(pick, CandidateExpression) else None
+                outcome = outcomes.get(surface)
+                if outcome is None:
+                    plan = ListenerPlan(pick.tree, scene, cfg.true_prefs)
+                    if same_tables and surface in scored:
+                        denotation = scored[surface][0]
+                    else:
+                        denotation = denote(pick.tree, scene, cfg.true_prefs)
+                    mass = denotation.get(target_id, 0.0)
+                    outcome = [plan, mass, plan.fixed, trials * (plan.fixed == target_id)]
+                    outcomes[surface] = outcome
+                outcome_of[method] = outcome
                 st = stats[method]
                 st.n_expressions += 1
-                st.n_failures += tree is None
-                st.expected_sum += outcomes[tree][1]
+                st.n_failures += surface is None
+                st.expected_sum += outcome[1]
 
             drawn = [outcome for outcome in outcomes.values() if outcome[2] is _DEPENDS_ON_DRAWS]
             n_draws = 2 * max((plan.depth for plan, *_ in drawn), default=0)
             if drawn or collect_records:
+                if drawn:
+                    seeds = derive_seeds(cfg.seed, "trial", scene_idx, target_id, count=trials)
                 for trial in range(trials):
                     if drawn:
-                        rng = random.Random(derive_seed(cfg.seed, "trial", scene_idx, target_id, trial))
+                        rng.seed(seeds[trial])
                         draws = [rng.random() for _ in range(n_draws)]
                         for outcome in drawn:
                             answer = simulate_listener(

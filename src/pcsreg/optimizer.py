@@ -6,7 +6,8 @@ probability mass the target receives).  The optimal expression maximizes
 their sum over the exhaustively enumerated expression space.  A greedy
 variant picks each unit's most-preferred frame independently and never
 consults the resolution model, and three baselines share the same landmark
-chain; ``generate`` is the one dispatch on the method name.
+chain; ``generate_methods`` is the one dispatch on the method name, and
+``generate`` its one-method case.
 """
 
 from __future__ import annotations
@@ -15,7 +16,13 @@ import random
 from dataclasses import dataclass
 
 from .frames import FrameKind, PreferenceTable
-from .generator import CandidateExpression, LandmarkChain, candidate, expression_space
+from .generator import (
+    CandidateExpression,
+    GenerationError,
+    LandmarkChain,
+    candidate,
+    expression_space,
+)
 from .resolver import Denotation, denote
 from .scene import Scene
 
@@ -99,24 +106,44 @@ def select_best(
     return best, scored[best.surface][1]
 
 
-def generate(
-    method: str,
+def generate_methods(
+    methods: tuple[str, ...],
     chain: LandmarkChain,
     scene: Scene,
     prefs: PreferenceTable,
     seed: int | None = None,
-) -> CandidateExpression:
-    """The candidate a generation method picks from the chain (unscored).
+) -> tuple[dict[str, CandidateExpression | GenerationError], dict[str, tuple[Denotation, Score]]]:
+    """Every method's pick from one chain, and the ranking behind ``pcsreg``'s.
 
-    ``pcsreg`` is the exhaustive argmax of ``select_best``.  The other
-    methods pick one of ``chain.options`` per unit and never consult
-    the resolution model: ``max`` the most-preferred frame under the
-    chain's settled distributions (the canonically first on ties),
+    ``pcsreg`` is the exhaustive argmax of ``rank``.  The other methods
+    pick one of ``chain.options`` per unit and never consult the
+    resolution model: ``max`` the most-preferred frame under the chain's
+    settled distributions (the canonically first on ties),
     ``robot``/``human`` the speaker's/listener's frame, and ``random`` a
     uniform draw per unit from ``Random(seed)``, so it requires a seed.
+
+    Returns ``(picks, scored)``.  ``picks`` maps each method to its
+    candidate, or to the ``GenerationError`` that generation raised
+    (``pcsreg`` on a chain over the complexity cap).  ``scored`` is
+    ``rank``'s denotation under ``prefs`` and score of every distinct
+    surface of the expression space, and is empty unless ``pcsreg`` is
+    among ``methods`` and succeeds.  Other errors propagate.
     """
-    if method == "pcsreg":
-        return select_best(expression_space(chain, scene), chain.target, scene, prefs)[0]
+    picks: dict[str, CandidateExpression | GenerationError] = {}
+    scored: dict[str, tuple[Denotation, Score]] = {}
+    for method in methods:
+        try:
+            if method == "pcsreg":
+                candidates = expression_space(chain, scene)
+                picks[method], scored = rank(candidates, chain.target, scene, prefs)
+            else:
+                picks[method] = _baseline(method, chain, seed)
+        except GenerationError as exc:
+            picks[method] = exc
+    return picks, scored
+
+
+def _baseline(method: str, chain: LandmarkChain, seed: int | None) -> CandidateExpression:
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r} (expected one of {', '.join(METHODS)})")
     if method == "random":
@@ -132,3 +159,18 @@ def generate(
         else:
             picks.append(next(o for o in options if o[0].kind is BASELINE_KINDS[method]))
     return candidate(chain, tuple(picks))
+
+
+def generate(
+    method: str,
+    chain: LandmarkChain,
+    scene: Scene,
+    prefs: PreferenceTable,
+    seed: int | None = None,
+) -> CandidateExpression:
+    """The candidate ``method`` picks from the chain (unscored): the
+    one-method case of ``generate_methods``, raising its error."""
+    pick = generate_methods((method,), chain, scene, prefs, seed)[0][method]
+    if isinstance(pick, GenerationError):
+        raise pick
+    return pick

@@ -155,7 +155,7 @@ def _quadrant(dx: float, dy: float, fx: float, fy: float) -> int:
 def sign_margin(table: TableExtent, front: Vec) -> float:
     """The margin M outside which the signs of the diagonal projections
     decide the relation under the front axis ``front`` for centroids inside
-    ``table`` (module docstring)."""
+    ``table`` (module docstring); ``Scene`` keeps the corners finite."""
     (x0, y0), (x1, y1) = table.min_corner, table.max_corner
     extent = max(1.0, abs(x0), abs(y0), abs(x1), abs(y1))
     return 1e-9 * extent * (abs(front[0]) + abs(front[1]))

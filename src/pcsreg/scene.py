@@ -171,7 +171,17 @@ def _validate(scene: Scene) -> tuple[dict, Entity, Entity, tuple[str, ...]]:
             raise SceneError("entities", f"missing {kind.value}")
         if len(found) > 1:
             raise SceneError("entities", f"more than one {kind.value}")
+    corners = (*scene.table.min_corner, *scene.table.max_corner)
+    if not all(map(math.isfinite, corners)):
+        raise SceneError("table", f"corners must be finite, got {corners}")
+    if not (
+        scene.table.min_corner[0] < scene.table.max_corner[0]
+        and scene.table.min_corner[1] < scene.table.max_corner[1]
+    ):
+        raise SceneError("table", "min corner must be strictly below max corner")
     for i, e in enumerate(scene.entities):
+        if not all(map(math.isfinite, e.centroid)):
+            raise SceneError(f"entities[{i}].pos", f"must be finite, got {e.centroid}")
         if not scene.table.contains(e.centroid):
             raise SceneError(
                 f"entities[{i}].pos", f"centroid {e.centroid} outside table extent"
@@ -184,11 +194,6 @@ def _validate(scene: Scene) -> tuple[dict, Entity, Entity, tuple[str, ...]]:
                 )
     if not abs(math.hypot(*scene.north) - 1.0) <= UNIT_NORM_TOL:  # NaN fails too
         raise SceneError("north", f"must be a unit vector, got {scene.north}")
-    if not (
-        scene.table.min_corner[0] < scene.table.max_corner[0]
-        and scene.table.min_corner[1] < scene.table.max_corner[1]
-    ):
-        raise SceneError("table", "min corner must be strictly below max corner")
     return by_id, agents[EntityKind.SPEAKER][0], agents[EntityKind.LISTENER][0], tuple(referable)
 
 

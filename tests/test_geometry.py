@@ -25,7 +25,13 @@ from pcsreg.harness import (
     run_comparison,
     sample_scene,
 )
-from pcsreg.generator import GenerationError, build_landmark_chain, describe_visual
+from pcsreg.generator import (
+    GenerationError,
+    build_landmark_chain,
+    describe_visual,
+    expression_space,
+    realize,
+)
 from pcsreg.optimizer import generate
 from pcsreg.prepositions import PREPOSITION_ORDER, partitions, relation
 from pcsreg.resolver import (
@@ -408,9 +414,20 @@ def test_both_tally_paths_equal_the_reference_counts(objects, prefs_name, reques
     assert kinds == {"no tree", "fixed"} | drawing
 
 
+def ranked_surfaces(scene, target_id, prefs):
+    """The surfaces ``pcsreg``'s ranking scores for the target, if it ranks."""
+    try:
+        chain = build_landmark_chain(target_id, scene, prefs)
+        return {c.surface for c in expression_space(chain, scene)}
+    except GenerationError:
+        return set()
+
+
 @pytest.mark.parametrize("objects", [(3, 8), (8, 16)], ids=str)
 @pytest.mark.parametrize("prefs_name", ["default", "two_frame"])
 def test_each_distinct_tree_is_denoted_once_per_target(objects, prefs_name, request, monkeypatch):
+    """With equal tables the harness denotes only the trees whose surface
+    the ranking did not score; with different tables, every distinct tree."""
     true_prefs = request.getfixturevalue(f"{prefs_name}_prefs")
     cfg = TrialConfig(
         seed=5,
@@ -420,9 +437,12 @@ def test_each_distinct_tree_is_denoted_once_per_target(objects, prefs_name, requ
         methods=METHODS,
         objects=objects,
     )
-    want_calls = n_trees = 0
+    equal_tables = true_prefs == default_preferences()
+    want_plans, want_denoted = [], []
+    n_trees = 0
     sums = {method: 0.0 for method in cfg.methods}
     for _, scene, target_id, trees in comparison_trees(cfg):
+        ranked = ranked_surfaces(scene, target_id, true_prefs) if equal_tables else set()
         distinct = []
         for method, tree in trees.items():
             if tree is None:
@@ -431,8 +451,13 @@ def test_each_distinct_tree_is_denoted_once_per_target(objects, prefs_name, requ
             if tree not in distinct:
                 distinct.append(tree)
             sums[method] += denote(tree, scene, true_prefs).get(target_id, 0.0)
-        want_calls += len(distinct)
-    assert 0 < want_calls < n_trees
+        want_plans += distinct
+        want_denoted += [tree for tree in distinct if realize(tree) not in ranked]
+    assert 0 < len(want_plans) < n_trees
+    if equal_tables:
+        assert len(want_denoted) < len(want_plans)
+    else:
+        assert want_denoted == want_plans
 
     calls = []
     plans = []
@@ -448,7 +473,7 @@ def test_each_distinct_tree_is_denoted_once_per_target(objects, prefs_name, requ
     monkeypatch.setattr(harness, "denote", counting_denote)
     monkeypatch.setattr(harness, "ListenerPlan", counting_plan)
     report = run_comparison(cfg, collect_records=False)
-    assert len(calls) == want_calls
-    assert plans == calls  # one plan per distinct tree per target
+    assert calls == want_denoted
+    assert plans == want_plans  # one plan per distinct tree per target
     for method, st in report.stats.items():
         assert st.expected_accuracy == sums[method] / st.n_expressions

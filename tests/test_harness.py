@@ -5,6 +5,7 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import CROWDED_POOLS, listen, random_tree
 
@@ -33,6 +34,7 @@ from pcsreg.harness import (
     TrialConfig,
     config_from_dict,
     derive_seed,
+    derive_seeds,
     format_report_text,
     oracle_denote,
     records_to_csv,
@@ -437,6 +439,51 @@ def test_demo_report_without_records_equals_the_golden_run(coupling):
     assert not cfg.per_trial_csv  # what ``pcsreg evaluate`` runs on the demo config
     with_records = report_to_json(run_comparison(cfg, collect_records=True))
     assert report_to_json(run_comparison(cfg, collect_records=False)) == with_records
+
+
+MISMATCHED_TABLE_DIGESTS = {
+    # sha256 of report_to_json + records_to_csv for demo/eval_config.json
+    # with one of its tables set to demo/preferences_two_frame.json: the
+    # listener's masses then come from ``denote``, not from the ranking.
+    "assumed_prefs": "f2de8096797d20bb69367d31b4e587627c4f829fd70e44e2e411774ed8f9257a",
+    "true_prefs": "c0f0e2a766e7468b4207832f66d3556fdffc8da514870ef2ec87bfd3488ddb96",
+}
+
+
+@pytest.mark.parametrize("key", sorted(MISMATCHED_TABLE_DIGESTS))
+def test_demo_report_with_mismatched_tables_is_golden(key):
+    doc = json.loads(DEMO_CONFIG.read_text(encoding="utf-8"))
+    doc[key] = json.loads((DEMO_DIR / "preferences_two_frame.json").read_text(encoding="utf-8"))
+    report = run_comparison(config_from_dict(doc), collect_records=True)
+    text = report_to_json(report) + records_to_csv(report)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == MISMATCHED_TABLE_DIGESTS[key]
+
+
+@settings(deadline=None)
+@given(
+    seed=st.integers(),
+    scene_idx=st.integers(min_value=0),
+    target_id=st.text(min_size=1),
+    count=st.integers(min_value=0, max_value=40),
+)
+@example(seed=-7, scene_idx=0, target_id="tasse_bleue_\u00e9\u4e2d", count=1)
+@example(seed=2**63 + 5, scene_idx=3, target_id="block1", count=20)
+def test_prefix_seeds_equal_derive_seed(seed, scene_idx, target_id, count):
+    seeds = derive_seeds(seed, "trial", scene_idx, target_id, count=count)
+    assert seeds == [derive_seed(seed, "trial", scene_idx, target_id, t) for t in range(count)]
+
+
+@settings(deadline=None)
+@given(
+    seeds=st.lists(st.integers(min_value=0, max_value=2**63 - 1), min_size=1, max_size=4),
+    k=st.integers(min_value=0, max_value=16),
+)
+def test_reseeded_generator_draws_as_a_fresh_one(seeds, k):
+    rng = random.Random(0)
+    for s in seeds:
+        rng.seed(s)
+        fresh = random.Random(s)
+        assert [rng.random() for _ in range(k)] == [fresh.random() for _ in range(k)]
 
 
 def oracle_difference(tree, scene, prefs):

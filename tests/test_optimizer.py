@@ -1,5 +1,7 @@
 import pytest
 
+from helpers import CROWDED_POOLS
+
 from pcsreg.frames import FrameKind, PreferenceTable, default_preferences
 from pcsreg.generator import (
     MAX_COMPLEXITY,
@@ -9,8 +11,11 @@ from pcsreg.generator import (
 )
 from pcsreg.harness import derive_seed, sample_scene
 from pcsreg.optimizer import (
+    METHODS,
     Score,
     generate,
+    generate_methods,
+    rank,
     score,
     select_best,
 )
@@ -285,3 +290,36 @@ def test_every_method_picks_from_the_expression_space(objects, default_prefs):
                 c = generate(method, chain, scene, default_prefs, seed=seed)
                 assert (c.tree, c.strategy, c.surface) in space
     assert 0 in depths and max(depths) >= 2
+
+
+@pytest.mark.parametrize("objects", [(3, 8), (8, 16)], ids=str)
+def test_generate_methods_is_generate_for_each_method(objects, default_prefs):
+    """Each pick is ``generate``'s candidate or the error it raises, and
+    ``scored`` is the table of the ranking behind ``pcsreg``'s pick."""
+    scenes = [sample_scene(derive_seed(5, "methods", objects, i), objects=objects) for i in range(20)]
+    # Target block15 of this scene needs a five-unit chain, one over the cap.
+    scenes.append(sample_scene(derive_seed(1, "scene", 189), objects=(8, 16), **CROWDED_POOLS))
+    capped = 0
+    for scene in scenes:
+        for target in scene.referable_ids():
+            try:
+                chain = build_landmark_chain(target, scene, default_prefs)
+            except GenerationError:
+                continue
+            seed = derive_seed(5, "strategy", target)
+            picks, scored = generate_methods(METHODS, chain, scene, default_prefs, seed=seed)
+            assert list(picks) == list(METHODS)
+            for method in METHODS:
+                try:
+                    want = generate(method, chain, scene, default_prefs, seed=seed)
+                except GenerationError as exc:
+                    assert type(picks[method]) is type(exc) and str(picks[method]) == str(exc)
+                    capped += 1
+                else:
+                    assert picks[method] == want
+            if chain.k > MAX_COMPLEXITY:
+                assert scored == {}
+            else:
+                space = expression_space(chain, scene)
+                assert scored == rank(space, target, scene, default_prefs)[1]
+    assert capped > 0

@@ -141,6 +141,31 @@ def test_python_scene_rejects_non_finite_headings_and_north(path, index, heading
     assert err.value.path == path
 
 
+FINITE_TABLE = ((-1.0, -1.0), (1.0, 1.0))
+UNBOUNDED_TABLE = ((-INF, -INF), (INF, INF))
+
+PYTHON_NON_FINITE_PLACES = [
+    ("table", UNBOUNDED_TABLE, None, None),
+    ("table", ((-1.0, -1.0), (1.0, NAN)), None, None),
+    ("table", UNBOUNDED_TABLE, 0, (INF, 0.0)),
+    ("entities[0].pos", FINITE_TABLE, 0, (NAN, 0.2)),
+    ("entities[1].pos", FINITE_TABLE, 1, (0.0, -INF)),
+]
+
+
+@pytest.mark.parametrize("path, corners, index, centroid", PYTHON_NON_FINITE_PLACES)
+def test_python_scene_rejects_non_finite_table_and_centroids(path, corners, index, centroid):
+    """An unbounded table would let a non-finite centroid pass the extent
+    check, so the table is checked first."""
+    entities = list(load_scene(json.dumps(minimal_doc())).entities)
+    if index is not None:
+        entities[index] = dataclasses.replace(entities[index], centroid=centroid)
+    with pytest.raises(SceneError) as err:
+        Scene(tuple(entities), TableExtent(*corners))
+    assert err.value.path == path
+    assert "finite" in str(err.value)
+
+
 def test_north_defaults_when_absent():
     doc = minimal_doc()
     del doc["north"]
