@@ -20,7 +20,7 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import Mapping, Sequence, Union
 
-from .geometry import Vec, heading_vec
+from .geometry import Vec, heading_vec, ordered_sum
 from .scene import Entity, LandmarkType, Scene, check_document, landmark_type, read_json
 
 ROW_SUM_TOL = 1e-9
@@ -122,7 +122,7 @@ _FILE_KEYS = {lt.value: lt for lt in LandmarkType}
 
 
 def _renormalize(row: Sequence[float]) -> Row:
-    s = float(sum(row))
+    s = ordered_sum(row)
     return tuple(float(v) / s for v in row)  # type: ignore[return-value]
 
 
@@ -142,7 +142,7 @@ class PreferenceTable:
         doc = {lt.value: list(rows[lt]) for lt in LandmarkType if lt in rows}
         check_document(doc, PREFS_SCHEMA, preference_error)
         for key, row in doc.items():
-            if max(row) > 1.0 or abs(sum(row) - 1.0) > ROW_SUM_TOL:
+            if max(row) > 1.0 or abs(ordered_sum(row) - 1.0) > ROW_SUM_TOL:
                 raise FrameError(f"row {key!r} must sum to 1 within {ROW_SUM_TOL}, entries <= 1")
 
     def row(self, lt: LandmarkType) -> Row:
@@ -183,7 +183,7 @@ def preferences_from_dict(doc: dict) -> PreferenceTable:
     """Check ``doc`` against ``PREFS_SCHEMA`` and the row sums, then build the table."""
     check_document(doc, PREFS_SCHEMA, preference_error)
     for key in _FILE_KEYS:
-        if abs(sum(doc[key]) - 1.0) > FILE_ROW_SUM_TOL:
+        if abs(ordered_sum(doc[key]) - 1.0) > FILE_ROW_SUM_TOL:
             raise FrameError(f"row {key!r} must sum to 1 within {FILE_ROW_SUM_TOL}")
     return PreferenceTable({lt: _renormalize(doc[key]) for key, lt in _FILE_KEYS.items()})
 
@@ -199,11 +199,11 @@ def preference_entropy(p: Sequence[float]) -> float:
     Only the ordering of entropies matters to landmark prioritization, and
     the ordering is invariant under a change of log base.
     """
-    if abs(sum(p) - 1.0) > ROW_SUM_TOL:
+    if abs(ordered_sum(p) - 1.0) > ROW_SUM_TOL:
         raise FrameError(f"distribution does not sum to 1: {p}")
     if any(v < 0 for v in p):
         raise FrameError(f"distribution has negative entries: {p}")
-    return -sum(v * math.log2(v) for v in p if v > 0.0)
+    return -ordered_sum(v * math.log2(v) for v in p if v > 0.0)
 
 
 def update_preferences(

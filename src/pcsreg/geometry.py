@@ -1,4 +1,4 @@
-"""Minimal 2D vector helpers for the table plane.
+"""Minimal 2D vector helpers for the table plane, and the one float sum.
 
 Vectors and points are plain ``(x, y)`` tuples of floats.  Quarter-turn
 rotations are computed by coordinate swaps so that perpendicularity is exact
@@ -45,3 +45,14 @@ def quarter_right(v: Vec) -> Vec:
 
 def opposite(v: Vec) -> Vec:
     return (-v[0], -v[1])
+
+
+def ordered_sum(values) -> float:
+    """The float total of ``values`` added left to right, as ``sum`` adds
+    up to Python 3.11.  From 3.12 ``sum`` compensates its rounding, so every
+    total that reaches an output uses this to stay byte-identical across
+    interpreters."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total

@@ -37,7 +37,7 @@ from .frames import (
     supports_intrinsic,
 )
 from .generator import CandidateExpression, GenerationError, build_landmark_chain, describe_visual
-from .geometry import heading_vec
+from .geometry import heading_vec, ordered_sum
 from .optimizer import METHODS, generate_methods
 from .prepositions import partitions, relation
 from .resolver import (
@@ -215,7 +215,8 @@ class ListenerPlan:
                         survivor = next((eid for eid in head_ids if eid in members), None)
                         if survivor is not None:
                             options.append((part.frame.kind, p, survivor))
-                    self.steps[level, resolved_id] = (options, sum(p for _, p, _ in options))
+                    total = ordered_sum(p for _, p, _ in options)
+                    self.steps[level, resolved_id] = (options, total)
                 if options:
                     after.update(survivor for _, _, survivor in options)
                 else:
@@ -380,7 +381,12 @@ CONFIG_SCHEMA = {
         "seed": {"type": "integer"},
         "n_scenes": {"type": "integer", "minimum": 1},
         "trials_per_expression": {"type": "integer", "minimum": 1},
-        "methods": {"type": "array", "items": {"enum": list(METHODS)}, "minItems": 1},
+        "methods": {
+            "type": "array",
+            "items": {"enum": list(METHODS)},
+            "minItems": 1,
+            "uniqueItems": True,
+        },
         "true_prefs": {"$ref": "#/definitions/preferences"},
         "assumed_prefs": {"$ref": "#/definitions/preferences"},
         "objects": {"type": "array", "items": {"type": "integer", "minimum": 2}, "minItems": 2, "maxItems": 2},
@@ -448,31 +454,22 @@ class TrialReport:
     records: list[dict] = field(default_factory=list, repr=False)
 
 
-def _bucket(k: int | None) -> str:
-    if k is None:
-        return "failed"
-    return "k1" if k == 1 else "k2plus"
+# The columns of a per-trial record, in ``trials.csv`` order.
+RECORD_FIELDS = ("scene", "target", "method", "trial", "k", "identified", "correct")
 
 
 def run_comparison(cfg: TrialConfig, collect_records: bool = True) -> TrialReport:
     """Generate-and-listen comparison across methods, deterministic per seed.
 
     Every referable target whose visual description is ambiguous gets one
-    expression per method; each expression is interpreted by
-    ``trials_per_expression`` simulated listeners whose randomness depends
-    only on (seed, scene, target, trial), never on the method, so methods
-    are compared on identical listener draws.
-
-    Methods whose expressions have equal surfaces share one denotation and
-    one ``ListenerPlan`` per target and one listener answer per trial.
-    When the true and assumed tables are equal, a surface's denotation is
-    the one ``generate_methods``'s ranking already holds, and only surfaces
-    it did not score are denoted.  An expression whose plan has one
-    reachable answer (``ListenerPlan.fixed``) is not simulated; every
-    drawing plan on a trial reads one list of draws from one ``Random``,
-    reseeded per trial with ``derive_seed(seed, "trial", scene, target,
-    trial)``.  When no expression needs draws and no records are
-    collected, the trials are not walked.
+    expression per method, heard by ``trials_per_expression`` simulated
+    listeners.  Per target: (1) each distinct surface gets one outcome
+    ``[plan, mass, answers]``, shared by the methods that chose it, with its
+    mass read from ``generate_methods``'s ranking when the tables are equal;
+    (2) only if some plan draws, each trial reseeds one ``Random`` with
+    ``derive_seed(seed, "trial", scene, target, trial)`` and every drawing
+    plan reads those draws, so methods hear identical listeners; (3) each
+    method's tallies, then the per-trial records, read the answers.
     """
     assumed = cfg.assumed_prefs or default_preferences()
     # The ranking's denotations are the listener's when the tables agree.
@@ -507,68 +504,55 @@ def run_comparison(cfg: TrialConfig, collect_records: bool = True) -> TrialRepor
                     cfg.methods, chain, scene, assumed, seed=strategy_seed
                 )
 
-            # Per distinct surface (None for no expression): [listener plan,
-            # the target's mass under its denotation, the listener's answer,
-            # trials answered correctly], shared by the methods that chose it.
-            outcomes: dict[str | None, list] = {None: [None, 0.0, None, 0]}
-            outcome_of: dict[str, list] = {}
+            # Pass 1: per distinct surface (None for no expression), the
+            # listener plan, the target's mass and the answer on each trial;
+            # a drawing plan's answers start empty (``trials`` is at least 1).
+            outcomes: dict[str | None, list] = {None: [None, 0.0, [None] * trials]}
+            chosen = []
             for method in cfg.methods:
                 pick = picks.get(method)
                 surface = pick.surface if isinstance(pick, CandidateExpression) else None
-                outcome = outcomes.get(surface)
-                if outcome is None:
+                if surface not in outcomes:
                     plan = ListenerPlan(pick.tree, scene, cfg.true_prefs)
                     if same_tables and surface in scored:
                         denotation = scored[surface][0]
                     else:
                         denotation = denote(pick.tree, scene, cfg.true_prefs)
-                    mass = denotation.get(target_id, 0.0)
-                    outcome = [plan, mass, plan.fixed, trials * (plan.fixed == target_id)]
-                    outcomes[surface] = outcome
-                outcome_of[method] = outcome
+                    answers = [] if plan.fixed is _DEPENDS_ON_DRAWS else [plan.fixed] * trials
+                    outcomes[surface] = [plan, denotation.get(target_id, 0.0), answers]
+                plan, mass, answers = outcomes[surface]
+                chosen.append((method, None if plan is None else plan.depth, mass, answers))
+
+            # Pass 2: the trials, walked only for the plans that draw.
+            drawing = [(plan, answers) for plan, _, answers in outcomes.values() if not answers]
+            if drawing:
+                n_draws = 2 * max(plan.depth for plan, _ in drawing)
+                for seed in derive_seeds(cfg.seed, "trial", scene_idx, target_id, count=trials):
+                    rng.seed(seed)
+                    draws = [rng.random() for _ in range(n_draws)]
+                    for plan, answers in drawing:
+                        answers.append(
+                            simulate_listener(plan, iter(draws).__next__, cfg.consistency_coupling)
+                        )
+
+            # Pass 3: the tallies, then the records, read the answers.
+            for method, k, mass, answers in chosen:
+                n_correct = answers.count(target_id)
                 st = stats[method]
                 st.n_expressions += 1
-                st.n_failures += surface is None
-                st.expected_sum += outcome[1]
-
-            drawn = [outcome for outcome in outcomes.values() if outcome[2] is _DEPENDS_ON_DRAWS]
-            n_draws = 2 * max((plan.depth for plan, *_ in drawn), default=0)
-            if drawn or collect_records:
-                if drawn:
-                    seeds = derive_seeds(cfg.seed, "trial", scene_idx, target_id, count=trials)
-                for trial in range(trials):
-                    if drawn:
-                        rng.seed(seeds[trial])
-                        draws = [rng.random() for _ in range(n_draws)]
-                        for outcome in drawn:
-                            answer = simulate_listener(
-                                outcome[0], iter(draws).__next__, cfg.consistency_coupling
-                            )
-                            outcome[2] = answer
-                            outcome[3] += answer == target_id
-                    if collect_records:
-                        for method in cfg.methods:
-                            plan, _, identified, _ = outcome_of[method]
-                            records.append(
-                                {
-                                    "scene": scene_idx,
-                                    "target": target_id,
-                                    "method": method,
-                                    "trial": trial,
-                                    "k": None if plan is None else plan.depth,
-                                    "identified": identified,
-                                    "correct": identified == target_id,
-                                }
-                            )
-
-            for method in cfg.methods:
-                plan, _, _, n_correct = outcome_of[method]
-                st = stats[method]
+                st.n_failures += k is None
+                st.expected_sum += mass
                 st.n_trials += trials
                 st.n_correct += n_correct
-                bucket = st.by_k[_bucket(None if plan is None else plan.depth)]
+                bucket = st.by_k["failed" if k is None else "k1" if k == 1 else "k2plus"]
                 bucket["trials"] += trials
                 bucket["correct"] += n_correct
+            if collect_records:
+                for trial in range(trials):
+                    for method, k, _, answers in chosen:
+                        answer = answers[trial]
+                        row = (scene_idx, target_id, method, trial, k, answer, answer == target_id)
+                        records.append(dict(zip(RECORD_FIELDS, row)))
 
     return TrialReport(
         config_seed=cfg.seed,
@@ -633,10 +617,7 @@ def format_report_text(report: TrialReport) -> str:
 
 def records_to_csv(report: TrialReport) -> str:
     buf = io.StringIO()
-    writer = csv.DictWriter(
-        buf, fieldnames=["scene", "target", "method", "trial", "k", "identified", "correct"]
-    )
+    writer = csv.DictWriter(buf, fieldnames=RECORD_FIELDS)
     writer.writeheader()
-    for rec in report.records:
-        writer.writerow(rec)
+    writer.writerows(report.records)
     return buf.getvalue()

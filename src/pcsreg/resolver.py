@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Union
 
 from .frames import PreferenceTable
+from .geometry import ordered_sum
 from .prepositions import (
     PLAIN_SURFACE,
     TOPOLOGICAL_MARKERS,
@@ -179,7 +180,7 @@ def denote(tree: ExpressionTree, scene: Scene, prefs: PreferenceTable) -> Denota
                 for eid in part.members[side]:
                     pp[eid] += weight
 
-        total = sum(pp.values())
+        total = ordered_sum(pp.values())
         if total <= 0.0:
             return Denotation(None)
         head_ids = consistent_set(node.head, scene)
@@ -189,13 +190,13 @@ def denote(tree: ExpressionTree, scene: Scene, prefs: PreferenceTable) -> Denota
         combined = {
             e.id: (pp[e.id] / total) * head_p for e in scene.entities if e.id in head_ids
         }
-        s = sum(combined.values())
+        s = ordered_sum(combined.values())
         if s <= 0.0:
             return Denotation(None)
         child = {eid: p / s for eid, p in combined.items()}
 
     restricted = {eid: child.get(eid, 0.0) for eid in scene.referable_ids()}
-    total = sum(restricted.values())
+    total = ordered_sum(restricted.values())
     if total <= 0.0:
         return Denotation(None)
     return Denotation({eid: p / total for eid, p in restricted.items()})

@@ -155,6 +155,9 @@ def _validate(scene: Scene) -> tuple[dict, Entity, Entity, tuple[str, ...]]:
     agents: dict[EntityKind, list[Entity]] = {EntityKind.SPEAKER: [], EntityKind.LISTENER: []}
     referable = []
     for i, e in enumerate(scene.entities):
+        for slot in ("id", *ATTRIBUTE_SLOTS):
+            if getattr(e, slot) == "":
+                raise SceneError(f"entities[{i}].{slot}", "must have at least 1 characters, got ''")
         if e.id in by_id:
             raise SceneError(f"entities[{i}].id", f"duplicate id {e.id!r}")
         by_id[e.id] = e
@@ -376,6 +379,8 @@ def _check(value, schema: dict, root: dict) -> None:
         lo, hi = schema.get("minItems", 0), schema.get("maxItems", math.inf)
         if not lo <= len(value) <= hi:
             raise _Invalid(f"must have [{lo}, {hi}] items, got {reprlib.repr(value)}")
+        if schema.get("uniqueItems") and any(item in value[:i] for i, item in enumerate(value)):
+            raise _Invalid(f"must not repeat an item, got {reprlib.repr(value)}")
         items = schema.get("items")
         for i, item in enumerate(value if items is not None else ()):
             try:
@@ -407,11 +412,12 @@ def check_document(doc, schema: dict, invalid: Callable[[tuple, str], Exception]
     Covers the JSON-schema keywords the document schemas use: ``type``,
     ``enum``, ``minimum``/``maximum``, ``minLength``, ``required``,
     ``dependencies`` (array form), ``properties``,
-    ``additionalProperties: false``, ``items``, ``minItems``/``maxItems``
-    and ``$ref`` into ``definitions``.  Every number must also be finite.
-    ``path`` holds the keys and indexes down to the bad value; a bad item of
-    a list of scalars is reported at the list.  A document too deep for the
-    check to recurse through is ``invalid((), "nested too deeply")``.
+    ``additionalProperties: false``, ``items``, ``minItems``/``maxItems``,
+    ``uniqueItems`` and ``$ref`` into ``definitions``.  Every number must
+    also be finite.  ``path`` holds the keys and indexes down to the bad
+    value; a bad item of a list of scalars is reported at the list.  A
+    document too deep for the check to recurse through is
+    ``invalid((), "nested too deeply")``.
     """
     try:
         _check(doc, schema, schema)

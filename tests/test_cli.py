@@ -584,7 +584,7 @@ class TestSchema:
     def test_schema_bytes_are_pinned(self):
         out = run_cli("schema")
         assert hashlib.sha256(out.stdout.encode()).hexdigest() == (
-            "053a44f0955e84244f6b764924e2a8d67635c2b3203b324e7b8c9a2b7093e902"
+            "842a5528809a02feac7f1490b8602d59c3cb1166b9f023003f93ce1a57e7165c"
         )
 
 
@@ -885,7 +885,10 @@ def test_loaders_accept_only_what_the_schemas_accept():
         (cli.CONFIG_SCHEMA, config_from_dict, config_doc),
         (cli.CONFIG_SCHEMA, config_from_dict, {**config_doc, "true_prefs": prefs_doc}),
     ] + [(cli.EXPRESSION_SCHEMA, tree_from_dict, json.loads(doc)) for doc in sorted(expressions)]
-    cases = valid + [(cli.CONFIG_SCHEMA, config_from_dict, {**config_doc, "objects": [1, 3]})]
+    cases = valid + [
+        (cli.CONFIG_SCHEMA, config_from_dict, {**config_doc, "objects": [1, 3]}),
+        (cli.CONFIG_SCHEMA, config_from_dict, {**config_doc, "methods": ["robot", "robot"]}),
+    ]
     checked = rejected = 0
     for schema, loader, doc in cases:
         validator = jsonschema.Draft7Validator(schema)

@@ -22,6 +22,7 @@ from pcsreg.harness import (
     ListenerPlan,
     TrialConfig,
     derive_seed,
+    derive_seeds,
     run_comparison,
     sample_scene,
 )
@@ -158,14 +159,14 @@ def test_partitions_hold_every_relation_in_scene_order(diagonal_scene):
 
 @pytest.fixture(scope="module")
 def mixed_case_scene():
-    """Case variants, an empty-string color and attribute-free objects."""
+    """Case variants and attribute-free objects."""
     objects = [
         ("b1", "block", "red", "square"),
         ("b2", "Block", "RED", None),
         ("b3", "BLOCK", "Red", "Square"),
-        ("b4", "block", "", "round"),
+        ("b4", "block", None, "round"),
         ("b5", "block", None, None),
-        ("c1", "cup", "", None),
+        ("c1", "cup", None, None),
         ("c2", "Cup", "blue", "ROUND"),
         ("r1", "robot", "red", None),
     ]
@@ -412,6 +413,44 @@ def test_both_tally_paths_equal_the_reference_counts(objects, prefs_name, reques
     # One frame kind per landmark leaves every step at most one option.
     drawing = set() if prefs_name == "intrinsic_only" else {"draws"}
     assert kinds == {"no tree", "fixed"} | drawing
+
+
+@pytest.mark.parametrize("collect_records", [False, True])
+@pytest.mark.parametrize("prefs_name", ["default", "intrinsic_only"])
+def test_trial_seeds_are_derived_once_per_target_that_draws(
+    prefs_name, collect_records, request, monkeypatch
+):
+    """Only a target with a drawing plan walks its trials: with
+    ``INTRINSIC_ONLY`` every plan is fixed and no trial seed is derived."""
+    if prefs_name == "intrinsic_only":
+        true_prefs = INTRINSIC_ONLY
+    else:
+        true_prefs = request.getfixturevalue(f"{prefs_name}_prefs")
+    cfg = TrialConfig(
+        seed=4,
+        n_scenes=3,
+        trials_per_expression=12,
+        true_prefs=true_prefs,
+        methods=METHODS,
+        objects=(3, 8),
+    )
+    want = []
+    for scene_idx, scene, target_id, trees in comparison_trees(cfg):
+        plans = [ListenerPlan(tree, scene, true_prefs) for tree in filter(None, trees.values())]
+        if any(plan.fixed is _DEPENDS_ON_DRAWS for plan in plans):
+            want.append((cfg.seed, "trial", scene_idx, target_id))
+    assert bool(want) == (prefs_name == "default")
+
+    calls = []
+
+    def counting_derive_seeds(*parts, count):
+        calls.append(parts)
+        assert count == cfg.trials_per_expression
+        return derive_seeds(*parts, count=count)
+
+    monkeypatch.setattr(harness, "derive_seeds", counting_derive_seeds)
+    run_comparison(cfg, collect_records=collect_records)
+    assert calls == want
 
 
 def ranked_surfaces(scene, target_id, prefs):

@@ -753,7 +753,9 @@ class TestConfig:
             {table: {**preferences_doc_all_ego(), "speaker": row}}
             for table in ("true_prefs", "assumed_prefs")
             for row in ([1, 0, 0], [0.5, 0.0, 0.0, 0.0])
-        ],
+        ]
+        # A method listed twice would be tallied twice per target.
+        + [{"methods": ["robot", "robot"]}],
     )
     def test_rejects_wrong_types(self, override):
         with pytest.raises(HarnessError, match=repr(next(iter(override)))):
@@ -786,6 +788,7 @@ class TestConfig:
             ("consistency_coupling", 2.0),
             ("methods", ()),
             ("methods", ("pcsreg", "psychic")),
+            ("methods", ("robot", "robot")),
             ("n_scenes", 0),
             ("trials_per_expression", 0),
             ("objects", (1, 3)),
@@ -793,7 +796,7 @@ class TestConfig:
             ("categories", ()),
         ],
         ids=[
-            "coupling", "no_methods", "unknown_method", "n_scenes", "trials",
+            "coupling", "no_methods", "unknown_method", "repeated_method", "n_scenes", "trials",
             "objects_below_2", "objects_hi_below_lo", "no_categories",
         ],
     )

@@ -9,6 +9,7 @@ from pcsreg.generator import (
     build_landmark_chain,
     expression_space,
 )
+from pcsreg.geometry import ordered_sum
 from pcsreg.harness import derive_seed, sample_scene
 from pcsreg.optimizer import (
     METHODS,
@@ -157,6 +158,22 @@ class TestSelectBest:
         best_base, _ = select_best(space, "blk_a", blocks_car_scene, base)
         best_scaled, _ = select_best(space, "blk_a", blocks_car_scene, scaled)
         assert best_base.surface == best_scaled.surface
+
+    def test_crowded_score_is_the_same_on_every_python(self, default_prefs):
+        """A float total added with the compensated ``sum`` of Python 3.12+
+        ends ...571 here; added left to right it is ...572 on every version."""
+        scene = sample_scene(
+            derive_seed(7, "crowded", "scene", 12), objects=(16, 30), **CROWDED_POOLS
+        )
+        chain = build_landmark_chain("block16", scene, default_prefs)
+        best, sc = select_best(expression_space(chain, scene), "block16", scene, default_prefs)
+        assert best.surface == "the red block in front of the blue cup on your right"
+        assert sc.effectiveness == 0.7649880491639572
+
+
+def test_ordered_sum_adds_left_to_right():
+    assert ordered_sum([0.1, 0.2, 0.3]) == (0.1 + 0.2) + 0.3 == 0.6000000000000001
+    assert ordered_sum([]) == 0.0
 
 
 class TestGreedyMax:

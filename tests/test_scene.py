@@ -166,6 +166,22 @@ def test_python_scene_rejects_non_finite_table_and_centroids(path, corners, inde
     assert "finite" in str(err.value)
 
 
+@pytest.mark.parametrize("slot", ["id", "category", "color", "shape"])
+def test_python_scene_rejects_empty_strings(slot):
+    """``SCENE_SCHEMA`` keeps empty strings out of scene files; a ``Scene``
+    built in Python is rejected at the same path with the schema's message."""
+    entities = list(load_scene(json.dumps(minimal_doc())).entities)
+    entities[0] = dataclasses.replace(entities[0], **{slot: ""})
+    with pytest.raises(SceneError) as err:
+        Scene(tuple(entities), TableExtent((-1.0, -1.0), (1.0, 1.0)))
+    assert err.value.path == f"entities[0].{slot}"
+    doc = minimal_doc()
+    doc["entities"][0][slot] = ""
+    with pytest.raises(SceneError) as from_file:
+        load_scene(json.dumps(doc))
+    assert str(err.value) == str(from_file.value)
+
+
 def test_north_defaults_when_absent():
     doc = minimal_doc()
     del doc["north"]
