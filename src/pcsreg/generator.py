@@ -4,15 +4,16 @@ Generation proceeds in two stages.  First, landmarks are selected one at a
 time: the target gets an incremental visual description, and if that fails
 to single it out, candidate landmarks are tried in order of increasing
 frame-preference entropy until one separates the target from every
-same-description distractor under the generation-time default frame.  The
-selected landmark becomes the new thing to describe and the loop repeats
-until some landmark is uniquely describable.  The selected landmarks, in
-push order with the anchor last, are the paper's stack model: popping them
-yields the nesting of the final expression.
+same-description distractor under the speaker's frame.  The selected
+landmark becomes the new thing to describe and the loop repeats until some
+landmark is uniquely describable.  The selected landmarks, in push order
+with the anchor last, are the paper's stack model: popping them yields the
+nesting of the final expression.
 
 Second, the per-unit preference distributions are run through the
 content-window update; if any distribution changes, landmark selection is
-re-run with the revised priorities, until a fixed point.
+re-run with the revised priorities, until a fixed point or
+``MAX_CHAIN_REBUILDS`` passes, with ``converged=False`` then.
 
 The finished chain also holds each relation unit's options: every
 applicable frame with the crisp preposition it produces.  The expression
@@ -98,7 +99,6 @@ class LandmarkChain:
     # Per unit, (frame, relation of the target or previous landmark to the
     # unit's landmark under that frame), in ``applicable_frames`` order.
     options: tuple[tuple[tuple[FrameInstance, Preposition], ...], ...]
-    default_frame: FrameInstance
     iterations: int  # outer (re)build passes, for convergence checks
     converged: bool = True
 
@@ -146,20 +146,21 @@ def select_landmark(
     domain: set[str],
     scene: Scene,
     entity_rows: dict[str, tuple[float, ...]],
-    default_frame: FrameInstance,
+    frame: FrameInstance,
 ) -> tuple[VisualDescription, str | None]:
     """One landmark-selection step.
 
     Returns the target's visual description and, when that description is
     not distinguishing, the highest-priority candidate landmark whose
-    relation to the target (under the default frame) differs from its
-    relation to every distractor.  Candidates are prioritized by ascending
-    preference entropy, then distance to the target, then id, and tested in
-    that order until one separates: the target's quadrant first, then each
-    distractor's until one shares it.  The target and the distractors are
-    projected onto the default frame's two diagonals once per call, and
-    each candidate once; each pair's quadrant is decided by the signs of
-    the differences, and by ``prepositions._quadrant``, which is
+    relation to the target (under ``frame``) differs from its relation to
+    every distractor.  Candidates are prioritized by ascending preference
+    entropy, then distance to the target, then id; the id key is the one
+    rule left in generation that depends on how entities are named.  They
+    are tested in that order until one separates: the target's quadrant
+    first, then each distractor's until one shares it.  The target and the
+    distractors are projected onto the frame's two diagonals once per call,
+    and each candidate once; each pair's quadrant is decided by the signs
+    of the differences, and by ``prepositions._quadrant``, which is
     ``relation``, only within ``sign_margin`` of a diagonal (the
     ``prepositions`` module docstring has the argument).
     """
@@ -185,9 +186,9 @@ def select_landmark(
             candidates.append((_row_entropy(entity_rows[e.id]), dist, e.id, ex, ey))
     candidates.sort()  # ids are unique, so centroids are never compared
 
-    fx, fy = default_frame.front_axis
+    fx, fy = frame.front_axis
     a, b = fx + fy, fy - fx  # front + right; front - right is (-b, a)
-    m = sign_margin(scene.table, default_frame.front_axis)
+    m = sign_margin(scene.table, frame.front_axis)
     nm = -m
     located = [
         (px * a + py * b, py * a - px * b, px, py)
@@ -222,25 +223,19 @@ def select_landmark(
 MAX_CHAIN_REBUILDS = 16
 
 
-def build_landmark_chain(
-    target_id: str,
-    scene: Scene,
-    base: PreferenceTable,
-    default_frame: FrameInstance | None = None,
-) -> LandmarkChain:
+def build_landmark_chain(target_id: str, scene: Scene, base: PreferenceTable) -> LandmarkChain:
     """Select the landmark chain for a target and settle its preferences.
 
-    Runs landmark selection to completion, applies the content-window
-    preference update, and rebuilds the chain while any per-unit
-    distribution changes.  The returned chain carries the fixed-point
-    per-unit distributions and the number of build passes taken.
+    Runs landmark selection under the speaker's frame to completion,
+    applies the content-window preference update, and rebuilds the chain
+    while any per-unit distribution changes.  The returned chain carries the
+    settled per-unit distributions and the number of build passes taken.
     """
     if not scene.has_entity(target_id):
         raise GenerationError(f"no entity with id {target_id!r}")
     if not scene.entity(target_id).referable_as_target:
         raise GenerationError(f"entity {target_id!r} is not a referable target")
-    if default_frame is None:
-        default_frame = frame_instance(FrameKind.EGOCENTRIC, scene)
+    speaker_frame = frame_instance(FrameKind.EGOCENTRIC, scene)
 
     rows = base.rows
     entity_rows: dict[str, tuple[float, ...]] = {
@@ -257,7 +252,7 @@ def build_landmark_chain(
         landmark_ids: list[str] = []
         while True:
             try:
-                d_vf, lm = select_landmark(current, domain, scene, entity_rows, default_frame)
+                d_vf, lm = select_landmark(current, domain, scene, entity_rows, speaker_frame)
             except NoDiscriminatingLandmarkError as exc:
                 raise GenerationError(
                     f"cannot generate a distinguishing expression for {target_id!r}: {exc}"
@@ -290,7 +285,6 @@ def build_landmark_chain(
             tuple((p.frame, p.relation_of(src_id)) for p in partitions(scene.entity(lm_id), scene))
             for src_id, lm_id in zip([target_id, *landmark_ids], landmark_ids)
         ),
-        default_frame=default_frame,
         iterations=iterations,
         converged=converged,
     )
@@ -352,19 +346,20 @@ def realize(tree: ExpressionTree) -> str:
 def verify_chain_discrimination(chain: LandmarkChain, scene: Scene) -> bool:
     """Re-check the landmark-selection conditions for a finished chain.
 
-    Under the chain's own default frame, the located entity's relation to
+    Under the speaker's frame, the located entity's relation to
     each landmark must differ from every same-description distractor's
     relation, and the anchor description must be distinguishing.
     """
+    frame = frame_instance(FrameKind.EGOCENTRIC, scene)
     domain = set(scene.referable_ids())
     current = chain.target
     for d_vf, lm_id in zip(chain.descriptions, chain.landmarks):
         matching = consistent_set(d_vf.attrs, scene, within=domain)
         distractors = sorted(matching - {current})
         lm = scene.entity(lm_id)
-        r = relation(scene.entity(current), lm, chain.default_frame)
+        r = relation(scene.entity(current), lm, frame)
         for d in distractors:
-            if relation(scene.entity(d), lm, chain.default_frame) is r:
+            if relation(scene.entity(d), lm, frame) is r:
                 return False
         domain -= matching
         current = lm_id

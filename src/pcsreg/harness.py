@@ -41,12 +41,10 @@ from .geometry import heading_vec, ordered_sum
 from .optimizer import METHODS, generate_methods
 from .prepositions import partitions, relation
 from .resolver import (
-    Compound,
     Denotation,
     ExpressionTree,
     consistent_set,
     denote,
-    depth,
     spine,
 )
 from .scene import Entity, EntityKind, Scene, TableExtent, check_document, landmark_type
@@ -286,18 +284,11 @@ def oracle_denote(tree: ExpressionTree, scene: Scene, prefs: PreferenceTable) ->
     depth, so bounded to ``ORACLE_MAX_DEPTH`` relation units; its cost grows
     with the phrase sets' sizes, not with the entity count as such.
     """
-    k = depth(tree)
-    if k > ORACLE_MAX_DEPTH:
-        raise HarnessError(f"oracle limited to depth {ORACLE_MAX_DEPTH}, got {k}")
+    units, leaf = spine(tree)
+    if len(units) > ORACLE_MAX_DEPTH:
+        raise HarnessError(f"oracle limited to depth {ORACLE_MAX_DEPTH}, got {len(units)}")
 
-    heads = []
-    node = tree
-    while isinstance(node, Compound):
-        heads.append((node.head, node.prep))
-        node = node.landmark
-    anchor = node.head
-
-    phrase_sets = [consistent_set(h, scene) for h, _ in heads] + [consistent_set(anchor, scene)]
+    phrase_sets = [consistent_set(node.head, scene) for node in (*units, leaf)]
     if any(not s for s in phrase_sets):
         return Denotation(None)
     uniform = [1.0 / len(s) for s in phrase_sets]
@@ -308,10 +299,10 @@ def oracle_denote(tree: ExpressionTree, scene: Scene, prefs: PreferenceTable) ->
         # level indexes the relation units root-first; upper_id is the entity
         # chosen for the level's head; all surviving weight belongs to the
         # root referent.
-        if level == len(heads):
+        if level == len(units):
             mass[referent] += weight
             return
-        _, prep = heads[level]
+        prep = units[level].prep
         next_set = phrase_sets[level + 1]
         for lm_id in next_set:
             if lm_id == upper_id:
@@ -370,6 +361,12 @@ class TrialConfig:
         }
         check_document(doc, CONFIG_SCHEMA, _config_error)
         _check_object_range(self.objects)
+        for key in ("true_prefs", "assumed_prefs"):
+            table = getattr(self, key)
+            if not isinstance(table, PreferenceTable) and (key, table) != ("assumed_prefs", None):
+                raise HarnessError(
+                    f"config field {key!r} must be a PreferenceTable, got {type(table).__name__}"
+                )
 
 
 CONFIG_SCHEMA = {

@@ -65,10 +65,11 @@ def score(
 
 def _selection_key(candidate: CandidateExpression, total: float):
     # Higher total first; ties prefer frame-consistent strategies, then the
-    # canonically smallest strategy, then the shortest surface.
+    # canonically smallest strategy.  A unit has one frame per kind, so the
+    # kinds name one candidate of a chain and no surface is compared.
     kinds = tuple(kind.order for kind, _ in candidate.strategy)
     mixed = 0 if len(set(kinds)) <= 1 else 1
-    return (-total, mixed, kinds, len(candidate.surface), candidate.surface)
+    return (-total, mixed, kinds)
 
 
 def rank(

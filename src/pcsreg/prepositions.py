@@ -1,4 +1,4 @@
-"""Fuzzy projective preposition semantics over centroids.
+"""Projective preposition semantics over centroids, decided by crisp quadrants.
 
 The model is angle-only: the degree to which a target lies in a direction
 from a landmark is the clamped cosine of the angular deviation from that
@@ -7,9 +7,11 @@ role, so membership is invariant under scaling about the landmark, and the
 crisp relation partitions the plane into four quadrants around the frame's
 axes: its front axis and the exact half and quarter turns of it (``_axis``).
 
-``membership`` computes one degree and is the reference.  ``_quadrant``
-computes the crisp relation of one pair from the degrees, bit for bit, and
-is the exact reference for ``relation``.  Tests hold it to ``membership``.
+The model reads only the crisp relation.  ``membership`` computes one
+fuzzy degree and is the reference that tests and the benchmark read.
+``_quadrant`` computes the crisp relation of one pair from the degrees, bit
+for bit, and is the exact reference for ``relation``.  Tests hold it to
+``membership``.
 
 The quadrant boundaries are the frame's two 45-degree diagonals, so with
 front (fx, fy) and right (fy, -fx) the relation of a displacement d follows

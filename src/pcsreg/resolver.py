@@ -141,11 +141,7 @@ class Denotation:
     def argmax(self) -> str | None:
         if self.probs is None:
             return None
-        best = max(self.probs.values())
-        for eid, p in self.probs.items():
-            if p == best:
-                return eid
-        return None
+        return max(self.probs, key=self.probs.__getitem__)  # the first of equal maxima
 
 
 def denote(tree: ExpressionTree, scene: Scene, prefs: PreferenceTable) -> Denotation:

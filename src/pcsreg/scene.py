@@ -158,6 +158,8 @@ def _validate(scene: Scene) -> tuple[dict, Entity, Entity, tuple[str, ...]]:
         for slot in ("id", *ATTRIBUTE_SLOTS):
             if getattr(e, slot) == "":
                 raise SceneError(f"entities[{i}].{slot}", "must have at least 1 characters, got ''")
+        if not isinstance(e.kind, EntityKind):
+            raise SceneError(f"entities[{i}].kind", f"must be an EntityKind, got {e.kind!r}")
         if e.id in by_id:
             raise SceneError(f"entities[{i}].id", f"duplicate id {e.id!r}")
         by_id[e.id] = e
@@ -195,8 +197,9 @@ def _validate(scene: Scene) -> tuple[dict, Entity, Entity, tuple[str, ...]]:
                     f"entities[{i}].pos",
                     f"centroid collides with entity {other.id!r} (separation < {MIN_SEPARATION})",
                 )
-    if not abs(math.hypot(*scene.north) - 1.0) <= UNIT_NORM_TOL:  # NaN fails too
-        raise SceneError("north", f"must be a unit vector, got {scene.north}")
+    # A NaN component fails the norm test too.
+    if len(scene.north) != 2 or not abs(math.hypot(*scene.north) - 1.0) <= UNIT_NORM_TOL:
+        raise SceneError("north", f"must be a 2-d unit vector, got {scene.north}")
     return by_id, agents[EntityKind.SPEAKER][0], agents[EntityKind.LISTENER][0], tuple(referable)
 
 
@@ -444,6 +447,5 @@ def attribute_vocabulary(scene: Scene) -> dict[str, set[str]]:
     """Lowercased category/color/shape vocabularies present in the scene."""
     vocab: dict[str, set[str]] = {slot: set() for slot in ATTRIBUTE_SLOTS}
     for slot, value in scene.attributes:
-        if value:
-            vocab[slot].add(value)
+        vocab[slot].add(value)
     return vocab

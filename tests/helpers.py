@@ -1,14 +1,15 @@
 """Shared helpers: deterministic random expression trees over a scene, a
-simulated listener that compiles its own plan, a rotation and the
-preference-file form of a table."""
+simulated listener that compiles its own plan, a rotation, a scene with the
+speaker turned and the preference-file form of a table."""
 
 import math
 import random
+from dataclasses import replace
 
 from pcsreg.harness import ListenerPlan, simulate_listener
 from pcsreg.prepositions import Preposition
 from pcsreg.resolver import AttributePhrase, Compound, Leaf, PersonRef
-from pcsreg.scene import LandmarkType, Scene
+from pcsreg.scene import EntityKind, LandmarkType, Scene
 
 PREPS = list(Preposition)
 
@@ -59,6 +60,15 @@ def rotate(v, angle):
     """``v`` turned counterclockwise by ``angle`` radians."""
     c, s = math.cos(angle), math.sin(angle)
     return (c * v[0] - s * v[1], s * v[0] + c * v[1])
+
+
+def turn_speaker(scene, angle):
+    """``scene`` with the speaker's heading turned counterclockwise by ``angle``."""
+    entities = tuple(
+        replace(e, heading=e.heading + angle) if e.kind is EntityKind.SPEAKER else e
+        for e in scene.entities
+    )
+    return Scene(entities, scene.table, scene.north)
 
 
 def preferences_to_dict(table):

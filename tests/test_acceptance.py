@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from helpers import random_tree, rotate
+from helpers import random_tree, turn_speaker
 
 from pcsreg.frames import default_preferences, preference_entropy
 from pcsreg.generator import (
@@ -24,7 +24,6 @@ from pcsreg.generator import (
     expression_space,
     verify_chain_discrimination,
 )
-from pcsreg.frames import FrameInstance, FrameKind, frame_instance
 from pcsreg.harness import (
     config_from_dict,
     derive_seed,
@@ -250,18 +249,15 @@ def test_criterion_8_default_frame_rotation_invariance(property_generations):
     started = time.monotonic()
     prefs = default_preferences()
     for scene, target, chain, *_ in property_generations:
-        ego = frame_instance(FrameKind.EGOCENTRIC, scene)
         for quarters in (1, 2, 3):
-            turned = FrameInstance(
-                ego.kind, ego.origin_entity, rotate(ego.front_axis, quarters * HALF_PI)
-            )
+            turned = turn_speaker(scene, quarters * HALF_PI)
             if chain is None:
                 with pytest.raises(GenerationError):
-                    build_landmark_chain(target, scene, prefs, default_frame=turned)
+                    build_landmark_chain(target, turned, prefs)
                 continue
-            rotated = build_landmark_chain(target, scene, prefs, default_frame=turned)
+            rotated = build_landmark_chain(target, turned, prefs)
             assert rotated.landmarks == chain.landmarks, (target, quarters)
-    _passed(8, started, 120.0, "landmark sequences invariant under quarter-turn defaults")
+    _passed(8, started, 120.0, "landmark sequences invariant under quarter turns of the speaker")
 
 
 def test_criterion_9_cli_determinism(tmp_path, blocks_car_scene):

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from helpers import CROWDED_POOLS, rotate
+from helpers import CROWDED_POOLS, turn_speaker
 from pcsreg import generator, prepositions
 from pcsreg.frames import (
     FrameInstance,
@@ -420,23 +420,18 @@ class TestBuildChain:
 
     @pytest.mark.parametrize("quarters", [1, 2, 3])
     def test_default_frame_rotation_keeps_landmarks(self, quarters, default_prefs):
-        # Quarter-turn default frames select identical landmark sequences.
+        # A speaker turned by quarter turns selects identical landmark sequences.
         for seed in range(25):
             scene = sample_scene(seed)
-            ego = frame_instance(FrameKind.EGOCENTRIC, scene)
-            turned = FrameInstance(
-                ego.kind, ego.origin_entity, rotate(ego.front_axis, quarters * HALF_PI)
-            )
+            turned = turn_speaker(scene, quarters * HALF_PI)
             for target in scene.referable_ids():
                 try:
                     base_chain = build_landmark_chain(target, scene, default_prefs)
                 except GenerationError:
                     with pytest.raises(GenerationError):
-                        build_landmark_chain(target, scene, default_prefs, default_frame=turned)
+                        build_landmark_chain(target, turned, default_prefs)
                     continue
-                turned_chain = build_landmark_chain(
-                    target, scene, default_prefs, default_frame=turned
-                )
+                turned_chain = build_landmark_chain(target, turned, default_prefs)
                 assert turned_chain.landmarks == base_chain.landmarks
 
     def test_oscillating_rebuild_stops_at_the_cap(self, default_prefs):

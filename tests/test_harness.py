@@ -794,10 +794,14 @@ class TestConfig:
             ("objects", (1, 3)),
             ("objects", (5, 4)),
             ("categories", ()),
+            ("true_prefs", "x"),
+            ("true_prefs", None),
+            ("assumed_prefs", {"speaker": [1.0, 0.0, 0.0, 0.0]}),
         ],
         ids=[
             "coupling", "no_methods", "unknown_method", "repeated_method", "n_scenes", "trials",
-            "objects_below_2", "objects_hi_below_lo", "no_categories",
+            "objects_below_2", "objects_hi_below_lo", "no_categories", "true_prefs_str",
+            "true_prefs_none", "assumed_prefs_dict",
         ],
     )
     def test_direct_constructor_validates(self, name, value):

@@ -182,6 +182,62 @@ def test_python_scene_rejects_empty_strings(slot):
     assert str(err.value) == str(from_file.value)
 
 
+def _kind_as_string(entities):
+    entities[0] = dataclasses.replace(entities[0], kind="object")
+
+
+def _second_speaker(entities):
+    entities.append(dataclasses.replace(entities[1], id="speaker2", centroid=(0.5, -0.9)))
+
+
+PYTHON_STRUCTURE_CASES = [
+    ("entities[0].kind", "must be an EntityKind", _kind_as_string, FINITE_TABLE, (0.0, 1.0)),
+    ("north", "must be a 2-d unit vector", None, FINITE_TABLE, (0.0, 1.0, 0.0)),
+    ("entities", "more than one speaker", _second_speaker, FINITE_TABLE, (0.0, 1.0)),
+    ("table", "strictly below", None, ((-1.0, 1.0), (1.0, 1.0)), (0.0, 1.0)),
+]
+
+
+@pytest.mark.parametrize(
+    "path, message, mutate, corners, north",
+    PYTHON_STRUCTURE_CASES,
+    ids=["kind", "north", "agents", "corners"],
+)
+def test_python_scene_rejects_bad_structure(path, message, mutate, corners, north):
+    """The schema keeps a kind outside ``EntityKind`` and a north of three
+    components out of scene files; a ``Scene`` built in Python is checked
+    on construction."""
+    entities = list(load_scene(json.dumps(minimal_doc())).entities)
+    if mutate is not None:
+        mutate(entities)
+    with pytest.raises(SceneError) as err:
+        Scene(tuple(entities), TableExtent(*corners), north)
+    assert err.value.path == path
+    assert message in str(err.value)
+
+
+FILE_STRUCTURE_CASES = [
+    (
+        "entities",
+        "more than one listener",
+        lambda d: d["entities"].append(dict(d["entities"][2], id="listener2", pos=[0.5, 0.9])),
+    ),
+    ("table", "strictly below", lambda d: d["table"].update(min=[1.0, -1.0])),
+]
+
+
+@pytest.mark.parametrize(
+    "path, message, mutate", FILE_STRUCTURE_CASES, ids=["agents", "corners"]
+)
+def test_scene_file_rejects_bad_structure(path, message, mutate):
+    doc = minimal_doc()
+    mutate(doc)
+    with pytest.raises(SceneError) as err:
+        load_scene(json.dumps(doc))
+    assert err.value.path == path
+    assert message in str(err.value)
+
+
 def test_north_defaults_when_absent():
     doc = minimal_doc()
     del doc["north"]
