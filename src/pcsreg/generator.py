@@ -112,27 +112,35 @@ def _person_phrase(entity: Entity) -> AttributePhrase:
     return AttributePhrase(person=ref)
 
 
+def _describe(target_id: str, domain: set[str], scene: Scene):
+    """``describe_visual``'s description of the target, with the ids of the
+    scene's entities that match it and those of them in ``domain``."""
+    if target_id not in domain:
+        raise ValueError(f"target {target_id!r} not in domain")
+    target = scene.entity(target_id)
+    selected = {"category": target.category}
+    described = set(scene.attributes[("category", target.category.lower())])
+    matches = described & domain  # always holds the target
+    for attr in ("color", "shape"):
+        if len(matches) == 1:
+            break
+        value = getattr(target, attr)
+        if value is not None:
+            selected[attr] = value
+            described.intersection_update(scene.attributes[(attr, value.lower())])
+            matches &= described
+    return VisualDescription(AttributePhrase(**selected), len(matches) == 1), described, matches
+
+
 def describe_visual(target_id: str, domain: set[str], scene: Scene) -> VisualDescription:
     """Incremental attribute selection over (category, color, shape).
 
     The category is always included; further attributes are added only while
     same-description distractors remain in the domain, stopping early once
-    the description is distinguishing.
+    the description is distinguishing.  Each attribute narrows the scene's
+    and the domain's matches once, case-insensitively as ``consistent_set``.
     """
-    if target_id not in domain:
-        raise ValueError(f"target {target_id!r} not in domain")
-    target = scene.entity(target_id)
-    selected = {"category": target.category}
-    for attr in ("color", "shape"):
-        matches = consistent_set(AttributePhrase(**selected), scene, within=domain)
-        if matches == {target_id}:
-            break
-        value = getattr(target, attr)
-        if value is not None:
-            selected[attr] = value
-    phrase = AttributePhrase(**selected)
-    distinguishing = consistent_set(phrase, scene, within=domain) == {target_id}
-    return VisualDescription(phrase, distinguishing)
+    return _describe(target_id, domain, scene)[0]
 
 
 # Each distinct preference row's entropy, computed (and the row validated)
@@ -153,39 +161,30 @@ def select_landmark(
     Returns the target's visual description and, when that description is
     not distinguishing, the highest-priority candidate landmark whose
     relation to the target (under ``frame``) differs from its relation to
-    every distractor.  Candidates are prioritized by ascending preference
-    entropy, then distance to the target, then id; the id key is the one
-    rule left in generation that depends on how entities are named.  They
-    are tested in that order until one separates: the target's quadrant
-    first, then each distractor's until one shares it.  The target and the
-    distractors are projected onto the frame's two diagonals once per call,
-    and each candidate once; each pair's quadrant is decided by the signs
-    of the differences, and by ``prepositions._quadrant``, which is
-    ``relation``, only within ``sign_margin`` of a diagonal (the
-    ``prepositions`` module docstring has the argument).
+    every distractor.  Priority is ascending preference entropy, then
+    distance to the target, then id; the id key is the one rule left in
+    generation that depends on how entities are named.  The step computes
+    the description's match sets once: the distractors are its other
+    matches in ``domain``, and the candidates are the domain's objects and
+    both agents, less its matches in the scene.  Every candidate is tested,
+    the target's quadrant first, then each distractor's until one shares
+    it, and only the candidates that separate are ranked, so a step that
+    fails ranks none.  The target and the distractors are projected onto
+    the frame's two diagonals once per call, and each candidate once; each
+    pair's quadrant is decided by the signs of the differences, and by
+    ``prepositions._quadrant``, which is ``relation``, only within
+    ``sign_margin`` of a diagonal (the ``prepositions`` module docstring
+    has the argument).
     """
     target = scene.entity(target_id)
     if target.kind is not EntityKind.OBJECT:
         return VisualDescription(_person_phrase(target), True), None
 
-    d_vf = describe_visual(target_id, domain, scene)
+    d_vf, described, matches = _describe(target_id, domain, scene)
     if d_vf.distinguishing:
         return d_vf, None
 
-    described = consistent_set(d_vf.attrs, scene)
-    distractors = sorted((described & domain) - {target_id})
-    pool = [scene.entity(eid) for eid in domain] + [scene.speaker, scene.listener]
-    tx, ty = target.centroid
-    hypot = math.hypot
-    candidates = []
-    for e in pool:
-        if e.id not in described:
-            ex, ey = e.centroid
-            # ``geometry.distance(e.centroid, target.centroid)``, inline.
-            dist = hypot(ex - tx, ey - ty)
-            candidates.append((_row_entropy(entity_rows[e.id]), dist, e.id, ex, ey))
-    candidates.sort()  # ids are unique, so centroids are never compared
-
+    distractors = sorted(matches - {target_id})
     fx, fy = frame.front_axis
     a, b = fx + fy, fy - fx  # front + right; front - right is (-b, a)
     m = sign_margin(scene.table, frame.front_axis)
@@ -194,7 +193,12 @@ def select_landmark(
         (px * a + py * b, py * a - px * b, px, py)
         for px, py in [target.centroid] + [scene.entity(eid).centroid for eid in distractors]
     ]
-    for _, _, cand_id, cx, cy in candidates:
+    tx, ty = target.centroid
+    best = None
+    for e in scene.entities:
+        if e.id in described or (e.id not in domain and e.kind is EntityKind.OBJECT):
+            continue
+        cx, cy = e.centroid
         cu = cx * a + cy * b
         cv = cy * a - cx * b
         target_quadrant = -1
@@ -210,7 +214,12 @@ def select_landmark(
             if target_quadrant < 0:
                 target_quadrant = q
         else:
-            return d_vf, cand_id
+            # ``geometry.distance(e.centroid, target.centroid)``, inline.
+            key = (_row_entropy(entity_rows[e.id]), math.hypot(cx - tx, cy - ty), e.id)
+            if best is None or key < best:
+                best = key
+    if best is not None:
+        return d_vf, best[2]
     raise NoDiscriminatingLandmarkError(
         f"no candidate landmark discriminates {target_id!r} from {distractors}"
     )
@@ -261,7 +270,7 @@ def build_landmark_chain(target_id: str, scene: Scene, base: PreferenceTable) ->
             if lm is None:
                 break
             landmark_ids.append(lm)
-            domain -= consistent_set(d_vf.attrs, scene, within=domain)
+            domain -= consistent_set(d_vf.attrs, scene)
             current = lm
 
         chain_types = [landmark_type(scene.entity(eid)) for eid in landmark_ids]

@@ -176,17 +176,16 @@ def _validate(scene: Scene) -> tuple[dict, Entity, Entity, tuple[str, ...]]:
             raise SceneError("entities", f"missing {kind.value}")
         if len(found) > 1:
             raise SceneError("entities", f"more than one {kind.value}")
-    corners = (*scene.table.min_corner, *scene.table.max_corner)
-    if not all(map(math.isfinite, corners)):
-        raise SceneError("table", f"corners must be finite, got {corners}")
-    if not (
-        scene.table.min_corner[0] < scene.table.max_corner[0]
-        and scene.table.min_corner[1] < scene.table.max_corner[1]
-    ):
+    low, high = scene.table.min_corner, scene.table.max_corner
+    if len(low) != 2 or len(high) != 2 or not all(map(math.isfinite, (*low, *high))):
+        raise SceneError("table", f"corners must be finite 2-d points, got {low} and {high}")
+    if not (low[0] < high[0] and low[1] < high[1]):
         raise SceneError("table", "min corner must be strictly below max corner")
     for i, e in enumerate(scene.entities):
-        if not all(map(math.isfinite, e.centroid)):
-            raise SceneError(f"entities[{i}].pos", f"must be finite, got {e.centroid}")
+        if len(e.centroid) != 2 or not all(map(math.isfinite, e.centroid)):
+            raise SceneError(
+                f"entities[{i}].pos", f"must be a finite 2-d point, got {e.centroid}"
+            )
         if not scene.table.contains(e.centroid):
             raise SceneError(
                 f"entities[{i}].pos", f"centroid {e.centroid} outside table extent"

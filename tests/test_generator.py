@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -17,6 +18,7 @@ from pcsreg.generator import (
     MAX_COMPLEXITY,
     GenerationError,
     NoDiscriminatingLandmarkError,
+    VisualDescription,
     build_landmark_chain,
     describe_visual,
     expression_space,
@@ -134,11 +136,65 @@ class TestSelectLandmark:
         assert lm == "listener"
 
 
+class TestCaseFolding:
+    """``consistent_set`` matches case-insensitively, so "Yellow" and
+    "yellow", or "Block" and "block", are one value to landmark selection."""
+
+    def test_mixed_case_pair_needs_a_landmark(self, blocks_car_scene, default_prefs):
+        entities = list(blocks_car_scene.entities)
+        entities[0] = dataclasses.replace(entities[0], category="Block", color="Yellow")
+        scene = Scene(tuple(entities), blocks_car_scene.table)
+        domain = set(scene.referable_ids())
+        rows = entity_rows(scene, default_prefs)
+        ego = frame_instance(FrameKind.EGOCENTRIC, scene)
+        for target, phrase in (
+            ("blk_a", AttributePhrase(category="Block", color="Yellow")),
+            ("blk_b", AttributePhrase(category="block", color="yellow")),
+        ):
+            assert describe_visual(target, domain, scene) == VisualDescription(phrase, False)
+            assert select_landmark(target, domain, scene, rows, ego) == (
+                VisualDescription(phrase, False),
+                "car1",
+            )
+
+    def test_mixed_case_distractor_is_not_a_landmark(self, default_prefs):
+        # As in ``test_symmetric_distractor_fails``: blk_b alone would
+        # separate blk_a, but it shares blk_a's description.
+        scene = Scene(
+            entities=(
+                Entity("blk_a", EntityKind.OBJECT, "Block", (-0.5, 0.05), color="RED"),
+                Entity("blk_b", EntityKind.OBJECT, "block", (-0.5, -0.05), color="red"),
+                Entity("car1", EntityKind.OBJECT, "car", (0.0, 0.0), heading=HALF_PI),
+                Entity("speaker", EntityKind.SPEAKER, "robot", (0.0, -1.0), heading=HALF_PI),
+                Entity("listener", EntityKind.LISTENER, "person", (0.0, 1.0), heading=-HALF_PI),
+            ),
+            table=TableExtent((-1.5, -1.5), (1.5, 1.5)),
+        )
+        ego = frame_instance(FrameKind.EGOCENTRIC, scene)
+        rows = entity_rows(scene, default_prefs)
+        with pytest.raises(NoDiscriminatingLandmarkError, match=r"\['blk_b'\]"):
+            select_landmark("blk_a", set(scene.referable_ids()), scene, rows, ego)
+
+
+def reference_description(target_id, domain, scene):
+    """Incremental attribute selection phrase by phrase: each phrase is built
+    whole and matched against the domain through ``consistent_set``."""
+    target = scene.entity(target_id)
+    selected = {"category": target.category}
+    for attr in ("color", "shape"):
+        if consistent_set(AttributePhrase(**selected), scene, within=domain) == {target_id}:
+            break
+        if getattr(target, attr) is not None:
+            selected[attr] = getattr(target, attr)
+    phrase = AttributePhrase(**selected)
+    return VisualDescription(phrase, consistent_set(phrase, scene, within=domain) == {target_id})
+
+
 def reference_landmark(target_id, domain, scene, rows, default_frame):
     """Landmark selection by brute force: every candidate sorted by
     (entropy, distance, id), each related to the target and to every
     distractor through ``relation``."""
-    d_vf = describe_visual(target_id, domain, scene)
+    d_vf = reference_description(target_id, domain, scene)
     if d_vf.distinguishing:
         return d_vf, None
     target = scene.entity(target_id)
@@ -194,6 +250,32 @@ def compare_along_chain_domains(scene, prefs, default_frame):
 
 
 VOCABULARIES = {"default": {}, "crowded": CROWDED_POOLS}
+
+
+@settings(deadline=None)
+@pytest.mark.parametrize("objects", [(3, 8), (8, 16), (16, 30)], ids=str)
+@pytest.mark.parametrize("vocabulary", sorted(VOCABULARIES))
+@given(seed=st.integers(min_value=0, max_value=2**63 - 1))
+def test_describe_visual_matches_reference(default_prefs, objects, vocabulary, seed):
+    """``describe_visual`` equals the phrase-by-phrase reference at every
+    step of every referable target's first build pass."""
+    scene = sample_scene(seed, objects=objects, **VOCABULARIES[vocabulary])
+    rows = entity_rows(scene, default_prefs)
+    ego = frame_instance(FrameKind.EGOCENTRIC, scene)
+    for target in scene.referable_ids():
+        domain = set(scene.referable_ids())
+        current = target
+        while scene.entity(current).kind is EntityKind.OBJECT:
+            d_vf = describe_visual(current, domain, scene)
+            assert d_vf == reference_description(current, domain, scene), (target, current)
+            try:
+                _, lm = select_landmark(current, domain, scene, rows, ego)
+            except NoDiscriminatingLandmarkError:
+                break
+            if lm is None:
+                break
+            domain = domain - consistent_set(d_vf.attrs, scene)
+            current = lm
 
 
 class TestSelectLandmarkMatchesReference:

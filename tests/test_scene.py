@@ -190,23 +190,34 @@ def _second_speaker(entities):
     entities.append(dataclasses.replace(entities[1], id="speaker2", centroid=(0.5, -0.9)))
 
 
+def _centroid(centroid):
+    def mutate(entities):
+        entities[0] = dataclasses.replace(entities[0], centroid=centroid)
+
+    return mutate
+
+
 PYTHON_STRUCTURE_CASES = [
     ("entities[0].kind", "must be an EntityKind", _kind_as_string, FINITE_TABLE, (0.0, 1.0)),
     ("north", "must be a 2-d unit vector", None, FINITE_TABLE, (0.0, 1.0, 0.0)),
     ("entities", "more than one speaker", _second_speaker, FINITE_TABLE, (0.0, 1.0)),
     ("table", "strictly below", None, ((-1.0, 1.0), (1.0, 1.0)), (0.0, 1.0)),
+    ("entities[0].pos", "2-d point", _centroid((0.1, 0.2, 0.3)), FINITE_TABLE, (0.0, 1.0)),
+    ("entities[0].pos", "2-d point", _centroid((0.1,)), FINITE_TABLE, (0.0, 1.0)),
+    ("table", "2-d points", None, ((-1.0, -1.0, 5.0), (1.0, 1.0)), (0.0, 1.0)),
+    ("table", "2-d points", None, ((-1.0, -1.0), (1.0,)), (0.0, 1.0)),
 ]
 
 
 @pytest.mark.parametrize(
     "path, message, mutate, corners, north",
     PYTHON_STRUCTURE_CASES,
-    ids=["kind", "north", "agents", "corners"],
+    ids=["kind", "north", "agents", "corners", "3-d pos", "1-d pos", "3-d min", "1-d max"],
 )
 def test_python_scene_rejects_bad_structure(path, message, mutate, corners, north):
-    """The schema keeps a kind outside ``EntityKind`` and a north of three
-    components out of scene files; a ``Scene`` built in Python is checked
-    on construction."""
+    """The schema keeps a kind outside ``EntityKind`` and a north, centroid
+    or table corner without exactly two components out of scene files; a
+    ``Scene`` built in Python is checked on construction."""
     entities = list(load_scene(json.dumps(minimal_doc())).entities)
     if mutate is not None:
         mutate(entities)
