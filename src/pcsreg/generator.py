@@ -168,13 +168,13 @@ def select_landmark(
     matches in ``domain``, and the candidates are the domain's objects and
     both agents, less its matches in the scene.  Every candidate is tested,
     the target's quadrant first, then each distractor's until one shares
-    it, and only the candidates that separate are ranked, so a step that
-    fails ranks none.  The target and the distractors are projected onto
-    the frame's two diagonals once per call, and each candidate once; each
-    pair's quadrant is decided by the signs of the differences, and by
-    ``prepositions._quadrant``, which is ``relation``, only within
-    ``sign_margin`` of a diagonal (the ``prepositions`` module docstring
-    has the argument).
+    it, and only the candidates that separate are ranked and have their
+    ``entity_rows`` read, so a step that fails ranks none.  The target and
+    the distractors are projected onto the frame's two diagonals once per
+    call, and each candidate once; each pair's quadrant is decided by the
+    signs of the differences, and by ``prepositions._quadrant``, which is
+    ``relation``, only within ``sign_margin`` of a diagonal (the
+    ``prepositions`` module docstring has the argument).
     """
     target = scene.entity(target_id)
     if target.kind is not EntityKind.OBJECT:
@@ -225,6 +225,17 @@ def select_landmark(
     )
 
 
+class _RowsOnFirstUse(dict):
+    """Each entity's preference row by id, read from the table on first use."""
+
+    def __init__(self, scene: Scene, base: PreferenceTable):
+        self.scene, self.rows = scene, base.rows
+
+    def __missing__(self, eid: str) -> Row:
+        row = self[eid] = self.rows[landmark_type(self.scene.entity(eid))]
+        return row
+
+
 # Hard cap on re-build passes.  The update does not always reach a fixed
 # point, even with the default preference table: a rebuild can alternate
 # between two landmark chains whose unit rows swap back and forth, and such
@@ -235,21 +246,17 @@ MAX_CHAIN_REBUILDS = 16
 def build_landmark_chain(target_id: str, scene: Scene, base: PreferenceTable) -> LandmarkChain:
     """Select the landmark chain for a target and settle its preferences.
 
-    Runs landmark selection under the speaker's frame to completion,
-    applies the content-window preference update, and rebuilds the chain
-    while any per-unit distribution changes.  The returned chain carries the
-    settled per-unit distributions and the number of build passes taken.
+    Runs landmark selection under the speaker's frame, reading each row
+    from ``base`` on first use, applies the content-window preference
+    update, and rebuilds while any per-unit distribution changes.  The
+    chain carries the settled distributions and the build passes taken.
     """
     if not scene.has_entity(target_id):
         raise GenerationError(f"no entity with id {target_id!r}")
     if not scene.entity(target_id).referable_as_target:
         raise GenerationError(f"entity {target_id!r} is not a referable target")
     speaker_frame = frame_instance(FrameKind.EGOCENTRIC, scene)
-
-    rows = base.rows
-    entity_rows: dict[str, tuple[float, ...]] = {
-        e.id: rows[landmark_type(e)] for e in scene.entities
-    }
+    entity_rows = _RowsOnFirstUse(scene, base)
 
     iterations = 0
     converged = False

@@ -148,16 +148,24 @@ class Scene:
 
 
 def _validate(scene: Scene) -> tuple[dict, Entity, Entity, tuple[str, ...]]:
-    """Raise ``SceneError`` for the first invalid field; otherwise return
-    the scene's id index, speaker, listener and referable ids, all found in
-    the pass that checks ids and agents."""
+    """Raise ``SceneError`` for the first invalid field, types checked
+    exactly (a bool is no number); otherwise return the scene's id index,
+    speaker, listener and referable ids, found in the pass that checks ids."""
     by_id: dict[str, Entity] = {}
     agents: dict[EntityKind, list[Entity]] = {EntityKind.SPEAKER: [], EntityKind.LISTENER: []}
     referable = []
     for i, e in enumerate(scene.entities):
         for slot in ("id", *ATTRIBUTE_SLOTS):
-            if getattr(e, slot) == "":
+            value = getattr(e, slot)
+            if type(value) is not str and (value is not None or slot in ("id", "category")):
+                names = "string" if slot in ("id", "category") else "string or null"
+                raise SceneError(f"entities[{i}].{slot}", f"must be of type {names}, got {value!r}")
+            if value == "":
                 raise SceneError(f"entities[{i}].{slot}", "must have at least 1 characters, got ''")
+        if e.heading is not None and type(e.heading) not in (int, float):
+            raise SceneError(f"entities[{i}].heading", f"must be of type number or null, got {e.heading!r}")
+        if type(e.centroid) not in (tuple, list) or not {int, float}.issuperset(map(type, e.centroid)):
+            raise SceneError(f"entities[{i}].pos", f"must be of type array of numbers, got {e.centroid!r}")
         if not isinstance(e.kind, EntityKind):
             raise SceneError(f"entities[{i}].kind", f"must be an EntityKind, got {e.kind!r}")
         if e.id in by_id:

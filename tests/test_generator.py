@@ -2,7 +2,7 @@ import dataclasses
 import math
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from helpers import CROWDED_POOLS, turn_speaker
 from pcsreg import generator, prepositions
@@ -12,11 +12,13 @@ from pcsreg.frames import (
     applicable_frames,
     frame_instance,
     preference_entropy,
+    update_preferences,
 )
 from pcsreg.generator import (
     MAX_CHAIN_REBUILDS,
     MAX_COMPLEXITY,
     GenerationError,
+    LandmarkChain,
     NoDiscriminatingLandmarkError,
     VisualDescription,
     build_landmark_chain,
@@ -530,6 +532,146 @@ class TestBuildChain:
         chain = build_landmark_chain("cup6", scene, default_prefs)
         assert chain.iterations <= MAX_CHAIN_REBUILDS
         assert verify_chain_discrimination(chain, scene)
+
+
+def reference_chain(target_id, scene, prefs):
+    """``build_landmark_chain``'s passes over an ``entity_rows`` dict filled
+    for every entity before the first step, with each unit's options
+    related through ``relation``."""
+    rows = entity_rows(scene, prefs)
+    ego = frame_instance(FrameKind.EGOCENTRIC, scene)
+    for iterations in range(1, MAX_CHAIN_REBUILDS + 1):
+        domain = set(scene.referable_ids())
+        current, descriptions, landmarks = target_id, [], []
+        while True:
+            try:
+                d_vf, lm = select_landmark(current, domain, scene, rows, ego)
+            except NoDiscriminatingLandmarkError as exc:
+                raise GenerationError(
+                    f"cannot generate a distinguishing expression for {target_id!r}: {exc}"
+                ) from exc
+            descriptions.append(d_vf)
+            if lm is None:
+                break
+            landmarks.append(lm)
+            domain -= consistent_set(d_vf.attrs, scene)
+            current = lm
+        distributions = tuple(rows[eid] for eid in landmarks)
+        updated = update_preferences(
+            distributions, [landmark_type(scene.entity(eid)) for eid in landmarks]
+        )
+        converged = updated == distributions
+        if converged:
+            break
+        rows.update(zip(landmarks, updated))
+        distributions = updated
+    options = []
+    for src_id, lm_id in zip([target_id, *landmarks], landmarks):
+        src, landmark = scene.entity(src_id), scene.entity(lm_id)
+        frames = applicable_frames(landmark, scene)
+        options.append(tuple((f, relation(src, landmark, f)) for f in frames))
+    return LandmarkChain(
+        target_id,
+        tuple(landmarks),
+        tuple(descriptions),
+        distributions,
+        tuple(options),
+        iterations,
+        converged,
+    )
+
+
+# The one sampled target set whose rebuild runs all ``MAX_CHAIN_REBUILDS``
+# passes: ``test_acceptance.py``'s ``KNOWN_OSCILLATIONS``, scene 133 at 8-16
+# objects.
+OSCILLATING_SEED = derive_seed("acceptance", 133)
+
+
+def assert_builds_match_reference(scene, prefs):
+    """Every referable target's chain, or its ``GenerationError`` message,
+    equals the eager reference's; returns the chains built."""
+    chains = []
+    for target in scene.referable_ids():
+        try:
+            want = reference_chain(target, scene, prefs)
+        except GenerationError as exc:
+            with pytest.raises(GenerationError) as err:
+                build_landmark_chain(target, scene, prefs)
+            assert str(err.value) == str(exc), target
+            continue
+        chains.append(build_landmark_chain(target, scene, prefs))
+        # Dataclass equality compares every field of the chain.
+        assert chains[-1] == want, target
+    return chains
+
+
+@settings(deadline=None)
+@pytest.mark.parametrize("objects", [(3, 8), (8, 16), (16, 30)], ids=str)
+@pytest.mark.parametrize("vocabulary", sorted(VOCABULARIES))
+@given(seed=st.integers(min_value=0, max_value=2**63 - 1))
+@example(seed=OSCILLATING_SEED)
+def test_build_landmark_chain_matches_eager_reference(default_prefs, objects, vocabulary, seed):
+    """Rows read on first use give the chains, and the failures, of rows
+    read for every entity up front."""
+    scene = sample_scene(seed, objects=objects, **VOCABULARIES[vocabulary])
+    assert_builds_match_reference(scene, default_prefs)
+
+
+def test_oscillating_build_matches_eager_reference(default_prefs):
+    scene = sample_scene(OSCILLATING_SEED, objects=(8, 16))
+    chains = {c.target: c for c in assert_builds_match_reference(scene, default_prefs)}
+    for target in ("cup1", "cup2"):
+        assert chains[target].iterations == MAX_CHAIN_REBUILDS
+        assert not chains[target].converged
+
+
+class TestRowLookups:
+    """``build_landmark_chain`` classifies an entity only when a step ranks
+    it or the update reads a landmark's type."""
+
+    @pytest.fixture
+    def lookups(self, monkeypatch):
+        calls = []
+
+        def counted(entity):
+            calls.append(entity.id)
+            return landmark_type(entity)
+
+        monkeypatch.setattr(generator, "landmark_type", counted)
+        return calls
+
+    def test_failing_first_step_classifies_no_entity(self, lookups, default_prefs):
+        # The yellow blocks share every quadrant of the car and both agents.
+        scene = Scene(
+            entities=(
+                Entity("blk_a", EntityKind.OBJECT, "block", (-0.5, 0.05), color="yellow"),
+                Entity("blk_b", EntityKind.OBJECT, "block", (-0.5, -0.05), color="yellow"),
+                Entity("car1", EntityKind.OBJECT, "car", (0.0, 0.0), heading=HALF_PI),
+                Entity("speaker", EntityKind.SPEAKER, "robot", (0.0, -1.0), heading=HALF_PI),
+                Entity("listener", EntityKind.LISTENER, "person", (0.0, 1.0), heading=-HALF_PI),
+            ),
+            table=TableExtent((-1.5, -1.5), (1.5, 1.5)),
+        )
+        with pytest.raises(GenerationError, match=r"from \['blk_b'\]"):
+            build_landmark_chain("blk_a", scene, default_prefs)
+        assert lookups == []
+
+    def test_one_landmark_chain_classifies_its_separating_candidates(
+        self, lookups, blocks_car_scene, default_prefs
+    ):
+        scene = blocks_car_scene
+        ego = frame_instance(FrameKind.EGOCENTRIC, scene)
+        target, distractor = scene.entity("blk_a"), scene.entity("blk_b")
+        separating = [
+            e.id
+            for e in scene.entities
+            if e.category != "block"
+            and relation(target, e, ego) is not relation(distractor, e, ego)
+        ]
+        chain = build_landmark_chain("blk_a", scene, default_prefs)
+        assert chain.landmarks == ("car1",)
+        assert separating == ["car1"]
+        assert 0 < len(lookups) <= len(separating) + chain.k
 
 
 class TestExpressionSpace:

@@ -190,11 +190,19 @@ def _second_speaker(entities):
     entities.append(dataclasses.replace(entities[1], id="speaker2", centroid=(0.5, -0.9)))
 
 
-def _centroid(centroid):
+def _replaced(**fields):
     def mutate(entities):
-        entities[0] = dataclasses.replace(entities[0], centroid=centroid)
+        entities[0] = dataclasses.replace(entities[0], **fields)
 
     return mutate
+
+
+def _centroid(centroid):
+    return _replaced(centroid=centroid)
+
+
+def _wrong_type(path, message, **fields):
+    return (f"entities[0].{path}", message, _replaced(**fields), FINITE_TABLE, (0.0, 1.0))
 
 
 PYTHON_STRUCTURE_CASES = [
@@ -206,18 +214,30 @@ PYTHON_STRUCTURE_CASES = [
     ("entities[0].pos", "2-d point", _centroid((0.1,)), FINITE_TABLE, (0.0, 1.0)),
     ("table", "2-d points", None, ((-1.0, -1.0, 5.0), (1.0, 1.0)), (0.0, 1.0)),
     ("table", "2-d points", None, ((-1.0, -1.0), (1.0,)), (0.0, 1.0)),
+    # Types ``SCENE_SCHEMA`` fixes in scene files, named in its words; a
+    # bool is no number.
+    _wrong_type("heading", "must be of type number or null, got 'abc'", heading="abc"),
+    _wrong_type("pos", "must be of type array of numbers, got ('0.1', 0.2)", centroid=("0.1", 0.2)),
+    _wrong_type("pos", "must be of type array of numbers, got None", centroid=None),
+    _wrong_type("pos", "must be of type array of numbers, got (True, 0.2)", centroid=(True, 0.2)),
+    _wrong_type("color", "must be of type string or null, got 5", color=5),
+    _wrong_type("id", "must be of type string, got 7", id=7),
 ]
 
 
 @pytest.mark.parametrize(
     "path, message, mutate, corners, north",
     PYTHON_STRUCTURE_CASES,
-    ids=["kind", "north", "agents", "corners", "3-d pos", "1-d pos", "3-d min", "1-d max"],
+    ids=[
+        *("kind", "north", "agents", "corners", "3-d pos", "1-d pos", "3-d min", "1-d max"),
+        *("str heading", "str in pos", "None pos", "bool in pos", "int color", "int id"),
+    ],
 )
 def test_python_scene_rejects_bad_structure(path, message, mutate, corners, north):
-    """The schema keeps a kind outside ``EntityKind`` and a north, centroid
-    or table corner without exactly two components out of scene files; a
-    ``Scene`` built in Python is checked on construction."""
+    """The schema keeps a kind outside ``EntityKind``, a north, centroid or
+    table corner without exactly two components and a field of the wrong
+    type out of scene files; a ``Scene`` built in Python is checked on
+    construction."""
     entities = list(load_scene(json.dumps(minimal_doc())).entities)
     if mutate is not None:
         mutate(entities)
