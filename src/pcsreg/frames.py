@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import reprlib
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
@@ -137,9 +138,13 @@ class PreferenceTable:
     rows: Mapping[LandmarkType, Row]
 
     def __post_init__(self):
+        if not isinstance(self.rows, Mapping):
+            raise preference_error((), f"must be of type object, got {reprlib.repr(self.rows)}")
         rows = MappingProxyType(dict(self.rows))
         object.__setattr__(self, "rows", rows)
-        doc = {lt.value: list(rows[lt]) for lt in LandmarkType if lt in rows}
+        doc = {lt.value: rows[lt] for lt in LandmarkType if lt in rows}
+        # A tuple row is checked as the array it would be in a file.
+        doc = {key: list(row) if type(row) is tuple else row for key, row in doc.items()}
         check_document(doc, PREFS_SCHEMA, preference_error)
         for key, row in doc.items():
             if max(row) > 1.0 or abs(ordered_sum(row) - 1.0) > ROW_SUM_TOL:

@@ -95,7 +95,9 @@ class LandmarkChain:
     target: str
     landmarks: tuple[str, ...]  # push order, the anchor last
     descriptions: tuple[VisualDescription, ...]  # target first, anchor last
-    distributions: tuple[Row, ...]  # settled frame preferences per unit, shallowest first
+    # Settled frame preferences per unit, shallowest first; an unconverged
+    # chain carries the last update's rows.
+    distributions: tuple[Row, ...]
     # Per unit, (frame, relation of the target or previous landmark to the
     # unit's landmark under that frame), in ``applicable_frames`` order.
     options: tuple[tuple[tuple[FrameInstance, Preposition], ...], ...]
@@ -258,10 +260,7 @@ def build_landmark_chain(target_id: str, scene: Scene, base: PreferenceTable) ->
     speaker_frame = frame_instance(FrameKind.EGOCENTRIC, scene)
     entity_rows = _RowsOnFirstUse(scene, base)
 
-    iterations = 0
-    converged = False
-    while True:
-        iterations += 1
+    for iterations in range(1, MAX_CHAIN_REBUILDS + 1):
         domain = set(scene.referable_ids())
         current = target_id
         descriptions: list[VisualDescription] = []
@@ -283,20 +282,17 @@ def build_landmark_chain(target_id: str, scene: Scene, base: PreferenceTable) ->
         chain_types = [landmark_type(scene.entity(eid)) for eid in landmark_ids]
         distributions = tuple(entity_rows[eid] for eid in landmark_ids)
         updated = update_preferences(distributions, chain_types)
-        if updated == distributions:
-            converged = True
+        converged = updated == distributions
+        if converged:
             break
         for eid, row in zip(landmark_ids, updated):
             entity_rows[eid] = row
-        if iterations >= MAX_CHAIN_REBUILDS:
-            distributions = updated
-            break
 
     return LandmarkChain(
         target=target_id,
         landmarks=tuple(landmark_ids),
         descriptions=tuple(descriptions),
-        distributions=distributions,
+        distributions=updated,
         options=tuple(
             tuple((p.frame, p.relation_of(src_id)) for p in partitions(scene.entity(lm_id), scene))
             for src_id, lm_id in zip([target_id, *landmark_ids], landmark_ids)

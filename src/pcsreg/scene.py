@@ -82,12 +82,6 @@ class TableExtent:
     min_corner: Vec
     max_corner: Vec
 
-    def contains(self, p: Vec) -> bool:
-        return (
-            self.min_corner[0] <= p[0] <= self.max_corner[0]
-            and self.min_corner[1] <= p[1] <= self.max_corner[1]
-        )
-
 
 ATTRIBUTE_SLOTS = ("category", "color", "shape")
 
@@ -116,20 +110,10 @@ class Scene:
     relations: dict = field(init=False, repr=False, compare=False, hash=False, default_factory=dict)
 
     def __post_init__(self):
-        by_id, speaker, listener, referable = _validate(self)
-        object.__setattr__(self, "_by_id", by_id)
-        object.__setattr__(self, "speaker", speaker)
-        object.__setattr__(self, "listener", listener)
-        object.__setattr__(self, "_referable_ids", referable)
-        # Tuples of ids and interned values keep the index small: a scene
-        # holds it for as long as it lives.
-        index: dict[tuple[str, str], list[str]] = {}
-        for e in self.entities:
-            for slot in ATTRIBUTE_SLOTS:
-                value = getattr(e, slot)
-                if value is not None:
-                    index.setdefault((slot, sys.intern(value.lower())), []).append(e.id)
-        object.__setattr__(self, "attributes", {key: tuple(ids) for key, ids in index.items()})
+        for name, value in zip(
+            ("_by_id", "speaker", "listener", "_referable_ids", "attributes"), _validate(self)
+        ):
+            object.__setattr__(self, name, value)
 
     def entity(self, entity_id: str) -> Entity:
         try:
@@ -147,13 +131,38 @@ class Scene:
         return self._referable_ids
 
 
-def _validate(scene: Scene) -> tuple[dict, Entity, Entity, tuple[str, ...]]:
+def _point_fault(value) -> str | None:
+    """Why ``value`` is no 2-d point, in the words ``_validate`` uses for a
+    centroid, or None for a tuple or list of exactly two finite numbers.
+    Types are compared exactly, so a bool is no number."""
+    if type(value) not in (tuple, list) or not {int, float}.issuperset(map(type, value)):
+        return f"must be of type array of numbers, got {value!r}"
+    if len(value) != 2 or not all(map(math.isfinite, value)):
+        return f"must be a finite 2-d point, got {value}"
+    return None
+
+
+def _validate(scene: Scene) -> tuple[dict, Entity, Entity, tuple[str, ...], dict]:
     """Raise ``SceneError`` for the first invalid field, types checked
     exactly (a bool is no number); otherwise return the scene's id index,
-    speaker, listener and referable ids, found in the pass that checks ids."""
+    speaker, listener, referable ids and attribute index, all built in the
+    one pass over the entities that checks them.  Of several faults, the
+    first in the order of the checks below is reported: the table, then
+    ``north``, then each entity in scene order, and last a missing agent.
+    """
+    low, high = scene.table.min_corner, scene.table.max_corner
+    if _point_fault(low) or _point_fault(high):
+        raise SceneError("table", f"corners must be finite 2-d points, got {low} and {high}")
+    if not (low[0] < high[0] and low[1] < high[1]):
+        raise SceneError("table", "min corner must be strictly below max corner")
+    if _point_fault(scene.north) or not abs(math.hypot(*scene.north) - 1.0) <= UNIT_NORM_TOL:
+        raise SceneError("north", f"must be a 2-d unit vector, got {scene.north}")
     by_id: dict[str, Entity] = {}
-    agents: dict[EntityKind, list[Entity]] = {EntityKind.SPEAKER: [], EntityKind.LISTENER: []}
+    agents: dict[EntityKind, Entity | None] = {EntityKind.SPEAKER: None, EntityKind.LISTENER: None}
     referable = []
+    # Tuples of ids and interned values keep the index small: a scene
+    # holds it for as long as it lives.
+    index: dict[tuple[str, str], list[str]] = {}
     for i, e in enumerate(scene.entities):
         for slot in ("id", *ATTRIBUTE_SLOTS):
             value = getattr(e, slot)
@@ -162,52 +171,41 @@ def _validate(scene: Scene) -> tuple[dict, Entity, Entity, tuple[str, ...]]:
                 raise SceneError(f"entities[{i}].{slot}", f"must be of type {names}, got {value!r}")
             if value == "":
                 raise SceneError(f"entities[{i}].{slot}", "must have at least 1 characters, got ''")
+            if value is not None and slot != "id":
+                index.setdefault((slot, sys.intern(value.lower())), []).append(e.id)
         if e.heading is not None and type(e.heading) not in (int, float):
             raise SceneError(f"entities[{i}].heading", f"must be of type number or null, got {e.heading!r}")
-        if type(e.centroid) not in (tuple, list) or not {int, float}.issuperset(map(type, e.centroid)):
-            raise SceneError(f"entities[{i}].pos", f"must be of type array of numbers, got {e.centroid!r}")
+        fault = _point_fault(e.centroid)
+        if fault:
+            raise SceneError(f"entities[{i}].pos", fault)
+        if not (low[0] <= e.centroid[0] <= high[0] and low[1] <= e.centroid[1] <= high[1]):
+            raise SceneError(f"entities[{i}].pos", f"centroid {e.centroid} outside table extent")
         if not isinstance(e.kind, EntityKind):
             raise SceneError(f"entities[{i}].kind", f"must be an EntityKind, got {e.kind!r}")
         if e.id in by_id:
             raise SceneError(f"entities[{i}].id", f"duplicate id {e.id!r}")
-        by_id[e.id] = e
         if e.heading is not None and not math.isfinite(e.heading):
             raise SceneError(f"entities[{i}].heading", f"must be finite, got {e.heading}")
         if e.kind in agents:
             if e.heading is None:
                 raise SceneError(f"entities[{i}].heading", f"{e.kind.value} must have a heading")
-            agents[e.kind].append(e)
-        if e.referable_as_target:
+            if agents[e.kind] is not None:
+                raise SceneError("entities", f"more than one {e.kind.value}")
+            agents[e.kind] = e
+        elif e.referable_as_target:
             referable.append(e.id)
-    for kind, found in agents.items():
-        if not found:
-            raise SceneError("entities", f"missing {kind.value}")
-        if len(found) > 1:
-            raise SceneError("entities", f"more than one {kind.value}")
-    low, high = scene.table.min_corner, scene.table.max_corner
-    if len(low) != 2 or len(high) != 2 or not all(map(math.isfinite, (*low, *high))):
-        raise SceneError("table", f"corners must be finite 2-d points, got {low} and {high}")
-    if not (low[0] < high[0] and low[1] < high[1]):
-        raise SceneError("table", "min corner must be strictly below max corner")
-    for i, e in enumerate(scene.entities):
-        if len(e.centroid) != 2 or not all(map(math.isfinite, e.centroid)):
-            raise SceneError(
-                f"entities[{i}].pos", f"must be a finite 2-d point, got {e.centroid}"
-            )
-        if not scene.table.contains(e.centroid):
-            raise SceneError(
-                f"entities[{i}].pos", f"centroid {e.centroid} outside table extent"
-            )
-        for other in scene.entities[:i]:
+        for other in by_id.values():
             if distance(e.centroid, other.centroid) < MIN_SEPARATION:
                 raise SceneError(
                     f"entities[{i}].pos",
                     f"centroid collides with entity {other.id!r} (separation < {MIN_SEPARATION})",
                 )
-    # A NaN component fails the norm test too.
-    if len(scene.north) != 2 or not abs(math.hypot(*scene.north) - 1.0) <= UNIT_NORM_TOL:
-        raise SceneError("north", f"must be a 2-d unit vector, got {scene.north}")
-    return by_id, agents[EntityKind.SPEAKER][0], agents[EntityKind.LISTENER][0], tuple(referable)
+        by_id[e.id] = e
+    for kind, found in agents.items():
+        if found is None:
+            raise SceneError("entities", f"missing {kind.value}")
+    attributes = {key: tuple(ids) for key, ids in index.items()}
+    return by_id, agents[EntityKind.SPEAKER], agents[EntityKind.LISTENER], tuple(referable), attributes
 
 
 SCENE_SCHEMA = {

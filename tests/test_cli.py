@@ -1008,6 +1008,7 @@ _fuzz_expressions = st.one_of(
 )
 
 
+@pytest.mark.deep
 @given(
     st.sampled_from(DEMO_SCENES),
     _fuzz_expressions,
@@ -1106,6 +1107,7 @@ def _write(path: Path, doc) -> str:
     return str(path)
 
 
+@pytest.mark.deep
 @given(
     st.sampled_from(DEMO_SCENES).flatmap(
         lambda name: _fuzzed(json.loads((DEMO / name).read_text()))
@@ -1121,6 +1123,7 @@ def test_scene_fuzz_exits_with_a_documented_code(fuzz_dir, scene, target, method
     _assert_documented_exit(["explain", "--scene", path, "--target", target])
 
 
+@pytest.mark.deep
 @given(_fuzzed(_PREFS_DOC), st.sampled_from(DEMO_SCENES), st.sampled_from(["blk_a", "a"]))
 def test_preferences_fuzz_exits_with_a_documented_code(fuzz_dir, prefs, scene_file, target):
     path = _write(fuzz_dir / "prefs.json", prefs)
@@ -1129,6 +1132,7 @@ def test_preferences_fuzz_exits_with_a_documented_code(fuzz_dir, prefs, scene_fi
     _assert_documented_exit(["explain", "--scene", scene, "--target", target, "--prefs", path])
 
 
+@pytest.mark.deep
 @given(_fuzzed(_CONFIG_DOC))
 def test_config_fuzz_exits_with_a_documented_code(fuzz_dir, config):
     _assert_documented_exit(["evaluate", "--config", _write(fuzz_dir / "config.json", config)])

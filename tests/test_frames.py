@@ -53,6 +53,8 @@ def test_rows_are_stochastic():
         assert all(0.0 <= v <= 1.0 for v in row)
 
 
+DELETED = object()  # the row is left out of the table
+
 BAD_ROWS = {
     "nan": ((math.nan, 0.0, 0.0, 1.0), "must contain finite numbers >= 0"),
     "inf": ((math.inf, 0.0, 0.0, 0.0), "must contain finite numbers >= 0"),
@@ -61,7 +63,8 @@ BAD_ROWS = {
     "above_one": ((1.0 + 5e-10, 0.0, 0.0, 0.0), "must sum to 1 within 1e-09, entries <= 1"),
     "bad_sum": ((0.5, 0.5, 0.1, 0.0), "must sum to 1 within 1e-09, entries <= 1"),
     "short": ((0.5, 0.5, 0.0), r"must have \[4, 4\] items"),
-    "missing": (None, "is missing"),
+    "missing": (DELETED, "is missing"),
+    "not_array": (None, "must be of type array, got None"),
 }
 
 
@@ -69,11 +72,19 @@ BAD_ROWS = {
 def test_table_rejects_bad_rows_by_name(row, message):
     """A table built in Python meets ``PREFS_SCHEMA`` and the row rule."""
     rows = {lt: (0.25, 0.25, 0.25, 0.25) for lt in LandmarkType}
-    if row is None:
+    if row is DELETED:
         del rows[LandmarkType.LISTENER]
     else:
         rows[LandmarkType.LISTENER] = row
     with pytest.raises(FrameError, match=f"^row 'listener' {message}"):
+        PreferenceTable(rows)
+
+
+@pytest.mark.parametrize(
+    "rows", [None, [(LandmarkType.SPEAKER, (1.0, 0.0, 0.0, 0.0))]], ids=["None", "list of pairs"]
+)
+def test_table_rejects_rows_that_are_no_mapping(rows):
+    with pytest.raises(FrameError, match="^preference document must be of type object, got "):
         PreferenceTable(rows)
 
 

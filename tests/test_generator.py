@@ -254,6 +254,7 @@ def compare_along_chain_domains(scene, prefs, default_frame):
 VOCABULARIES = {"default": {}, "crowded": CROWDED_POOLS}
 
 
+@pytest.mark.deep
 @settings(deadline=None)
 @pytest.mark.parametrize("objects", [(3, 8), (8, 16), (16, 30)], ids=str)
 @pytest.mark.parametrize("vocabulary", sorted(VOCABULARIES))
@@ -383,6 +384,7 @@ def diagonal_tables(draw):
 UNIFORM_ROW = (0.25, 0.25, 0.25, 0.25)
 
 
+@pytest.mark.deep
 class TestSignQuadrantMatchesRelation:
     """``partitions`` and ``select_landmark`` decide quadrants by the signs
     of diagonal projections, with ``_quadrant`` in a tie band; both must
@@ -605,6 +607,7 @@ def assert_builds_match_reference(scene, prefs):
     return chains
 
 
+@pytest.mark.deep
 @settings(deadline=None)
 @pytest.mark.parametrize("objects", [(3, 8), (8, 16), (16, 30)], ids=str)
 @pytest.mark.parametrize("vocabulary", sorted(VOCABULARIES))

@@ -459,6 +459,7 @@ def test_demo_report_with_mismatched_tables_is_golden(key):
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == MISMATCHED_TABLE_DIGESTS[key]
 
 
+@pytest.mark.deep
 @settings(deadline=None)
 @given(
     seed=st.integers(),
@@ -473,6 +474,7 @@ def test_prefix_seeds_equal_derive_seed(seed, scene_idx, target_id, count):
     assert seeds == [derive_seed(seed, "trial", scene_idx, target_id, t) for t in range(count)]
 
 
+@pytest.mark.deep
 @settings(deadline=None)
 @given(
     seeds=st.lists(st.integers(min_value=0, max_value=2**63 - 1), min_size=1, max_size=4),

@@ -222,6 +222,13 @@ PYTHON_STRUCTURE_CASES = [
     _wrong_type("pos", "must be of type array of numbers, got (True, 0.2)", centroid=(True, 0.2)),
     _wrong_type("color", "must be of type string or null, got 5", color=5),
     _wrong_type("id", "must be of type string, got 7", id=7),
+    # Table corners and ``north`` get the same type checks as a centroid.
+    ("table", "2-d points", None, (None, (1.0, 1.0)), (0.0, 1.0)),
+    ("table", "2-d points", None, (("a", -1.0), (1.0, 1.0)), (0.0, 1.0)),
+    ("table", "2-d points", None, ((-1.0, -1.0), (True, 1.0)), (0.0, 1.0)),
+    ("north", "2-d unit vector", None, FINITE_TABLE, None),
+    ("north", "2-d unit vector", None, FINITE_TABLE, "ab"),
+    ("north", "2-d unit vector", None, FINITE_TABLE, (False, True)),
 ]
 
 
@@ -231,6 +238,7 @@ PYTHON_STRUCTURE_CASES = [
     ids=[
         *("kind", "north", "agents", "corners", "3-d pos", "1-d pos", "3-d min", "1-d max"),
         *("str heading", "str in pos", "None pos", "bool in pos", "int color", "int id"),
+        *("None min", "str in min", "bool in max", "None north", "str north", "bool north"),
     ],
 )
 def test_python_scene_rejects_bad_structure(path, message, mutate, corners, north):
@@ -267,6 +275,76 @@ def test_scene_file_rejects_bad_structure(path, message, mutate):
         load_scene(json.dumps(doc))
     assert err.value.path == path
     assert message in str(err.value)
+
+
+def _replace_entity(index, **fields):
+    def fix(parts):
+        parts["entities"][index] = dataclasses.replace(parts["entities"][index], **fields)
+
+    return fix
+
+
+def _update_entity(index, **fields):
+    return lambda doc: doc["entities"][index].update(fields)
+
+
+def _assert_reported_in_order(build, state, steps):
+    for path, message, fix in steps:
+        with pytest.raises(SceneError) as err:
+            build(state)
+        assert (err.value.path, message in str(err.value)) == (path, True)
+        fix(state)
+    build(state)
+
+
+def test_several_faults_are_reported_in_check_order():
+    """Of several faults, the table's is reported first, then north's, then
+    each entity's in scene order, and a missing agent last: fixing each
+    reported fault in turn reveals the next, in a Python-built scene and
+    in a scene file."""
+    entities = load_scene(json.dumps(minimal_doc())).entities
+    parts = {
+        "table": TableExtent((None, -1.0), (1.0, 1.0)),
+        "north": (False, True),
+        "entities": [
+            dataclasses.replace(entities[0], color=5, centroid=(5.0, 0.0)),
+            dataclasses.replace(entities[1], heading=None),
+            dataclasses.replace(entities[1], id="speaker2", centroid=(0.5, -0.9)),
+        ],
+    }
+    _assert_reported_in_order(
+        lambda p: Scene(tuple(p["entities"]), p["table"], p["north"]),
+        parts,
+        [
+            ("table", "2-d points", lambda p: p.update(table=TableExtent(*FINITE_TABLE))),
+            ("north", "must be a 2-d unit vector", lambda p: p.update(north=(0.0, 1.0))),
+            ("entities[0].color", "must be of type string or null", _replace_entity(0, color="red")),
+            ("entities[0].pos", "outside table extent", _replace_entity(0, centroid=(0.1, 0.2))),
+            ("entities[1].heading", "speaker must have a heading", _replace_entity(1, heading=HALF_PI)),
+            ("entities", "more than one speaker", lambda p: p["entities"].pop()),
+            ("entities", "missing listener", lambda p: p["entities"].append(entities[2])),
+        ],
+    )
+    doc = minimal_doc()
+    doc["table"]["min"] = [1.0, -1.0]
+    doc["north"] = [0.0, 2.0]
+    doc["entities"][0]["pos"] = [5.0, 0.0]
+    doc["entities"][1].update(id="b1", kind="object")
+    doc["entities"][2]["pos"] = [0.1, 0.2]
+    doc["entities"].append(dict(doc["entities"][2], id="listener2", pos=[0.5, 0.9]))
+    _assert_reported_in_order(
+        lambda d: load_scene(json.dumps(d)),
+        doc,
+        [
+            ("table", "strictly below", lambda d: d["table"].update(min=[-1.0, -1.0])),
+            ("north", "must be a 2-d unit vector", lambda d: d.update(north=[0.0, 1.0])),
+            ("entities[0].pos", "outside table extent", _update_entity(0, pos=[0.1, 0.2])),
+            ("entities[1].id", "duplicate id 'b1'", _update_entity(1, id="speaker")),
+            ("entities[2].pos", "collides with entity 'b1'", _update_entity(2, pos=[0.0, 0.9])),
+            ("entities", "more than one listener", lambda d: d["entities"].pop()),
+            ("entities", "missing speaker", _update_entity(1, kind="speaker")),
+        ],
+    )
 
 
 def test_north_defaults_when_absent():

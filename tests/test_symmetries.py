@@ -9,6 +9,7 @@ import math
 import re
 from dataclasses import replace
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from helpers import rotate
@@ -80,6 +81,7 @@ def swap_sides(text):
     return re.sub(r"\b(left|right)\b", lambda m: "right" if m[1] == "left" else "left", text)
 
 
+@pytest.mark.deep
 @settings(deadline=None)
 @given(scenes)
 def test_mirror_image_keeps_generation(scene):
@@ -90,6 +92,7 @@ def test_mirror_image_keeps_generation(scene):
     assert generation(mirrored, swap_sides) == generation(scene)
 
 
+@pytest.mark.deep
 @settings(deadline=None)
 @given(scenes, st.floats(min_value=-math.pi, max_value=math.pi))
 def test_rotation_keeps_generation(scene, angle):
@@ -99,6 +102,7 @@ def test_rotation_keeps_generation(scene, angle):
     assert generation(moved(scene, turn, lambda h: h + angle, turn)) == generation(scene)
 
 
+@pytest.mark.deep
 @settings(deadline=None)
 @given(
     scenes,
