@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import logging
 import os
 import sys
@@ -47,7 +46,15 @@ from .resolver import (
     parse_expression_json,
     tree_to_dict,
 )
-from .scene import SCENE_SCHEMA, Scene, SceneError, attribute_vocabulary, load_scene, read_json
+from .scene import (
+    SCENE_SCHEMA,
+    Scene,
+    SceneError,
+    attribute_vocabulary,
+    json_text,
+    load_scene,
+    read_json,
+)
 
 EXIT_USAGE = 1
 EXIT_BAD_SCENE = 2
@@ -149,23 +156,18 @@ def cmd_generate(args) -> int:
         log.info("preference updating hit the rebuild cap without a fixed point")
     if args.json:
         sc = score(candidate, args.target, scene, prefs)
-        print(
-            json.dumps(
-                {
-                    "surface": candidate.surface,
-                    "method": args.method,
-                    "target": args.target,
-                    "k": chain.k,
-                    "tree": tree_to_dict(candidate.tree),
-                    "strategy": _strategy_json(candidate.strategy),
-                    "appropriateness": sc.appropriateness,
-                    "effectiveness": sc.effectiveness,
-                    "total": sc.total,
-                },
-                indent=2,
-                sort_keys=True,
-            )
-        )
+        doc = {
+            "surface": candidate.surface,
+            "method": args.method,
+            "target": args.target,
+            "k": chain.k,
+            "tree": tree_to_dict(candidate.tree),
+            "strategy": _strategy_json(candidate.strategy),
+            "appropriateness": sc.appropriateness,
+            "effectiveness": sc.effectiveness,
+            "total": sc.total,
+        }
+        print(json_text(doc))
     else:
         print(candidate.surface)
     return 0
@@ -214,7 +216,7 @@ def cmd_resolve(args) -> int:
             doc["target"] = args.target
             doc["effectiveness"] = sc.effectiveness
             doc["appropriateness"] = sc.appropriateness
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(json_text(doc))
         return 0
 
     if d.unresolvable:
@@ -253,18 +255,13 @@ def cmd_explain(args) -> int:
                 "denotation": None if d.unresolvable else dict(d.probs),
             }
         )
-    print(
-        json.dumps(
-            {
-                "target": args.target,
-                "k": chain.k,
-                "candidates": rows,
-                "selected_index": candidates.index(selected),
-            },
-            indent=2,
-            sort_keys=True,
-        )
-    )
+    doc = {
+        "target": args.target,
+        "k": chain.k,
+        "candidates": rows,
+        "selected_index": candidates.index(selected),
+    }
+    print(json_text(doc))
     return 0
 
 
@@ -302,7 +299,7 @@ def cmd_schema(_args) -> int:
         "config": CONFIG_SCHEMA,
         "expression": EXPRESSION_SCHEMA,
     }
-    print(json.dumps(schemas, indent=2, sort_keys=True))
+    print(json_text(schemas))
     return 0
 
 

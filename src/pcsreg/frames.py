@@ -143,8 +143,6 @@ class PreferenceTable:
         rows = MappingProxyType(dict(self.rows))
         object.__setattr__(self, "rows", rows)
         doc = {lt.value: rows[lt] for lt in LandmarkType if lt in rows}
-        # A tuple row is checked as the array it would be in a file.
-        doc = {key: list(row) if type(row) is tuple else row for key, row in doc.items()}
         check_document(doc, PREFS_SCHEMA, preference_error)
         for key, row in doc.items():
             if max(row) > 1.0 or abs(ordered_sum(row) - 1.0) > ROW_SUM_TOL:

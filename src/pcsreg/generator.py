@@ -366,7 +366,7 @@ def verify_chain_discrimination(chain: LandmarkChain, scene: Scene) -> bool:
     domain = set(scene.referable_ids())
     current = chain.target
     for d_vf, lm_id in zip(chain.descriptions, chain.landmarks):
-        matching = consistent_set(d_vf.attrs, scene, within=domain)
+        matching = consistent_set(d_vf.attrs, scene) & domain
         distractors = sorted(matching - {current})
         lm = scene.entity(lm_id)
         r = relation(scene.entity(current), lm, frame)
@@ -378,4 +378,4 @@ def verify_chain_discrimination(chain: LandmarkChain, scene: Scene) -> bool:
     anchor = chain.descriptions[-1]
     if anchor.attrs.person is not None:
         return True
-    return consistent_set(anchor.attrs, scene, within=domain) == {current}
+    return consistent_set(anchor.attrs, scene) & domain == {current}

@@ -18,7 +18,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
-import json
 import random
 from dataclasses import dataclass, field
 from typing import Callable
@@ -47,7 +46,7 @@ from .resolver import (
     denote,
     spine,
 )
-from .scene import Entity, EntityKind, Scene, TableExtent, check_document, landmark_type
+from .scene import Entity, EntityKind, Scene, TableExtent, check_document, json_text, landmark_type
 
 DEFAULT_CATEGORIES = ("block", "car", "cup", "book")
 DEFAULT_COLORS = ("red", "yellow", "blue", "green")
@@ -94,8 +93,7 @@ def _check_pools(objects: tuple[int, int], categories, colors, shapes) -> None:
     """Raise ``HarnessError`` unless the sampling pools meet ``CONFIG_SCHEMA``
     and the object-count range has ``lo <= hi``."""
     pools = {"objects": objects, "categories": categories, "colors": colors, "shapes": shapes}
-    doc = {key: list(pool) for key, pool in pools.items()}
-    check_document(doc, {"properties": CONFIG_SCHEMA["properties"]}, _config_error)
+    check_document(pools, {"properties": CONFIG_SCHEMA["properties"]}, _config_error)
     _check_object_range(objects)
 
 
@@ -354,14 +352,11 @@ class TrialConfig:
 
     def __post_init__(self):
         # The fields as a config document, less the preference tables.
-        doc = {
-            key: list(value) if isinstance(value, tuple) else value
-            for key, value in vars(self).items()
-            if key not in ("true_prefs", "assumed_prefs")
-        }
+        tables = ("true_prefs", "assumed_prefs")
+        doc = {key: value for key, value in vars(self).items() if key not in tables}
         check_document(doc, CONFIG_SCHEMA, _config_error)
         _check_object_range(self.objects)
-        for key in ("true_prefs", "assumed_prefs"):
+        for key in tables:
             table = getattr(self, key)
             if not isinstance(table, PreferenceTable) and (key, table) != ("assumed_prefs", None):
                 raise HarnessError(
@@ -590,7 +585,7 @@ def report_to_dict(report: TrialReport) -> dict:
 
 
 def report_to_json(report: TrialReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2, sort_keys=True)
+    return json_text(report_to_dict(report))
 
 
 def format_report_text(report: TrialReport) -> str:

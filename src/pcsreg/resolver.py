@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 from .frames import PreferenceTable
 from .geometry import ordered_sum
@@ -96,9 +96,7 @@ def depth(tree: ExpressionTree) -> int:
     return len(spine(tree)[0])
 
 
-def consistent_set(
-    phrase: AttributePhrase, scene: Scene, within: Iterable[str] | None = None
-) -> set[str]:
+def consistent_set(phrase: AttributePhrase, scene: Scene) -> set[str]:
     """Ids of entities consistent with the phrase (empty set is valid).
 
     Every attribute the phrase sets must match case-insensitively.  The
@@ -118,8 +116,6 @@ def consistent_set(
                     ids = set(matches)
                 else:
                     ids.intersection_update(matches)
-    if within is not None:
-        ids.intersection_update(within)
     return ids
 
 

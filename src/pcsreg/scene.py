@@ -26,6 +26,10 @@ MIN_SEPARATION = 1e-6
 
 UNIT_NORM_TOL = 1e-9
 
+# A number is finite when ``abs(value) <= _FLOAT_MAX``: NaN, infinities and
+# ints such as 10**400 fail.
+_FLOAT_MAX = sys.float_info.max
+
 
 class SceneError(ValueError):
     """Scene document rejected; ``path`` points at the offending field."""
@@ -136,9 +140,9 @@ def _point_fault(value) -> str | None:
     centroid, or None for a tuple or list of exactly two finite numbers.
     Types are compared exactly, so a bool is no number."""
     if type(value) not in (tuple, list) or not {int, float}.issuperset(map(type, value)):
-        return f"must be of type array of numbers, got {value!r}"
-    if len(value) != 2 or not all(map(math.isfinite, value)):
-        return f"must be a finite 2-d point, got {value}"
+        return f"must be of type array of numbers, got {reprlib.repr(value)}"
+    if len(value) != 2 or not (abs(value[0]) <= _FLOAT_MAX and abs(value[1]) <= _FLOAT_MAX):
+        return f"must be a finite 2-d point, got {reprlib.repr(value)}"
     return None
 
 
@@ -152,11 +156,12 @@ def _validate(scene: Scene) -> tuple[dict, Entity, Entity, tuple[str, ...], dict
     """
     low, high = scene.table.min_corner, scene.table.max_corner
     if _point_fault(low) or _point_fault(high):
-        raise SceneError("table", f"corners must be finite 2-d points, got {low} and {high}")
+        corners = f"{reprlib.repr(low)} and {reprlib.repr(high)}"
+        raise SceneError("table", f"corners must be finite 2-d points, got {corners}")
     if not (low[0] < high[0] and low[1] < high[1]):
         raise SceneError("table", "min corner must be strictly below max corner")
     if _point_fault(scene.north) or not abs(math.hypot(*scene.north) - 1.0) <= UNIT_NORM_TOL:
-        raise SceneError("north", f"must be a 2-d unit vector, got {scene.north}")
+        raise SceneError("north", f"must be a 2-d unit vector, got {reprlib.repr(scene.north)}")
     by_id: dict[str, Entity] = {}
     agents: dict[EntityKind, Entity | None] = {EntityKind.SPEAKER: None, EntityKind.LISTENER: None}
     referable = []
@@ -184,8 +189,8 @@ def _validate(scene: Scene) -> tuple[dict, Entity, Entity, tuple[str, ...], dict
             raise SceneError(f"entities[{i}].kind", f"must be an EntityKind, got {e.kind!r}")
         if e.id in by_id:
             raise SceneError(f"entities[{i}].id", f"duplicate id {e.id!r}")
-        if e.heading is not None and not math.isfinite(e.heading):
-            raise SceneError(f"entities[{i}].heading", f"must be finite, got {e.heading}")
+        if e.heading is not None and not abs(e.heading) <= _FLOAT_MAX:
+            raise SceneError(f"entities[{i}].heading", f"must be finite, got {reprlib.repr(e.heading)}")
         if e.kind in agents:
             if e.heading is None:
                 raise SceneError(f"entities[{i}].heading", f"{e.kind.value} must have a heading")
@@ -333,18 +338,18 @@ class _Invalid(Exception):
         self.path = list(key)  # innermost key first
 
 
-# The JSON type of each Python type that ``json.loads`` produces.
+# The JSON type of each Python type that ``json.loads`` produces, and of
+# a tuple, which ``json_text`` writes as an array.
 _JSON_TYPES = {
     dict: "object",
     list: "array",
+    tuple: "array",
     str: "string",
     int: "integer",
     float: "number",
     bool: "boolean",
     type(None): "null",
 }
-
-_FLOAT_MAX = sys.float_info.max
 
 # A bad item of a list of scalars is reported as the list's fault, naming
 # what the list must contain.
@@ -404,8 +409,7 @@ def _check(value, schema: dict, root: dict) -> None:
                     want += f" of at least {items['minLength']} characters"
                 raise _Invalid(f"must contain {want}, got {reprlib.repr(value)}") from None
     elif name == "number" or name == "integer":
-        # Also rejects ints beyond the float range, such as 10**400.
-        if not -_FLOAT_MAX <= value <= _FLOAT_MAX:
+        if not abs(value) <= _FLOAT_MAX:
             raise _Invalid(f"must be finite, got {reprlib.repr(value)}")
         if not schema.get("minimum", value) <= value <= schema.get("maximum", value):
             lo, hi = schema.get("minimum", -math.inf), schema.get("maximum", math.inf)
@@ -422,10 +426,10 @@ def check_document(doc, schema: dict, invalid: Callable[[tuple, str], Exception]
     ``dependencies`` (array form), ``properties``,
     ``additionalProperties: false``, ``items``, ``minItems``/``maxItems``,
     ``uniqueItems`` and ``$ref`` into ``definitions``.  Every number must
-    also be finite.  ``path`` holds the keys and indexes down to the bad
-    value; a bad item of a list of scalars is reported at the list.  A
-    document too deep for the check to recurse through is
-    ``invalid((), "nested too deeply")``.
+    also be finite, and a tuple counts as an array.  ``path`` holds the
+    keys and indexes down to the bad value; a bad item of a list of scalars
+    is reported at the list.  A document too deep for the check to recurse
+    through is ``invalid((), "nested too deeply")``.
     """
     try:
         _check(doc, schema, schema)
@@ -443,9 +447,15 @@ def load_scene(source: Union[str, Path]) -> Scene:
     return scene_from_dict(read_json(source, lambda message: SceneError("$", message)))
 
 
+def json_text(doc) -> str:
+    """The canonical text of a JSON document, which every writer uses:
+    two-space indent and sorted keys, so equal documents give equal bytes."""
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
 def dump_scene(scene: Scene) -> str:
     """Serialize a scene to canonical JSON (round-trips through load_scene)."""
-    return json.dumps(scene_to_dict(scene), indent=2, sort_keys=True)
+    return json_text(scene_to_dict(scene))
 
 
 def attribute_vocabulary(scene: Scene) -> dict[str, set[str]]:

@@ -184,12 +184,12 @@ def reference_description(target_id, domain, scene):
     target = scene.entity(target_id)
     selected = {"category": target.category}
     for attr in ("color", "shape"):
-        if consistent_set(AttributePhrase(**selected), scene, within=domain) == {target_id}:
+        if consistent_set(AttributePhrase(**selected), scene) & domain == {target_id}:
             break
         if getattr(target, attr) is not None:
             selected[attr] = getattr(target, attr)
     phrase = AttributePhrase(**selected)
-    return VisualDescription(phrase, consistent_set(phrase, scene, within=domain) == {target_id})
+    return VisualDescription(phrase, consistent_set(phrase, scene) & domain == {target_id})
 
 
 def reference_landmark(target_id, domain, scene, rows, default_frame):
@@ -246,7 +246,7 @@ def compare_along_chain_domains(scene, prefs, default_frame):
             d_vf, lm = want
             if lm is None:
                 break
-            domain = domain - consistent_set(d_vf.attrs, scene, within=domain)
+            domain = domain - consistent_set(d_vf.attrs, scene)
             current = lm
     return steps, failures
 

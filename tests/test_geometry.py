@@ -65,9 +65,8 @@ def scan_matches(phrase, entity):
     return True
 
 
-def scan_set(phrase, scene, within=None):
-    ids = {e.id for e in scene.entities if scan_matches(phrase, e)}
-    return ids if within is None else ids & set(within)
+def scan_set(phrase, scene):
+    return {e.id for e in scene.entities if scan_matches(phrase, e)}
 
 
 def reference_denote_full(tree, scene, prefs):
@@ -201,19 +200,15 @@ def test_consistent_set_equals_an_attribute_scan(mixed_case_scene):
         case_variants("red", "blue") + [""],
         case_variants("square", "round"),
     )
-    ids = [e.id for e in scene.entities]
-    rng = random.Random(6)
-    withins = [None, [], ids, ids[::2], tuple(ids[1:4]), {"b1", "c1", "speaker", "nowhere"}]
     phrases = list(phrases_over(values)) + [
         AttributePhrase(person=PersonRef.SPEAKER),
         AttributePhrase(person=PersonRef.LISTENER),
     ]
     sizes = set()
     for phrase in phrases:
-        for within in withins + [rng.sample(ids, rng.randrange(len(ids)))]:
-            got = consistent_set(phrase, scene, within=within)
-            assert got == scan_set(phrase, scene, within)
-            sizes.add(len(got))
+        got = consistent_set(phrase, scene)
+        assert got == scan_set(phrase, scene)
+        sizes.add(len(got))
     assert 0 in sizes and max(sizes) >= 5
 
 

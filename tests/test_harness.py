@@ -97,6 +97,10 @@ class TestSampleScene:
         for pool in ("colors", "shapes"):  # a sampled "" would fail load_scene
             with pytest.raises(HarnessError, match=f"'{pool}' must contain strings"):
                 sample_scene(3, **{pool: ("",)})
+        # A pool is a tuple or list: a string is no list of its letters.
+        for pool, value in (("categories", "block"), ("colors", {"red"})):
+            with pytest.raises(HarnessError, match=f"'{pool}' must be of type array"):
+                sample_scene(0, **{pool: value})
 
     def test_placement_failure_is_reported(self):
         with pytest.raises(HarnessError, match="could not place"):
@@ -817,3 +821,14 @@ class TestConfig:
         }
         with pytest.raises(HarnessError, match=repr(name)):
             TrialConfig(**fields)
+
+    def test_tuple_field_is_checked_as_an_array(self):
+        """A tuple field is checked as the array it would be in a config
+        file, and the message shows the value the caller passed."""
+        with pytest.raises(HarnessError) as from_file:
+            tiny_config(objects=[1, 4])
+        fields = {"seed": 1, "n_scenes": 1, "trials_per_expression": 1, "methods": ("pcsreg",)}
+        with pytest.raises(HarnessError) as direct:
+            TrialConfig(**fields, true_prefs=default_preferences(), objects=(1, 4))
+        message = "config field 'objects' must contain integers >= 2, got "
+        assert (str(from_file.value), str(direct.value)) == (message + "[1, 4]", message + "(1, 4)")

@@ -65,11 +65,6 @@ class TestConsistentSet:
             "blk_a", "blk_b",
         }
 
-    def test_within_restricts(self, blocks_car_scene):
-        assert consistent_set(
-            AttributePhrase(category="block"), blocks_car_scene, within={"blk_a", "car1"}
-        ) == {"blk_a"}
-
 
 class TestDenote:
     def test_square_landmark_splits_by_perspective(self, facing_square_scene, two_frame_prefs):

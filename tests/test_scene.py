@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +21,7 @@ from pcsreg.scene import (
 )
 
 HALF_PI = math.pi / 2
+DEMO = Path(__file__).resolve().parent.parent / "demo"
 
 
 def minimal_doc():
@@ -96,6 +98,7 @@ def test_non_unit_north_rejected():
 
 NAN = float("nan")
 INF = float("inf")
+HUGE = 10**400  # an int beyond the float range
 
 NON_FINITE_CASES = [
     ("north", lambda d: d.update(north=[NAN, 1.0])),
@@ -104,7 +107,7 @@ NON_FINITE_CASES = [
     ("entities[0].pos", lambda d: d["entities"][0].update(pos=[NAN, 0.2])),
     ("entities[0].heading", lambda d: d["entities"][0].update(heading=NAN)),
     ("entities[1].heading", lambda d: d["entities"][1].update(heading=-INF)),
-    ("entities[2].heading", lambda d: d["entities"][2].update(heading=10**400)),
+    ("entities[2].heading", lambda d: d["entities"][2].update(heading=HUGE)),
 ]
 
 
@@ -190,11 +193,15 @@ def _second_speaker(entities):
     entities.append(dataclasses.replace(entities[1], id="speaker2", centroid=(0.5, -0.9)))
 
 
-def _replaced(**fields):
+def _replaced_at(index, **fields):
     def mutate(entities):
-        entities[0] = dataclasses.replace(entities[0], **fields)
+        entities[index] = dataclasses.replace(entities[index], **fields)
 
     return mutate
+
+
+def _replaced(**fields):
+    return _replaced_at(0, **fields)
 
 
 def _centroid(centroid):
@@ -229,6 +236,11 @@ PYTHON_STRUCTURE_CASES = [
     ("north", "2-d unit vector", None, FINITE_TABLE, None),
     ("north", "2-d unit vector", None, FINITE_TABLE, "ab"),
     ("north", "2-d unit vector", None, FINITE_TABLE, (False, True)),
+    # HUGE is no finite number, and the message shortens it.
+    ("entities[1].heading", "must be finite, got 1000", _replaced_at(1, heading=HUGE), FINITE_TABLE, (0.0, 1.0)),
+    ("entities[0].pos", "finite 2-d point, got (1000", _centroid((HUGE, 0.0)), FINITE_TABLE, (0.0, 1.0)),
+    ("table", "2-d points, got (-1000", None, ((-HUGE, -1.2), (1.0, 1.0)), (0.0, 1.0)),
+    ("north", "2-d unit vector, got (1000", None, FINITE_TABLE, (HUGE, 0)),
 ]
 
 
@@ -239,6 +251,7 @@ PYTHON_STRUCTURE_CASES = [
         *("kind", "north", "agents", "corners", "3-d pos", "1-d pos", "3-d min", "1-d max"),
         *("str heading", "str in pos", "None pos", "bool in pos", "int color", "int id"),
         *("None min", "str in min", "bool in max", "None north", "str north", "bool north"),
+        *("huge heading", "huge pos", "huge min", "huge north"),
     ],
 )
 def test_python_scene_rejects_bad_structure(path, message, mutate, corners, north):
@@ -253,6 +266,7 @@ def test_python_scene_rejects_bad_structure(path, message, mutate, corners, nort
         Scene(tuple(entities), TableExtent(*corners), north)
     assert err.value.path == path
     assert message in str(err.value)
+    assert len(str(err.value)) < 120
 
 
 FILE_STRUCTURE_CASES = [
@@ -417,6 +431,14 @@ def test_round_trip(seed):
     again = load_scene(dump_scene(scene))
     assert again == scene
     assert dump_scene(again) == dump_scene(scene)
+
+
+@pytest.mark.parametrize("name", ["two_blocks_car.json", "facing_pair_square.json"])
+def test_dump_scene_bytes_match_the_demo_files(name):
+    """The demo scene files are canonical JSON: ``dump_scene`` of each, plus
+    a final newline, gives back the file's text byte for byte."""
+    path = DEMO / name
+    assert dump_scene(load_scene(path)) + "\n" == path.read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("objects", [(3, 8), (8, 16), (16, 30)], ids=str)
