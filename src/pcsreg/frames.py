@@ -3,6 +3,10 @@
 Four frame kinds are supported.  Each instantiated frame contributes a front
 axis; the remaining direction axes are exact quarter turns of it, so the
 projective semantics for any frame is a 90-degree rotation of any other.
+The egocentric, addressee and extrinsic frames do not depend on the
+landmark, so a scene builds each of them, with its sign margin, once: on
+first use, into ``scene.frames`` (``shared_frame``).  ``FrameKind.order``
+is a plain member attribute, set as the class is created.
 
 Preference tables give, per landmark category, the probability that a
 listener adopts each frame kind.  The shipped defaults come from an
@@ -22,7 +26,15 @@ from types import MappingProxyType
 from typing import Mapping, Sequence, Union
 
 from .geometry import Vec, heading_vec, ordered_sum
-from .scene import Entity, LandmarkType, Scene, check_document, landmark_type, read_json
+from .scene import (
+    Entity,
+    LandmarkType,
+    Scene,
+    TableExtent,
+    check_document,
+    landmark_type,
+    read_json,
+)
 
 ROW_SUM_TOL = 1e-9
 FILE_ROW_SUM_TOL = 1e-6
@@ -33,16 +45,18 @@ class FrameError(ValueError):
 
 
 class FrameKind(enum.Enum):
-    """Canonical ordering (used for tie-breaking) follows declaration order."""
+    """Canonical ordering (used for tie-breaking) follows declaration order;
+    ``order`` is the member's index in it."""
 
     EGOCENTRIC = "egocentric"
     ADDRESSEE = "addressee"
     INTRINSIC = "intrinsic"
     EXTRINSIC = "extrinsic"
 
-    @property
-    def order(self) -> int:
-        return FRAME_ORDER.index(self)
+    def __init__(self, value: str):
+        self.order = len(type(self).__members__)  # the members declared before this one
+
+    __hash__ = object.__hash__  # identity, as Enum's equality
 
 
 FRAME_ORDER: tuple[FrameKind, ...] = tuple(FrameKind)
@@ -93,18 +107,50 @@ def supports_intrinsic(entity) -> bool:
     return landmark_type(entity) is LandmarkType.ORIENTED_OBJECT
 
 
+def sign_margin(table: TableExtent, front: Vec) -> float:
+    """The margin M outside which the signs of the diagonal projections
+    decide the relation under the front axis ``front`` for centroids inside
+    ``table`` (``prepositions`` module docstring); ``Scene`` keeps the
+    corners finite."""
+    (x0, y0), (x1, y1) = table.min_corner, table.max_corner
+    extent = max(1.0, abs(x0), abs(y0), abs(x1), abs(y1))
+    return 1e-9 * extent * (abs(front[0]) + abs(front[1]))
+
+
+_SHARED_KINDS = (FrameKind.EGOCENTRIC, FrameKind.ADDRESSEE, FrameKind.EXTRINSIC)
+
+
+def shared_frame(kind: FrameKind, scene: Scene) -> tuple[FrameInstance, float]:
+    """The scene's egocentric, addressee or extrinsic frame with its
+    ``sign_margin``: built on first use and kept in ``scene.frames``."""
+    entry = scene.frames.get(kind)
+    if entry is None:
+        frame = frame_instance(kind, scene)
+        entry = scene.frames[kind] = frame, sign_margin(scene.table, frame.front_axis)
+    return entry
+
+
+def frame_margin(frame: FrameInstance, scene: Scene) -> float:
+    """``sign_margin`` of ``frame`` in ``scene``, read from ``scene.frames``
+    when ``frame`` is one of its frames."""
+    entry = scene.frames.get(frame.kind)
+    if entry is not None and entry[0] is frame:
+        return entry[1]
+    return sign_margin(scene.table, frame.front_axis)
+
+
 def applicable_frames(landmark: Entity, scene: Scene) -> tuple[FrameInstance, ...]:
     """The frames a listener can adopt at ``landmark``, in ``FRAME_ORDER``.
 
     Egocentric and addressee frames originate at the speaker and the
     listener, the extrinsic frame has no origin, and the intrinsic frame is
-    applicable only at an oriented object, which is its origin.
+    applicable only at an oriented object, which is its origin.  The
+    others are the scene's ``shared_frame`` instances.
     """
-    return tuple(
-        frame_instance(kind, scene, landmark.id)
-        for kind in FRAME_ORDER
-        if kind is not FrameKind.INTRINSIC or supports_intrinsic(landmark)
-    )
+    frames = [shared_frame(kind, scene)[0] for kind in _SHARED_KINDS]
+    if supports_intrinsic(landmark):
+        frames.insert(2, frame_instance(FrameKind.INTRINSIC, scene, landmark.id))
+    return tuple(frames)
 
 
 Row = tuple[float, float, float, float]

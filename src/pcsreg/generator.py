@@ -34,7 +34,9 @@ from .frames import (
     PreferenceTable,
     Row,
     frame_instance,
+    frame_margin,
     preference_entropy,
+    shared_frame,
     update_preferences,
 )
 from .prepositions import (
@@ -45,7 +47,6 @@ from .prepositions import (
     _quadrant,
     partitions,
     relation,
-    sign_margin,
 )
 from .resolver import (
     AttributePhrase,
@@ -175,8 +176,9 @@ def select_landmark(
     the distractors are projected onto the frame's two diagonals once per
     call, and each candidate once; each pair's quadrant is decided by the
     signs of the differences, and by ``prepositions._quadrant``, which is
-    ``relation``, only within ``sign_margin`` of a diagonal (the
-    ``prepositions`` module docstring has the argument).
+    ``relation``, only within ``frames.sign_margin`` of a diagonal (the
+    ``prepositions`` module docstring has the argument), read from
+    ``scene.frames`` when ``frame`` is one of the scene's shared frames.
     """
     target = scene.entity(target_id)
     if target.kind is not EntityKind.OBJECT:
@@ -189,7 +191,7 @@ def select_landmark(
     distractors = sorted(matches - {target_id})
     fx, fy = frame.front_axis
     a, b = fx + fy, fy - fx  # front + right; front - right is (-b, a)
-    m = sign_margin(scene.table, frame.front_axis)
+    m = frame_margin(frame, scene)
     nm = -m
     located = [
         (px * a + py * b, py * a - px * b, px, py)
@@ -257,7 +259,7 @@ def build_landmark_chain(target_id: str, scene: Scene, base: PreferenceTable) ->
         raise GenerationError(f"no entity with id {target_id!r}")
     if not scene.entity(target_id).referable_as_target:
         raise GenerationError(f"entity {target_id!r} is not a referable target")
-    speaker_frame = frame_instance(FrameKind.EGOCENTRIC, scene)
+    speaker_frame = shared_frame(FrameKind.EGOCENTRIC, scene)[0]
     entity_rows = _RowsOnFirstUse(scene, base)
 
     for iterations in range(1, MAX_CHAIN_REBUILDS + 1):

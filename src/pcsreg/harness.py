@@ -93,7 +93,7 @@ def _check_pools(objects: tuple[int, int], categories, colors, shapes) -> None:
     """Raise ``HarnessError`` unless the sampling pools meet ``CONFIG_SCHEMA``
     and the object-count range has ``lo <= hi``."""
     pools = {"objects": objects, "categories": categories, "colors": colors, "shapes": shapes}
-    check_document(pools, {"properties": CONFIG_SCHEMA["properties"]}, _config_error)
+    check_document(pools, _POOLS_SCHEMA, _config_error)
     _check_object_range(objects)
 
 
@@ -391,6 +391,10 @@ CONFIG_SCHEMA = {
     "additionalProperties": False,
     "definitions": {"preferences": PREFS_SCHEMA},
 }
+
+# The config fields that ``sample_scene``'s pools set; no pool refers to
+# the preference definition, which this schema does not carry.
+_POOLS_SCHEMA = {"properties": CONFIG_SCHEMA["properties"]}
 
 
 def _config_error(path: tuple, message: str) -> HarnessError:

@@ -19,9 +19,9 @@ from the signs of u = d.(front + right) and v = d.(front - right): front
 when both are positive, behind when both are negative, left when u < 0 < v
 and right when v < 0 < u.  ``partitions`` and ``generator.select_landmark``
 decide each pair by these signs when |u| and |v| both exceed the margin
-M = 1e-9 * max(1, C) * (|fx| + |fy|) of ``sign_margin``, C being the
-largest |coordinate| of a table corner, and call ``_quadrant`` on every
-other pair.  Outside that band the signs give ``_quadrant``'s answer:
+M = 1e-9 * max(1, C) * (|fx| + |fy|) of ``frames.sign_margin``, C being
+the largest |coordinate| of a table corner, and call ``_quadrant`` on
+every other pair.  Outside that band the signs give ``_quadrant``'s answer:
 
 - u / (|d| |front|) is f + r and v / (|d| |front|) is f - r, where f and r
   are ``_quadrant``'s degrees toward front and right, and the largest
@@ -39,6 +39,11 @@ The sign path skips ``_quadrant``'s coincidence check: ``Scene`` validation
 already rejects any two centroids closer than ``MIN_SEPARATION``, measured
 by the same ``math.hypot``.  A non-finite u or v falls to ``_quadrant``.
 
+``partitions`` reads the frames that every landmark shares, and their
+margins, from ``scene.frames`` (``frames.shared_frame``), where each is
+built once per scene.  ``Preposition.order`` is a plain member attribute,
+set as the class is created.
+
 Topological prepositions ("near") carry no frame dependence and are outside
 this model; the expression parser rejects them.
 """
@@ -49,9 +54,9 @@ import enum
 import math
 from typing import NamedTuple
 
-from .frames import FrameInstance, applicable_frames
+from .frames import FrameInstance, applicable_frames, frame_margin
 from .geometry import Vec, dot, norm, opposite, quarter_left, quarter_right, sub
-from .scene import MIN_SEPARATION, Entity, Scene, TableExtent
+from .scene import MIN_SEPARATION, Entity, Scene
 
 RELATION_TIE_TOL = 1e-12
 
@@ -68,16 +73,18 @@ def coincident(dist: float) -> CoincidentPointsError:
 
 
 class Preposition(enum.Enum):
-    """Canonical ordering (tie-breaks) follows declaration order."""
+    """Canonical ordering (tie-breaks) follows declaration order; ``order``
+    is the member's index in it."""
 
     FRONT = "front"
     BEHIND = "behind"
     LEFT = "left"
     RIGHT = "right"
 
-    @property
-    def order(self) -> int:
-        return PREPOSITION_ORDER.index(self)
+    def __init__(self, value: str):
+        self.order = len(type(self).__members__)  # the members declared before this one
+
+    __hash__ = object.__hash__  # identity, as Enum's equality
 
 
 PREPOSITION_ORDER: tuple[Preposition, ...] = tuple(Preposition)
@@ -154,15 +161,6 @@ def _quadrant(dx: float, dy: float, fx: float, fy: float) -> int:
     return 3
 
 
-def sign_margin(table: TableExtent, front: Vec) -> float:
-    """The margin M outside which the signs of the diagonal projections
-    decide the relation under the front axis ``front`` for centroids inside
-    ``table`` (module docstring); ``Scene`` keeps the corners finite."""
-    (x0, y0), (x1, y1) = table.min_corner, table.max_corner
-    extent = max(1.0, abs(x0), abs(y0), abs(x1), abs(y1))
-    return 1e-9 * extent * (abs(front[0]) + abs(front[1]))
-
-
 class Partition(NamedTuple):
     """Every other entity's relation to one landmark under one frame."""
 
@@ -200,7 +198,7 @@ def partitions(landmark: Entity, scene: Scene) -> tuple[Partition, ...]:
         for frame in applicable_frames(landmark, scene):
             fx, fy = frame.front_axis
             a, b = fx + fy, fy - fx  # front + right; front - right is (-b, a)
-            m = sign_margin(scene.table, frame.front_axis)
+            m = frame_margin(frame, scene)
             nm = -m
             members: tuple[list[str], ...] = ([], [], [], [])
             for eid, dx, dy in others:

@@ -4,7 +4,10 @@ A scene is a flat list of entities on a table plane.  Two of the entities
 are the conversation participants (speaker and listener); they can serve as
 landmarks but never as reference targets.  Everything is validated on
 construction so no partially built scene can escape, and the scene carries
-the attribute index and per-landmark relation memo that its readers share.
+what its readers share: the attribute index, the per-landmark relation memo
+and the table of frames that every landmark shares, the last two filled on
+first use.  Each document schema is compiled once per process, on its first
+``check_document``.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import json
 import math
 import reprlib
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Union
 
@@ -44,6 +47,8 @@ class EntityKind(enum.Enum):
     SPEAKER = "speaker"
     LISTENER = "listener"
 
+    __hash__ = object.__hash__  # identity, as Enum's equality
+
 
 class LandmarkType(enum.Enum):
     """Landmark category that indexes reference-frame preference rows."""
@@ -52,6 +57,8 @@ class LandmarkType(enum.Enum):
     LISTENER = "listener"
     ORIENTED_OBJECT = "oriented_object"
     UNORIENTED_OBJECT = "unoriented_object"
+
+    __hash__ = object.__hash__
 
 
 @dataclass(frozen=True)
@@ -94,13 +101,16 @@ ATTRIBUTE_SLOTS = ("category", "color", "shape")
 class Scene:
     """Entities on a table, validated on construction.
 
-    Two derived fields sit outside equality, hashing and ``repr`` and hold
-    no reference back to the scene, so a scene is freed as soon as its last
-    reference goes.  ``attributes`` maps (slot, lowercased value) to the
-    ids of the entities with that value in that slot, in scene order.
-    ``relations`` holds, per landmark id, the frames and preposition
-    partitions of ``prepositions.partitions``, filled as landmarks are
-    first used.
+    Points given as lists are stored as tuples, so such a scene equals and
+    hashes like one built from tuples.  Three derived fields sit outside
+    equality, hashing and ``repr`` and hold no reference back to the scene,
+    so a scene is freed as soon as its last reference goes.
+    ``attributes`` maps (slot, lowercased value) to the ids of the entities
+    with that value in that slot, in scene order.  ``relations`` holds, per
+    landmark id, the frames and preposition partitions of
+    ``prepositions.partitions``, filled as landmarks are first used.
+    ``frames`` holds the frames that every landmark shares, with their sign
+    margins, filled on first use by ``frames.shared_frame``.
     """
 
     entities: tuple[Entity, ...]
@@ -112,11 +122,10 @@ class Scene:
     _referable_ids: tuple = field(init=False, repr=False, compare=False, hash=False, default=None)
     attributes: dict = field(init=False, repr=False, compare=False, hash=False, default=None)
     relations: dict = field(init=False, repr=False, compare=False, hash=False, default_factory=dict)
+    frames: dict = field(init=False, repr=False, compare=False, hash=False, default_factory=dict)
 
     def __post_init__(self):
-        for name, value in zip(
-            ("_by_id", "speaker", "listener", "_referable_ids", "attributes"), _validate(self)
-        ):
+        for name, value in zip(_VALIDATED, _validate(self)):
             object.__setattr__(self, name, value)
 
     def entity(self, entity_id: str) -> Entity:
@@ -146,13 +155,21 @@ def _point_fault(value) -> str | None:
     return None
 
 
-def _validate(scene: Scene) -> tuple[dict, Entity, Entity, tuple[str, ...], dict]:
+# The fields that ``_validate`` returns, in order.
+_VALIDATED = (
+    "entities", "table", "north", "_by_id", "speaker", "listener", "_referable_ids", "attributes"
+)
+
+
+def _validate(scene: Scene) -> tuple:
     """Raise ``SceneError`` for the first invalid field, types checked
-    exactly (a bool is no number); otherwise return the scene's id index,
-    speaker, listener, referable ids and attribute index, all built in the
-    one pass over the entities that checks them.  Of several faults, the
-    first in the order of the checks below is reported: the table, then
-    ``north``, then each entity in scene order, and last a missing agent.
+    exactly (a bool is no number); otherwise return the fields of
+    ``_VALIDATED``: the entities, table and north with every point a tuple,
+    and the scene's id index, speaker, listener, referable ids and
+    attribute index, all built in the one pass over the entities that
+    checks them.  Of several faults, the first in the order of the checks
+    below is reported: the table, then ``north``, then each entity in scene
+    order, and last a missing agent.
     """
     low, high = scene.table.min_corner, scene.table.max_corner
     if _point_fault(low) or _point_fault(high):
@@ -162,6 +179,9 @@ def _validate(scene: Scene) -> tuple[dict, Entity, Entity, tuple[str, ...], dict
         raise SceneError("table", "min corner must be strictly below max corner")
     if _point_fault(scene.north) or not abs(math.hypot(*scene.north) - 1.0) <= UNIT_NORM_TOL:
         raise SceneError("north", f"must be a 2-d unit vector, got {reprlib.repr(scene.north)}")
+    table = scene.table
+    if type(low) is not tuple or type(high) is not tuple:
+        table = TableExtent(tuple(low), tuple(high))
     by_id: dict[str, Entity] = {}
     agents: dict[EntityKind, Entity | None] = {EntityKind.SPEAKER: None, EntityKind.LISTENER: None}
     referable = []
@@ -185,6 +205,8 @@ def _validate(scene: Scene) -> tuple[dict, Entity, Entity, tuple[str, ...], dict
             raise SceneError(f"entities[{i}].pos", fault)
         if not (low[0] <= e.centroid[0] <= high[0] and low[1] <= e.centroid[1] <= high[1]):
             raise SceneError(f"entities[{i}].pos", f"centroid {e.centroid} outside table extent")
+        if type(e.centroid) is not tuple:
+            e = replace(e, centroid=tuple(e.centroid))
         if not isinstance(e.kind, EntityKind):
             raise SceneError(f"entities[{i}].kind", f"must be an EntityKind, got {e.kind!r}")
         if e.id in by_id:
@@ -210,7 +232,9 @@ def _validate(scene: Scene) -> tuple[dict, Entity, Entity, tuple[str, ...], dict
         if found is None:
             raise SceneError("entities", f"missing {kind.value}")
     attributes = {key: tuple(ids) for key, ids in index.items()}
-    return by_id, agents[EntityKind.SPEAKER], agents[EntityKind.LISTENER], tuple(referable), attributes
+    speaker, listener = agents.values()
+    entities = tuple(by_id.values())
+    return entities, table, tuple(scene.north), by_id, speaker, listener, tuple(referable), attributes
 
 
 SCENE_SCHEMA = {
@@ -267,6 +291,9 @@ def _point(value) -> Vec:
     return (float(value[0]), float(value[1]))
 
 
+_KINDS = {kind.value: kind for kind in EntityKind}
+
+
 def scene_from_dict(doc: dict) -> Scene:
     """Check ``doc`` against ``SCENE_SCHEMA``, then build and validate the scene."""
     check_document(doc, SCENE_SCHEMA, lambda path, message: SceneError(dotted_path(path), message))
@@ -275,7 +302,7 @@ def scene_from_dict(doc: dict) -> Scene:
         entities=tuple(
             Entity(
                 id=raw["id"],
-                kind=EntityKind(raw["kind"]),
+                kind=_KINDS[raw["kind"]],
                 category=raw["category"],
                 centroid=_point(raw["pos"]),
                 color=raw.get("color"),
@@ -324,9 +351,11 @@ def parse_json(text: str, invalid: Callable[[str], Exception]):
 
 def read_json(source: Union[str, Path], invalid: Callable[[str], Exception]):
     """``parse_json`` of ``source``: a ``str`` whose first non-blank character
-    is ``{`` or ``[`` is JSON text, anything else a filesystem path."""
+    is ``{`` or ``[`` is JSON text, anything else a filesystem path, which
+    is wrapped in ``Path`` unless it is one."""
     if not (isinstance(source, str) and source.lstrip().startswith(("{", "["))):
-        source = Path(source).read_text(encoding="utf-8")
+        path = source if isinstance(source, Path) else Path(source)
+        source = path.read_text(encoding="utf-8")
     return parse_json(source, invalid)
 
 
@@ -356,66 +385,120 @@ _JSON_TYPES = {
 _PLURALS = {"number": "finite numbers", "integer": "integers", "string": "strings"}
 
 
-def _check(value, schema: dict, root: dict) -> None:
+def _plural_fault(items: dict, value) -> _Invalid:
+    """The fault of the list ``value`` that holds an item breaking ``items``."""
+    want = _PLURALS.get(items.get("type"), f"values from {items.get('enum')}")
+    if "minimum" in items:
+        want += f" >= {items['minimum']}"
+    if "minLength" in items:
+        want += f" of at least {items['minLength']} characters"
+    return _Invalid(f"must contain {want}, got {reprlib.repr(value)}")
+
+
+def _compile(schema: dict, root: dict, refs: dict, slot: tuple | None = None) -> Callable:
+    """``schema`` as one function that raises ``_Invalid`` for a value that
+    breaks it.  A ``$ref`` is compiled on its first use, into ``refs``
+    (shared by every reference into ``root``), and then written over its
+    ``slot``, the (properties, key) that held it, so a recursive document
+    costs one call per level."""
     if "$ref" in schema:
-        schema = root["definitions"][schema["$ref"].rpartition("/")[2]]
-    name = _JSON_TYPES.get(type(value))
+        name = schema["$ref"].rpartition("/")[2]
+
+        def check_ref(value):
+            check = refs.get(name)
+            if check is None:
+                check = refs[name] = _compile(root["definitions"][name], root, refs)
+            if slot is not None:
+                slot[0][slot[1]] = check
+            check(value)
+
+        return check_ref
+
     types = schema.get("type")
-    if types is not None and name != types:
-        names = (types,) if isinstance(types, str) else types
-        if name not in names and not (name == "integer" and "number" in names):
+    names = (types,) if isinstance(types, str) else types
+    allowed = None if types is None else {*names, *(["integer"] if "number" in names else [])}
+    enum = schema.get("enum")
+    properties: dict[str, Callable] = {}
+    for key, sub in schema.get("properties", {}).items():
+        properties[key] = _compile(sub, root, refs, (properties, key))
+    required = schema.get("required", ())
+    needs = [(key, other) for key, rest in schema.get("dependencies", {}).items() for other in rest]
+    closed = schema.get("additionalProperties") is False
+    lo, hi = schema.get("minItems", 0), schema.get("maxItems", math.inf)
+    unique = schema.get("uniqueItems")
+    items = schema.get("items")
+    nested = items is not None and "properties" in items
+    # A list of plain numbers is checked in one loop, without a call per item.
+    plain = items is not None and items.keys() <= {"type", "minimum", "maximum"}
+    numbers = None
+    if plain and items.get("type") in ("number", "integer"):
+        numbers = (int,) if items["type"] == "integer" else (int, float)
+        item_least, item_most = items.get("minimum", -math.inf), items.get("maximum", math.inf)
+    each = None if items is None or numbers else _compile(items, root, refs)
+    least, most = schema.get("minimum", -math.inf), schema.get("maximum", math.inf)
+    min_length = schema.get("minLength", 0)
+
+    def check(value):
+        name = _JSON_TYPES.get(type(value))
+        if allowed is not None and name not in allowed:
             raise _Invalid(f"must be of type {' or '.join(names)}, got {reprlib.repr(value)}")
-    if "enum" in schema and value not in schema["enum"]:
-        raise _Invalid(f"must be one of {schema['enum']}, got {reprlib.repr(value)}")
-    if name == "object":
-        properties = schema.get("properties", {})
-        for key in schema.get("required", ()):
-            if key not in value:
-                raise _Invalid("is missing", key)
-        for key, needs in schema.get("dependencies", {}).items():
-            for other in needs:
+        if enum is not None and value not in enum:
+            raise _Invalid(f"must be one of {enum}, got {reprlib.repr(value)}")
+        if name == "object":
+            for key in required:
+                if key not in value:
+                    raise _Invalid("is missing", key)
+            for key, other in needs:
                 if key in value and other not in value:
                     raise _Invalid(f"is required when {key!r} is present", other)
-        if schema.get("additionalProperties") is False:
-            for key in value:
-                if key not in properties:
-                    raise _Invalid("is not allowed", key)
-        for key, item in value.items():
-            sub = properties.get(key)
-            if sub is not None:
-                try:
-                    _check(item, sub, root)
-                except _Invalid as exc:
-                    exc.path.append(key)
-                    raise
-    elif name == "array":
-        lo, hi = schema.get("minItems", 0), schema.get("maxItems", math.inf)
-        if not lo <= len(value) <= hi:
-            raise _Invalid(f"must have [{lo}, {hi}] items, got {reprlib.repr(value)}")
-        if schema.get("uniqueItems") and any(item in value[:i] for i, item in enumerate(value)):
-            raise _Invalid(f"must not repeat an item, got {reprlib.repr(value)}")
-        items = schema.get("items")
-        for i, item in enumerate(value if items is not None else ()):
-            try:
-                _check(item, items, root)
-            except _Invalid as exc:
-                if "properties" in items:
-                    exc.path.append(i)
-                    raise
-                want = _PLURALS.get(items.get("type"), f"values from {items.get('enum')}")
-                if "minimum" in items:
-                    want += f" >= {items['minimum']}"
-                if "minLength" in items:
-                    want += f" of at least {items['minLength']} characters"
-                raise _Invalid(f"must contain {want}, got {reprlib.repr(value)}") from None
-    elif name == "number" or name == "integer":
-        if not abs(value) <= _FLOAT_MAX:
-            raise _Invalid(f"must be finite, got {reprlib.repr(value)}")
-        if not schema.get("minimum", value) <= value <= schema.get("maximum", value):
-            lo, hi = schema.get("minimum", -math.inf), schema.get("maximum", math.inf)
-            raise _Invalid(f"must be in [{lo}, {hi}], got {value!r}")
-    elif name == "string" and len(value) < schema.get("minLength", 0):
-        raise _Invalid(f"must have at least {schema['minLength']} characters, got {value!r}")
+            if closed:
+                for key in value:
+                    if key not in properties:
+                        raise _Invalid("is not allowed", key)
+            for key, item in value.items():
+                sub = properties.get(key)
+                if sub is not None:
+                    try:
+                        sub(item)
+                    except _Invalid as exc:
+                        exc.path.append(key)
+                        raise
+        elif name == "array":
+            if not lo <= len(value) <= hi:
+                raise _Invalid(f"must have [{lo}, {hi}] items, got {reprlib.repr(value)}")
+            if unique and any(item in value[:i] for i, item in enumerate(value)):
+                raise _Invalid(f"must not repeat an item, got {reprlib.repr(value)}")
+            if numbers:
+                for item in value:
+                    if type(item) not in numbers or not (
+                        abs(item) <= _FLOAT_MAX and item_least <= item <= item_most
+                    ):
+                        raise _plural_fault(items, value)
+            elif each is not None:
+                for i, item in enumerate(value):
+                    try:
+                        each(item)
+                    except _Invalid as exc:
+                        if nested:
+                            exc.path.append(i)
+                            raise
+                        raise _plural_fault(items, value) from None
+        elif name == "number" or name == "integer":
+            if not abs(value) <= _FLOAT_MAX:
+                raise _Invalid(f"must be finite, got {reprlib.repr(value)}")
+            if not least <= value <= most:
+                raise _Invalid(f"must be in [{least}, {most}], got {value!r}")
+        elif name == "string" and len(value) < min_length:
+            raise _Invalid(f"must have at least {min_length} characters, got {value!r}")
+
+    return check
+
+
+# Each schema's compiled check, keyed by the schema's identity.  An entry
+# holds its schema, so the id stays that schema's; the oldest entry goes
+# once the cache is full, so schemas built per call cannot grow it.
+_COMPILED: dict[int, tuple[dict, Callable]] = {}
+_COMPILED_MAX = 32
 
 
 def check_document(doc, schema: dict, invalid: Callable[[tuple, str], Exception]) -> None:
@@ -430,9 +513,18 @@ def check_document(doc, schema: dict, invalid: Callable[[tuple, str], Exception]
     keys and indexes down to the bad value; a bad item of a list of scalars
     is reported at the list.  A document too deep for the check to recurse
     through is ``invalid((), "nested too deeply")``.
+
+    A schema is compiled on its first use and the result kept, keyed by
+    the schema object's identity: callers pass module-level schemas, and
+    never change one after its first use.
     """
+    entry = _COMPILED.get(id(schema))
+    if entry is None:
+        if len(_COMPILED) >= _COMPILED_MAX:
+            _COMPILED.pop(next(iter(_COMPILED)), None)
+        entry = _COMPILED[id(schema)] = (schema, _compile(schema, schema, {}))
     try:
-        _check(doc, schema, schema)
+        entry[1](doc)
     except _Invalid as exc:
         raise invalid(tuple(reversed(exc.path)), exc.args[0]) from None
     except RecursionError:
@@ -447,10 +539,14 @@ def load_scene(source: Union[str, Path]) -> Scene:
     return scene_from_dict(read_json(source, lambda message: SceneError("$", message)))
 
 
+_ENCODER = json.JSONEncoder(indent=2, sort_keys=True)
+
+
 def json_text(doc) -> str:
     """The canonical text of a JSON document, which every writer uses:
-    two-space indent and sorted keys, so equal documents give equal bytes."""
-    return json.dumps(doc, indent=2, sort_keys=True)
+    two-space indent and sorted keys, so equal documents give equal bytes.
+    One encoder, built at import, writes every document."""
+    return _ENCODER.encode(doc)
 
 
 def dump_scene(scene: Scene) -> str:

@@ -1,15 +1,25 @@
 """Shared helpers: deterministic random expression trees over a scene, a
 simulated listener that compiles its own plan, a rotation, a scene with the
-speaker turned and the preference-file form of a table."""
+speaker turned, the preference-file form of a table and the interpretive
+schema check that ``check_document``'s compiled check is held to."""
 
 import math
 import random
+import reprlib
 from dataclasses import replace
 
 from pcsreg.harness import ListenerPlan, simulate_listener
 from pcsreg.prepositions import Preposition
 from pcsreg.resolver import AttributePhrase, Compound, Leaf, PersonRef
-from pcsreg.scene import EntityKind, LandmarkType, Scene
+from pcsreg.scene import (
+    _FLOAT_MAX,
+    _JSON_TYPES,
+    _PLURALS,
+    EntityKind,
+    LandmarkType,
+    Scene,
+    _Invalid,
+)
 
 PREPS = list(Preposition)
 
@@ -74,3 +84,78 @@ def turn_speaker(scene, angle):
 def preferences_to_dict(table):
     """The preference-file document of ``table``, one row per landmark type."""
     return {lt.value: list(table.row(lt)) for lt in LandmarkType}
+
+
+def reference_check(doc, schema: dict):
+    """``check_document``'s verdict on ``doc``, reached by walking ``schema``
+    on every call: None when it accepts, else the (path, message) that it
+    passes to ``invalid``."""
+    try:
+        _check(doc, schema, schema)
+    except _Invalid as exc:
+        return tuple(reversed(exc.path)), exc.args[0]
+    except RecursionError:
+        return (), "nested too deeply"
+    return None
+
+
+def _check(value, schema: dict, root: dict) -> None:
+    if "$ref" in schema:
+        schema = root["definitions"][schema["$ref"].rpartition("/")[2]]
+    name = _JSON_TYPES.get(type(value))
+    types = schema.get("type")
+    if types is not None and name != types:
+        names = (types,) if isinstance(types, str) else types
+        if name not in names and not (name == "integer" and "number" in names):
+            raise _Invalid(f"must be of type {' or '.join(names)}, got {reprlib.repr(value)}")
+    if "enum" in schema and value not in schema["enum"]:
+        raise _Invalid(f"must be one of {schema['enum']}, got {reprlib.repr(value)}")
+    if name == "object":
+        properties = schema.get("properties", {})
+        for key in schema.get("required", ()):
+            if key not in value:
+                raise _Invalid("is missing", key)
+        for key, needs in schema.get("dependencies", {}).items():
+            for other in needs:
+                if key in value and other not in value:
+                    raise _Invalid(f"is required when {key!r} is present", other)
+        if schema.get("additionalProperties") is False:
+            for key in value:
+                if key not in properties:
+                    raise _Invalid("is not allowed", key)
+        for key, item in value.items():
+            sub = properties.get(key)
+            if sub is not None:
+                try:
+                    _check(item, sub, root)
+                except _Invalid as exc:
+                    exc.path.append(key)
+                    raise
+    elif name == "array":
+        lo, hi = schema.get("minItems", 0), schema.get("maxItems", math.inf)
+        if not lo <= len(value) <= hi:
+            raise _Invalid(f"must have [{lo}, {hi}] items, got {reprlib.repr(value)}")
+        if schema.get("uniqueItems") and any(item in value[:i] for i, item in enumerate(value)):
+            raise _Invalid(f"must not repeat an item, got {reprlib.repr(value)}")
+        items = schema.get("items")
+        for i, item in enumerate(value if items is not None else ()):
+            try:
+                _check(item, items, root)
+            except _Invalid as exc:
+                if "properties" in items:
+                    exc.path.append(i)
+                    raise
+                want = _PLURALS.get(items.get("type"), f"values from {items.get('enum')}")
+                if "minimum" in items:
+                    want += f" >= {items['minimum']}"
+                if "minLength" in items:
+                    want += f" of at least {items['minLength']} characters"
+                raise _Invalid(f"must contain {want}, got {reprlib.repr(value)}") from None
+    elif name == "number" or name == "integer":
+        if not abs(value) <= _FLOAT_MAX:
+            raise _Invalid(f"must be finite, got {reprlib.repr(value)}")
+        if not schema.get("minimum", value) <= value <= schema.get("maximum", value):
+            lo, hi = schema.get("minimum", -math.inf), schema.get("maximum", math.inf)
+            raise _Invalid(f"must be in [{lo}, {hi}], got {value!r}")
+    elif name == "string" and len(value) < schema.get("minLength", 0):
+        raise _Invalid(f"must have at least {schema['minLength']} characters, got {value!r}")

@@ -1,10 +1,11 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from helpers import preferences_to_dict
+from helpers import preferences_to_dict, turn_speaker
 from pcsreg.frames import (
     _DEFAULT_ROWS,
     FRAME_ORDER,
@@ -17,10 +18,17 @@ from pcsreg.frames import (
     preferences_from_dict,
     load_preferences,
     preference_entropy,
+    shared_frame,
+    sign_margin,
+    supports_intrinsic,
     update_preferences,
 )
 from pcsreg.geometry import dot, quarter_right
-from pcsreg.scene import LandmarkType
+from pcsreg.harness import derive_seed, sample_scene
+from pcsreg.prepositions import Preposition
+from pcsreg.scene import EntityKind, LandmarkType, load_scene
+
+DEMO = Path(__file__).resolve().parent.parent / "demo"
 
 # Entropy of the unoriented-object default row, frozen from an independent
 # term-by-term base-2 evaluation.
@@ -294,6 +302,63 @@ def test_applicable_frames_order_origins_and_intrinsic(blocks_car_scene):
             FrameKind.EXTRINSIC,
         ]
         assert [f.origin_entity for f in frames] == ["speaker", "listener", None]
+
+
+def _frame_table_scenes():
+    scenes = [load_scene(DEMO / name) for name in ("two_blocks_car.json", "facing_pair_square.json")]
+    for objects in ((3, 8), (16, 30)):
+        scenes += [sample_scene(derive_seed(5, "frames", objects, i), objects=objects) for i in range(6)]
+    return scenes
+
+
+def test_applicable_frames_equal_fresh_frame_instances():
+    for scene in _frame_table_scenes():
+        for e in scene.entities:
+            fresh = tuple(
+                frame_instance(kind, scene, e.id)
+                for kind in FRAME_ORDER
+                if kind is not FrameKind.INTRINSIC or supports_intrinsic(e)
+            )
+            assert applicable_frames(e, scene) == fresh
+        # One instance per shared kind, built once with its margin.
+        assert list(scene.frames) == [FrameKind.EGOCENTRIC, FrameKind.ADDRESSEE, FrameKind.EXTRINSIC]
+        for kind, (frame, margin) in scene.frames.items():
+            assert frame == frame_instance(kind, scene)
+            assert margin == sign_margin(scene.table, frame.front_axis)
+            assert all(
+                f is frame for e in scene.entities for f in applicable_frames(e, scene) if f.kind is kind
+            )
+
+
+def test_scenes_that_differ_in_the_speaker_heading_share_no_frame_table():
+    scene = sample_scene(derive_seed(5, "turned"))
+    turned = turn_speaker(scene, 0.25)
+    for s in (scene, turned):
+        applicable_frames(s.speaker, s)
+    assert scene.frames is not turned.frames
+    assert shared_frame(FrameKind.EGOCENTRIC, scene)[0] == frame_instance(FrameKind.EGOCENTRIC, scene)
+    assert shared_frame(FrameKind.EGOCENTRIC, turned)[0] == frame_instance(FrameKind.EGOCENTRIC, turned)
+    assert scene.frames[FrameKind.EGOCENTRIC] != turned.frames[FrameKind.EGOCENTRIC]
+    assert scene.frames[FrameKind.ADDRESSEE] == turned.frames[FrameKind.ADDRESSEE]
+
+
+def test_frame_instance_returns_a_fresh_instance(blocks_car_scene):
+    shared = shared_frame(FrameKind.EGOCENTRIC, blocks_car_scene)[0]
+    fresh = frame_instance(FrameKind.EGOCENTRIC, blocks_car_scene)
+    assert fresh == shared and fresh is not shared
+
+
+def test_enum_order_is_a_member_attribute():
+    assert [k.order for k in FrameKind] == [0, 1, 2, 3]
+    assert [p.order for p in Preposition] == [0, 1, 2, 3]
+    assert all("order" in vars(member) for member in (*FrameKind, *Preposition))
+
+
+@pytest.mark.parametrize("enum_type", [FrameKind, Preposition, EntityKind, LandmarkType])
+def test_enum_members_hash_by_identity(enum_type):
+    assert enum_type.__hash__ is object.__hash__
+    for member in enum_type:
+        assert hash(member) == object.__hash__(member)
 
 
 def test_preferences_reject_unknown_row():

@@ -241,9 +241,10 @@ def test_derived_fields_are_outside_equality_and_repr():
     b = sample_scene(derive_seed(6, "lazy"))
     partitions(a.speaker, a)
     assert a.relations and not b.relations
+    assert a.frames and not b.frames
     assert a == b and hash(a) == hash(b)
     assert repr(a) == repr(b)
-    assert "attributes" not in repr(a) and "relations" not in repr(a)
+    assert all(name not in repr(a) for name in ("attributes", "relations", "frames"))
 
 
 def test_a_scene_with_geometry_is_freed_without_the_cycle_collector(default_prefs):
@@ -257,7 +258,7 @@ def test_a_scene_with_geometry_is_freed_without_the_cycle_collector(default_pref
         )
         denote(tree, scene, default_prefs)
         plan = ListenerPlan(tree, scene, default_prefs)
-        assert scene.relations  # partitions were built
+        assert scene.relations and scene.frames  # partitions and shared frames were built
         ref = weakref.ref(scene)
         del scene
         assert ref() is None

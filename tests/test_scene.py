@@ -6,7 +6,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pcsreg.harness import sample_scene
+from pcsreg.frames import FrameKind, frame_instance
+from pcsreg.generator import GenerationError, build_landmark_chain
+from pcsreg.harness import METHODS, sample_scene
+from pcsreg.optimizer import generate
 from pcsreg.scene import (
     Entity,
     EntityKind,
@@ -309,6 +312,40 @@ def _assert_reported_in_order(build, state, steps):
         assert (err.value.path, message in str(err.value)) == (path, True)
         fix(state)
     build(state)
+
+
+def _generated(scene, prefs):
+    """Each referable target's chain and every method's surface, or the
+    generation error."""
+    out = {}
+    for target in scene.referable_ids():
+        try:
+            chain = build_landmark_chain(target, scene, prefs)
+            out[target] = chain, [generate(m, chain, scene, prefs, seed=7).surface for m in METHODS]
+        except GenerationError as exc:
+            out[target] = str(exc)
+    return out
+
+
+def test_a_scene_built_with_list_points_equals_the_tuple_built_scene(default_prefs):
+    scene = sample_scene(3)
+    listed = Scene(
+        tuple(dataclasses.replace(e, centroid=list(e.centroid)) for e in scene.entities),
+        TableExtent(list(scene.table.min_corner), list(scene.table.max_corner)),
+        list(scene.north),
+    )
+    assert listed == scene and hash(listed) == hash(scene)
+    assert [hash(e) for e in listed.entities] == [hash(e) for e in scene.entities]
+    points = [e.centroid for e in listed.entities]
+    points += [listed.table.min_corner, listed.table.max_corner, listed.north]
+    assert all(type(point) is tuple for point in points)
+    assert all(listed.entity(e.id) is e for e in listed.entities)
+    assert listed.speaker is listed.entity("speaker") and listed.listener is listed.entity("listener")
+    extrinsic = frame_instance(FrameKind.EXTRINSIC, listed)
+    assert type(extrinsic.front_axis) is tuple and hash(extrinsic) == hash(
+        frame_instance(FrameKind.EXTRINSIC, scene)
+    )
+    assert _generated(listed, default_prefs) == _generated(scene, default_prefs)
 
 
 def test_several_faults_are_reported_in_check_order():
