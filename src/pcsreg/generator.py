@@ -34,7 +34,6 @@ from .frames import (
     PreferenceTable,
     Row,
     frame_instance,
-    frame_margin,
     preference_entropy,
     shared_frame,
     update_preferences,
@@ -176,9 +175,9 @@ def select_landmark(
     the distractors are projected onto the frame's two diagonals once per
     call, and each candidate once; each pair's quadrant is decided by the
     signs of the differences, and by ``prepositions._quadrant``, which is
-    ``relation``, only within ``frames.sign_margin`` of a diagonal (the
-    ``prepositions`` module docstring has the argument), read from
-    ``scene.frames`` when ``frame`` is one of the scene's shared frames.
+    ``relation``, only within the margin ``scene.margin_scale`` *
+    (|fx| + |fy|) of a diagonal (the ``prepositions`` module docstring has
+    the argument).
     """
     target = scene.entity(target_id)
     if target.kind is not EntityKind.OBJECT:
@@ -191,7 +190,7 @@ def select_landmark(
     distractors = sorted(matches - {target_id})
     fx, fy = frame.front_axis
     a, b = fx + fy, fy - fx  # front + right; front - right is (-b, a)
-    m = frame_margin(frame, scene)
+    m = scene.margin_scale * (abs(fx) + abs(fy))
     nm = -m
     located = [
         (px * a + py * b, py * a - px * b, px, py)
@@ -259,7 +258,7 @@ def build_landmark_chain(target_id: str, scene: Scene, base: PreferenceTable) ->
         raise GenerationError(f"no entity with id {target_id!r}")
     if not scene.entity(target_id).referable_as_target:
         raise GenerationError(f"entity {target_id!r} is not a referable target")
-    speaker_frame = shared_frame(FrameKind.EGOCENTRIC, scene)[0]
+    speaker_frame = shared_frame(FrameKind.EGOCENTRIC, scene)
     entity_rows = _RowsOnFirstUse(scene, base)
 
     for iterations in range(1, MAX_CHAIN_REBUILDS + 1):

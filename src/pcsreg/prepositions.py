@@ -19,8 +19,8 @@ from the signs of u = d.(front + right) and v = d.(front - right): front
 when both are positive, behind when both are negative, left when u < 0 < v
 and right when v < 0 < u.  ``partitions`` and ``generator.select_landmark``
 decide each pair by these signs when |u| and |v| both exceed the margin
-M = 1e-9 * max(1, C) * (|fx| + |fy|) of ``frames.sign_margin``, C being
-the largest |coordinate| of a table corner, and call ``_quadrant`` on
+M = ``scene.margin_scale`` * (|fx| + |fy|), the scale being 1e-9 * max(1, C)
+for C the largest |coordinate| of a table corner, and call ``_quadrant`` on
 every other pair.  Outside that band the signs give ``_quadrant``'s answer:
 
 - u / (|d| |front|) is f + r and v / (|d| |front|) is f - r, where f and r
@@ -39,10 +39,10 @@ The sign path skips ``_quadrant``'s coincidence check: ``Scene`` validation
 already rejects any two centroids closer than ``MIN_SEPARATION``, measured
 by the same ``math.hypot``.  A non-finite u or v falls to ``_quadrant``.
 
-``partitions`` reads the frames that every landmark shares, and their
-margins, from ``scene.frames`` (``frames.shared_frame``), where each is
-built once per scene.  ``Preposition.order`` is a plain member attribute,
-set as the class is created.
+``partitions`` reads the frames that every landmark shares from
+``scene.frames`` (``frames.shared_frame``), where each is built once per
+scene.  ``Preposition.order`` is a plain member attribute, set as the
+class is created.
 
 Topological prepositions ("near") carry no frame dependence and are outside
 this model; the expression parser rejects them.
@@ -54,7 +54,7 @@ import enum
 import math
 from typing import NamedTuple
 
-from .frames import FrameInstance, applicable_frames, frame_margin
+from .frames import FrameInstance, applicable_frames
 from .geometry import Vec, dot, norm, opposite, quarter_left, quarter_right, sub
 from .scene import MIN_SEPARATION, Entity, Scene
 
@@ -198,7 +198,7 @@ def partitions(landmark: Entity, scene: Scene) -> tuple[Partition, ...]:
         for frame in applicable_frames(landmark, scene):
             fx, fy = frame.front_axis
             a, b = fx + fy, fy - fx  # front + right; front - right is (-b, a)
-            m = frame_margin(frame, scene)
+            m = scene.margin_scale * (abs(fx) + abs(fy))
             nm = -m
             members: tuple[list[str], ...] = ([], [], [], [])
             for eid, dx, dy in others:

@@ -50,7 +50,9 @@ class AttributePhrase:
     """Visual content of one noun phrase.
 
     Either a person reference ("me"/"you") or any non-empty combination of
-    category, color, and shape.
+    category, color, and shape.  A ``person`` that is no ``PersonRef``, or
+    a category, color or shape that is neither None nor a string, raises
+    ``ValueError`` naming the field.
     """
 
     category: str | None = None
@@ -59,7 +61,12 @@ class AttributePhrase:
     person: PersonRef | None = None
 
     def __post_init__(self):
+        for name, value in (("category", self.category), ("color", self.color), ("shape", self.shape)):
+            if value is not None and type(value) is not str:
+                raise ValueError(f"{name} must be a string or None, got {value!r}")
         if self.person is not None:
+            if type(self.person) is not PersonRef:
+                raise ValueError(f"person must be a PersonRef, got {self.person!r}")
             if self.category or self.color or self.shape:
                 raise ValueError("person phrase cannot carry visual attributes")
         elif not (self.category or self.color or self.shape):

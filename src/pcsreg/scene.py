@@ -102,15 +102,17 @@ class Scene:
     """Entities on a table, validated on construction.
 
     Points given as lists are stored as tuples, so such a scene equals and
-    hashes like one built from tuples.  Three derived fields sit outside
+    hashes like one built from tuples.  Four derived fields sit outside
     equality, hashing and ``repr`` and hold no reference back to the scene,
     so a scene is freed as soon as its last reference goes.
     ``attributes`` maps (slot, lowercased value) to the ids of the entities
     with that value in that slot, in scene order.  ``relations`` holds, per
     landmark id, the frames and preposition partitions of
     ``prepositions.partitions``, filled as landmarks are first used.
-    ``frames`` holds the frames that every landmark shares, with their sign
-    margins, filled on first use by ``frames.shared_frame``.
+    ``frames`` holds the frames that every landmark shares, filled on first
+    use by ``frames.shared_frame``.  ``margin_scale`` is 1e-9 * max(1, C),
+    C the largest |coordinate| of a table corner; times |fx| + |fy| it is
+    the sign margin of front axis (fx, fy) (``prepositions``).
     """
 
     entities: tuple[Entity, ...]
@@ -123,6 +125,7 @@ class Scene:
     attributes: dict = field(init=False, repr=False, compare=False, hash=False, default=None)
     relations: dict = field(init=False, repr=False, compare=False, hash=False, default_factory=dict)
     frames: dict = field(init=False, repr=False, compare=False, hash=False, default_factory=dict)
+    margin_scale: float = field(init=False, repr=False, compare=False, hash=False, default=None)
 
     def __post_init__(self):
         for name, value in zip(_VALIDATED, _validate(self)):
@@ -157,7 +160,8 @@ def _point_fault(value) -> str | None:
 
 # The fields that ``_validate`` returns, in order.
 _VALIDATED = (
-    "entities", "table", "north", "_by_id", "speaker", "listener", "_referable_ids", "attributes"
+    "entities", "table", "north", "_by_id", "speaker", "listener", "_referable_ids", "attributes",
+    "margin_scale",
 )
 
 
@@ -167,10 +171,16 @@ def _validate(scene: Scene) -> tuple:
     ``_VALIDATED``: the entities, table and north with every point a tuple,
     and the scene's id index, speaker, listener, referable ids and
     attribute index, all built in the one pass over the entities that
-    checks them.  Of several faults, the first in the order of the checks
-    below is reported: the table, then ``north``, then each entity in scene
-    order, and last a missing agent.
+    checks them, and the table's margin scale.  Of several faults, the
+    first in the order of the checks below is reported: the table, then
+    ``north``, then the entities, then each entity in scene order, and last
+    a missing agent.  Each field's type is checked before its parts: a
+    table that is no ``TableExtent``, entities that are no tuple or list
+    and an item that is no ``Entity`` are reported at ``table``,
+    ``entities`` and ``entities[i]``.
     """
+    if not isinstance(scene.table, TableExtent):
+        raise SceneError("table", f"must be a TableExtent, got {reprlib.repr(scene.table)}")
     low, high = scene.table.min_corner, scene.table.max_corner
     if _point_fault(low) or _point_fault(high):
         corners = f"{reprlib.repr(low)} and {reprlib.repr(high)}"
@@ -179,6 +189,8 @@ def _validate(scene: Scene) -> tuple:
         raise SceneError("table", "min corner must be strictly below max corner")
     if _point_fault(scene.north) or not abs(math.hypot(*scene.north) - 1.0) <= UNIT_NORM_TOL:
         raise SceneError("north", f"must be a 2-d unit vector, got {reprlib.repr(scene.north)}")
+    if type(scene.entities) not in (tuple, list):
+        raise SceneError("entities", f"must be a tuple or list, got {reprlib.repr(scene.entities)}")
     table = scene.table
     if type(low) is not tuple or type(high) is not tuple:
         table = TableExtent(tuple(low), tuple(high))
@@ -189,6 +201,8 @@ def _validate(scene: Scene) -> tuple:
     # holds it for as long as it lives.
     index: dict[tuple[str, str], list[str]] = {}
     for i, e in enumerate(scene.entities):
+        if not isinstance(e, Entity):
+            raise SceneError(f"entities[{i}]", f"must be an Entity, got {reprlib.repr(e)}")
         for slot in ("id", *ATTRIBUTE_SLOTS):
             value = getattr(e, slot)
             if type(value) is not str and (value is not None or slot in ("id", "category")):
@@ -234,7 +248,8 @@ def _validate(scene: Scene) -> tuple:
     attributes = {key: tuple(ids) for key, ids in index.items()}
     speaker, listener = agents.values()
     entities = tuple(by_id.values())
-    return entities, table, tuple(scene.north), by_id, speaker, listener, tuple(referable), attributes
+    scale = 1e-9 * max(1.0, abs(low[0]), abs(low[1]), abs(high[0]), abs(high[1]))
+    return entities, table, tuple(scene.north), by_id, speaker, listener, tuple(referable), attributes, scale
 
 
 SCENE_SCHEMA = {

@@ -19,7 +19,6 @@ from pcsreg.frames import (
     load_preferences,
     preference_entropy,
     shared_frame,
-    sign_margin,
     supports_intrinsic,
     update_preferences,
 )
@@ -311,6 +310,14 @@ def _frame_table_scenes():
     return scenes
 
 
+def reference_margin(table, front):
+    """The sign margin written out from the table's corners, as the
+    ``prepositions`` module docstring states it."""
+    (x0, y0), (x1, y1) = table.min_corner, table.max_corner
+    extent = max(1.0, abs(x0), abs(y0), abs(x1), abs(y1))
+    return 1e-9 * extent * (abs(front[0]) + abs(front[1]))
+
+
 def test_applicable_frames_equal_fresh_frame_instances():
     for scene in _frame_table_scenes():
         for e in scene.entities:
@@ -320,14 +327,19 @@ def test_applicable_frames_equal_fresh_frame_instances():
                 if kind is not FrameKind.INTRINSIC or supports_intrinsic(e)
             )
             assert applicable_frames(e, scene) == fresh
-        # One instance per shared kind, built once with its margin.
+        # One instance per shared kind, built once.
         assert list(scene.frames) == [FrameKind.EGOCENTRIC, FrameKind.ADDRESSEE, FrameKind.EXTRINSIC]
-        for kind, (frame, margin) in scene.frames.items():
+        for kind, frame in scene.frames.items():
             assert frame == frame_instance(kind, scene)
-            assert margin == sign_margin(scene.table, frame.front_axis)
             assert all(
                 f is frame for e in scene.entities for f in applicable_frames(e, scene) if f.kind is kind
             )
+        # The scene's margin scale times |fx| + |fy| is the reference margin,
+        # bit for bit, for every applicable frame and for a skewed,
+        # non-unit front axis.
+        fronts = [f.front_axis for e in scene.entities for f in applicable_frames(e, scene)]
+        for fx, fy in fronts + [(0.6, -1.3)]:
+            assert scene.margin_scale * (abs(fx) + abs(fy)) == reference_margin(scene.table, (fx, fy))
 
 
 def test_scenes_that_differ_in_the_speaker_heading_share_no_frame_table():
@@ -336,14 +348,14 @@ def test_scenes_that_differ_in_the_speaker_heading_share_no_frame_table():
     for s in (scene, turned):
         applicable_frames(s.speaker, s)
     assert scene.frames is not turned.frames
-    assert shared_frame(FrameKind.EGOCENTRIC, scene)[0] == frame_instance(FrameKind.EGOCENTRIC, scene)
-    assert shared_frame(FrameKind.EGOCENTRIC, turned)[0] == frame_instance(FrameKind.EGOCENTRIC, turned)
+    assert shared_frame(FrameKind.EGOCENTRIC, scene) == frame_instance(FrameKind.EGOCENTRIC, scene)
+    assert shared_frame(FrameKind.EGOCENTRIC, turned) == frame_instance(FrameKind.EGOCENTRIC, turned)
     assert scene.frames[FrameKind.EGOCENTRIC] != turned.frames[FrameKind.EGOCENTRIC]
     assert scene.frames[FrameKind.ADDRESSEE] == turned.frames[FrameKind.ADDRESSEE]
 
 
 def test_frame_instance_returns_a_fresh_instance(blocks_car_scene):
-    shared = shared_frame(FrameKind.EGOCENTRIC, blocks_car_scene)[0]
+    shared = shared_frame(FrameKind.EGOCENTRIC, blocks_car_scene)
     fresh = frame_instance(FrameKind.EGOCENTRIC, blocks_car_scene)
     assert fresh == shared and fresh is not shared
 

@@ -244,7 +244,8 @@ def test_derived_fields_are_outside_equality_and_repr():
     assert a.frames and not b.frames
     assert a == b and hash(a) == hash(b)
     assert repr(a) == repr(b)
-    assert all(name not in repr(a) for name in ("attributes", "relations", "frames"))
+    assert a.margin_scale == b.margin_scale and a.margin_scale > 0
+    assert all(name not in repr(a) for name in ("attributes", "relations", "frames", "margin_scale"))
 
 
 def test_a_scene_with_geometry_is_freed_without_the_cycle_collector(default_prefs):

@@ -42,6 +42,20 @@ class TestAttributePhrase:
         with pytest.raises(ValueError):
             AttributePhrase(category="block", person=PersonRef.SPEAKER)
 
+    @pytest.mark.parametrize("person", ["speaker", "listener", 1, True])
+    def test_person_must_be_a_person_ref(self, person):
+        """A string ``person`` would otherwise denote the wrong agent."""
+        with pytest.raises(ValueError, match="^person must be a PersonRef"):
+            AttributePhrase(person=person)
+
+    @pytest.mark.parametrize("field", ["category", "color", "shape"])
+    @pytest.mark.parametrize("value", [5, 1.5, True, b"block", ["block"]])
+    def test_attributes_must_be_strings(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be a string or None"):
+            AttributePhrase(**{field: value})
+        with pytest.raises(ValueError, match=f"^{field} must be a string or None"):
+            AttributePhrase(**{"category": "block", "color": "red", "shape": "cube", field: value})
+
 
 class TestConsistentSet:
     def test_category_matches_all_objects(self, facing_square_scene):

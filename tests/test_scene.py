@@ -188,23 +188,35 @@ def test_python_scene_rejects_empty_strings(slot):
     assert str(err.value) == str(from_file.value)
 
 
-def _kind_as_string(entities):
-    entities[0] = dataclasses.replace(entities[0], kind="object")
+def _kind_as_string(parts):
+    parts["entities"][0] = dataclasses.replace(parts["entities"][0], kind="object")
 
 
-def _second_speaker(entities):
-    entities.append(dataclasses.replace(entities[1], id="speaker2", centroid=(0.5, -0.9)))
+def _second_speaker(parts):
+    parts["entities"].append(dataclasses.replace(parts["entities"][1], id="speaker2", centroid=(0.5, -0.9)))
 
 
-def _replaced_at(index, **fields):
-    def mutate(entities):
-        entities[index] = dataclasses.replace(entities[index], **fields)
+def _tuple_table(parts):
+    parts["table"] = ((-1.2, -1.2), (1.2, 1.2))
 
-    return mutate
+
+def _no_entities(parts):
+    parts["entities"] = None
+
+
+def _dict_entity(parts):
+    parts["entities"][0] = {"id": "blk_a", "kind": "object"}
+
+
+def _replace_entity(index, **fields):
+    def fix(parts):
+        parts["entities"][index] = dataclasses.replace(parts["entities"][index], **fields)
+
+    return fix
 
 
 def _replaced(**fields):
-    return _replaced_at(0, **fields)
+    return _replace_entity(0, **fields)
 
 
 def _centroid(centroid):
@@ -240,10 +252,14 @@ PYTHON_STRUCTURE_CASES = [
     ("north", "2-d unit vector", None, FINITE_TABLE, "ab"),
     ("north", "2-d unit vector", None, FINITE_TABLE, (False, True)),
     # HUGE is no finite number, and the message shortens it.
-    ("entities[1].heading", "must be finite, got 1000", _replaced_at(1, heading=HUGE), FINITE_TABLE, (0.0, 1.0)),
+    ("entities[1].heading", "must be finite, got 1000", _replace_entity(1, heading=HUGE), FINITE_TABLE, (0.0, 1.0)),
     ("entities[0].pos", "finite 2-d point, got (1000", _centroid((HUGE, 0.0)), FINITE_TABLE, (0.0, 1.0)),
     ("table", "2-d points, got (-1000", None, ((-HUGE, -1.2), (1.0, 1.0)), (0.0, 1.0)),
     ("north", "2-d unit vector, got (1000", None, FINITE_TABLE, (HUGE, 0)),
+    # A table, entity list or entity of the wrong type altogether.
+    ("table", "must be a TableExtent, got ((-1.2", _tuple_table, FINITE_TABLE, (0.0, 1.0)),
+    ("entities", "must be a tuple or list, got None", _no_entities, FINITE_TABLE, (0.0, 1.0)),
+    ("entities[0]", "must be an Entity, got {'id': 'blk_a'", _dict_entity, FINITE_TABLE, (0.0, 1.0)),
 ]
 
 
@@ -255,6 +271,7 @@ PYTHON_STRUCTURE_CASES = [
         *("str heading", "str in pos", "None pos", "bool in pos", "int color", "int id"),
         *("None min", "str in min", "bool in max", "None north", "str north", "bool north"),
         *("huge heading", "huge pos", "huge min", "huge north"),
+        *("tuple table", "None entities", "dict entity"),
     ],
 )
 def test_python_scene_rejects_bad_structure(path, message, mutate, corners, north):
@@ -262,11 +279,11 @@ def test_python_scene_rejects_bad_structure(path, message, mutate, corners, nort
     table corner without exactly two components and a field of the wrong
     type out of scene files; a ``Scene`` built in Python is checked on
     construction."""
-    entities = list(load_scene(json.dumps(minimal_doc())).entities)
+    parts = {"entities": list(load_scene(json.dumps(minimal_doc())).entities), "table": TableExtent(*corners)}
     if mutate is not None:
-        mutate(entities)
+        mutate(parts)
     with pytest.raises(SceneError) as err:
-        Scene(tuple(entities), TableExtent(*corners), north)
+        Scene(parts["entities"], parts["table"], north)
     assert err.value.path == path
     assert message in str(err.value)
     assert len(str(err.value)) < 120
@@ -292,13 +309,6 @@ def test_scene_file_rejects_bad_structure(path, message, mutate):
         load_scene(json.dumps(doc))
     assert err.value.path == path
     assert message in str(err.value)
-
-
-def _replace_entity(index, **fields):
-    def fix(parts):
-        parts["entities"][index] = dataclasses.replace(parts["entities"][index], **fields)
-
-    return fix
 
 
 def _update_entity(index, **fields):
@@ -350,25 +360,27 @@ def test_a_scene_built_with_list_points_equals_the_tuple_built_scene(default_pre
 
 def test_several_faults_are_reported_in_check_order():
     """Of several faults, the table's is reported first, then north's, then
-    each entity's in scene order, and a missing agent last: fixing each
-    reported fault in turn reveals the next, in a Python-built scene and
-    in a scene file."""
+    the entity list's, then each entity's in scene order, and a missing
+    agent last; a field of the wrong type is reported before its parts.
+    Fixing each reported fault in turn reveals the next, in a Python-built
+    scene and in a scene file."""
     entities = load_scene(json.dumps(minimal_doc())).entities
-    parts = {
-        "table": TableExtent((None, -1.0), (1.0, 1.0)),
-        "north": (False, True),
-        "entities": [
-            dataclasses.replace(entities[0], color=5, centroid=(5.0, 0.0)),
-            dataclasses.replace(entities[1], heading=None),
-            dataclasses.replace(entities[1], id="speaker2", centroid=(0.5, -0.9)),
-        ],
-    }
+    faulty = [
+        {"id": "blk_a"},
+        dataclasses.replace(entities[0], color=5, centroid=(5.0, 0.0)),
+        dataclasses.replace(entities[1], heading=None),
+        dataclasses.replace(entities[1], id="speaker2", centroid=(0.5, -0.9)),
+    ]
+    parts = {"table": ((None, -1.0), (1.0, 1.0)), "north": (False, True), "entities": None}
     _assert_reported_in_order(
-        lambda p: Scene(tuple(p["entities"]), p["table"], p["north"]),
+        lambda p: Scene(p["entities"], p["table"], p["north"]),
         parts,
         [
+            ("table", "must be a TableExtent", lambda p: p.update(table=TableExtent(*p["table"]))),
             ("table", "2-d points", lambda p: p.update(table=TableExtent(*FINITE_TABLE))),
             ("north", "must be a 2-d unit vector", lambda p: p.update(north=(0.0, 1.0))),
+            ("entities", "must be a tuple or list", lambda p: p.update(entities=faulty)),
+            ("entities[0]", "must be an Entity", lambda p: p["entities"].pop(0)),
             ("entities[0].color", "must be of type string or null", _replace_entity(0, color="red")),
             ("entities[0].pos", "outside table extent", _replace_entity(0, centroid=(0.1, 0.2))),
             ("entities[1].heading", "speaker must have a heading", _replace_entity(1, heading=HALF_PI)),
