@@ -305,7 +305,8 @@ def cmd_schema(_args) -> int:
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI's parser, built on first use and shared by every ``main`` call.
+    """The CLI's parser, built on first use and shared by every ``main`` call;
+    its ``verbs`` maps each verb to the subparser registered for it.
 
     Sharing is safe because ``parse_args`` leaves the parser unchanged, and
     help, usage and error text read the terminal width and ``sys.stdout`` /
@@ -344,15 +345,34 @@ def build_parser() -> argparse.ArgumentParser:
 
     sch = sub.add_parser("schema", help="print the scene/preferences/config/expression JSON schemas")
     sch.set_defaults(func=cmd_schema)
+    parser.verbs = {"generate": gen, "resolve": res, "explain": exp, "evaluate": ev, "schema": sch}
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)`` with a leading verb's arguments
+    parsed once: by that verb's parser alone, unless it leaves some over."""
+    parser = build_parser()
+    verb = parser.verbs.get(argv[0]) if argv else None
+    if verb is not None:
+        args, rest = verb.parse_known_args(argv[1:])
+        if not rest:
+            args.verb = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv=None) -> int:
-    """Run one CLI command and return its exit code; safe to call repeatedly."""
+    """Run one CLI command and return its exit code; safe to call repeatedly.
+
+    ``argv`` defaults to ``sys.argv[1:]``.  A known verb's arguments are
+    parsed by that verb's own parser; help and usage errors are argparse's
+    own, as from the full parser.
+    """
     _setup_logging()
     try:
         try:
-            args = build_parser().parse_args(argv)
+            args = _parse(sys.argv[1:] if argv is None else argv)
             if args.verb == "generate" and args.method == "random" and args.seed is None:
                 _fail(EXIT_USAGE, "--method random requires --seed")
             code = args.func(args)

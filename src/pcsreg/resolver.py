@@ -51,8 +51,8 @@ class AttributePhrase:
 
     Either a person reference ("me"/"you") or any non-empty combination of
     category, color, and shape.  A ``person`` that is no ``PersonRef``, or
-    a category, color or shape that is neither None nor a string, raises
-    ``ValueError`` naming the field.
+    a category, color or shape that is neither None nor a non-empty string,
+    raises ``ValueError`` naming the field.
     """
 
     category: str | None = None
@@ -62,8 +62,11 @@ class AttributePhrase:
 
     def __post_init__(self):
         for name, value in (("category", self.category), ("color", self.color), ("shape", self.shape)):
-            if value is not None and type(value) is not str:
-                raise ValueError(f"{name} must be a string or None, got {value!r}")
+            if value is not None:
+                if type(value) is not str:
+                    raise ValueError(f"{name} must be a string or None, got {value!r}")
+                if not value:
+                    raise ValueError(f"{name} must have at least 1 characters, got ''")
         if self.person is not None:
             if type(self.person) is not PersonRef:
                 raise ValueError(f"person must be a PersonRef, got {self.person!r}")
@@ -203,26 +206,27 @@ def denote(tree: ExpressionTree, scene: Scene, prefs: PreferenceTable) -> Denota
 
 # --- surface-string parsing -------------------------------------------------
 
-# (token sequence, preposition, implied person landmark or None), scanned
-# longest-first so "in front of" wins over any shorter overlap.
-_MARKERS: list[tuple[tuple[str, ...], Preposition, PersonRef | None]] = []
+# The markers that can start at a token, keyed by that first token: (token
+# sequence, preposition, implied person landmark or None), the preposition
+# None for a topological term the model rejects.  Within an entry the
+# topological sequences come first, then the projective ones longest-first,
+# so "in front of" wins over any shorter overlap.
+_MARKERS: dict[str, list[tuple[list[str], Preposition | None, PersonRef | None]]] = {}
+for _seq in TOPOLOGICAL_MARKERS:
+    _MARKERS.setdefault(_seq[0], []).append((list(_seq), None, None))
+_projective = []
 for _prep, _surface in PLAIN_SURFACE.items():
-    _MARKERS.append((tuple(_surface.split()), _prep, None))
+    _projective.append((_surface.split(), _prep, None))
 for _prep, _surface in SPEAKER_SURFACE.items():
     if _surface != PLAIN_SURFACE[_prep] + " me":
-        _MARKERS.append((tuple(_surface.split()), _prep, PersonRef.SPEAKER))
+        _projective.append((_surface.split(), _prep, PersonRef.SPEAKER))
 for _prep, _surface in LISTENER_SURFACE.items():
     if _surface != PLAIN_SURFACE[_prep] + " you":
-        _MARKERS.append((tuple(_surface.split()), _prep, PersonRef.LISTENER))
-_MARKERS.sort(key=lambda m: -len(m[0]))
-# A marker sequence can match only where its first token stands.
-_MARKER_STARTS = {seq[0] for seq, _, _ in _MARKERS} | {seq[0] for seq in TOPOLOGICAL_MARKERS}
+        _projective.append((_surface.split(), _prep, PersonRef.LISTENER))
+for _marker in sorted(_projective, key=lambda m: -len(m[0])):
+    _MARKERS.setdefault(_marker[0][0], []).append(_marker)
 
 Lexicon = Mapping[str, set]
-
-
-def _match_at(tokens: list[str], i: int, seq: tuple[str, ...]) -> bool:
-    return tuple(tokens[i : i + len(seq)]) == seq
 
 
 def _classify_attrs(words: list[str], lexicon: Lexicon) -> AttributePhrase:
@@ -255,27 +259,25 @@ def _parse_np(tokens: list[str], lexicon: Lexicon) -> ExpressionTree:
     i = 1
     words: list[str] = []
     while i < len(tokens):
-        if tokens[i] in _MARKER_STARTS:
-            for seq in TOPOLOGICAL_MARKERS:
-                if _match_at(tokens, i, seq):
-                    raise TopologicalPrepositionError(
-                        f"topological preposition {' '.join(seq)!r} is not supported; "
-                        "use a projective preposition (front/behind/left/right)"
+        for seq, prep, person in _MARKERS.get(tokens[i], ()):
+            if tokens[i : i + len(seq)] != seq:
+                continue
+            if prep is None:
+                raise TopologicalPrepositionError(
+                    f"topological preposition {' '.join(seq)!r} is not supported; "
+                    "use a projective preposition (front/behind/left/right)"
+                )
+            if not words:
+                raise ParseError(f"missing noun phrase before {' '.join(seq)!r}")
+            head = _classify_attrs(words, lexicon)
+            rest = tokens[i + len(seq) :]
+            if person is not None:
+                if rest:
+                    raise ParseError(
+                        f"unexpected tokens after {' '.join(seq)!r}: {' '.join(rest)!r}"
                     )
-            marker = next((m for m in _MARKERS if _match_at(tokens, i, m[0])), None)
-            if marker is not None:
-                seq, prep, person = marker
-                if not words:
-                    raise ParseError(f"missing noun phrase before {' '.join(seq)!r}")
-                head = _classify_attrs(words, lexicon)
-                rest = tokens[i + len(seq) :]
-                if person is not None:
-                    if rest:
-                        raise ParseError(
-                            f"unexpected tokens after {' '.join(seq)!r}: {' '.join(rest)!r}"
-                        )
-                    return Compound(head, prep, Leaf(AttributePhrase(person=person)))
-                return Compound(head, prep, _parse_np(rest, lexicon))
+                return Compound(head, prep, Leaf(AttributePhrase(person=person)))
+            return Compound(head, prep, _parse_np(rest, lexicon))
         words.append(tokens[i])
         i += 1
     return Leaf(_classify_attrs(words, lexicon))

@@ -1,7 +1,8 @@
 """Shared helpers: deterministic random expression trees over a scene, a
 simulated listener that compiles its own plan, a rotation, a scene with the
-speaker turned, the preference-file form of a table and the interpretive
-schema check that ``check_document``'s compiled check is held to."""
+speaker turned, the preference-file form of a table, the surface parser that
+scans every marker list at every token, and the interpretive schema check
+that ``check_document``'s compiled check is held to."""
 
 import math
 import random
@@ -9,8 +10,22 @@ import reprlib
 from dataclasses import replace
 
 from pcsreg.harness import ListenerPlan, simulate_listener
-from pcsreg.prepositions import Preposition
-from pcsreg.resolver import AttributePhrase, Compound, Leaf, PersonRef
+from pcsreg.prepositions import (
+    LISTENER_SURFACE,
+    PLAIN_SURFACE,
+    SPEAKER_SURFACE,
+    TOPOLOGICAL_MARKERS,
+    Preposition,
+)
+from pcsreg.resolver import (
+    AttributePhrase,
+    Compound,
+    Leaf,
+    ParseError,
+    PersonRef,
+    TopologicalPrepositionError,
+    _classify_attrs,
+)
 from pcsreg.scene import (
     _FLOAT_MAX,
     _JSON_TYPES,
@@ -84,6 +99,65 @@ def turn_speaker(scene, angle):
 def preferences_to_dict(table):
     """The preference-file document of ``table``, one row per landmark type."""
     return {lt.value: list(table.row(lt)) for lt in LandmarkType}
+
+
+# (token sequence, preposition, implied person landmark or None) of every
+# projective marker, longest first, so "in front of" wins over any shorter
+# overlap.
+PROJECTIVE_MARKERS = sorted(
+    [(tuple(s.split()), p, None) for p, s in PLAIN_SURFACE.items()]
+    + [
+        (tuple(s.split()), p, person)
+        for surfaces, person, pronoun in (
+            (SPEAKER_SURFACE, PersonRef.SPEAKER, " me"),
+            (LISTENER_SURFACE, PersonRef.LISTENER, " you"),
+        )
+        for p, s in surfaces.items()
+        if s != PLAIN_SURFACE[p] + pronoun
+    ],
+    key=lambda m: -len(m[0]),
+)
+
+
+def _match_at(tokens, i, seq):
+    return tuple(tokens[i : i + len(seq)]) == seq
+
+
+def reference_parse_np(tokens, lexicon):
+    """The surface parser's loop as two scans at every token: every
+    topological marker, then every projective marker, longest first."""
+    if tokens == ["me"]:
+        return Leaf(AttributePhrase(person=PersonRef.SPEAKER))
+    if tokens == ["you"]:
+        return Leaf(AttributePhrase(person=PersonRef.LISTENER))
+    if not tokens or tokens[0] != "the":
+        raise ParseError(f"expected a noun phrase, got {' '.join(tokens) or '<empty>'!r}")
+    i = 1
+    words = []
+    while i < len(tokens):
+        for seq in TOPOLOGICAL_MARKERS:
+            if _match_at(tokens, i, seq):
+                raise TopologicalPrepositionError(
+                    f"topological preposition {' '.join(seq)!r} is not supported; "
+                    "use a projective preposition (front/behind/left/right)"
+                )
+        marker = next((m for m in PROJECTIVE_MARKERS if _match_at(tokens, i, m[0])), None)
+        if marker is not None:
+            seq, prep, person = marker
+            if not words:
+                raise ParseError(f"missing noun phrase before {' '.join(seq)!r}")
+            head = _classify_attrs(words, lexicon)
+            rest = tokens[i + len(seq) :]
+            if person is not None:
+                if rest:
+                    raise ParseError(
+                        f"unexpected tokens after {' '.join(seq)!r}: {' '.join(rest)!r}"
+                    )
+                return Compound(head, prep, Leaf(AttributePhrase(person=person)))
+            return Compound(head, prep, reference_parse_np(rest, lexicon))
+        words.append(tokens[i])
+        i += 1
+    return Leaf(_classify_attrs(words, lexicon))
 
 
 def reference_check(doc, schema: dict):

@@ -691,6 +691,83 @@ def test_repeated_main_calls_match_fresh_processes(scene_paths, tmp_path, capsys
         assert fresh.returncode == code
 
 
+TOP_LEVEL_USAGE = "usage: pcsreg [-h] {generate,resolve,explain,evaluate,schema} ..."
+
+
+def _usage_battery(scene_paths, tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"seed": 3, "n_scenes": 1, "trials_per_expression": 1}))
+    blocks, square = str(scene_paths["blocks"]), str(scene_paths["square"])
+    expr = "the object in front of the square"
+    valid = {
+        "generate": ["--scene", blocks, "--target", "blk_a"],
+        "resolve": ["--scene", square, "--expr", expr, "--json"],
+        "explain": ["--scene", blocks, "--target", "blk_a"],
+        "evaluate": ["--config", str(config)],
+        "schema": [],
+    }
+    return [
+        *([verb, *args] for verb, args in valid.items()),
+        *([verb, "-h"] for verb in valid),
+        *([verb, *args, "--bogus"] for verb, args in valid.items()),
+        ["generate", "--scene", blocks],  # a required option missing
+        ["evaluate"],
+        ["resolve", "--sc", square, "--ex", expr],  # abbreviations
+        ["generate", "--s", blocks, "--target", "blk_a"],  # ambiguous: --scene or --seed
+        ["generate", "--scene=" + blocks, "--target", "blk_a", "--json"],
+        ["generate", "--scene", blocks, "--target", "blk_a", "--method", "nope"],
+        ["generate", "--scene", blocks, "--target", "blk_a", "--seed", "x"],
+        ["generate", "--scene", blocks, "--target", "blk_a", "--method", "random"],
+        ["generate", "--scene", blocks, "--target", "blk_a", "--he"],
+        ["schema", "extra"],  # an extra positional
+        ["resolve", "--scene", square, "--expr", expr, "extra"],
+        ["schema", "--"],
+        ["resolve", "--scene", square, "--", "--expr", expr],
+        [],
+        ["--help"],
+        ["-h"],
+        ["nope"],
+        ["gen", "--scene", blocks, "--target", "blk_a"],  # verbs are never abbreviated
+        ["--bogus", "schema"],  # an option before the verb
+        ["-h", "schema"],
+    ]
+
+
+def test_verb_routing_matches_the_full_parse(scene_paths, tmp_path, capsys, monkeypatch):
+    """``main`` parses a leading verb with that verb's own parser; each call
+    gives the exit code, stdout and stderr of a ``main`` that runs every argv
+    through the full parser."""
+    monkeypatch.setenv("COLUMNS", "80")
+    battery = _usage_battery(scene_paths, tmp_path)
+    got = []
+    for argv in battery:
+        code = cli.main(argv)
+        got.append((code, *capsys.readouterr()))
+    monkeypatch.setattr(cli, "_parse", lambda argv: cli.build_parser().parse_args(argv))
+    for argv, routed in zip(battery, got):
+        code = cli.main(argv)
+        assert routed == (code, *capsys.readouterr()), argv
+    assert {code for code, _, _ in got} == {0, 1}
+
+
+def test_unrecognized_arguments_print_the_top_level_usage(scene_paths, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = ["generate", "--scene", str(scene_paths["blocks"]), "--target", "blk_a", "--bogus"]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [TOP_LEVEL_USAGE, "error: unrecognized arguments: --bogus"]
+
+
+def test_main_reads_sys_argv_by_default(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["pcsreg", "schema", "--bogus"])
+    assert cli.main() == 1
+    assert capsys.readouterr().err.splitlines()[-1] == "error: unrecognized arguments: --bogus"
+    monkeypatch.setattr(sys, "argv", ["pcsreg", "schema"])
+    assert cli.main() == 0
+    assert json.loads(capsys.readouterr().out).keys() == {"scene", "preferences", "config", "expression"}
+
+
 def test_log_lines_go_to_each_calls_stderr(tmp_path, monkeypatch):
     monkeypatch.setenv("PCSREG_LOG", "info")
     config = tmp_path / "config.json"

@@ -197,7 +197,7 @@ def test_consistent_set_equals_an_attribute_scan(mixed_case_scene):
     scene = mixed_case_scene
     values = (
         case_variants("block", "cup", "robot", "person", "ultraviolet"),
-        case_variants("red", "blue") + [""],
+        case_variants("red", "blue"),
         case_variants("square", "round"),
     )
     phrases = list(phrases_over(values)) + [

@@ -1,14 +1,14 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import PROJECTIVE_MARKERS, random_tree, reference_parse_np
 from pcsreg.generator import realize
+from pcsreg.harness import derive_seed, sample_scene
 from pcsreg.prepositions import TOPOLOGICAL_MARKERS, Preposition
 from pcsreg.resolver import (
-    _MARKERS,
-    _classify_attrs,
-    _match_at,
     AttributePhrase,
     Compound,
     Denotation,
@@ -55,6 +55,23 @@ class TestAttributePhrase:
             AttributePhrase(**{field: value})
         with pytest.raises(ValueError, match=f"^{field} must be a string or None"):
             AttributePhrase(**{"category": "block", "color": "red", "shape": "cube", field: value})
+
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"category": "", "color": "yellow"},
+            {"person": PersonRef.SPEAKER, "category": ""},
+            {"category": "block", "shape": ""},
+        ],
+        ids=["with_color", "with_person", "shape"],
+    )
+    def test_empty_strings_are_rejected(self, fields):
+        """``""`` is no unset field: it would denote nothing and fail to
+        round-trip through ``tree_to_dict``."""
+        name = next(name for name, value in fields.items() if value == "")
+        with pytest.raises(ValueError, match=f"^{name} must have at least 1 characters, got ''$"):
+            AttributePhrase(**fields)
 
 
 class TestConsistentSet:
@@ -242,42 +259,6 @@ OVERLAP_VOCAB = {
 }
 
 
-def _full_scan_parse_np(tokens, lexicon):
-    """The parser loop that tries every marker sequence at every token."""
-    if tokens == ["me"]:
-        return Leaf(AttributePhrase(person=PersonRef.SPEAKER))
-    if tokens == ["you"]:
-        return Leaf(AttributePhrase(person=PersonRef.LISTENER))
-    if not tokens or tokens[0] != "the":
-        raise ParseError(f"expected a noun phrase, got {' '.join(tokens) or '<empty>'!r}")
-    i = 1
-    words = []
-    while i < len(tokens):
-        for seq in TOPOLOGICAL_MARKERS:
-            if _match_at(tokens, i, seq):
-                raise TopologicalPrepositionError(
-                    f"topological preposition {' '.join(seq)!r} is not supported; "
-                    "use a projective preposition (front/behind/left/right)"
-                )
-        marker = next((m for m in _MARKERS if _match_at(tokens, i, m[0])), None)
-        if marker is not None:
-            seq, prep, person = marker
-            if not words:
-                raise ParseError(f"missing noun phrase before {' '.join(seq)!r}")
-            head = _classify_attrs(words, lexicon)
-            rest = tokens[i + len(seq) :]
-            if person is not None:
-                if rest:
-                    raise ParseError(
-                        f"unexpected tokens after {' '.join(seq)!r}: {' '.join(rest)!r}"
-                    )
-                return Compound(head, prep, Leaf(AttributePhrase(person=person)))
-            return Compound(head, prep, _full_scan_parse_np(rest, lexicon))
-        words.append(tokens[i])
-        i += 1
-    return Leaf(_classify_attrs(words, lexicon))
-
-
 def _outcome(parse, *args):
     try:
         return parse(*args)
@@ -288,7 +269,7 @@ def _outcome(parse, *args):
 WORDS = sorted(set(MARKER_TOKENS).union(*OVERLAP_VOCAB.values()))
 # Whole marker sequences, so that relation units form often; the
 # projective ones three times as often as the topological ones.
-MARKER_SEQS = [seq for seq, _, _ in _MARKERS] * 3 + list(TOPOLOGICAL_MARKERS)
+MARKER_SEQS = [seq for seq, _, _ in PROJECTIVE_MARKERS] * 3 + list(TOPOLOGICAL_MARKERS)
 # A noun phrase: "the" (sometimes left out), lexicon words in realization
 # order, and sometimes one more token of any kind.
 noun_phrases = st.builds(
@@ -315,8 +296,81 @@ def test_parse_matches_the_full_marker_scan(tokens):
     if not tokens:
         return  # parse_expression rejects empty text before the loop
     assert _outcome(parse_expression, " ".join(tokens), OVERLAP_VOCAB) == _outcome(
-        _full_scan_parse_np, tokens, OVERLAP_VOCAB
+        reference_parse_np, tokens, OVERLAP_VOCAB
     )
+
+
+def _same_outcome(tokens, lexicon):
+    text = " ".join(tokens)
+    assert _outcome(parse_expression, text, lexicon) == _outcome(reference_parse_np, tokens, lexicon), text
+
+
+def _one_token_edits(tokens, words):
+    """``tokens`` and every copy with one token dropped, or one of ``words``
+    inserted or put in place of a token."""
+    yield tokens
+    for i in range(len(tokens) + 1):
+        if i < len(tokens):
+            yield tokens[:i] + tokens[i + 1 :]
+        for word in words:
+            yield tokens[:i] + [word] + tokens[i:]
+            if i < len(tokens):
+                yield tokens[:i] + [word] + tokens[i + 1 :]
+
+
+NEAR_MISSES = [
+    "the block next", "the block in front", "the block in", "the block to the",
+    "the block to the left", "the block on my", "the block on your", "the block close",
+    "the block in front of", "the block on", "the block next the car", "the block close of me",
+    "the block in back of the car", "the block to left of the car", "the block on the left",
+    "the block on my left of the car", "the block in front of me the car", "the block behind",
+    "the block near", "near the block", "the near block", "the in front of the car",
+]
+
+
+def test_marker_table_matches_the_scans_on_near_misses():
+    for text in NEAR_MISSES:
+        _same_outcome(text.split(), VOCAB)
+
+
+def test_marker_table_matches_the_scans_on_edited_surfaces():
+    """Realized surfaces of sampled trees, each with a topological marker at
+    every position and under every one-token edit, parse as the two scans
+    parse them: the same tree, or the same error type and message."""
+    rng = random.Random(34)
+    for i in range(6):
+        scene = sample_scene(derive_seed(34, "markers", i))
+        lexicon = attribute_vocabulary(scene)
+        words = sorted(set(MARKER_TOKENS).union(*lexicon.values()))
+        for _ in range(4):
+            tokens = realize(random_tree(scene, rng, max_depth=3)).split()
+            for seq in TOPOLOGICAL_MARKERS:
+                for at in range(len(tokens) + 1):
+                    _same_outcome(tokens[:at] + list(seq) + tokens[at:], lexicon)
+            for edited in _one_token_edits(tokens, words):
+                if edited:
+                    _same_outcome(edited, lexicon)
+
+
+EDIT_WORDS = sorted(set(MARKER_TOKENS).union(*VOCAB.values()))
+
+
+@pytest.mark.deep
+@given(trees(max_depth=4), st.sampled_from(["keep", "drop", "insert", "replace"]), st.data())
+def test_marker_table_matches_the_scans_on_an_edited_tree(tree, edit, data):
+    if isinstance(tree, Leaf) and tree.head.person is not None:
+        return
+    tokens = realize(tree).split()
+    at = data.draw(st.integers(0, len(tokens) - (edit != "insert")))
+    word = data.draw(st.sampled_from(EDIT_WORDS))
+    if edit == "drop":
+        tokens[at : at + 1] = []
+    elif edit == "insert":
+        tokens.insert(at, word)
+    elif edit == "replace":
+        tokens[at] = word
+    if tokens:
+        _same_outcome(tokens, VOCAB)
 
 
 def test_parse_expression_json(facing_square_scene):
