@@ -160,6 +160,9 @@ class PreferenceTable:
             raise preference_error((), f"must be of type object, got {reprlib.repr(self.rows)}")
         rows = MappingProxyType(dict(self.rows))
         object.__setattr__(self, "rows", rows)
+        for key in rows:  # the document view below has a key per LandmarkType only
+            if not isinstance(key, LandmarkType):
+                raise preference_error((key,), "is not allowed")
         doc = {lt.value: rows[lt] for lt in LandmarkType if lt in rows}
         check_document(doc, PREFS_SCHEMA, preference_error)
         for key, row in doc.items():

@@ -47,6 +47,7 @@ from .resolver import (
     spine,
 )
 from .scene import Entity, EntityKind, Scene, TableExtent, check_document, json_text, landmark_type
+from .scene import _TypesChecked
 
 DEFAULT_CATEGORIES = ("block", "car", "cup", "book")
 DEFAULT_COLORS = ("red", "yellow", "blue", "green")
@@ -158,8 +159,9 @@ def sample_scene(
                 heading=heading,
             )
         )
+    # Built from the checked pools: only the semantic rules are left to check.
     return Scene(
-        entities=tuple(entities + objects_out),
+        entities=_TypesChecked(entities + objects_out),
         table=TableExtent((-1.2, -1.2), (1.2, 1.2)),
         north=(0.0, 1.0),
     )

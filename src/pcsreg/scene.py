@@ -2,12 +2,12 @@
 
 A scene is a flat list of entities on a table plane.  Two of the entities
 are the conversation participants (speaker and listener); they can serve as
-landmarks but never as reference targets.  Everything is validated on
-construction so no partially built scene can escape, and the scene carries
-what its readers share: the attribute index, the per-landmark relation memo
-and the table of frames that every landmark shares, the last two filled on
-first use.  Each document schema is compiled once per process, on its first
-``check_document``.
+landmarks but never as reference targets.  Every scene is validated on
+construction, its types once, by ``SCENE_SCHEMA``, so no partially built
+scene can escape, and it carries what its readers share: the attribute
+index, the per-landmark relation memo and the table of frames that every
+landmark shares, the last two filled on first use.  Each document schema is
+compiled once per process, on its first ``check_document``.
 """
 
 from __future__ import annotations
@@ -101,10 +101,11 @@ ATTRIBUTE_SLOTS = ("category", "color", "shape")
 class Scene:
     """Entities on a table, validated on construction.
 
-    Points given as lists are stored as tuples, so such a scene equals and
-    hashes like one built from tuples.  Four derived fields sit outside
-    equality, hashing and ``repr`` and hold no reference back to the scene,
-    so a scene is freed as soon as its last reference goes.
+    Checked against ``SCENE_SCHEMA`` over a view of its fields, then by the
+    semantic rules (``_validate``).  Points given as lists are stored as
+    tuples, so such a scene equals and hashes like one built from tuples.
+    Four derived fields sit outside equality, hashing and ``repr`` and hold
+    no reference back to the scene, so it is freed with its last reference.
     ``attributes`` maps (slot, lowercased value) to the ids of the entities
     with that value in that slot, in scene order.  ``relations`` holds, per
     landmark id, the frames and preposition partitions of
@@ -147,15 +148,9 @@ class Scene:
         return self._referable_ids
 
 
-def _point_fault(value) -> str | None:
-    """Why ``value`` is no 2-d point, in the words ``_validate`` uses for a
-    centroid, or None for a tuple or list of exactly two finite numbers.
-    Types are compared exactly, so a bool is no number."""
-    if type(value) not in (tuple, list) or not {int, float}.issuperset(map(type, value)):
-        return f"must be of type array of numbers, got {reprlib.repr(value)}"
-    if len(value) != 2 or not (abs(value[0]) <= _FLOAT_MAX and abs(value[1]) <= _FLOAT_MAX):
-        return f"must be a finite 2-d point, got {reprlib.repr(value)}"
-    return None
+class _TypesChecked(tuple):
+    """Entities of a scene whose types, table and ``north`` included, meet
+    ``SCENE_SCHEMA``; as a ``Scene``'s ``entities`` they skip the type checks."""
 
 
 # The fields that ``_validate`` returns, in order.
@@ -166,32 +161,42 @@ _VALIDATED = (
 
 
 def _validate(scene: Scene) -> tuple:
-    """Raise ``SceneError`` for the first invalid field, types checked
-    exactly (a bool is no number); otherwise return the fields of
-    ``_VALIDATED``: the entities, table and north with every point a tuple,
-    and the scene's id index, speaker, listener, referable ids and
-    attribute index, all built in the one pass over the entities that
-    checks them, and the table's margin scale.  Of several faults, the
-    first in the order of the checks below is reported: the table, then
-    ``north``, then the entities, then each entity in scene order, and last
-    a missing agent.  Each field's type is checked before its parts: a
-    table that is no ``TableExtent``, entities that are no tuple or list
-    and an item that is no ``Entity`` are reported at ``table``,
-    ``entities`` and ``entities[i]``.
+    """Raise ``SceneError`` for the first invalid field; otherwise return
+    the fields of ``_VALIDATED``: the entities (a plain tuple), table and
+    north with every point a tuple, and the scene's id index, speaker,
+    listener, referable ids and attribute index, all built in the one pass
+    over the entities that checks them, and the table's margin scale.
+
+    Types come first, unless the entities are ``_TypesChecked``: the rules
+    with no JSON form (the table is a ``TableExtent``, each entity an
+    ``Entity`` with an ``EntityKind``), then ``SCENE_SCHEMA`` over a view of
+    the fields that holds a value of the wrong type as it is, for the schema
+    to report.  Then the semantic rules: min corner below max, a unit
+    ``north``, each entity in scene order, and last a missing agent.
     """
-    if not isinstance(scene.table, TableExtent):
-        raise SceneError("table", f"must be a TableExtent, got {reprlib.repr(scene.table)}")
-    low, high = scene.table.min_corner, scene.table.max_corner
-    if _point_fault(low) or _point_fault(high):
-        corners = f"{reprlib.repr(low)} and {reprlib.repr(high)}"
-        raise SceneError("table", f"corners must be finite 2-d points, got {corners}")
+    table = scene.table
+    if type(scene.entities) is not _TypesChecked:
+        if not isinstance(table, TableExtent):
+            raise SceneError("table", f"must be a TableExtent, got {reprlib.repr(table)}")
+        entities = scene.entities
+        if type(entities) in (tuple, list):
+            for i, e in enumerate(entities):
+                if not isinstance(e, Entity):
+                    raise SceneError(f"entities[{i}]", f"must be an Entity, got {reprlib.repr(e)}")
+                if not isinstance(e.kind, EntityKind):
+                    raise SceneError(f"entities[{i}].kind", f"must be an EntityKind, got {e.kind!r}")
+            entities = [
+                {"id": e.id, "kind": e.kind.value, "category": e.category, "color": e.color,
+                 "shape": e.shape, "pos": e.centroid, "heading": e.heading} for e in entities
+            ]
+        view = {"table": {"min": table.min_corner, "max": table.max_corner}, "north": scene.north,
+                "entities": entities}
+        check_document(view, SCENE_SCHEMA, _scene_error)
+    low, high = table.min_corner, table.max_corner
     if not (low[0] < high[0] and low[1] < high[1]):
         raise SceneError("table", "min corner must be strictly below max corner")
-    if _point_fault(scene.north) or not abs(math.hypot(*scene.north) - 1.0) <= UNIT_NORM_TOL:
+    if not abs(math.hypot(*scene.north) - 1.0) <= UNIT_NORM_TOL:
         raise SceneError("north", f"must be a 2-d unit vector, got {reprlib.repr(scene.north)}")
-    if type(scene.entities) not in (tuple, list):
-        raise SceneError("entities", f"must be a tuple or list, got {reprlib.repr(scene.entities)}")
-    table = scene.table
     if type(low) is not tuple or type(high) is not tuple:
         table = TableExtent(tuple(low), tuple(high))
     by_id: dict[str, Entity] = {}
@@ -201,32 +206,16 @@ def _validate(scene: Scene) -> tuple:
     # holds it for as long as it lives.
     index: dict[tuple[str, str], list[str]] = {}
     for i, e in enumerate(scene.entities):
-        if not isinstance(e, Entity):
-            raise SceneError(f"entities[{i}]", f"must be an Entity, got {reprlib.repr(e)}")
-        for slot in ("id", *ATTRIBUTE_SLOTS):
+        for slot in ATTRIBUTE_SLOTS:
             value = getattr(e, slot)
-            if type(value) is not str and (value is not None or slot in ("id", "category")):
-                names = "string" if slot in ("id", "category") else "string or null"
-                raise SceneError(f"entities[{i}].{slot}", f"must be of type {names}, got {value!r}")
-            if value == "":
-                raise SceneError(f"entities[{i}].{slot}", "must have at least 1 characters, got ''")
-            if value is not None and slot != "id":
+            if value is not None:
                 index.setdefault((slot, sys.intern(value.lower())), []).append(e.id)
-        if e.heading is not None and type(e.heading) not in (int, float):
-            raise SceneError(f"entities[{i}].heading", f"must be of type number or null, got {e.heading!r}")
-        fault = _point_fault(e.centroid)
-        if fault:
-            raise SceneError(f"entities[{i}].pos", fault)
         if not (low[0] <= e.centroid[0] <= high[0] and low[1] <= e.centroid[1] <= high[1]):
             raise SceneError(f"entities[{i}].pos", f"centroid {e.centroid} outside table extent")
         if type(e.centroid) is not tuple:
             e = replace(e, centroid=tuple(e.centroid))
-        if not isinstance(e.kind, EntityKind):
-            raise SceneError(f"entities[{i}].kind", f"must be an EntityKind, got {e.kind!r}")
         if e.id in by_id:
             raise SceneError(f"entities[{i}].id", f"duplicate id {e.id!r}")
-        if e.heading is not None and not abs(e.heading) <= _FLOAT_MAX:
-            raise SceneError(f"entities[{i}].heading", f"must be finite, got {reprlib.repr(e.heading)}")
         if e.kind in agents:
             if e.heading is None:
                 raise SceneError(f"entities[{i}].heading", f"{e.kind.value} must have a heading")
@@ -302,6 +291,10 @@ def dotted_path(path: tuple) -> str:
     return text[1:] or "$"
 
 
+def _scene_error(path: tuple, message: str) -> SceneError:
+    return SceneError(dotted_path(path), message)
+
+
 def _point(value) -> Vec:
     return (float(value[0]), float(value[1]))
 
@@ -310,11 +303,12 @@ _KINDS = {kind.value: kind for kind in EntityKind}
 
 
 def scene_from_dict(doc: dict) -> Scene:
-    """Check ``doc`` against ``SCENE_SCHEMA``, then build and validate the scene."""
-    check_document(doc, SCENE_SCHEMA, lambda path, message: SceneError(dotted_path(path), message))
+    """Check ``doc`` against ``SCENE_SCHEMA``, then build the scene, whose
+    types the schema has checked, and check its semantic rules."""
+    check_document(doc, SCENE_SCHEMA, _scene_error)
     table = doc["table"]
     return Scene(
-        entities=tuple(
+        entities=_TypesChecked(
             Entity(
                 id=raw["id"],
                 kind=_KINDS[raw["kind"]],

@@ -95,6 +95,23 @@ def test_table_rejects_rows_that_are_no_mapping(rows):
         PreferenceTable(rows)
 
 
+def test_table_rejects_keys_that_are_no_landmark_type():
+    """``PREFS_SCHEMA`` allows no other row: a file naming one is rejected,
+    and so is a table built in Python with a key that is no
+    ``LandmarkType``, in the same words."""
+    rows = default_preferences().rows
+    with pytest.raises(FrameError, match=r"^row 'speaker' is not allowed$"):
+        PreferenceTable({**rows, "speaker": (1, 0, 0, 0), None: 5})
+    with pytest.raises(FrameError, match=r"^row None is not allowed$"):
+        PreferenceTable({**rows, None: 5})
+    doc = {**preferences_to_dict(default_preferences()), "robot": [1.0, 0.0, 0.0, 0.0]}
+    with pytest.raises(FrameError) as from_file:
+        preferences_from_dict(doc)
+    with pytest.raises(FrameError) as from_python:
+        PreferenceTable({**rows, "robot": (1.0, 0.0, 0.0, 0.0)})
+    assert str(from_python.value) == str(from_file.value) == "row 'robot' is not allowed"
+
+
 def test_entropy_degenerate_and_uniform():
     assert preference_entropy((1.0, 0.0, 0.0, 0.0)) == 0.0
     assert preference_entropy((0.25, 0.25, 0.25, 0.25)) == pytest.approx(2.0, abs=1e-12)

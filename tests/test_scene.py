@@ -6,11 +6,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pcsreg import scene as scene_module
 from pcsreg.frames import FrameKind, frame_instance
 from pcsreg.generator import GenerationError, build_landmark_chain
 from pcsreg.harness import METHODS, sample_scene
 from pcsreg.optimizer import generate
 from pcsreg.scene import (
+    SCENE_SCHEMA,
     Entity,
     EntityKind,
     LandmarkType,
@@ -21,6 +23,8 @@ from pcsreg.scene import (
     dump_scene,
     landmark_type,
     load_scene,
+    scene_from_dict,
+    scene_to_dict,
 )
 
 HALF_PI = math.pi / 2
@@ -138,7 +142,7 @@ PYTHON_NON_FINITE_CASES = [
 @pytest.mark.parametrize("path, index, heading, north", PYTHON_NON_FINITE_CASES)
 def test_python_scene_rejects_non_finite_headings_and_north(path, index, heading, north):
     """The schema keeps these out of scene files; a ``Scene`` built in
-    Python is checked on construction.  A NaN north has no unit norm."""
+    Python is checked against it on construction."""
     entities = list(load_scene(json.dumps(minimal_doc())).entities)
     if index is not None:
         entities[index] = dataclasses.replace(entities[index], heading=heading)
@@ -151,18 +155,25 @@ FINITE_TABLE = ((-1.0, -1.0), (1.0, 1.0))
 UNBOUNDED_TABLE = ((-INF, -INF), (INF, INF))
 
 PYTHON_NON_FINITE_PLACES = [
-    ("table", UNBOUNDED_TABLE, None, None),
-    ("table", ((-1.0, -1.0), (1.0, NAN)), None, None),
-    ("table", UNBOUNDED_TABLE, 0, (INF, 0.0)),
+    ("table.min", UNBOUNDED_TABLE, None, None),
+    ("table.max", ((-1.0, -1.0), (1.0, NAN)), None, None),
+    ("table.min", UNBOUNDED_TABLE, 0, (INF, 0.0)),
     ("entities[0].pos", FINITE_TABLE, 0, (NAN, 0.2)),
     ("entities[1].pos", FINITE_TABLE, 1, (0.0, -INF)),
 ]
 
 
-@pytest.mark.parametrize("path, corners, index, centroid", PYTHON_NON_FINITE_PLACES)
+@pytest.mark.parametrize(
+    "path, corners, index, centroid",
+    PYTHON_NON_FINITE_PLACES,
+    ids=[
+        *("table-corners0-None-None", "table-corners1-None-None", "table-corners2-0-centroid2"),
+        *("entities[0].pos-corners3-0-centroid3", "entities[1].pos-corners4-1-centroid4"),
+    ],
+)
 def test_python_scene_rejects_non_finite_table_and_centroids(path, corners, index, centroid):
     """An unbounded table would let a non-finite centroid pass the extent
-    check, so the table is checked first."""
+    check, so the table is checked first, a corner at a time."""
     entities = list(load_scene(json.dumps(minimal_doc())).entities)
     if index is not None:
         entities[index] = dataclasses.replace(entities[index], centroid=centroid)
@@ -229,36 +240,36 @@ def _wrong_type(path, message, **fields):
 
 PYTHON_STRUCTURE_CASES = [
     ("entities[0].kind", "must be an EntityKind", _kind_as_string, FINITE_TABLE, (0.0, 1.0)),
-    ("north", "must be a 2-d unit vector", None, FINITE_TABLE, (0.0, 1.0, 0.0)),
+    ("north", "must have [2, 2] items, got (0.0, 1.0, 0.0)", None, FINITE_TABLE, (0.0, 1.0, 0.0)),
     ("entities", "more than one speaker", _second_speaker, FINITE_TABLE, (0.0, 1.0)),
     ("table", "strictly below", None, ((-1.0, 1.0), (1.0, 1.0)), (0.0, 1.0)),
-    ("entities[0].pos", "2-d point", _centroid((0.1, 0.2, 0.3)), FINITE_TABLE, (0.0, 1.0)),
-    ("entities[0].pos", "2-d point", _centroid((0.1,)), FINITE_TABLE, (0.0, 1.0)),
-    ("table", "2-d points", None, ((-1.0, -1.0, 5.0), (1.0, 1.0)), (0.0, 1.0)),
-    ("table", "2-d points", None, ((-1.0, -1.0), (1.0,)), (0.0, 1.0)),
+    ("entities[0].pos", "must have [2, 2] items", _centroid((0.1, 0.2, 0.3)), FINITE_TABLE, (0.0, 1.0)),
+    ("entities[0].pos", "must have [2, 2] items", _centroid((0.1,)), FINITE_TABLE, (0.0, 1.0)),
+    ("table.min", "must have [2, 2] items", None, ((-1.0, -1.0, 5.0), (1.0, 1.0)), (0.0, 1.0)),
+    ("table.max", "must have [2, 2] items", None, ((-1.0, -1.0), (1.0,)), (0.0, 1.0)),
     # Types ``SCENE_SCHEMA`` fixes in scene files, named in its words; a
     # bool is no number.
     _wrong_type("heading", "must be of type number or null, got 'abc'", heading="abc"),
-    _wrong_type("pos", "must be of type array of numbers, got ('0.1', 0.2)", centroid=("0.1", 0.2)),
-    _wrong_type("pos", "must be of type array of numbers, got None", centroid=None),
-    _wrong_type("pos", "must be of type array of numbers, got (True, 0.2)", centroid=(True, 0.2)),
+    _wrong_type("pos", "must contain finite numbers, got ('0.1', 0.2)", centroid=("0.1", 0.2)),
+    _wrong_type("pos", "must be of type array, got None", centroid=None),
+    _wrong_type("pos", "must contain finite numbers, got (True, 0.2)", centroid=(True, 0.2)),
     _wrong_type("color", "must be of type string or null, got 5", color=5),
     _wrong_type("id", "must be of type string, got 7", id=7),
     # Table corners and ``north`` get the same type checks as a centroid.
-    ("table", "2-d points", None, (None, (1.0, 1.0)), (0.0, 1.0)),
-    ("table", "2-d points", None, (("a", -1.0), (1.0, 1.0)), (0.0, 1.0)),
-    ("table", "2-d points", None, ((-1.0, -1.0), (True, 1.0)), (0.0, 1.0)),
-    ("north", "2-d unit vector", None, FINITE_TABLE, None),
-    ("north", "2-d unit vector", None, FINITE_TABLE, "ab"),
-    ("north", "2-d unit vector", None, FINITE_TABLE, (False, True)),
+    ("table.min", "must be of type array, got None", None, (None, (1.0, 1.0)), (0.0, 1.0)),
+    ("table.min", "must contain finite numbers, got ('a', -1.0)", None, (("a", -1.0), (1.0, 1.0)), (0.0, 1.0)),
+    ("table.max", "must contain finite numbers, got (True, 1.0)", None, ((-1.0, -1.0), (True, 1.0)), (0.0, 1.0)),
+    ("north", "must be of type array, got None", None, FINITE_TABLE, None),
+    ("north", "must be of type array, got 'ab'", None, FINITE_TABLE, "ab"),
+    ("north", "must contain finite numbers, got (False, True)", None, FINITE_TABLE, (False, True)),
     # HUGE is no finite number, and the message shortens it.
     ("entities[1].heading", "must be finite, got 1000", _replace_entity(1, heading=HUGE), FINITE_TABLE, (0.0, 1.0)),
-    ("entities[0].pos", "finite 2-d point, got (1000", _centroid((HUGE, 0.0)), FINITE_TABLE, (0.0, 1.0)),
-    ("table", "2-d points, got (-1000", None, ((-HUGE, -1.2), (1.0, 1.0)), (0.0, 1.0)),
-    ("north", "2-d unit vector, got (1000", None, FINITE_TABLE, (HUGE, 0)),
+    ("entities[0].pos", "must contain finite numbers, got (1000", _centroid((HUGE, 0.0)), FINITE_TABLE, (0.0, 1.0)),
+    ("table.min", "must contain finite numbers, got (-1000", None, ((-HUGE, -1.2), (1.0, 1.0)), (0.0, 1.0)),
+    ("north", "must contain finite numbers, got (1000", None, FINITE_TABLE, (HUGE, 0)),
     # A table, entity list or entity of the wrong type altogether.
     ("table", "must be a TableExtent, got ((-1.2", _tuple_table, FINITE_TABLE, (0.0, 1.0)),
-    ("entities", "must be a tuple or list, got None", _no_entities, FINITE_TABLE, (0.0, 1.0)),
+    ("entities", "must be of type array, got None", _no_entities, FINITE_TABLE, (0.0, 1.0)),
     ("entities[0]", "must be an Entity, got {'id': 'blk_a'", _dict_entity, FINITE_TABLE, (0.0, 1.0)),
 ]
 
@@ -277,8 +288,8 @@ PYTHON_STRUCTURE_CASES = [
 def test_python_scene_rejects_bad_structure(path, message, mutate, corners, north):
     """The schema keeps a kind outside ``EntityKind``, a north, centroid or
     table corner without exactly two components and a field of the wrong
-    type out of scene files; a ``Scene`` built in Python is checked on
-    construction."""
+    type out of scene files; a ``Scene`` built in Python is checked against
+    the same schema on construction, and gets its paths and words."""
     parts = {"entities": list(load_scene(json.dumps(minimal_doc())).entities), "table": TableExtent(*corners)}
     if mutate is not None:
         mutate(parts)
@@ -363,7 +374,8 @@ def test_several_faults_are_reported_in_check_order():
     the entity list's, then each entity's in scene order, and a missing
     agent last; a field of the wrong type is reported before its parts.
     Fixing each reported fault in turn reveals the next, in a Python-built
-    scene and in a scene file."""
+    scene and in a scene file.  (A Python-built scene's type faults all
+    come before its semantic faults: see the test below.)"""
     entities = load_scene(json.dumps(minimal_doc())).entities
     faulty = [
         {"id": "blk_a"},
@@ -377,9 +389,9 @@ def test_several_faults_are_reported_in_check_order():
         parts,
         [
             ("table", "must be a TableExtent", lambda p: p.update(table=TableExtent(*p["table"]))),
-            ("table", "2-d points", lambda p: p.update(table=TableExtent(*FINITE_TABLE))),
-            ("north", "must be a 2-d unit vector", lambda p: p.update(north=(0.0, 1.0))),
-            ("entities", "must be a tuple or list", lambda p: p.update(entities=faulty)),
+            ("table.min", "must contain finite numbers", lambda p: p.update(table=TableExtent(*FINITE_TABLE))),
+            ("north", "must contain finite numbers", lambda p: p.update(north=(0.0, 1.0))),
+            ("entities", "must be of type array", lambda p: p.update(entities=faulty)),
             ("entities[0]", "must be an Entity", lambda p: p["entities"].pop(0)),
             ("entities[0].color", "must be of type string or null", _replace_entity(0, color="red")),
             ("entities[0].pos", "outside table extent", _replace_entity(0, centroid=(0.1, 0.2))),
@@ -408,6 +420,121 @@ def test_several_faults_are_reported_in_check_order():
             ("entities", "missing speaker", _update_entity(1, kind="speaker")),
         ],
     )
+
+
+def test_every_type_fault_is_reported_before_any_semantic_fault():
+    """A Python-built scene's types are checked first: by hand the table's
+    type, then each entity's type and kind's type, then ``SCENE_SCHEMA`` in
+    the order table, ``north``, entities.  The semantic rules come last."""
+    entities = load_scene(json.dumps(minimal_doc())).entities
+    parts = {
+        "table": ((1.0, -1.0), (1.0, NAN)),
+        "north": (0.0, "2"),
+        "entities": [
+            {"id": "blk_a"},
+            dataclasses.replace(entities[0], color=5, centroid=(5.0, 0.0)),
+            dataclasses.replace(entities[1], kind="speaker", heading=None),
+            dataclasses.replace(entities[2], id="b1"),
+        ],
+    }
+    _assert_reported_in_order(
+        lambda p: Scene(p["entities"], p["table"], p["north"]),
+        parts,
+        [
+            ("table", "must be a TableExtent", lambda p: p.update(table=TableExtent(*p["table"]))),
+            ("entities[0]", "must be an Entity", lambda p: p["entities"].pop(0)),
+            ("entities[1].kind", "must be an EntityKind", _replace_entity(1, kind=EntityKind.SPEAKER)),
+            ("table.max", "must contain finite numbers", lambda p: p.update(table=TableExtent((1.0, -1.0), (1.0, 1.0)))),
+            ("north", "must contain finite numbers", lambda p: p.update(north=(0.0, 2.0))),
+            ("entities[0].color", "must be of type string or null", _replace_entity(0, color="red")),
+            ("table", "strictly below", lambda p: p.update(table=TableExtent(*FINITE_TABLE))),
+            ("north", "must be a 2-d unit vector", lambda p: p.update(north=(0.0, 1.0))),
+            ("entities[0].pos", "outside table extent", _replace_entity(0, centroid=(0.1, 0.2))),
+            ("entities[1].heading", "speaker must have a heading", _replace_entity(1, heading=HALF_PI)),
+            ("entities[2].id", "duplicate id 'b1'", _replace_entity(2, id="listener")),
+        ],
+    )
+
+
+# A field and a bad value for it: the file holds the value as JSON, the
+# Python-built scene as it is, each array a tuple.
+SAME_FAULT_CASES = {
+    "int id": ("entities[0].id", 7),
+    "None category": ("entities[0].category", None),
+    "empty color": ("entities[0].color", ""),
+    "str heading": ("entities[0].heading", "abc"),
+    "str pos": ("entities[0].pos", ("0.1", "0.2")),
+    "bool pos": ("entities[0].pos", (True, False)),
+    "3-item pos": ("entities[0].pos", (0.1, 0.2, 0.3)),
+    "huge pos": ("entities[0].pos", (1e400, 0.2)),
+    "None min": ("table.min", None),
+    "None north": ("north", None),
+}
+
+
+@pytest.mark.parametrize("path, value", SAME_FAULT_CASES.values(), ids=list(SAME_FAULT_CASES))
+def test_a_type_fault_gets_one_message_in_a_file_and_in_python(path, value):
+    """``SCENE_SCHEMA`` is the one statement of a scene's types: a scene file
+    and a ``Scene`` built in Python with the same bad value raise at the same
+    path with the same message, up to the repr of a tuple against a list."""
+    doc = minimal_doc()
+    entities = list(load_scene(json.dumps(doc)).entities)
+    table, north = TableExtent(*FINITE_TABLE), (0.0, 1.0)
+    listed = list(value) if isinstance(value, tuple) else value
+    if path == "table.min":
+        doc["table"]["min"], table = listed, TableExtent(value, FINITE_TABLE[1])
+    elif path == "north":
+        doc["north"], north = listed, value
+    else:
+        key = path.rpartition(".")[2]
+        doc["entities"][0][key] = listed
+        entities[0] = dataclasses.replace(entities[0], **{"centroid" if key == "pos" else key: value})
+    with pytest.raises(SceneError) as from_file:
+        load_scene(json.dumps(doc))
+    with pytest.raises(SceneError) as from_python:
+        Scene(tuple(entities), table, north)
+    assert from_file.value.path == from_python.value.path == path
+    assert str(from_python.value).replace("(", "[").replace(")", "]") == str(from_file.value)
+
+
+def test_each_scene_is_checked_against_the_schema_once(monkeypatch):
+    """A scene file is checked once, as a document; a sampled scene, built
+    from checked pools, not at all; a ``Scene`` built in Python once.  No
+    scene keeps the entities' marker type."""
+    check_document = scene_module.check_document
+    calls = []
+
+    def counted(doc, schema, invalid):
+        calls.append(schema)
+        return check_document(doc, schema, invalid)
+
+    monkeypatch.setattr(scene_module, "check_document", counted)
+    loaded = load_scene(json.dumps(minimal_doc()))
+    assert calls == [SCENE_SCHEMA]
+    sampled = sample_scene(3)
+    assert calls == [SCENE_SCHEMA]
+    built = Scene(tuple(sampled.entities), sampled.table, sampled.north)
+    assert calls == [SCENE_SCHEMA, SCENE_SCHEMA]
+    assert all(type(s.entities) is tuple for s in (loaded, sampled, built))
+
+
+@pytest.mark.parametrize("objects", [(3, 8), (8, 16), (16, 30)], ids=str)
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**63 - 1))
+def test_the_paths_that_skip_the_type_checks_build_the_checked_scene(objects, seed):
+    """``sample_scene`` and ``scene_from_dict`` skip the schema pass over the
+    scene they build; the scene and its derived fields equal those of the
+    same scene built in Python, which takes the pass."""
+    sampled = sample_scene(seed, objects=objects)
+    checked = Scene(tuple(sampled.entities), sampled.table, sampled.north)
+    loaded = scene_from_dict(scene_to_dict(sampled))
+    for scene in (sampled, loaded):
+        assert scene == checked
+        assert scene._by_id == checked._by_id
+        assert (scene.speaker, scene.listener) == (checked.speaker, checked.listener)
+        assert scene.referable_ids() == checked.referable_ids()
+        assert scene.attributes == checked.attributes
+        assert scene.margin_scale == checked.margin_scale
 
 
 def test_north_defaults_when_absent():
