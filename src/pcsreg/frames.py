@@ -5,8 +5,9 @@ axis; the remaining direction axes are exact quarter turns of it, so the
 projective semantics for any frame is a 90-degree rotation of any other.
 The egocentric, addressee and extrinsic frames do not depend on the
 landmark, so a scene builds each of them once: on first use, into
-``scene.frames`` (``shared_frame``).  ``FrameKind.order`` is a plain
-member attribute, set as the class is created.
+``scene.frames``, by ``frame_instance``, the one binder of frames to a
+scene.  ``FrameKind.order`` is a plain member attribute, set as the class
+is created.
 
 Preference tables give, per landmark category, the probability that a
 listener adopts each frame kind.  The shipped defaults come from an
@@ -72,26 +73,30 @@ def frame_instance(
 ) -> FrameInstance:
     """Bind a frame kind to the scene.
 
-    The intrinsic frame requires ``intrinsic_origin`` naming an oriented
-    object; the other kinds ignore it.
+    The egocentric, addressee and extrinsic frames are the scene's own:
+    built on first use and kept in ``scene.frames``.  The intrinsic frame
+    requires ``intrinsic_origin`` naming an oriented object, and is built
+    afresh on each call, never kept; the other kinds ignore the origin.
     """
-    if kind is FrameKind.EGOCENTRIC:
-        e = scene.speaker
-        return FrameInstance(kind, e.id, heading_vec(e.heading))
-    if kind is FrameKind.ADDRESSEE:
-        e = scene.listener
-        return FrameInstance(kind, e.id, heading_vec(e.heading))
+    frame = scene.frames.get(kind)
+    if frame is not None:
+        return frame
+    if kind is FrameKind.INTRINSIC:
+        if intrinsic_origin is None:
+            raise FrameError("intrinsic frame requires an origin entity")
+        origin = scene.entity(intrinsic_origin)
+        if not supports_intrinsic(origin):
+            raise FrameError(
+                f"intrinsic frame origin {intrinsic_origin!r} is not an oriented object"
+            )
+        return FrameInstance(kind, origin.id, heading_vec(origin.heading))
     if kind is FrameKind.EXTRINSIC:
-        return FrameInstance(kind, None, scene.north)
-    # intrinsic
-    if intrinsic_origin is None:
-        raise FrameError("intrinsic frame requires an origin entity")
-    origin = scene.entity(intrinsic_origin)
-    if not supports_intrinsic(origin):
-        raise FrameError(
-            f"intrinsic frame origin {intrinsic_origin!r} is not an oriented object"
-        )
-    return FrameInstance(kind, origin.id, heading_vec(origin.heading))
+        frame = FrameInstance(kind, None, scene.north)
+    else:
+        e = scene.speaker if kind is FrameKind.EGOCENTRIC else scene.listener
+        frame = FrameInstance(kind, e.id, heading_vec(e.heading))
+    scene.frames[kind] = frame
+    return frame
 
 
 def supports_intrinsic(entity) -> bool:
@@ -102,24 +107,15 @@ def supports_intrinsic(entity) -> bool:
 _SHARED_KINDS = (FrameKind.EGOCENTRIC, FrameKind.ADDRESSEE, FrameKind.EXTRINSIC)
 
 
-def shared_frame(kind: FrameKind, scene: Scene) -> FrameInstance:
-    """The scene's egocentric, addressee or extrinsic frame: built on first
-    use and kept in ``scene.frames``."""
-    frame = scene.frames.get(kind)
-    if frame is None:
-        frame = scene.frames[kind] = frame_instance(kind, scene)
-    return frame
-
-
 def applicable_frames(landmark: Entity, scene: Scene) -> tuple[FrameInstance, ...]:
     """The frames a listener can adopt at ``landmark``, in ``FRAME_ORDER``.
 
     Egocentric and addressee frames originate at the speaker and the
     listener, the extrinsic frame has no origin, and the intrinsic frame is
     applicable only at an oriented object, which is its origin.  The
-    others are the scene's ``shared_frame`` instances.
+    others are the scene's own (``frame_instance``).
     """
-    frames = [shared_frame(kind, scene) for kind in _SHARED_KINDS]
+    frames = [frame_instance(kind, scene) for kind in _SHARED_KINDS]
     if supports_intrinsic(landmark):
         frames.insert(2, frame_instance(FrameKind.INTRINSIC, scene, landmark.id))
     return tuple(frames)
@@ -149,8 +145,10 @@ def _renormalize(row: Sequence[float]) -> Row:
 class PreferenceTable:
     """Per landmark-type probability distribution over frame kinds.
 
-    ``rows`` is stored as a read-only copy, so a table can be shared.  Each
-    row meets ``PREFS_SCHEMA`` and sums to 1 within ``ROW_SUM_TOL``, entries <= 1.
+    ``rows`` is stored as a read-only copy with each row a tuple, so a table
+    can be shared and a table given list rows equals the tuple-built one.
+    Each row meets ``PREFS_SCHEMA`` and sums to 1 within ``ROW_SUM_TOL``,
+    entries <= 1.
     """
 
     rows: Mapping[LandmarkType, Row]
@@ -158,8 +156,7 @@ class PreferenceTable:
     def __post_init__(self):
         if not isinstance(self.rows, Mapping):
             raise preference_error((), f"must be of type object, got {reprlib.repr(self.rows)}")
-        rows = MappingProxyType(dict(self.rows))
-        object.__setattr__(self, "rows", rows)
+        rows = dict(self.rows)
         for key in rows:  # the document view below has a key per LandmarkType only
             if not isinstance(key, LandmarkType):
                 raise preference_error((key,), "is not allowed")
@@ -168,6 +165,8 @@ class PreferenceTable:
         for key, row in doc.items():
             if max(row) > 1.0 or abs(ordered_sum(row) - 1.0) > ROW_SUM_TOL:
                 raise FrameError(f"row {key!r} must sum to 1 within {ROW_SUM_TOL}, entries <= 1")
+        rows = MappingProxyType({lt: tuple(row) for lt, row in rows.items()})
+        object.__setattr__(self, "rows", rows)
 
     def row(self, lt: LandmarkType) -> Row:
         return self.rows[lt]

@@ -35,7 +35,6 @@ from .frames import (
     Row,
     frame_instance,
     preference_entropy,
-    shared_frame,
     update_preferences,
 )
 from .prepositions import (
@@ -258,7 +257,7 @@ def build_landmark_chain(target_id: str, scene: Scene, base: PreferenceTable) ->
         raise GenerationError(f"no entity with id {target_id!r}")
     if not scene.entity(target_id).referable_as_target:
         raise GenerationError(f"entity {target_id!r} is not a referable target")
-    speaker_frame = shared_frame(FrameKind.EGOCENTRIC, scene)
+    speaker_frame = frame_instance(FrameKind.EGOCENTRIC, scene)
     entity_rows = _RowsOnFirstUse(scene, base)
 
     for iterations in range(1, MAX_CHAIN_REBUILDS + 1):

@@ -40,9 +40,9 @@ already rejects any two centroids closer than ``MIN_SEPARATION``, measured
 by the same ``math.hypot``.  A non-finite u or v falls to ``_quadrant``.
 
 ``partitions`` reads the frames that every landmark shares from
-``scene.frames`` (``frames.shared_frame``), where each is built once per
-scene.  ``Preposition.order`` is a plain member attribute, set as the
-class is created.
+``scene.frames``, where ``frames.frame_instance``, the one frame binder,
+builds each once per scene.  ``Preposition.order`` is a plain member
+attribute, set as the class is created.
 
 Topological prepositions ("near") carry no frame dependence and are outside
 this model; the expression parser rejects them.

@@ -101,19 +101,20 @@ ATTRIBUTE_SLOTS = ("category", "color", "shape")
 class Scene:
     """Entities on a table, validated on construction.
 
-    Checked against ``SCENE_SCHEMA`` over a view of its fields, then by the
-    semantic rules (``_validate``).  Points given as lists are stored as
-    tuples, so such a scene equals and hashes like one built from tuples.
-    Four derived fields sit outside equality, hashing and ``repr`` and hold
-    no reference back to the scene, so it is freed with its last reference.
-    ``attributes`` maps (slot, lowercased value) to the ids of the entities
-    with that value in that slot, in scene order.  ``relations`` holds, per
-    landmark id, the frames and preposition partitions of
-    ``prepositions.partitions``, filled as landmarks are first used.
-    ``frames`` holds the frames that every landmark shares, filled on first
-    use by ``frames.shared_frame``.  ``margin_scale`` is 1e-9 * max(1, C),
-    C the largest |coordinate| of a table corner; times |fx| + |fy| it is
-    the sign margin of front axis (fx, fy) (``prepositions``).
+    Checked against ``SCENE_SCHEMA`` over its document (``scene_to_dict``),
+    then by the semantic rules (``_validate``).  Points given as lists are
+    stored as tuples, so such a scene equals and hashes like one built from
+    tuples.  Four derived fields sit outside equality, hashing and ``repr``
+    and hold no reference back to the scene, so it is freed with its last
+    reference.  ``attributes`` maps (slot, lowercased value) to the ids of
+    the entities with that value in that slot, in scene order.
+    ``relations`` holds, per landmark id, the frames and preposition
+    partitions of ``prepositions.partitions``, filled as landmarks are first
+    used.  ``frames`` holds the frames that every landmark shares, filled on
+    first use by ``frames.frame_instance``, the one frame binder.
+    ``margin_scale`` is 1e-9 * max(1, C), C the largest |coordinate| of a
+    table corner; times |fx| + |fy| it is the sign margin of front axis
+    (fx, fy) (``prepositions``).
     """
 
     entities: tuple[Entity, ...]
@@ -169,29 +170,22 @@ def _validate(scene: Scene) -> tuple:
 
     Types come first, unless the entities are ``_TypesChecked``: the rules
     with no JSON form (the table is a ``TableExtent``, each entity an
-    ``Entity`` with an ``EntityKind``), then ``SCENE_SCHEMA`` over a view of
-    the fields that holds a value of the wrong type as it is, for the schema
-    to report.  Then the semantic rules: min corner below max, a unit
-    ``north``, each entity in scene order, and last a missing agent.
+    ``Entity`` with an ``EntityKind``), then ``SCENE_SCHEMA`` over
+    ``scene_to_dict``, which holds a value of the wrong type as it is, for
+    the schema to report.  Then the semantic rules: min corner below max, a
+    unit ``north``, each entity in scene order, and last a missing agent.
     """
     table = scene.table
     if type(scene.entities) is not _TypesChecked:
         if not isinstance(table, TableExtent):
             raise SceneError("table", f"must be a TableExtent, got {reprlib.repr(table)}")
-        entities = scene.entities
-        if type(entities) in (tuple, list):
-            for i, e in enumerate(entities):
+        if type(scene.entities) in (tuple, list):
+            for i, e in enumerate(scene.entities):
                 if not isinstance(e, Entity):
                     raise SceneError(f"entities[{i}]", f"must be an Entity, got {reprlib.repr(e)}")
                 if not isinstance(e.kind, EntityKind):
                     raise SceneError(f"entities[{i}].kind", f"must be an EntityKind, got {e.kind!r}")
-            entities = [
-                {"id": e.id, "kind": e.kind.value, "category": e.category, "color": e.color,
-                 "shape": e.shape, "pos": e.centroid, "heading": e.heading} for e in entities
-            ]
-        view = {"table": {"min": table.min_corner, "max": table.max_corner}, "north": scene.north,
-                "entities": entities}
-        check_document(view, SCENE_SCHEMA, _scene_error)
+        check_document(scene_to_dict(scene), SCENE_SCHEMA, _scene_error)
     low, high = table.min_corner, table.max_corner
     if not (low[0] < high[0] and low[1] < high[1]):
         raise SceneError("table", "min corner must be strictly below max corner")
@@ -326,25 +320,19 @@ def scene_from_dict(doc: dict) -> Scene:
 
 
 def scene_to_dict(scene: Scene) -> dict:
-    return {
-        "north": [scene.north[0], scene.north[1]],
-        "table": {
-            "min": list(scene.table.min_corner),
-            "max": list(scene.table.max_corner),
-        },
-        "entities": [
-            {
-                "id": e.id,
-                "kind": e.kind.value,
-                "category": e.category,
-                "color": e.color,
-                "shape": e.shape,
-                "pos": [e.centroid[0], e.centroid[1]],
-                "heading": e.heading,
-            }
-            for e in scene.entities
-        ],
-    }
+    """The scene's document: each point is the tuple the scene holds, which
+    ``json_text`` writes as an array.  A value of the wrong type, entities
+    that are no tuple or list included, is held as it is, so
+    ``check_document`` can report it."""
+    entities = scene.entities
+    if type(entities) in (tuple, list):
+        entities = [
+            {"id": e.id, "kind": e.kind.value, "category": e.category, "color": e.color,
+             "shape": e.shape, "pos": e.centroid, "heading": e.heading} for e in entities
+        ]
+    table = scene.table
+    return {"table": {"min": table.min_corner, "max": table.max_corner}, "north": scene.north,
+            "entities": entities}
 
 
 def parse_json(text: str, invalid: Callable[[str], Exception]):

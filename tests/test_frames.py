@@ -10,6 +10,7 @@ from pcsreg.frames import (
     _DEFAULT_ROWS,
     FRAME_ORDER,
     FrameError,
+    FrameInstance,
     FrameKind,
     PreferenceTable,
     applicable_frames,
@@ -18,11 +19,10 @@ from pcsreg.frames import (
     preferences_from_dict,
     load_preferences,
     preference_entropy,
-    shared_frame,
-    supports_intrinsic,
     update_preferences,
 )
-from pcsreg.geometry import dot, quarter_right
+from pcsreg.generator import GenerationError, build_landmark_chain
+from pcsreg.geometry import dot, heading_vec, quarter_right
 from pcsreg.harness import derive_seed, sample_scene
 from pcsreg.prepositions import Preposition
 from pcsreg.scene import EntityKind, LandmarkType, load_scene
@@ -110,6 +110,25 @@ def test_table_rejects_keys_that_are_no_landmark_type():
     with pytest.raises(FrameError) as from_python:
         PreferenceTable({**rows, "robot": (1.0, 0.0, 0.0, 0.0)})
     assert str(from_python.value) == str(from_file.value) == "row 'robot' is not allowed"
+
+
+def _chain_or_fault(target, scene, prefs):
+    try:
+        return build_landmark_chain(target, scene, prefs)
+    except GenerationError as exc:
+        return str(exc)
+
+
+def test_a_table_given_list_rows_equals_the_tuple_table():
+    prefs = default_preferences()
+    listed = PreferenceTable({lt: list(row) for lt, row in prefs.rows.items()})
+    assert listed == prefs
+    assert all(type(row) is tuple for row in listed.rows.values())
+    for objects in ((3, 8), (16, 30)):
+        for i in range(3):
+            scene = sample_scene(derive_seed(5, "list rows", objects, i), objects=objects)
+            for target in scene.referable_ids():
+                assert _chain_or_fault(target, scene, listed) == _chain_or_fault(target, scene, prefs)
 
 
 def test_entropy_degenerate_and_uniform():
@@ -335,19 +354,29 @@ def reference_margin(table, front):
     return 1e-9 * extent * (abs(front[0]) + abs(front[1]))
 
 
+def _reference_frames(landmark, scene):
+    """The frames applicable at ``landmark``, built here from the agents'
+    headings, ``scene.north`` and the landmark's own heading."""
+    speaker, listener = scene.speaker, scene.listener
+    frames = [
+        FrameInstance(FrameKind.EGOCENTRIC, speaker.id, heading_vec(speaker.heading)),
+        FrameInstance(FrameKind.ADDRESSEE, listener.id, heading_vec(listener.heading)),
+        FrameInstance(FrameKind.EXTRINSIC, None, scene.north),
+    ]
+    if landmark.kind is EntityKind.OBJECT and landmark.heading is not None:
+        frames.insert(2, FrameInstance(FrameKind.INTRINSIC, landmark.id, heading_vec(landmark.heading)))
+    return tuple(frames)
+
+
 def test_applicable_frames_equal_fresh_frame_instances():
     for scene in _frame_table_scenes():
         for e in scene.entities:
-            fresh = tuple(
-                frame_instance(kind, scene, e.id)
-                for kind in FRAME_ORDER
-                if kind is not FrameKind.INTRINSIC or supports_intrinsic(e)
-            )
-            assert applicable_frames(e, scene) == fresh
+            assert applicable_frames(e, scene) == _reference_frames(e, scene)
         # One instance per shared kind, built once.
         assert list(scene.frames) == [FrameKind.EGOCENTRIC, FrameKind.ADDRESSEE, FrameKind.EXTRINSIC]
+        shared = {f.kind: f for f in _reference_frames(scene.speaker, scene)}
         for kind, frame in scene.frames.items():
-            assert frame == frame_instance(kind, scene)
+            assert frame == shared[kind]
             assert all(
                 f is frame for e in scene.entities for f in applicable_frames(e, scene) if f.kind is kind
             )
@@ -365,16 +394,24 @@ def test_scenes_that_differ_in_the_speaker_heading_share_no_frame_table():
     for s in (scene, turned):
         applicable_frames(s.speaker, s)
     assert scene.frames is not turned.frames
-    assert shared_frame(FrameKind.EGOCENTRIC, scene) == frame_instance(FrameKind.EGOCENTRIC, scene)
-    assert shared_frame(FrameKind.EGOCENTRIC, turned) == frame_instance(FrameKind.EGOCENTRIC, turned)
+    for s in (scene, turned):
+        assert frame_instance(FrameKind.EGOCENTRIC, s) is s.frames[FrameKind.EGOCENTRIC]
+        assert frame_instance(FrameKind.EGOCENTRIC, s).front_axis == heading_vec(s.speaker.heading)
     assert scene.frames[FrameKind.EGOCENTRIC] != turned.frames[FrameKind.EGOCENTRIC]
     assert scene.frames[FrameKind.ADDRESSEE] == turned.frames[FrameKind.ADDRESSEE]
 
 
-def test_frame_instance_returns_a_fresh_instance(blocks_car_scene):
-    shared = shared_frame(FrameKind.EGOCENTRIC, blocks_car_scene)
-    fresh = frame_instance(FrameKind.EGOCENTRIC, blocks_car_scene)
-    assert fresh == shared and fresh is not shared
+def test_frame_instance_keeps_the_shared_frames_and_builds_intrinsic_ones_afresh():
+    scene = load_scene(DEMO / "two_blocks_car.json")
+    assert scene.frames == {}
+    for kind in (FrameKind.EGOCENTRIC, FrameKind.ADDRESSEE, FrameKind.EXTRINSIC):
+        first = frame_instance(kind, scene)
+        assert frame_instance(kind, scene) is first and scene.frames[kind] is first
+    intrinsic = frame_instance(FrameKind.INTRINSIC, scene, "car1")
+    again = frame_instance(FrameKind.INTRINSIC, scene, "car1")
+    assert again == intrinsic and again is not intrinsic
+    applicable_frames(scene.entity("car1"), scene)
+    assert FrameKind.INTRINSIC not in scene.frames and len(scene.frames) == 3
 
 
 def test_enum_order_is_a_member_attribute():

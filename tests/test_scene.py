@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -615,6 +616,26 @@ def test_dump_scene_bytes_match_the_demo_files(name):
     a final newline, gives back the file's text byte for byte."""
     path = DEMO / name
     assert dump_scene(load_scene(path)) + "\n" == path.read_text(encoding="utf-8")
+
+
+# sha256 of ``dump_scene`` for each demo scene and for ``sample_scene(7)``
+# at two table sizes.
+DUMP_SCENE_DIGESTS = {
+    "two_blocks_car.json": "fe3bc29ab354b66d9532d0bea0c0870cc7d30e36c2c860aa40c5d3076bb0dd87",
+    "facing_pair_square.json": "250d7ff63ebb34e8aee2a6a1162e403519270413aa68ad7e5c7b8dc957e79794",
+    (3, 8): "43e08557968430567d8ffb0a7c0d1ab86c27698feaabb7c0bc93f669b141998a",
+    (16, 30): "43375c7ccdfb757b4859091c88cd152b56eca12eeabd74bfc3d39764a7e4fda9",
+}
+
+
+@pytest.mark.parametrize("key", list(DUMP_SCENE_DIGESTS), ids=str)
+def test_dump_scene_bytes_are_pinned(key):
+    """``dump_scene`` bytes are pinned, and a scene re-dumped after
+    ``load_scene`` gives the same bytes."""
+    scene = load_scene(DEMO / key) if isinstance(key, str) else sample_scene(7, objects=key)
+    text = dump_scene(scene)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == DUMP_SCENE_DIGESTS[key]
+    assert dump_scene(load_scene(text)) == text
 
 
 @pytest.mark.parametrize("objects", [(3, 8), (8, 16), (16, 30)], ids=str)
