@@ -30,6 +30,9 @@ every other pair.  Outside that band the signs give ``_quadrant``'s answer:
   |d| <= 2 sqrt(2) max(1, C); with |front| <= |fx| + |fy| that gap exceeds
   1e-9 / (2 sqrt(2)), about 3.5e-10, so neither ``RELATION_TIE_TOL``
   (1e-12) nor the rounding of f and r (about 1e-16) can change the answer.
+- ``Scene`` bounds C by ``_FLOAT_MAX`` / 8, so under a unit front axis
+  every displacement, projected point, u and v is at most 4 sqrt(2) C in
+  size: none overflows, here or in ``_quadrant``.
 - u and v computed in floating point, from the displacement or as the
   difference of two projected points, are off by about 1e-15 * C *
   (|fx| + |fy|), far below M, so their signs are those of the exact u and v

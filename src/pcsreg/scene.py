@@ -172,8 +172,9 @@ def _validate(scene: Scene) -> tuple:
     with no JSON form (the table is a ``TableExtent``, each entity an
     ``Entity`` with an ``EntityKind``), then ``SCENE_SCHEMA`` over
     ``scene_to_dict``, which holds a value of the wrong type as it is, for
-    the schema to report.  Then the semantic rules: min corner below max, a
-    unit ``north``, each entity in scene order, and last a missing agent.
+    the schema to report.  Then the semantic rules: min corner below max,
+    corners within ``_FLOAT_MAX / 8`` (``prepositions``), a unit ``north``,
+    each entity in scene order, and last a missing agent.
     """
     table = scene.table
     if type(scene.entities) is not _TypesChecked:
@@ -189,6 +190,9 @@ def _validate(scene: Scene) -> tuple:
     low, high = table.min_corner, table.max_corner
     if not (low[0] < high[0] and low[1] < high[1]):
         raise SceneError("table", "min corner must be strictly below max corner")
+    reach = max(abs(low[0]), abs(low[1]), abs(high[0]), abs(high[1]))
+    if reach > _FLOAT_MAX / 8:
+        raise SceneError("table", f"corner coordinates must lie within +-{_FLOAT_MAX / 8!r}, got {reach!r}")
     if not abs(math.hypot(*scene.north) - 1.0) <= UNIT_NORM_TOL:
         raise SceneError("north", f"must be a 2-d unit vector, got {reprlib.repr(scene.north)}")
     if type(low) is not tuple or type(high) is not tuple:
@@ -231,7 +235,7 @@ def _validate(scene: Scene) -> tuple:
     attributes = {key: tuple(ids) for key, ids in index.items()}
     speaker, listener = agents.values()
     entities = tuple(by_id.values())
-    scale = 1e-9 * max(1.0, abs(low[0]), abs(low[1]), abs(high[0]), abs(high[1]))
+    scale = 1e-9 * max(1.0, reach)
     return entities, table, tuple(scene.north), by_id, speaker, listener, tuple(referable), attributes, scale
 
 
@@ -240,6 +244,7 @@ SCENE_SCHEMA = {
     "title": "Scene",
     "type": "object",
     "required": ["table", "entities"],
+    "additionalProperties": False,
     "properties": {
         "north": {
             "type": "array",
@@ -251,6 +256,7 @@ SCENE_SCHEMA = {
         "table": {
             "type": "object",
             "required": ["min", "max"],
+            "additionalProperties": False,
             "properties": {
                 "min": {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2},
                 "max": {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2},
@@ -261,6 +267,7 @@ SCENE_SCHEMA = {
             "items": {
                 "type": "object",
                 "required": ["id", "kind", "category", "pos"],
+                "additionalProperties": False,
                 "properties": {
                     "id": {"type": "string", "minLength": 1},
                     "kind": {"enum": [kind.value for kind in EntityKind]},

@@ -217,6 +217,22 @@ class TestGenerate:
         assert "Traceback" not in out.stderr
         assert out.stdout == ""
 
+    @pytest.mark.parametrize("path", ["entities[0].colour", "tabel"])
+    def test_unknown_scene_key_exits_2(self, tmp_path, path):
+        # A misspelt key is an error, not a silently dropped attribute.
+        doc = json.loads((DEMO / "two_blocks_car.json").read_text())
+        if path == "tabel":
+            doc["tabel"] = doc["table"]
+        else:
+            doc["entities"][0]["colour"] = doc["entities"][0].pop("color")
+        scene = tmp_path / "misspelt.json"
+        scene.write_text(json.dumps(doc))
+        for argv in (("generate", "--target", "blk_a"), ("resolve", "--expr", "the yellow block")):
+            out = run_cli(*argv, "--scene", str(scene))
+            assert out.returncode == 2, argv
+            assert f"{path}: is not allowed" in out.stderr, argv
+            assert out.stdout == "", argv
+
     def test_non_finite_prefs_exit_2(self, tmp_path, scene_paths):
         path = tmp_path / "nan_prefs.json"
         path.write_text(json.dumps(NAN_PREFS))
@@ -584,7 +600,7 @@ class TestSchema:
     def test_schema_bytes_are_pinned(self):
         out = run_cli("schema")
         assert hashlib.sha256(out.stdout.encode()).hexdigest() == (
-            "842a5528809a02feac7f1490b8602d59c3cb1166b9f023003f93ce1a57e7165c"
+            "3cdb79636a353f943078cfa9a7dc7c2191602dca95d345a758b6471c355e9980"
         )
 
 

@@ -1,10 +1,11 @@
 import dataclasses
 import math
+import random
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from helpers import CROWDED_POOLS, turn_speaker
+from helpers import CROWDED_POOLS, random_tree, turn_speaker
 from pcsreg import generator, prepositions
 from pcsreg.frames import (
     FrameInstance,
@@ -29,10 +30,11 @@ from pcsreg.generator import (
     verify_chain_discrimination,
 )
 from pcsreg.geometry import distance, heading_vec
-from pcsreg.harness import derive_seed, sample_scene
+from pcsreg.harness import derive_seed, oracle_denote, sample_scene
 from pcsreg.prepositions import Preposition, partitions, relation
-from pcsreg.resolver import AttributePhrase, Compound, Leaf, PersonRef, consistent_set
+from pcsreg.resolver import AttributePhrase, Compound, Leaf, PersonRef, consistent_set, denote
 from pcsreg.scene import (
+    _FLOAT_MAX,
     Entity,
     EntityKind,
     LandmarkType,
@@ -436,6 +438,44 @@ class TestSignQuadrantMatchesRelation:
         assert calls
         monkeypatch.undo()
         assert_partitions_match_relation(fresh, [fresh.entity("cup1")])
+
+
+def scene_at_the_corner_bound(scene):
+    """``scene`` scaled so its table reaches the largest corner coordinate a
+    scene accepts, ``_FLOAT_MAX / 8``, with a block added at each corner."""
+    bound = _FLOAT_MAX / 8
+    entities = [
+        dataclasses.replace(e, centroid=(e.centroid[0] * bound, e.centroid[1] * bound))
+        for e in scene.entities
+    ]
+    entities += [
+        Entity(f"corner{i}", EntityKind.OBJECT, "block", (sx * bound, sy * bound))
+        for i, (sx, sy) in enumerate([(-1, -1), (-1, 1), (1, -1), (1, 1)])
+    ]
+    return Scene(tuple(entities), TableExtent((-bound, -bound), (bound, bound)), scene.north)
+
+
+@pytest.mark.parametrize("objects", [(3, 8), (16, 30)], ids=str)
+def test_tables_at_the_corner_bound_keep_relation_and_the_oracle(objects, default_prefs):
+    """At the largest table a scene accepts no projection overflows: the
+    sign test of ``partitions`` and ``select_landmark`` agrees with
+    ``relation``, and ``denote`` with ``oracle_denote``."""
+    resolved = 0
+    for i in range(12):
+        sampled = sample_scene(derive_seed(9, "bound", objects, i), objects=objects)
+        scene = scene_at_the_corner_bound(sampled)
+        assert_partitions_match_relation(scene, scene.entities)
+        for frame in applicable_frames(scene.speaker, scene):
+            compare_along_chain_domains(scene, default_prefs, frame)
+        rng = random.Random(derive_seed(9, "bound-trees", objects, i))
+        for _ in range(5):
+            tree = random_tree(scene, rng, max_depth=2)
+            a, b = denote(tree, scene, default_prefs), oracle_denote(tree, scene, default_prefs)
+            assert a.unresolvable == b.unresolvable, tree
+            if not a.unresolvable:
+                resolved += 1
+                assert a.probs == pytest.approx(b.probs, abs=1e-9), tree
+    assert resolved > 20
 
 
 class TestBuildChain:

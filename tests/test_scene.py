@@ -308,11 +308,25 @@ FILE_STRUCTURE_CASES = [
         lambda d: d["entities"].append(dict(d["entities"][2], id="listener2", pos=[0.5, 0.9])),
     ),
     ("table", "strictly below", lambda d: d["table"].update(min=[1.0, -1.0])),
+    (
+        "table",
+        "corner coordinates must lie within +-2.2471164185778946e+307, got 1e+308",
+        lambda d: d["table"].update(min=[-1e308, -1.0], max=[1e308, 1.0]),
+    ),
+    (
+        "entities[0].colour",
+        "is not allowed",
+        lambda d: d["entities"][0].update(colour=d["entities"][0].pop("color")),
+    ),
+    ("tabel", "is not allowed", lambda d: d.update(tabel=d["table"])),
+    ("table.height", "is not allowed", lambda d: d["table"].update(height=0.7)),
 ]
 
 
 @pytest.mark.parametrize(
-    "path, message, mutate", FILE_STRUCTURE_CASES, ids=["agents", "corners"]
+    "path, message, mutate",
+    FILE_STRUCTURE_CASES,
+    ids=["agents", "corners", "huge corners", "entity key", "root key", "table key"],
 )
 def test_scene_file_rejects_bad_structure(path, message, mutate):
     doc = minimal_doc()
@@ -321,6 +335,20 @@ def test_scene_file_rejects_bad_structure(path, message, mutate):
         load_scene(json.dumps(doc))
     assert err.value.path == path
     assert message in str(err.value)
+
+
+def test_corners_up_to_an_eighth_of_the_float_range_are_accepted():
+    """The corner bound leaves room for every projection ``prepositions``
+    computes; a table exactly at it loads, and a Python-built table past it
+    is rejected like a file's."""
+    bound = scene_module._FLOAT_MAX / 8
+    doc = minimal_doc()
+    doc["table"] = {"min": [-bound, -bound], "max": [bound, bound]}
+    assert load_scene(json.dumps(doc)).margin_scale == 1e-9 * bound
+    entities = load_scene(json.dumps(minimal_doc())).entities
+    with pytest.raises(SceneError) as err:
+        Scene(entities, TableExtent((-1.0, -1.0), (math.nextafter(bound, math.inf), 1.0)))
+    assert err.value.path == "table" and "corner coordinates must lie within" in str(err.value)
 
 
 def _update_entity(index, **fields):
