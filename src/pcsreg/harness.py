@@ -8,6 +8,11 @@ are reproducible and every method's listener reads one list of draws on
 the same trial.  The listener reads a ``ListenerPlan``, which its caller
 compiles once per expression, scene and true-preference table.
 
+``target_outcomes`` yields one ``TargetOutcome`` per ambiguous target:
+its chain or generation error, each method's pick and the ``Outcome``
+(plan, mass, answers) that the methods choosing one surface share.
+``run_comparison`` is a fold over those records into the report.
+
 ``oracle_denote`` is an independent check on the recursive resolution
 model: it enumerates every joint assignment of a concrete landmark and a
 frame kind to every relation unit and normalizes once at the end.
@@ -20,7 +25,7 @@ import hashlib
 import io
 import random
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator, NamedTuple
 
 from .frames import (
     FRAME_ORDER,
@@ -35,7 +40,7 @@ from .frames import (
     preferences_from_dict,
     supports_intrinsic,
 )
-from .generator import CandidateExpression, GenerationError, build_landmark_chain, describe_visual
+from .generator import CandidateExpression, GenerationError, LandmarkChain, build_landmark_chain, describe_visual
 from .geometry import heading_vec, ordered_sum
 from .optimizer import METHODS, generate_methods
 from .prepositions import partitions, relation
@@ -47,7 +52,7 @@ from .resolver import (
     spine,
 )
 from .scene import Entity, EntityKind, Scene, TableExtent, check_document, json_text, landmark_type
-from .scene import _TypesChecked
+from .scene import ATTRIBUTE_VALUE, _TypesChecked
 
 DEFAULT_CATEGORIES = ("block", "car", "cup", "book")
 DEFAULT_COLORS = ("red", "yellow", "blue", "green")
@@ -384,9 +389,9 @@ CONFIG_SCHEMA = {
         "true_prefs": {"$ref": "#/definitions/preferences"},
         "assumed_prefs": {"$ref": "#/definitions/preferences"},
         "objects": {"type": "array", "items": {"type": "integer", "minimum": 2}, "minItems": 2, "maxItems": 2},
-        "categories": {"type": "array", "items": {"type": "string", "minLength": 1}, "minItems": 1},
-        "colors": {"type": "array", "items": {"type": "string", "minLength": 1}},
-        "shapes": {"type": "array", "items": {"type": "string", "minLength": 1}},
+        "categories": {"type": "array", "items": ATTRIBUTE_VALUE, "minItems": 1},
+        "colors": {"type": "array", "items": ATTRIBUTE_VALUE},
+        "shapes": {"type": "array", "items": ATTRIBUTE_VALUE},
         "consistency_coupling": {"type": "number", "minimum": 0, "maximum": 1},
         "per_trial_csv": {"type": "boolean"},
     },
@@ -456,28 +461,48 @@ class TrialReport:
 RECORD_FIELDS = ("scene", "target", "method", "trial", "k", "identified", "correct")
 
 
-def run_comparison(cfg: TrialConfig, collect_records: bool = True) -> TrialReport:
-    """Generate-and-listen comparison across methods, deterministic per seed.
+class Outcome(NamedTuple):
+    """What the listener makes of one expression of a target: its plan
+    (None for no expression), the target's mass under the true table, and
+    the answer on each trial."""
 
-    Every referable target whose visual description is ambiguous gets one
-    expression per method, heard by ``trials_per_expression`` simulated
-    listeners.  Per target: (1) each distinct surface gets one outcome
-    ``[plan, mass, answers]``, shared by the methods that chose it, with its
-    mass read from ``generate_methods``'s ranking when the tables are equal;
-    (2) only if some plan draws, each trial reseeds one ``Random`` with
+    plan: ListenerPlan | None
+    mass: float
+    answers: list[str | None]
+
+
+@dataclass(frozen=True)
+class TargetOutcome:
+    """One ambiguous target's evaluation: its scene index, its chain (or the
+    ``GenerationError`` that building it raised), and per method, in
+    ``cfg.methods`` order, its pick (None when there is no chain) and its
+    ``Outcome``, one object per distinct surface."""
+
+    scene: int
+    target: str
+    chain: LandmarkChain | GenerationError
+    picks: tuple[CandidateExpression | GenerationError | None, ...]
+    outcomes: tuple[Outcome, ...]
+
+
+def target_outcomes(cfg: TrialConfig) -> Iterator[TargetOutcome]:
+    """Generate-and-listen for every referable target whose visual
+    description is ambiguous, deterministic per seed, in scene order.
+
+    Each distinct surface gets one ``ListenerPlan`` and one denotation,
+    read from ``generate_methods``'s ranking when the tables are equal.  A
+    fixed plan's answer is repeated per trial; only if some plan draws,
+    each trial reseeds one ``Random`` with
     ``derive_seed(seed, "trial", scene, target, trial)`` and every drawing
-    plan reads those draws, so methods hear identical listeners; (3) each
-    method's tallies, then the per-trial records, read the answers.
+    plan reads those draws, so methods hear identical listeners.
     """
     assumed = cfg.assumed_prefs or default_preferences()
     # The ranking's denotations are the listener's when the tables agree.
     same_tables = cfg.true_prefs == assumed
     # Reseeded before each trial that draws; ``seed(s)`` gives ``Random(s)``'s state.
     rng = random.Random(0)
-    stats = {m: MethodStats() for m in cfg.methods}
-    records: list[dict] = []
-    n_targets = 0
     trials = cfg.trials_per_expression
+    unheard = Outcome(None, 0.0, [None] * trials)
 
     for scene_idx in range(cfg.n_scenes):
         scene = sample_scene(
@@ -491,38 +516,34 @@ def run_comparison(cfg: TrialConfig, collect_records: bool = True) -> TrialRepor
         for target_id in scene.referable_ids():
             if describe_visual(target_id, all_ids, scene).distinguishing:
                 continue
-            n_targets += 1
             try:
                 chain = build_landmark_chain(target_id, scene, assumed)
-            except GenerationError:
-                picks, scored = {}, {}
+            except GenerationError as exc:
+                chain, picks, scored = exc, {}, {}
             else:
                 strategy_seed = derive_seed(cfg.seed, "strategy", scene_idx, target_id)
                 picks, scored = generate_methods(
                     cfg.methods, chain, scene, assumed, seed=strategy_seed
                 )
 
-            # Pass 1: per distinct surface (None for no expression), the
-            # listener plan, the target's mass and the answer on each trial;
-            # a drawing plan's answers start empty (``trials`` is at least 1).
-            outcomes: dict[str | None, list] = {None: [None, 0.0, [None] * trials]}
-            chosen = []
+            # A drawing plan's answers start empty (``trials`` is at least 1).
+            by_surface: dict[str | None, Outcome] = {None: unheard}
+            outcomes = []
             for method in cfg.methods:
                 pick = picks.get(method)
                 surface = pick.surface if isinstance(pick, CandidateExpression) else None
-                if surface not in outcomes:
+                outcome = by_surface.get(surface)
+                if outcome is None:
                     plan = ListenerPlan(pick.tree, scene, cfg.true_prefs)
                     if same_tables and surface in scored:
                         denotation = scored[surface][0]
                     else:
                         denotation = denote(pick.tree, scene, cfg.true_prefs)
                     answers = [] if plan.fixed is _DEPENDS_ON_DRAWS else [plan.fixed] * trials
-                    outcomes[surface] = [plan, denotation.get(target_id, 0.0), answers]
-                plan, mass, answers = outcomes[surface]
-                chosen.append((method, None if plan is None else plan.depth, mass, answers))
+                    outcome = by_surface[surface] = Outcome(plan, denotation.get(target_id, 0.0), answers)
+                outcomes.append(outcome)
 
-            # Pass 2: the trials, walked only for the plans that draw.
-            drawing = [(plan, answers) for plan, _, answers in outcomes.values() if not answers]
+            drawing = [(plan, answers) for plan, _, answers in by_surface.values() if not answers]
             if drawing:
                 n_draws = 2 * max(plan.depth for plan, _ in drawing)
                 for seed in derive_seeds(cfg.seed, "trial", scene_idx, target_id, count=trials):
@@ -532,25 +553,41 @@ def run_comparison(cfg: TrialConfig, collect_records: bool = True) -> TrialRepor
                         answers.append(
                             simulate_listener(plan, iter(draws).__next__, cfg.consistency_coupling)
                         )
+            yield TargetOutcome(
+                scene_idx, target_id, chain, tuple(map(picks.get, cfg.methods)), tuple(outcomes)
+            )
 
-            # Pass 3: the tallies, then the records, read the answers.
-            for method, k, mass, answers in chosen:
-                n_correct = answers.count(target_id)
-                st = stats[method]
-                st.n_expressions += 1
-                st.n_failures += k is None
-                st.expected_sum += mass
-                st.n_trials += trials
-                st.n_correct += n_correct
-                bucket = st.by_k["failed" if k is None else "k1" if k == 1 else "k2plus"]
-                bucket["trials"] += trials
-                bucket["correct"] += n_correct
-            if collect_records:
-                for trial in range(trials):
-                    for method, k, _, answers in chosen:
-                        answer = answers[trial]
-                        row = (scene_idx, target_id, method, trial, k, answer, answer == target_id)
-                        records.append(dict(zip(RECORD_FIELDS, row)))
+
+def run_comparison(cfg: TrialConfig, collect_records: bool = True) -> TrialReport:
+    """The comparison report: a fold over ``target_outcomes(cfg)`` that
+    counts the targets, tallies each method's ``MethodStats`` off its
+    outcome, and, when ``collect_records``, appends the per-trial rows
+    (columns ``RECORD_FIELDS``) trial by trial.  No record is kept once
+    folded."""
+    stats = {m: MethodStats() for m in cfg.methods}
+    records: list[dict] = []
+    n_targets = 0
+    trials = cfg.trials_per_expression
+    for record in target_outcomes(cfg):
+        n_targets += 1
+        target_id = record.target
+        ks = [None if plan is None else plan.depth for plan, _, _ in record.outcomes]
+        for st, k, (_, mass, answers) in zip(stats.values(), ks, record.outcomes):
+            n_correct = answers.count(target_id)
+            st.n_expressions += 1
+            st.n_failures += k is None
+            st.expected_sum += mass
+            st.n_trials += trials
+            st.n_correct += n_correct
+            bucket = st.by_k["failed" if k is None else "k1" if k == 1 else "k2plus"]
+            bucket["trials"] += trials
+            bucket["correct"] += n_correct
+        if collect_records:
+            for trial in range(trials):
+                for method, k, (_, _, answers) in zip(cfg.methods, ks, record.outcomes):
+                    answer = answers[trial]
+                    row = (record.scene, target_id, method, trial, k, answer, answer == target_id)
+                    records.append(dict(zip(RECORD_FIELDS, row)))
 
     return TrialReport(
         config_seed=cfg.seed,
@@ -595,20 +632,21 @@ def report_to_json(report: TrialReport) -> str:
 
 
 def format_report_text(report: TrialReport) -> str:
+    doc = report_to_dict(report)
     lines = [
-        f"seed {report.config_seed}  scenes {report.n_scenes}  targets {report.n_targets}"
-        f"  trials/expr {report.trials_per_expression}",
+        f"seed {doc['seed']}  scenes {doc['n_scenes']}  targets {doc['n_targets']}"
+        f"  trials/expr {doc['trials_per_expression']}",
         "",
         f"{'method':<8} {'accuracy':>9} {'expected':>9} {'k=1':>9} {'k>1':>9} {'fail':>5}",
     ]
-    for method, st in report.stats.items():
-        k1 = st.by_k["k1"]
-        k2 = st.by_k["k2plus"]
-        k1a = f"{k1['correct'] / k1['trials']:.4f}" if k1["trials"] else "-"
-        k2a = f"{k2['correct'] / k2['trials']:.4f}" if k2["trials"] else "-"
+    for method, m in doc["methods"].items():
+        k1a, k2a = (
+            f"{b['accuracy']:.4f}" if b["trials"] else "-"
+            for b in (m["by_k"]["k1"], m["by_k"]["k2plus"])
+        )
         lines.append(
-            f"{method:<8} {st.accuracy:>9.4f} {st.expected_accuracy:>9.4f}"
-            f" {k1a:>9} {k2a:>9} {st.n_failures:>5}"
+            f"{method:<8} {m['accuracy']:>9.4f} {m['expected_accuracy']:>9.4f}"
+            f" {k1a:>9} {k2a:>9} {m['n_failures']:>5}"
         )
     return "\n".join(lines) + "\n"
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import re
 import reprlib
 import sys
 from dataclasses import dataclass, field, replace
@@ -239,6 +240,28 @@ def _validate(scene: Scene) -> tuple:
     return entities, table, tuple(scene.north), by_id, speaker, listener, tuple(referable), attributes, scale
 
 
+# Every word of ``prepositions``' surfaces and topological markers, which
+# ``resolver.parse_expression`` reads as part of a marker, not of a noun
+# phrase.  (This module cannot import ``prepositions``; a test checks that
+# the list holds exactly those words.)
+MARKER_WORDS = (
+    "behind", "beside", "close", "front", "in", "left", "me", "my", "near", "next", "of", "on",
+    "right", "the", "to", "you", "your",
+)
+
+# A category, color or shape value: one token, which is no marker word in
+# any letter case, so the text ``generate`` realizes parses back.  The
+# pattern is a search, as JSON Schema's: its first lookahead rejects any
+# whitespace, the second a whole marker word, written as ``[Bb][Ee]...``
+# because a JSON Schema pattern has no case-insensitive flag.
+ATTRIBUTE_VALUE = {
+    "type": "string",
+    "minLength": 1,
+    "pattern": r"^(?![\s\S]*\s)(?!(?:%s)$)"
+    % "|".join("".join(f"[{c.upper()}{c}]" for c in word) for word in MARKER_WORDS),
+    "description": "a single word that no preposition or marker uses, in any letter case",
+}
+
 SCENE_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
     "title": "Scene",
@@ -271,9 +294,9 @@ SCENE_SCHEMA = {
                 "properties": {
                     "id": {"type": "string", "minLength": 1},
                     "kind": {"enum": [kind.value for kind in EntityKind]},
-                    "category": {"type": "string", "minLength": 1},
-                    "color": {"type": ["string", "null"], "minLength": 1},
-                    "shape": {"type": ["string", "null"], "minLength": 1},
+                    "category": ATTRIBUTE_VALUE,
+                    "color": {**ATTRIBUTE_VALUE, "type": ["string", "null"]},
+                    "shape": {**ATTRIBUTE_VALUE, "type": ["string", "null"]},
                     "pos": {"type": "array", "items": {"type": "number"}, "minItems": 2, "maxItems": 2},
                     "heading": {
                         "type": ["number", "null"],
@@ -396,6 +419,8 @@ def _plural_fault(items: dict, value) -> _Invalid:
         want += f" >= {items['minimum']}"
     if "minLength" in items:
         want += f" of at least {items['minLength']} characters"
+    if "pattern" in items:
+        want += f", each {items['description']}"
     return _Invalid(f"must contain {want}, got {reprlib.repr(value)}")
 
 
@@ -441,6 +466,7 @@ def _compile(schema: dict, root: dict, refs: dict, slot: tuple | None = None) ->
     each = None if items is None or numbers else _compile(items, root, refs)
     least, most = schema.get("minimum", -math.inf), schema.get("maximum", math.inf)
     min_length = schema.get("minLength", 0)
+    search = re.compile(schema["pattern"]).search if "pattern" in schema else None
 
     def check(value):
         name = _JSON_TYPES.get(type(value))
@@ -492,8 +518,11 @@ def _compile(schema: dict, root: dict, refs: dict, slot: tuple | None = None) ->
                 raise _Invalid(f"must be finite, got {reprlib.repr(value)}")
             if not least <= value <= most:
                 raise _Invalid(f"must be in [{least}, {most}], got {value!r}")
-        elif name == "string" and len(value) < min_length:
-            raise _Invalid(f"must have at least {min_length} characters, got {value!r}")
+        elif name == "string":
+            if len(value) < min_length:
+                raise _Invalid(f"must have at least {min_length} characters, got {value!r}")
+            if search is not None and not search(value):
+                raise _Invalid(f"must be {schema['description']}, got {reprlib.repr(value)}")
 
     return check
 
@@ -509,7 +538,9 @@ def check_document(doc, schema: dict, invalid: Callable[[tuple, str], Exception]
     """Raise ``invalid(path, message)`` unless ``doc`` satisfies ``schema``.
 
     Covers the JSON-schema keywords the document schemas use: ``type``,
-    ``enum``, ``minimum``/``maximum``, ``minLength``, ``required``,
+    ``enum``, ``minimum``/``maximum``, ``minLength``, ``pattern`` (a
+    search, so a pattern anchors itself to match the whole string; its
+    schema's ``description`` names the rule in the message), ``required``,
     ``dependencies`` (array form), ``properties``,
     ``additionalProperties: false``, ``items``, ``minItems``/``maxItems``,
     ``uniqueItems`` and ``$ref`` into ``definitions``.  Every number must

@@ -6,6 +6,7 @@ that ``check_document``'s compiled check is held to."""
 
 import math
 import random
+import re
 import reprlib
 from dataclasses import replace
 
@@ -37,6 +38,14 @@ from pcsreg.scene import (
 )
 
 PREPS = list(Preposition)
+
+# Every word of the preposition surfaces and the topological markers, read
+# off the tables that the parser's marker table is built from.
+SURFACE_WORDS = sorted(
+    {word for table in (PLAIN_SURFACE, SPEAKER_SURFACE, LISTENER_SURFACE)
+     for surface in table.values() for word in surface.split()}
+    | {word for seq in TOPOLOGICAL_MARKERS for word in seq}
+)
 
 # The sampling pools of the benchmark's crowded tables: two categories, two
 # colors and no shapes, so many objects share a description.
@@ -224,6 +233,8 @@ def _check(value, schema: dict, root: dict) -> None:
                     want += f" >= {items['minimum']}"
                 if "minLength" in items:
                     want += f" of at least {items['minLength']} characters"
+                if "pattern" in items:
+                    want += f", each {items['description']}"
                 raise _Invalid(f"must contain {want}, got {reprlib.repr(value)}") from None
     elif name == "number" or name == "integer":
         if not abs(value) <= _FLOAT_MAX:
@@ -231,5 +242,8 @@ def _check(value, schema: dict, root: dict) -> None:
         if not schema.get("minimum", value) <= value <= schema.get("maximum", value):
             lo, hi = schema.get("minimum", -math.inf), schema.get("maximum", math.inf)
             raise _Invalid(f"must be in [{lo}, {hi}], got {value!r}")
-    elif name == "string" and len(value) < schema.get("minLength", 0):
-        raise _Invalid(f"must have at least {schema['minLength']} characters, got {value!r}")
+    elif name == "string":
+        if len(value) < schema.get("minLength", 0):
+            raise _Invalid(f"must have at least {schema['minLength']} characters, got {value!r}")
+        if "pattern" in schema and not re.search(schema["pattern"], value):
+            raise _Invalid(f"must be {schema['description']}, got {reprlib.repr(value)}")

@@ -68,7 +68,7 @@ _SCALARS = [True, False, None, "x", float("nan"), float("inf"), 10**400, -1]
 _VALUES = _SCALARS + [
     "", [], {}, 0, 2, 1.5, float("-inf"), -(10**400), [True, 1.0], [0.5, 0.5],
     [0.5, 0.5, 0.5, 0.5], ["a"], [["a"]], {"head": {}}, {"category": "block"},
-    {"person": "you"}, "front", "object", "pcsreg",
+    {"person": "you"}, "front", "object", "pcsreg", "toy car", "Behind", "block\n",
 ]
 _VALUE = st.one_of(st.sampled_from(_SCALARS), st.sampled_from(_VALUES))
 _KEYS = ["unknown", "prep", "landmark", "head", "north", "person", "seed", "speaker"]

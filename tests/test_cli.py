@@ -217,6 +217,20 @@ class TestGenerate:
         assert "Traceback" not in out.stderr
         assert out.stdout == ""
 
+    @pytest.mark.parametrize("category", ["toy car", "behind"])
+    def test_category_that_would_not_parse_back_exits_2(self, tmp_path, category):
+        # "toy car" would be realized as two words, "behind" read as a marker.
+        doc = json.loads((DEMO / "two_blocks_car.json").read_text())
+        assert doc["entities"][2]["id"] == "car1"
+        doc["entities"][2]["category"] = category
+        scene = tmp_path / "category.json"
+        scene.write_text(json.dumps(doc))
+        for argv in (("generate", "--target", "blk_a"), ("resolve", "--expr", "the yellow block")):
+            out = run_cli(*argv, "--scene", str(scene))
+            assert out.returncode == 2, argv
+            assert "entities[2].category: must be a single word" in out.stderr, argv
+            assert out.stdout == "", argv
+
     @pytest.mark.parametrize("path", ["entities[0].colour", "tabel"])
     def test_unknown_scene_key_exits_2(self, tmp_path, path):
         # A misspelt key is an error, not a silently dropped attribute.
@@ -600,7 +614,7 @@ class TestSchema:
     def test_schema_bytes_are_pinned(self):
         out = run_cli("schema")
         assert hashlib.sha256(out.stdout.encode()).hexdigest() == (
-            "3cdb79636a353f943078cfa9a7dc7c2191602dca95d345a758b6471c355e9980"
+            "92a4d3f2248f1ed3156b7ce077293e89ccea0f4bca2eaddb2c160d2dfae6474c"
         )
 
 

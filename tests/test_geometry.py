@@ -14,7 +14,7 @@ import weakref
 import pytest
 
 from helpers import listen, random_tree
-from pcsreg import harness
+from pcsreg import generator, harness
 from pcsreg.frames import PreferenceTable, applicable_frames, default_preferences
 from pcsreg.harness import (
     _DEPENDS_ON_DRAWS,
@@ -25,8 +25,12 @@ from pcsreg.harness import (
     derive_seeds,
     run_comparison,
     sample_scene,
+    target_outcomes,
 )
 from pcsreg.generator import (
+    MAX_COMPLEXITY,
+    CandidateExpression,
+    ComplexityCapError,
     GenerationError,
     build_landmark_chain,
     describe_visual,
@@ -322,7 +326,11 @@ def reference_records(cfg):
     return records
 
 
-@pytest.mark.parametrize("objects", [(3, 8), (8, 16)], ids=str)
+# The table sizes, the largest under ``deep``.
+SIZE_PARAMS = [(3, 8), (8, 16), pytest.param((16, 30), marks=pytest.mark.deep)]
+
+
+@pytest.mark.parametrize("objects", SIZE_PARAMS, ids=str)
 @pytest.mark.parametrize("coupling", [0.0, 0.5, 1.0])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_run_comparison_replays_one_seeding_per_trial(objects, coupling, seed, default_prefs):
@@ -337,6 +345,77 @@ def test_run_comparison_replays_one_seeding_per_trial(objects, coupling, seed, d
     )
     records = run_comparison(cfg).records
     assert records and records == reference_records(cfg)
+
+
+@pytest.mark.parametrize("objects", SIZE_PARAMS, ids=str)
+@pytest.mark.parametrize("tables", ["equal", "mismatched"])
+@pytest.mark.parametrize("coupling", [0.0, 0.5])
+def test_target_outcomes_match_the_references(
+    objects, tables, coupling, default_prefs, two_frame_prefs
+):
+    cfg = TrialConfig(
+        seed=6,
+        n_scenes=3,
+        trials_per_expression=8,
+        true_prefs=default_prefs,
+        methods=METHODS,
+        assumed_prefs=two_frame_prefs if tables == "mismatched" else None,
+        objects=objects,
+        consistency_coupling=coupling,
+    )
+    assumed = cfg.assumed_prefs or default_prefs
+    records = list(target_outcomes(cfg))
+    references = list(comparison_trees(cfg))
+    assert len(records) == len(references)
+    answers = []
+    failed = 0
+    for record, (scene_idx, scene, target_id, trees) in zip(records, references):
+        assert (record.scene, record.target) == (scene_idx, target_id)
+        picked = [pick.tree if isinstance(pick, CandidateExpression) else None for pick in record.picks]
+        assert picked == list(trees.values())
+        try:
+            chain = build_landmark_chain(target_id, scene, assumed)
+        except GenerationError as exc:
+            failed += 1
+            assert type(record.chain) is type(exc) and str(record.chain) == str(exc)
+            assert record.picks == (None,) * len(METHODS)
+        else:
+            assert record.chain == chain
+            over_cap = chain.k > MAX_COMPLEXITY
+            assert [isinstance(pick, ComplexityCapError) for pick in record.picks] == [
+                over_cap and method == "pcsreg" for method in METHODS
+            ]
+        for (tree, outcome), (other, shared) in itertools.combinations(
+            zip(trees.values(), record.outcomes), 2
+        ):
+            assert (outcome is shared) == (tree == other)
+        for tree, (plan, mass, _) in zip(trees.values(), record.outcomes):
+            assert (plan is None) == (tree is None)
+            want = 0.0 if tree is None else denote(tree, scene, cfg.true_prefs).get(target_id, 0.0)
+            assert mass == want
+        for trial in range(cfg.trials_per_expression):
+            answers += [outcome.answers[trial] for outcome in record.outcomes]
+    assert failed and failed < len(records)
+    assert answers == [r["identified"] for r in reference_records(cfg)]
+
+
+def test_target_outcomes_carry_the_cap_error(default_prefs, monkeypatch):
+    """Over the cap, ``pcsreg``'s pick is the ``ComplexityCapError`` and
+    it has the outcome of no expression; the baselines still pick."""
+    monkeypatch.setattr(generator, "MAX_COMPLEXITY", 1)
+    cfg = TrialConfig(
+        seed=6, n_scenes=3, trials_per_expression=4, true_prefs=default_prefs, methods=METHODS
+    )
+    capped = 0
+    for record in target_outcomes(cfg):
+        if isinstance(record.chain, GenerationError) or record.chain.k <= 1:
+            continue
+        capped += 1
+        pcsreg, *baselines = zip(record.picks, record.outcomes)
+        assert isinstance(pcsreg[0], ComplexityCapError)
+        assert pcsreg[1] == (None, 0.0, [None] * cfg.trials_per_expression)
+        assert all(isinstance(pick, CandidateExpression) for pick, _ in baselines)
+    assert capped
 
 
 def tallied(records, cfg):

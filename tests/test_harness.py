@@ -9,6 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from helpers import CROWDED_POOLS, listen, random_tree
 
+from pcsreg import cli
 from pcsreg.frames import (
     FRAME_ORDER,
     FrameInstance,
@@ -31,7 +32,9 @@ from pcsreg.harness import (
     ORACLE_MAX_DEPTH,
     HarnessError,
     ListenerPlan,
+    MethodStats,
     TrialConfig,
+    TrialReport,
     config_from_dict,
     derive_seed,
     derive_seeds,
@@ -445,6 +448,35 @@ def test_demo_report_without_records_equals_the_golden_run(coupling):
     assert report_to_json(run_comparison(cfg, collect_records=False)) == with_records
 
 
+# sha256 of ``pcsreg evaluate``'s stdout, the bytes of ``report.txt``, for
+# demo/eval_config.json at each coupling of ``GOLDEN_DIGESTS``.
+REPORT_TEXT_DIGESTS = {
+    0.0: "022aefff7590546a3c5faccc95c799e7ae3c9cae0b56e7314c3ec87b8f9bb8b7",
+    0.3: "d7a4ddc4e938efd2fd34f0f2ebdc30a79d0f2121f36ec6f33e4a303b2ac8be22",
+}
+
+
+@pytest.mark.parametrize("coupling", sorted(REPORT_TEXT_DIGESTS))
+def test_demo_report_text_bytes_are_golden(coupling, tmp_path, capsys):
+    doc = json.loads(DEMO_CONFIG.read_text(encoding="utf-8"))
+    doc["consistency_coupling"] = coupling
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc), encoding="utf-8")
+    assert cli.main(["evaluate", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+    stdout = capsys.readouterr().out
+    assert (tmp_path / "out" / "report.txt").read_text(encoding="utf-8") == stdout
+    assert hashlib.sha256(stdout.encode("utf-8")).hexdigest() == REPORT_TEXT_DIGESTS[coupling]
+
+
+def test_report_text_reads_a_bucket_with_no_trials_as_a_dash():
+    stats = MethodStats(n_expressions=1, n_trials=4, n_correct=3, expected_sum=0.5)
+    stats.by_k["k1"].update(trials=4, correct=3)
+    report = TrialReport(1, 1, 1, 4, {"robot": stats})
+    assert format_report_text(report).splitlines()[-1].split() == [
+        "robot", "0.7500", "0.5000", "0.7500", "-", "0"
+    ]
+
+
 MISMATCHED_TABLE_DIGESTS = {
     # sha256 of report_to_json + records_to_csv for demo/eval_config.json
     # with one of its tables set to demo/preferences_two_frame.json: the
@@ -778,6 +810,15 @@ class TestConfig:
     def test_rejects_empty_strings_in_pools(self, pool):
         with pytest.raises(HarnessError, match=f"'{pool}' must contain strings of at least 1 char"):
             tiny_config(**{pool: ["red", ""]})
+
+    @pytest.mark.parametrize("pool", ["categories", "colors", "shapes"])
+    @pytest.mark.parametrize("value", ["toy car", "behind", "On", "red "])
+    def test_rejects_pool_values_that_would_not_parse_back(self, pool, value):
+        message = f"^config field '{pool}' must contain strings of at least 1 characters, each a single word"
+        with pytest.raises(HarnessError, match=message):
+            tiny_config(**{pool: ["red", value]})
+        with pytest.raises(HarnessError, match=message):
+            sample_scene(1, **{pool: ("red", value)})
 
     @pytest.mark.parametrize("override", [{"seed": 10**400}, {"objects": [3, 10**400]}])
     def test_rejects_ints_beyond_float_range(self, override):

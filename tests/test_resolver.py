@@ -4,9 +4,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import PROJECTIVE_MARKERS, random_tree, reference_parse_np
-from pcsreg.generator import realize
-from pcsreg.harness import derive_seed, sample_scene
+from helpers import PROJECTIVE_MARKERS, SURFACE_WORDS, random_tree, reference_parse_np
+from pcsreg.frames import default_preferences
+from pcsreg.generator import GenerationError, build_landmark_chain, expression_space, realize
+from pcsreg.harness import HarnessError, derive_seed, sample_scene
 from pcsreg.prepositions import TOPOLOGICAL_MARKERS, Preposition
 from pcsreg.resolver import (
     AttributePhrase,
@@ -24,7 +25,7 @@ from pcsreg.resolver import (
     tree_from_dict,
     tree_to_dict,
 )
-from pcsreg.scene import attribute_vocabulary
+from pcsreg.scene import SceneError, attribute_vocabulary, load_scene, scene_to_dict
 
 SQUARE_EXPR = Compound(
     AttributePhrase(category="object"),
@@ -497,3 +498,85 @@ def test_denotation_marker_behaviour():
     d = Denotation(None)
     assert d.unresolvable
     assert d.get("anything") == 0.0
+
+
+# Vocabulary words: plain ones, and ones that a round trip cannot read
+# back: every marker word and words holding whitespace.  No plain word is
+# an agent's category ("robot", "person").
+PLAIN_WORDS = ["block", "cup", "book", "red", "blue", "green", "round", "square", "tall"]
+UNREADABLE_WORDS = st.sampled_from(SURFACE_WORDS) | st.sampled_from(
+    ["toy car", "dark\tred", " cup", "cup\n"]
+)
+POOLS = ("categories", "colors", "shapes")
+SLOTS = dict(zip(POOLS, ("category", "color", "shape")))
+
+
+def _lowered(tree):
+    """``tree`` with every attribute value lowercased."""
+    attrs = (tree.head.category, tree.head.color, tree.head.shape)
+    head = AttributePhrase(*(value and value.lower() for value in attrs), person=tree.head.person)
+    if isinstance(tree, Leaf):
+        return Leaf(head)
+    return Compound(head, tree.prep, _lowered(tree.landmark))
+
+
+@pytest.mark.deep
+@settings(deadline=None)
+@given(st.data(), st.integers(0, 2**32))
+def test_generated_surfaces_parse_back_or_the_scene_is_rejected(data, seed):
+    """A vocabulary value that is one word and no marker word in any case
+    is accepted, and then every surface of every chain parses back to its
+    tree lowercased, which denotes as the tree does; any other value is
+    rejected at its path, in a scene file and in the sampling pools."""
+    # The slots' words differ even lowercased: a word in two slots could be
+    # parsed into the other slot.
+    words = data.draw(st.lists(st.sampled_from(PLAIN_WORDS), min_size=3, max_size=6, unique=True))
+    words += data.draw(st.lists(UNREADABLE_WORDS, max_size=1))
+    pools = {pool: [] for pool in POOLS}
+    for i, word in enumerate(words):
+        pool = "categories" if i == 0 else data.draw(st.sampled_from(POOLS))
+        pools[pool].append(data.draw(st.sampled_from([str.lower, str.upper, str.title]))(word))
+    bad = {
+        value for values in pools.values() for value in values
+        if value.split() != [value] or value.lower() in SURFACE_WORDS
+    }
+
+    # Placeholder pools of the same sizes draw the same scene, whose
+    # values are then swapped for the drawn ones.
+    names = {pool: [f"{SLOTS[pool]}{i}" for i in range(len(pools[pool]))] for pool in POOLS}
+    doc = scene_to_dict(sample_scene(seed, **{pool: tuple(v) for pool, v in names.items()}))
+    swap = {name: value for pool in POOLS for name, value in zip(names[pool], pools[pool])}
+    faults = []
+    for i, entity in enumerate(doc["entities"]):
+        if entity["kind"] == "object":  # the id is the category and a number
+            entity["id"] = swap[entity["category"]] + entity["id"][len(entity["category"]):]
+        for slot in SLOTS.values():
+            entity[slot] = swap.get(entity[slot], entity[slot])
+            if entity[slot] in bad:
+                faults.append(f"entities[{i}].{slot}")
+    first_pool = next((pool for pool in POOLS if bad.intersection(pools[pool])), None)
+    try:
+        sampled = sample_scene(seed, **{pool: tuple(v) for pool, v in pools.items()})
+    except HarnessError as exc:
+        assert first_pool and str(exc).startswith(f"config field {first_pool!r} must contain"), exc
+    else:
+        assert first_pool is None
+        assert scene_to_dict(sampled) == doc
+    try:
+        scene = load_scene(json.dumps(doc))
+    except SceneError as exc:
+        assert faults and exc.path == faults[0]
+        return
+    assert not faults
+
+    prefs = default_preferences()
+    lexicon = attribute_vocabulary(scene)
+    for target in scene.referable_ids():
+        try:
+            candidates = expression_space(build_landmark_chain(target, scene, prefs), scene)
+        except GenerationError:
+            continue
+        for candidate in {c.surface: c for c in candidates}.values():
+            tree = parse_expression(candidate.surface, lexicon)
+            assert tree == _lowered(candidate.tree), candidate.surface
+            assert denote(tree, scene, prefs) == denote(candidate.tree, scene, prefs)

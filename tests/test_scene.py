@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from helpers import SURFACE_WORDS
 from pcsreg import scene as scene_module
 from pcsreg.frames import FrameKind, frame_instance
 from pcsreg.generator import GenerationError, build_landmark_chain
@@ -613,6 +614,31 @@ def test_empty_attribute_strings_are_rejected_at_load(slot):
     doc["entities"][0][slot] = ""
     with pytest.raises(SceneError, match=rf"^entities\[0\]\.{slot}: must have at least 1"):
         load_scene(json.dumps(doc))
+
+
+def test_marker_words_are_the_words_of_the_marker_tables():
+    assert list(scene_module.MARKER_WORDS) == SURFACE_WORDS
+
+
+@pytest.mark.parametrize("slot", ["category", "color", "shape"])
+@pytest.mark.parametrize("value", ["toy car", "behind", "Behind", "NEXT", "the", "red\n", "\tred", "a\u00a0b"])
+def test_attribute_values_that_would_not_parse_back_are_rejected(slot, value):
+    doc = minimal_doc()
+    doc["entities"][0][slot] = value
+    message = rf"^entities\[0\]\.{slot}: must be a single word that no preposition or marker uses"
+    with pytest.raises(SceneError, match=message):
+        load_scene(json.dumps(doc))
+    entity = dataclasses.replace(load_scene(json.dumps(minimal_doc())).entities[0], **{slot: value})
+    with pytest.raises(SceneError, match=message):
+        Scene(entities=(entity,), table=TableExtent((-1.0, -1.0), (1.0, 1.0)))
+
+
+@pytest.mark.parametrize("value", ["toycar", "behinds", "Block", "in-front", "théière", "K"])
+def test_one_word_attribute_values_load(value):
+    doc = minimal_doc()
+    doc["entities"][0].update(category=value, color=value, shape=value)
+    entity = load_scene(json.dumps(doc)).entities[0]
+    assert (entity.category, entity.color, entity.shape) == (value, value, value)
 
 
 @pytest.mark.parametrize("seed", range(10))
