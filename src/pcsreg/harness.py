@@ -97,16 +97,25 @@ def _digest_seed(h) -> int:
 
 def _check_pools(objects: tuple[int, int], categories, colors, shapes) -> None:
     """Raise ``HarnessError`` unless the sampling pools meet ``CONFIG_SCHEMA``
-    and the object-count range has ``lo <= hi``."""
+    and ``_check_pool_rules``."""
     pools = {"objects": objects, "categories": categories, "colors": colors, "shapes": shapes}
     check_document(pools, _POOLS_SCHEMA, _config_error)
-    _check_object_range(objects)
+    _check_pool_rules(objects, colors, shapes)
 
 
-def _check_object_range(objects: tuple[int, int]) -> None:
-    """The one pool rule the schema cannot say: ``lo <= hi``."""
+def _check_pool_rules(objects: tuple[int, int], colors, shapes) -> None:
+    """The pool rules the schema cannot say: ``lo <= hi``, and no word is
+    both a color and a shape in any letter case, which a sampled scene could
+    then hold (``scene._validate``)."""
     if objects[0] > objects[1]:
         raise HarnessError(f"config field 'objects' must have lo <= hi, got {list(objects)}")
+    color_words = {color.lower() for color in colors}
+    for shape in shapes:
+        if shape.lower() in color_words:
+            raise HarnessError(
+                "config field 'shapes' must share no word with 'colors' in any letter case, "
+                f"got {shape!r}"
+            )
 
 
 def sample_scene(
@@ -362,7 +371,7 @@ class TrialConfig:
         tables = ("true_prefs", "assumed_prefs")
         doc = {key: value for key, value in vars(self).items() if key not in tables}
         check_document(doc, CONFIG_SCHEMA, _config_error)
-        _check_object_range(self.objects)
+        _check_pool_rules(self.objects, self.colors, self.shapes)
         for key in tables:
             table = getattr(self, key)
             if not isinstance(table, PreferenceTable) and (key, table) != ("assumed_prefs", None):

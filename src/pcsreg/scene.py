@@ -7,12 +7,17 @@ construction, its types once, by ``SCENE_SCHEMA``, so no partially built
 scene can escape, and it carries what its readers share: the attribute
 index, the per-landmark relation memo and the table of frames that every
 landmark shares, the last two filled on first use.  Each document schema is
-compiled once per process, on its first ``check_document``.
+compiled once per process, on its first ``check_document``, into tables
+that map a value's Python type to the tests of its JSON type's keywords,
+so a value costs one lookup plus its own tests; ``pattern`` verdicts are
+kept in one bounded memo.  ``json_text`` is the one writer of every JSON
+document the package prints or saves.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import math
 import re
@@ -22,7 +27,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Union
 
-from .geometry import Vec, distance
+from .geometry import Vec
 
 # Minimum centroid separation (meters); projective angles are undefined for
 # coincident points.
@@ -155,6 +160,12 @@ class _TypesChecked(tuple):
     ``SCENE_SCHEMA``; as a ``Scene``'s ``entities`` they skip the type checks."""
 
 
+# Each attribute slot, in scene order, and the slot that may not share its
+# words in one scene: ``resolver.parse_expression`` reads a word before
+# the category as a color when the scene has it as one, so a shape that is
+# also a color would not read back.
+_RIVAL_SLOTS = (("category", None), ("color", "shape"), ("shape", "color"))
+
 # The fields that ``_validate`` returns, in order.
 _VALIDATED = (
     "entities", "table", "north", "_by_id", "speaker", "listener", "_referable_ids", "attributes",
@@ -175,7 +186,8 @@ def _validate(scene: Scene) -> tuple:
     ``scene_to_dict``, which holds a value of the wrong type as it is, for
     the schema to report.  Then the semantic rules: min corner below max,
     corners within ``_FLOAT_MAX / 8`` (``prepositions``), a unit ``north``,
-    each entity in scene order, and last a missing agent.
+    each entity in scene order (first that its color or shape is no
+    earlier shape or color, ``_RIVAL_SLOTS``), and last a missing agent.
     """
     table = scene.table
     if type(scene.entities) is not _TypesChecked:
@@ -205,10 +217,19 @@ def _validate(scene: Scene) -> tuple:
     # holds it for as long as it lives.
     index: dict[tuple[str, str], list[str]] = {}
     for i, e in enumerate(scene.entities):
-        for slot in ATTRIBUTE_SLOTS:
+        for slot, rival in _RIVAL_SLOTS:
             value = getattr(e, slot)
             if value is not None:
-                index.setdefault((slot, sys.intern(value.lower())), []).append(e.id)
+                word = sys.intern(value.lower())
+                if rival is not None:
+                    owners = index.get((rival, word))
+                    if owners is not None:
+                        raise SceneError(
+                            f"entities[{i}].{slot}",
+                            f"{value!r} is the {rival} of entity {owners[0]!r}; a word may be a "
+                            "color or a shape in one scene, not both",
+                        )
+                index.setdefault((slot, word), []).append(e.id)
         if not (low[0] <= e.centroid[0] <= high[0] and low[1] <= e.centroid[1] <= high[1]):
             raise SceneError(f"entities[{i}].pos", f"centroid {e.centroid} outside table extent")
         if type(e.centroid) is not tuple:
@@ -223,8 +244,10 @@ def _validate(scene: Scene) -> tuple:
             agents[e.kind] = e
         elif e.referable_as_target:
             referable.append(e.id)
+        cx, cy = e.centroid
         for other in by_id.values():
-            if distance(e.centroid, other.centroid) < MIN_SEPARATION:
+            ox, oy = other.centroid
+            if math.hypot(cx - ox, cy - oy) < MIN_SEPARATION:
                 raise SceneError(
                     f"entities[{i}].pos",
                     f"centroid collides with entity {other.id!r} (separation < {MIN_SEPARATION})",
@@ -424,30 +447,54 @@ def _plural_fault(items: dict, value) -> _Invalid:
     return _Invalid(f"must contain {want}, got {reprlib.repr(value)}")
 
 
-def _compile(schema: dict, root: dict, refs: dict, slot: tuple | None = None) -> Callable:
-    """``schema`` as one function that raises ``_Invalid`` for a value that
-    breaks it.  A ``$ref`` is compiled on its first use, into ``refs``
-    (shared by every reference into ``root``), and then written over its
-    ``slot``, the (properties, key) that held it, so a recursive document
-    costs one call per level."""
+class _Checks(dict):
+    """A compiled schema: each Python type of ``_JSON_TYPES`` maps to the
+    test of its JSON type's keywords, or to None where nothing is left to
+    check; any other type, a subclass included, gets ``other``."""
+
+    __slots__ = ("other",)
+
+    def __missing__(self, kind):
+        return self.other
+
+
+@functools.lru_cache(maxsize=256)
+def _matches(pattern: str, value: str) -> bool:
+    """Whether ``re.search`` finds ``pattern`` in ``value``.  A scene repeats
+    its attribute words, and a lookup costs less than the search; the bound
+    keeps the memo small whatever the values."""
+    return re.search(pattern, value) is not None
+
+
+def _compile(schema: dict, root: dict, refs: dict, slot: tuple | None = None) -> _Checks:
+    """``schema`` as a ``_Checks`` table whose tests raise ``_Invalid`` for
+    a value that breaks it.  A ``$ref`` is an empty table whose ``other``
+    compiles the definition on its first use, into ``refs`` (shared by
+    every reference into ``root``), and then writes it over its ``slot``,
+    the (properties, key) that held it, so a recursive document costs one
+    call per level."""
+    checks = _Checks()
     if "$ref" in schema:
         name = schema["$ref"].rpartition("/")[2]
 
         def check_ref(value):
-            check = refs.get(name)
-            if check is None:
-                check = refs[name] = _compile(root["definitions"][name], root, refs)
+            target = refs.get(name)
+            if target is None:
+                target = refs[name] = _compile(root["definitions"][name], root, refs)
             if slot is not None:
-                slot[0][slot[1]] = check
-            check(value)
+                slot[0][slot[1]] = target
+            test = target[type(value)]
+            if test is not None:
+                test(value)
 
-        return check_ref
+        checks.other = check_ref
+        return checks
 
     types = schema.get("type")
     names = (types,) if isinstance(types, str) else types
     allowed = None if types is None else {*names, *(["integer"] if "number" in names else [])}
     enum = schema.get("enum")
-    properties: dict[str, Callable] = {}
+    properties: dict[str, _Checks] = {}
     for key, sub in schema.get("properties", {}).items():
         properties[key] = _compile(sub, root, refs, (properties, key))
     required = schema.get("required", ())
@@ -466,71 +513,103 @@ def _compile(schema: dict, root: dict, refs: dict, slot: tuple | None = None) ->
     each = None if items is None or numbers else _compile(items, root, refs)
     least, most = schema.get("minimum", -math.inf), schema.get("maximum", math.inf)
     min_length = schema.get("minLength", 0)
-    search = re.compile(schema["pattern"]).search if "pattern" in schema else None
+    pattern = schema.get("pattern")
 
-    def check(value):
-        name = _JSON_TYPES.get(type(value))
-        if allowed is not None and name not in allowed:
-            raise _Invalid(f"must be of type {' or '.join(names)}, got {reprlib.repr(value)}")
-        if enum is not None and value not in enum:
-            raise _Invalid(f"must be one of {enum}, got {reprlib.repr(value)}")
-        if name == "object":
-            for key in required:
-                if key not in value:
-                    raise _Invalid("is missing", key)
-            for key, other in needs:
-                if key in value and other not in value:
-                    raise _Invalid(f"is required when {key!r} is present", other)
-            if closed:
-                for key in value:
-                    if key not in properties:
-                        raise _Invalid("is not allowed", key)
-            for key, item in value.items():
-                sub = properties.get(key)
-                if sub is not None:
+    def wrong_type(value):
+        raise _Invalid(f"must be of type {' or '.join(names)}, got {reprlib.repr(value)}")
+
+    def check_object(value):
+        for key in required:
+            if key not in value:
+                raise _Invalid("is missing", key)
+        for key, other in needs:
+            if key in value and other not in value:
+                raise _Invalid(f"is required when {key!r} is present", other)
+        if closed:
+            for key in value:
+                if key not in properties:
+                    raise _Invalid("is not allowed", key)
+        for key, item in value.items():
+            sub = properties.get(key)
+            if sub is not None:
+                test = sub[type(item)]
+                if test is not None:
                     try:
-                        sub(item)
+                        test(item)
                     except _Invalid as exc:
                         exc.path.append(key)
                         raise
-        elif name == "array":
-            if not lo <= len(value) <= hi:
-                raise _Invalid(f"must have [{lo}, {hi}] items, got {reprlib.repr(value)}")
-            if unique and any(item in value[:i] for i, item in enumerate(value)):
-                raise _Invalid(f"must not repeat an item, got {reprlib.repr(value)}")
-            if numbers:
-                for item in value:
-                    if type(item) not in numbers or not (
-                        abs(item) <= _FLOAT_MAX and item_least <= item <= item_most
-                    ):
-                        raise _plural_fault(items, value)
-            elif each is not None:
-                for i, item in enumerate(value):
+
+    def check_array(value):
+        if not lo <= len(value) <= hi:
+            raise _Invalid(f"must have [{lo}, {hi}] items, got {reprlib.repr(value)}")
+        if unique and any(item in value[:i] for i, item in enumerate(value)):
+            raise _Invalid(f"must not repeat an item, got {reprlib.repr(value)}")
+        if numbers:
+            for item in value:
+                if type(item) not in numbers or not (
+                    abs(item) <= _FLOAT_MAX and item_least <= item <= item_most
+                ):
+                    raise _plural_fault(items, value)
+        elif each is not None:
+            for i, item in enumerate(value):
+                test = each[type(item)]
+                if test is not None:
                     try:
-                        each(item)
+                        test(item)
                     except _Invalid as exc:
                         if nested:
                             exc.path.append(i)
                             raise
                         raise _plural_fault(items, value) from None
-        elif name == "number" or name == "integer":
-            if not abs(value) <= _FLOAT_MAX:
-                raise _Invalid(f"must be finite, got {reprlib.repr(value)}")
-            if not least <= value <= most:
-                raise _Invalid(f"must be in [{least}, {most}], got {value!r}")
-        elif name == "string":
-            if len(value) < min_length:
-                raise _Invalid(f"must have at least {min_length} characters, got {value!r}")
-            if search is not None and not search(value):
-                raise _Invalid(f"must be {schema['description']}, got {reprlib.repr(value)}")
 
-    return check
+    def check_number(value):
+        if not abs(value) <= _FLOAT_MAX:
+            raise _Invalid(f"must be finite, got {reprlib.repr(value)}")
+        if not least <= value <= most:
+            raise _Invalid(f"must be in [{least}, {most}], got {value!r}")
+
+    def check_string(value):
+        if len(value) < min_length:
+            raise _Invalid(f"must have at least {min_length} characters, got {value!r}")
+        if pattern is not None and not _matches(pattern, value):
+            raise _Invalid(f"must be {schema['description']}, got {reprlib.repr(value)}")
+
+    # Each JSON type's test, None where its keywords are absent; every
+    # number is tested, since every number must be finite.
+    tests = {
+        "object": check_object if required or needs or closed or properties else None,
+        "array": check_array if lo or hi < math.inf or unique or items is not None else None,
+        "number": check_number,
+        "integer": check_number,
+        "string": check_string if min_length or pattern is not None else None,
+        "boolean": None,
+        "null": None,
+    }
+    other = None if allowed is None else wrong_type
+    if enum is not None:
+
+        def in_enum(test):
+            def check(value):
+                if value not in enum:
+                    raise _Invalid(f"must be one of {enum}, got {reprlib.repr(value)}")
+                if test is not None:
+                    test(value)
+
+            return check
+
+        tests = {name: in_enum(test) for name, test in tests.items()}
+        other = other or in_enum(None)
+    for kind, name in _JSON_TYPES.items():
+        checks[kind] = tests[name] if allowed is None or name in allowed else wrong_type
+    checks.other = other
+    return checks
 
 
 # Each schema's compiled check, keyed by the schema's identity.  An entry
 # holds its schema, so the id stays that schema's; the oldest entry goes
 # once the cache is full, so schemas built per call cannot grow it.
-_COMPILED: dict[int, tuple[dict, Callable]] = {}
+_COMPILED: dict[int, tuple[dict, _Checks]] = {}
 _COMPILED_MAX = 32
 
 
@@ -544,22 +623,30 @@ def check_document(doc, schema: dict, invalid: Callable[[tuple, str], Exception]
     ``dependencies`` (array form), ``properties``,
     ``additionalProperties: false``, ``items``, ``minItems``/``maxItems``,
     ``uniqueItems`` and ``$ref`` into ``definitions``.  Every number must
-    also be finite, and a tuple counts as an array.  ``path`` holds the
-    keys and indexes down to the bad value; a bad item of a list of scalars
-    is reported at the list.  A document too deep for the check to recurse
+    also be finite, and a tuple counts as an array.  A value of any other
+    Python type, a subclass of these included, breaks a schema with
+    ``type`` and meets only ``enum`` otherwise.  ``path`` holds the keys
+    and indexes down to the bad value; a bad item of a list of scalars is
+    reported at the list.  A document too deep for the check to recurse
     through is ``invalid((), "nested too deeply")``.
 
     A schema is compiled on its first use and the result kept, keyed by
     the schema object's identity: callers pass module-level schemas, and
-    never change one after its first use.
+    never change one after its first use.  The compiled form is a table
+    per schema node from each Python type of a JSON type to the tests of
+    that type's keywords (None where none applies), so a value costs one
+    lookup plus its own tests.  ``pattern`` verdicts are memoized by
+    (pattern, value) in ``_matches``, which holds at most 256.
     """
     entry = _COMPILED.get(id(schema))
     if entry is None:
         if len(_COMPILED) >= _COMPILED_MAX:
             _COMPILED.pop(next(iter(_COMPILED)), None)
         entry = _COMPILED[id(schema)] = (schema, _compile(schema, schema, {}))
+    test = entry[1][type(doc)]
     try:
-        entry[1](doc)
+        if test is not None:
+            test(doc)
     except _Invalid as exc:
         raise invalid(tuple(reversed(exc.path)), exc.args[0]) from None
     except RecursionError:
@@ -574,14 +661,96 @@ def load_scene(source: Union[str, Path]) -> Scene:
     return scene_from_dict(read_json(source, lambda message: SceneError("$", message)))
 
 
-_ENCODER = json.JSONEncoder(indent=2, sort_keys=True)
+_ESCAPE = json.encoder.encode_basestring_ascii
+_INF = float("inf")
+
+
+def _scalar_text(value):
+    """The text of a JSON scalar, tested in the stdlib's order (a string
+    escaped, anything else bare, a non-finite float in the stdlib's
+    words), or None for any other value."""
+    if isinstance(value, str):
+        return _ESCAPE(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        if value != value:
+            return "NaN"
+        if value == _INF:
+            return "Infinity"
+        if value == -_INF:
+            return "-Infinity"
+        return float.__repr__(value)
+    return None
+
+
+def _write(value, out: list, indent: str) -> None:
+    """Append the text of ``value`` to ``out``; ``indent`` is the newline
+    and spaces that open a line at ``value``'s level.  The exact types of
+    most values are tested first."""
+    kind = type(value)
+    if kind is str:
+        text = _ESCAPE(value)
+    elif kind is int or kind is float and -_INF < value < _INF:
+        text = repr(value)
+    else:
+        text = _scalar_text(value)
+    if text is not None:
+        out.append(text)
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        separator = "[" + inner
+        for item in value:
+            out.append(separator)
+            _write(item, out, inner)
+            separator = "," + inner
+        out.append(indent + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        separator = "{" + inner
+        for key, item in sorted(value.items()):
+            if not isinstance(key, str):
+                text = _scalar_text(key)
+                if text is None:
+                    raise TypeError(
+                        f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
+                    )
+                key = text
+            out.append(separator + _ESCAPE(key) + ": ")
+            _write(item, out, inner)
+            separator = "," + inner
+        out.append(indent + "}")
+    else:
+        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
 
 
 def json_text(doc) -> str:
     """The canonical text of a JSON document, which every writer uses:
-    two-space indent and sorted keys, so equal documents give equal bytes.
-    One encoder, built at import, writes every document."""
-    return _ENCODER.encode(doc)
+    exactly ``json.dumps(doc, indent=2, sort_keys=True)``, so equal
+    documents give equal bytes.  Two-space indent, sorted keys, ASCII
+    escapes, a tuple as an array, ``NaN``/``Infinity`` for non-finite
+    floats, and ``TypeError`` for what the stdlib cannot write.  Written
+    in one pass into one list, since ``indent`` rules out the stdlib's C
+    encoder; a document that is cyclic or too deep for this writer gets
+    the stdlib's own verdict."""
+    out: list[str] = []
+    try:
+        _write(doc, out, "\n")
+    except RecursionError:
+        return json.dumps(doc, indent=2, sort_keys=True)
+    return "".join(out)
 
 
 def dump_scene(scene: Scene) -> str:

@@ -5,6 +5,7 @@ accept."""
 import copy
 import json
 import random
+import re
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,14 @@ from pcsreg import harness, scene as scene_module
 from pcsreg.frames import PREFS_SCHEMA, default_preferences
 from pcsreg.harness import CONFIG_SCHEMA, DEFAULT_CATEGORIES, DEFAULT_COLORS, METHODS, sample_scene
 from pcsreg.resolver import EXPRESSION_SCHEMA, tree_to_dict
-from pcsreg.scene import SCENE_SCHEMA, check_document, load_scene, scene_to_dict
+from pcsreg.scene import (
+    ATTRIBUTE_VALUE,
+    SCENE_SCHEMA,
+    _TypesChecked,
+    check_document,
+    load_scene,
+    scene_to_dict,
+)
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
 
@@ -61,11 +69,23 @@ _BASES = (
     + [(EXPRESSION_SCHEMA, doc) for doc in _expressions()]
 )
 
+class _Pair(tuple):
+    pass
+
+
+class _Mapping(dict):
+    pass
+
+
+# Values of Python types that ``json.loads`` never gives, subclasses of
+# its types included: each is of no JSON type.
+_FOREIGN = [{1, 2}, b"x", _Pair((0.5, 0.5)), _Mapping(category="block"), object()]
+
 # Wrong types, bools for numbers, non-finite and out-of-range numbers,
-# and values of other fields.  The scalars that break most fields are
-# drawn as often as all the rest.
+# values of other fields and of foreign types.  The scalars that break
+# most fields are drawn as often as all the rest.
 _SCALARS = [True, False, None, "x", float("nan"), float("inf"), 10**400, -1]
-_VALUES = _SCALARS + [
+_VALUES = _SCALARS + _FOREIGN + [
     "", [], {}, 0, 2, 1.5, float("-inf"), -(10**400), [True, 1.0], [0.5, 0.5],
     [0.5, 0.5, 0.5, 0.5], ["a"], [["a"]], {"head": {}}, {"category": "block"},
     {"person": "you"}, "front", "object", "pcsreg", "toy car", "Behind", "block\n",
@@ -79,13 +99,14 @@ _DEPTHS = [0, 0, 0, 0, 1, 10, 100, 400, 5000]
 
 
 def _paths(doc):
+    """The paths into ``doc``; a foreign value is a leaf."""
     paths, stack = [], [((), doc)]
     while stack:
         path, node = stack.pop()
         paths.append(path)
-        if isinstance(node, dict):
+        if type(node) is dict:
             stack.extend((path + (key,), value) for key, value in node.items())
-        elif isinstance(node, (list, tuple)):
+        elif type(node) in (list, tuple):
             stack.extend((path + (i,), value) for i, value in enumerate(node))
     return sorted(paths, key=repr)
 
@@ -129,9 +150,9 @@ def _mutated(data, doc):
 
 def _as_tuples(doc):
     """``doc`` with every list a tuple, which the check reads as an array."""
-    if isinstance(doc, dict):
+    if type(doc) is dict:
         return {key: _as_tuples(value) for key, value in doc.items()}
-    if isinstance(doc, list):
+    if type(doc) is list:
         return tuple(_as_tuples(value) for value in doc)
     return doc
 
@@ -213,3 +234,40 @@ def test_compile_cache_stays_bounded_under_ad_hoc_schemas():
         ("head", "person"),
         "must be one of ['speaker', 'listener'], got 'me'",
     )
+
+
+@pytest.mark.parametrize(
+    "schema",
+    [{"type": "array"}, {"type": ["object", "null"]}, {"enum": ["object", 1]}, {}, SCENE_SCHEMA],
+    ids=["array", "object or null", "enum", "empty", "scene"],
+)
+@pytest.mark.parametrize(
+    "value",
+    _FOREIGN + [_TypesChecked()],
+    ids=["set", "bytes", "tuple subclass", "dict subclass", "object", "types checked"],
+)
+def test_values_of_foreign_types_are_checked_as_by_the_reference(schema, value):
+    """Under a ``type`` a foreign value breaks it; without one only
+    ``enum`` applies."""
+    verdict = compiled_check(value, schema)
+    assert verdict == reference_check(value, schema)
+    if "type" in schema:
+        assert verdict[1].startswith("must be of type")
+    elif "enum" in schema:
+        assert verdict[1].startswith("must be one of")
+    else:
+        assert verdict is None
+
+
+def test_pattern_memo_stays_bounded_and_agrees_with_re_search():
+    pattern = ATTRIBUTE_VALUE["pattern"]
+    bound = scene_module._matches.cache_info().maxsize
+    words = [f"word{i}" for i in range(2 * bound)] + ["behind", "Behind", "toy car", "block\n", "x"]
+    for word in words + words[::-1]:
+        assert scene_module._matches(pattern, word) == (re.search(pattern, word) is not None), word
+        assert scene_module._matches.cache_info().currsize <= bound
+    schema = {"type": "array", "items": ATTRIBUTE_VALUE}
+    assert compiled_check(words[: 2 * bound], schema) is None
+    verdict = compiled_check(words, schema)
+    assert verdict is not None and verdict == reference_check(words, schema)
+    assert scene_module._matches.cache_info().currsize == bound

@@ -231,6 +231,20 @@ class TestGenerate:
             assert "entities[2].category: must be a single word" in out.stderr, argv
             assert out.stdout == "", argv
 
+    def test_word_that_is_a_color_and_a_shape_exits_2(self, tmp_path):
+        # "the round block" for t1 would read "round" as c1's color.
+        doc = json.loads((DEMO / "two_blocks_car.json").read_text())
+        doc["entities"][0].update(id="t1", shape="round", color=None)
+        doc["entities"][1].update(id="t2", color=None)
+        doc["entities"][2].update(id="c1", category="cup", color="round", heading=None)
+        scene = tmp_path / "round.json"
+        scene.write_text(json.dumps(doc))
+        for argv in (("generate", "--target", "t1"), ("resolve", "--expr", "the round block")):
+            out = run_cli(*argv, "--scene", str(scene))
+            assert out.returncode == 2, argv
+            assert "entities[2].color: 'round' is the shape of entity 't1'" in out.stderr, argv
+            assert out.stdout == "", argv
+
     @pytest.mark.parametrize("path", ["entities[0].colour", "tabel"])
     def test_unknown_scene_key_exits_2(self, tmp_path, path):
         # A misspelt key is an error, not a silently dropped attribute.
@@ -516,6 +530,7 @@ class TestEvaluate:
             {"categories": [""]},
             {"colors": [""]},
             {"shapes": ["round", ""]},
+            {"shapes": ["square", "Red"]},
         ],
     )
     def test_bad_sampling_pools_exit_2(self, tmp_path, override):

@@ -820,6 +820,21 @@ class TestConfig:
         with pytest.raises(HarnessError, match=message):
             sample_scene(1, **{pool: ("red", value)})
 
+    @pytest.mark.parametrize(
+        "colors, shapes", [(["red", "round"], ["square", "round"]), (["Round"], ["ROUND"])]
+    )
+    def test_rejects_a_word_in_colors_and_shapes(self, colors, shapes):
+        # A sampled scene could hold the word as one entity's color and
+        # another's shape, which load_scene rejects.
+        message = (
+            "^config field 'shapes' must share no word with 'colors' in any letter case, "
+            f"got {shapes[-1]!r}$"
+        )
+        with pytest.raises(HarnessError, match=message):
+            tiny_config(colors=colors, shapes=shapes)
+        with pytest.raises(HarnessError, match=message):
+            sample_scene(1, colors=tuple(colors), shapes=tuple(shapes))
+
     @pytest.mark.parametrize("override", [{"seed": 10**400}, {"objects": [3, 10**400]}])
     def test_rejects_ints_beyond_float_range(self, override):
         with pytest.raises(HarnessError, match=repr(next(iter(override)))):

@@ -1,11 +1,13 @@
+import collections
 import dataclasses
+import enum
 import hashlib
 import json
 import math
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from helpers import SURFACE_WORDS
 from pcsreg import scene as scene_module
@@ -23,6 +25,7 @@ from pcsreg.scene import (
     TableExtent,
     attribute_vocabulary,
     dump_scene,
+    json_text,
     landmark_type,
     load_scene,
     scene_from_dict,
@@ -635,10 +638,53 @@ def test_attribute_values_that_would_not_parse_back_are_rejected(slot, value):
 
 @pytest.mark.parametrize("value", ["toycar", "behinds", "Block", "in-front", "théière", "K"])
 def test_one_word_attribute_values_load(value):
+    # A category may repeat the color or the shape; color and shape may not
+    # share a word (``test_a_word_that_is_a_color_and_a_shape_is_rejected``).
+    for slots in (("category", "color"), ("category", "shape")):
+        doc = minimal_doc()
+        doc["entities"][0].update(dict.fromkeys(slots, value))
+        entity = load_scene(json.dumps(doc)).entities[0]
+        assert [getattr(entity, slot) for slot in slots] == [value, value]
+
+
+def _round_round_doc(shape="round", color="round"):
+    """``t1`` a block of shape ``shape``, ``t2`` a plain block and ``c1`` a
+    cup of color ``color``, between the agents of ``minimal_doc``."""
     doc = minimal_doc()
-    doc["entities"][0].update(category=value, color=value, shape=value)
-    entity = load_scene(json.dumps(doc)).entities[0]
-    assert (entity.category, entity.color, entity.shape) == (value, value, value)
+    doc["entities"][0:1] = [
+        {"id": "t1", "kind": "object", "category": "block", "color": None, "shape": shape,
+         "pos": [-0.4, 0.0], "heading": None},
+        {"id": "t2", "kind": "object", "category": "block", "pos": [0.4, 0.0]},
+        {"id": "c1", "kind": "object", "category": "cup", "color": color, "pos": [0.0, 0.0]},
+    ]
+    return doc
+
+
+@pytest.mark.parametrize("shape, color", [("round", "round"), ("ROUND", "Round")])
+def test_a_word_that_is_a_color_and_a_shape_is_rejected(shape, color):
+    """"the round block" would read "round" as the cup's color: the later
+    field of the two, in scene order, is the fault, in a file and in Python."""
+    doc = _round_round_doc(shape, color)
+    message = rf"^entities\[2\]\.color: {color!r} is the shape of entity 't1'"
+    with pytest.raises(SceneError, match=message):
+        load_scene(json.dumps(doc))
+    entities = load_scene(json.dumps(_round_round_doc(shape, "blue"))).entities
+    clash = dataclasses.replace(entities[2], color=color)
+    with pytest.raises(SceneError, match=message):
+        Scene((*entities[:2], clash, *entities[3:]), TableExtent((-1.0, -1.0), (1.0, 1.0)))
+    # Within one entity the shape comes after the color.
+    doc = minimal_doc()
+    doc["entities"][0].update(color="round", shape="Round")
+    message = r"^entities\[0\]\.shape: 'Round' is the color of entity 'b1'"
+    with pytest.raises(SceneError, match=message):
+        load_scene(json.dumps(doc))
+
+
+def test_a_color_or_shape_may_repeat_a_category():
+    doc = _round_round_doc(shape="cup", color="block")
+    scene = load_scene(json.dumps(doc))
+    assert scene.attributes[("shape", "cup")] == ("t1",)
+    assert scene.attributes[("color", "block")] == ("c1",)
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -670,6 +716,82 @@ def test_dump_scene_bytes_match_the_demo_files(name):
     a final newline, gives back the file's text byte for byte."""
     path = DEMO / name
     assert dump_scene(load_scene(path)) + "\n" == path.read_text(encoding="utf-8")
+
+
+class _Text(str):
+    pass
+
+
+class _Real(float):
+    pass
+
+
+class _Level(enum.IntEnum):
+    HIGH = 2
+
+
+# Subclasses of the JSON types, which the stdlib writes as their base type.
+_SUBCLASSED = st.sampled_from(
+    [_Text("é\n"), _Real(0.1), _Real("-inf"), _Level.HIGH, collections.OrderedDict(b=1, a=[])]
+)
+
+# Values that ``json.dumps`` writes, each in its one spelling: strings with
+# non-ASCII and control characters and lone surrogates, ints beyond 64
+# bits, and floats whose text is easy to get wrong.
+_WRITABLE = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=2**64, max_value=2**300).flatmap(lambda n: st.sampled_from([n, -n])),
+    st.floats(),
+    st.sampled_from([-0.0, 5e-324, 1e16, 1e-7, float("nan"), float("inf"), float("-inf")]),
+    st.text(st.characters(exclude_categories=())),
+    _SUBCLASSED,
+)
+
+# Values and keys it cannot write.
+_UNWRITABLE = st.sampled_from([set(), frozenset(), b"x", bytearray(b"x")]) | st.builds(object)
+_KEYS = st.one_of(
+    st.text(st.characters(exclude_categories=())),
+    st.integers() | st.booleans() | st.floats(),
+    st.sampled_from([_Text("k"), _Real(0.5), _Level.HIGH]),
+    st.none(),
+    st.tuples(st.integers()) | st.builds(object),
+)
+
+
+def _documents(children):
+    items = st.lists(children, max_size=4)
+    return st.one_of(
+        items, items.map(tuple), st.dictionaries(st.text(max_size=3), children, max_size=4),
+        st.dictionaries(_KEYS, children, max_size=3),
+    )
+
+
+def _written(write, doc):
+    """``write(doc)``, or the type of the exception it raised."""
+    try:
+        return write(doc)
+    except (TypeError, ValueError) as exc:
+        return type(exc)
+
+
+@pytest.mark.deep
+@given(
+    st.recursive(_WRITABLE, _documents, max_leaves=24)
+    | st.recursive(_WRITABLE | _UNWRITABLE, _documents, max_leaves=8)
+)
+@example({"b": [1, 2.5, (), {}], "a": {"\udc80é\x00": (None, True, -0.0)}})
+@example([5e-324, 1e16, float("nan"), float("inf"), float("-inf"), 2**70, -(2**70)])
+@example({1: "x", True: "y", None: 0, 2.5: 1})
+@example({None: 0, "a": 1})
+@example([set(), b"x", object()])
+@example([_Text("é"), _Real("nan"), _Level.HIGH, {_Level.HIGH: 1, _Real(0.5): _Real(-0.0)}])
+def test_json_text_is_the_stdlib_text(doc):
+    """``json_text`` writes exactly ``json.dumps(doc, indent=2,
+    sort_keys=True)``, or raises the same type of exception."""
+    stdlib = _written(lambda d: json.dumps(d, indent=2, sort_keys=True), doc)
+    assert _written(json_text, doc) == stdlib
 
 
 # sha256 of ``dump_scene`` for each demo scene and for ``sample_scene(7)``
