@@ -9,15 +9,13 @@ index, the per-landmark relation memo and the table of frames that every
 landmark shares, the last two filled on first use.  Each document schema is
 compiled once per process, on its first ``check_document``, into tables
 that map a value's Python type to the tests of its JSON type's keywords,
-so a value costs one lookup plus its own tests; ``pattern`` verdicts are
-kept in one bounded memo.  ``json_text`` is the one writer of every JSON
-document the package prints or saves.
+so a value costs one lookup plus its own tests.  ``json_text`` is the one
+writer of every JSON document the package prints or saves.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
 import json
 import math
 import re
@@ -27,7 +25,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Union
 
-from .geometry import Vec
+from .geometry import Vec, distance
 
 # Minimum centroid separation (meters); projective angles are undefined for
 # coincident points.
@@ -244,10 +242,8 @@ def _validate(scene: Scene) -> tuple:
             agents[e.kind] = e
         elif e.referable_as_target:
             referable.append(e.id)
-        cx, cy = e.centroid
         for other in by_id.values():
-            ox, oy = other.centroid
-            if math.hypot(cx - ox, cy - oy) < MIN_SEPARATION:
+            if distance(e.centroid, other.centroid) < MIN_SEPARATION:
                 raise SceneError(
                     f"entities[{i}].pos",
                     f"centroid collides with entity {other.id!r} (separation < {MIN_SEPARATION})",
@@ -458,14 +454,6 @@ class _Checks(dict):
         return self.other
 
 
-@functools.lru_cache(maxsize=256)
-def _matches(pattern: str, value: str) -> bool:
-    """Whether ``re.search`` finds ``pattern`` in ``value``.  A scene repeats
-    its attribute words, and a lookup costs less than the search; the bound
-    keeps the memo small whatever the values."""
-    return re.search(pattern, value) is not None
-
-
 def _compile(schema: dict, root: dict, refs: dict, slot: tuple | None = None) -> _Checks:
     """``schema`` as a ``_Checks`` table whose tests raise ``_Invalid`` for
     a value that breaks it.  A ``$ref`` is an empty table whose ``other``
@@ -513,7 +501,7 @@ def _compile(schema: dict, root: dict, refs: dict, slot: tuple | None = None) ->
     each = None if items is None or numbers else _compile(items, root, refs)
     least, most = schema.get("minimum", -math.inf), schema.get("maximum", math.inf)
     min_length = schema.get("minLength", 0)
-    pattern = schema.get("pattern")
+    search = re.compile(schema["pattern"]).search if "pattern" in schema else None
 
     def wrong_type(value):
         raise _Invalid(f"must be of type {' or '.join(names)}, got {reprlib.repr(value)}")
@@ -572,7 +560,7 @@ def _compile(schema: dict, root: dict, refs: dict, slot: tuple | None = None) ->
     def check_string(value):
         if len(value) < min_length:
             raise _Invalid(f"must have at least {min_length} characters, got {value!r}")
-        if pattern is not None and not _matches(pattern, value):
+        if search is not None and not search(value):
             raise _Invalid(f"must be {schema['description']}, got {reprlib.repr(value)}")
 
     # Each JSON type's test, None where its keywords are absent; every
@@ -582,7 +570,7 @@ def _compile(schema: dict, root: dict, refs: dict, slot: tuple | None = None) ->
         "array": check_array if lo or hi < math.inf or unique or items is not None else None,
         "number": check_number,
         "integer": check_number,
-        "string": check_string if min_length or pattern is not None else None,
+        "string": check_string if min_length or search is not None else None,
         "boolean": None,
         "null": None,
     }
@@ -635,8 +623,7 @@ def check_document(doc, schema: dict, invalid: Callable[[tuple, str], Exception]
     never change one after its first use.  The compiled form is a table
     per schema node from each Python type of a JSON type to the tests of
     that type's keywords (None where none applies), so a value costs one
-    lookup plus its own tests.  ``pattern`` verdicts are memoized by
-    (pattern, value) in ``_matches``, which holds at most 256.
+    lookup plus its own tests.
     """
     entry = _COMPILED.get(id(schema))
     if entry is None:
@@ -743,13 +730,11 @@ def json_text(doc) -> str:
     escapes, a tuple as an array, ``NaN``/``Infinity`` for non-finite
     floats, and ``TypeError`` for what the stdlib cannot write.  Written
     in one pass into one list, since ``indent`` rules out the stdlib's C
-    encoder; a document that is cyclic or too deep for this writer gets
-    the stdlib's own verdict."""
+    encoder.  The package writes only trees it built, so a cyclic
+    document, which the stdlib rejects with ``ValueError``, is not
+    looked for and raises ``RecursionError``."""
     out: list[str] = []
-    try:
-        _write(doc, out, "\n")
-    except RecursionError:
-        return json.dumps(doc, indent=2, sort_keys=True)
+    _write(doc, out, "\n")
     return "".join(out)
 
 

@@ -5,7 +5,6 @@ accept."""
 import copy
 import json
 import random
-import re
 from pathlib import Path
 
 import pytest
@@ -16,14 +15,7 @@ from pcsreg import harness, scene as scene_module
 from pcsreg.frames import PREFS_SCHEMA, default_preferences
 from pcsreg.harness import CONFIG_SCHEMA, DEFAULT_CATEGORIES, DEFAULT_COLORS, METHODS, sample_scene
 from pcsreg.resolver import EXPRESSION_SCHEMA, tree_to_dict
-from pcsreg.scene import (
-    ATTRIBUTE_VALUE,
-    SCENE_SCHEMA,
-    _TypesChecked,
-    check_document,
-    load_scene,
-    scene_to_dict,
-)
+from pcsreg.scene import SCENE_SCHEMA, _TypesChecked, check_document, load_scene, scene_to_dict
 
 DEMO = Path(__file__).resolve().parent.parent / "demo"
 
@@ -257,17 +249,3 @@ def test_values_of_foreign_types_are_checked_as_by_the_reference(schema, value):
         assert verdict[1].startswith("must be one of")
     else:
         assert verdict is None
-
-
-def test_pattern_memo_stays_bounded_and_agrees_with_re_search():
-    pattern = ATTRIBUTE_VALUE["pattern"]
-    bound = scene_module._matches.cache_info().maxsize
-    words = [f"word{i}" for i in range(2 * bound)] + ["behind", "Behind", "toy car", "block\n", "x"]
-    for word in words + words[::-1]:
-        assert scene_module._matches(pattern, word) == (re.search(pattern, word) is not None), word
-        assert scene_module._matches.cache_info().currsize <= bound
-    schema = {"type": "array", "items": ATTRIBUTE_VALUE}
-    assert compiled_check(words[: 2 * bound], schema) is None
-    verdict = compiled_check(words, schema)
-    assert verdict is not None and verdict == reference_check(words, schema)
-    assert scene_module._matches.cache_info().currsize == bound
