@@ -108,6 +108,8 @@ def _fail(code: int, message: str) -> NoReturn:
 
 def _read(what: str, path: str, load, code: int = EXIT_BAD_SCENE):
     """``load(Path(path))``; an unreadable file or a rejected document exits ``code``."""
+    if not path:  # ``Path("")`` is the current directory
+        _fail(code, f"{what} file path is empty")
     if "\0" in path:  # ``open`` raises ValueError, not OSError, for these
         _fail(code, f"cannot read {what} file {path!r}: embedded null byte")
     try:

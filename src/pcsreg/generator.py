@@ -167,16 +167,14 @@ def select_landmark(
     generation that depends on how entities are named.  The step computes
     the description's match sets once: the distractors are its other
     matches in ``domain``, and the candidates are the domain's objects and
-    both agents, less its matches in the scene.  Every candidate is tested,
-    the target's quadrant first, then each distractor's until one shares
-    it, and only the candidates that separate are ranked and have their
-    ``entity_rows`` read, so a step that fails ranks none.  The target and
-    the distractors are projected onto the frame's two diagonals once per
-    call, and each candidate once; each pair's quadrant is decided by the
-    signs of the differences, and by ``prepositions._quadrant``, which is
-    ``relation``, only within the margin ``scene.margin_scale`` *
-    (|fx| + |fy|) of a diagonal (the ``prepositions`` module docstring has
-    the argument).
+    both agents, less its matches in the scene.  Only the candidates that
+    separate are ranked and have their ``entity_rows`` read, so a step that
+    fails ranks none.  A candidate separates the target from a distractor
+    iff its projection on one of the frame's diagonals lies strictly
+    between theirs: each distractor's two bands are built once per call,
+    and only a candidate within the margin of a band's edge goes to
+    ``prepositions._quadrant``, which is ``relation`` (the ``prepositions``
+    module docstring has the argument).
     """
     target = scene.entity(target_id)
     if target.kind is not EntityKind.OBJECT:
@@ -190,12 +188,15 @@ def select_landmark(
     fx, fy = frame.front_axis
     a, b = fx + fy, fy - fx  # front + right; front - right is (-b, a)
     m = scene.margin_scale * (abs(fx) + abs(fy))
-    nm = -m
-    located = [
-        (px * a + py * b, py * a - px * b, px, py)
-        for px, py in [target.centroid] + [scene.entity(eid).centroid for eid in distractors]
-    ]
     tx, ty = target.centroid
+    tu, tv = tx * a + ty * b, ty * a - tx * b
+    bands = []
+    for eid in distractors:
+        px, py = scene.entity(eid).centroid
+        du, dv = px * a + py * b, py * a - px * b
+        ulo, uhi = (tu, du) if tu < du else (du, tu)
+        vlo, vhi = (tv, dv) if tv < dv else (dv, tv)
+        bands.append((ulo + m, uhi - m, vlo + m, vhi - m, ulo - m, uhi + m, vlo - m, vhi + m, px, py))
     best = None
     for e in scene.entities:
         if e.id in described or (e.id not in domain and e.kind is EntityKind.OBJECT):
@@ -203,18 +204,13 @@ def select_landmark(
         cx, cy = e.centroid
         cu = cx * a + cy * b
         cv = cy * a - cx * b
-        target_quadrant = -1
-        for pu, pv, px, py in located:
-            u = pu - cu
-            v = pv - cv
-            if (u > m or u < nm) and (v > m or v < nm):
-                q = (0 if v > 0 else 3) if u > 0 else (2 if v > 0 else 1)
-            else:
-                q = _quadrant(px - cx, py - cy, fx, fy)
-            if q == target_quadrant:
+        for uil, uih, vil, vih, uol, uoh, vol, voh, px, py in bands:
+            if uil < cu < uih or vil < cv < vih:
+                continue
+            if (cu < uol or cu > uoh) and (cv < vol or cv > voh):
                 break
-            if target_quadrant < 0:
-                target_quadrant = q
+            if _quadrant(tx - cx, ty - cy, fx, fy) == _quadrant(px - cx, py - cy, fx, fy):
+                break
         else:
             # ``geometry.distance(e.centroid, target.centroid)``, inline.
             key = (_row_entropy(entity_rows[e.id]), math.hypot(cx - tx, cy - ty), e.id)

@@ -122,6 +122,8 @@ def generate_methods(
     settled distributions (the canonically first on ties),
     ``robot``/``human`` the speaker's/listener's frame, and ``random`` a
     uniform draw per unit from ``Random(seed)``, so it requires a seed.
+    With ``pcsreg`` requested, its expression space is built first and a
+    baseline's pick is the element at its choices' ``itertools.product`` index.
 
     Returns ``(picks, scored)``.  ``picks`` maps each method to its
     candidate, or to the ``GenerationError`` that generation raised
@@ -132,34 +134,39 @@ def generate_methods(
     """
     picks: dict[str, CandidateExpression | GenerationError] = {}
     scored: dict[str, tuple[Denotation, Score]] = {}
-    for method in methods:
+    space = None
+    if "pcsreg" in methods:
         try:
-            if method == "pcsreg":
-                candidates = expression_space(chain, scene)
-                picks[method], scored = rank(candidates, chain.target, scene, prefs)
-            else:
-                picks[method] = _baseline(method, chain, seed)
+            space = expression_space(chain, scene)
+            picks["pcsreg"], scored = rank(space, chain.target, scene, prefs)
         except GenerationError as exc:
-            picks[method] = exc
-    return picks, scored
+            picks["pcsreg"] = exc
+    for method in methods:
+        if method != "pcsreg":
+            picks[method] = _baseline(method, chain, seed, space)
+    return {method: picks[method] for method in methods}, scored
 
 
-def _baseline(method: str, chain: LandmarkChain, seed: int | None) -> CandidateExpression:
+def _baseline(
+    method: str, chain: LandmarkChain, seed: int | None, space: list[CandidateExpression] | None
+) -> CandidateExpression:
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r} (expected one of {', '.join(METHODS)})")
     if method == "random":
         if seed is None:
             raise ValueError("method 'random' requires a seed")
         rng = random.Random(seed)
-    picks = []
+    index, picks = 0, []
     for row, options in zip(chain.distributions, chain.options):
         if method == "max":
-            picks.append(max(options, key=lambda pick: row[pick[0].kind.order]))
+            i = max(range(len(options)), key=lambda j: row[options[j][0].kind.order])
         elif method == "random":
-            picks.append(options[rng.randrange(len(options))])
+            i = rng.randrange(len(options))
         else:
-            picks.append(next(o for o in options if o[0].kind is BASELINE_KINDS[method]))
-    return candidate(chain, tuple(picks))
+            i = next(j for j, o in enumerate(options) if o[0].kind is BASELINE_KINDS[method])
+        index = index * len(options) + i
+        picks.append(options[i])
+    return candidate(chain, tuple(picks)) if space is None else space[index]
 
 
 def generate(

@@ -17,30 +17,35 @@ The quadrant boundaries are the frame's two 45-degree diagonals, so with
 front (fx, fy) and right (fy, -fx) the relation of a displacement d follows
 from the signs of u = d.(front + right) and v = d.(front - right): front
 when both are positive, behind when both are negative, left when u < 0 < v
-and right when v < 0 < u.  ``partitions`` and ``generator.select_landmark``
-decide each pair by these signs when |u| and |v| both exceed the margin
-M = ``scene.margin_scale`` * (|fx| + |fy|), the scale being 1e-9 * max(1, C)
-for C the largest |coordinate| of a table corner, and call ``_quadrant`` on
-every other pair.  Outside that band the signs give ``_quadrant``'s answer:
+and right when v < 0 < u; u > 0 alone puts it in front or right, and v > 0
+in front or left.  ``partitions`` decides each pair by these signs when |u|
+and |v| both exceed the margin M = ``scene.margin_scale`` * (|fx| + |fy|),
+the scale being 1e-9 * max(1, C) for C the largest |coordinate| of a table
+corner, and calls ``_quadrant`` on every other pair.  A candidate landmark
+in ``generator.select_landmark`` is compared with the band between the
+target's and a distractor's projections on each diagonal, and only within
+M of an edge goes to ``_quadrant``.  Beyond M, a sign gives its answer:
 
 - u / (|d| |front|) is f + r and v / (|d| |front|) is f - r, where f and r
   are ``_quadrant``'s degrees toward front and right, and the largest
-  degree exceeds each other one by at least the smaller of |f + r| and
-  |f - r|.  ``Scene`` keeps every centroid inside the table, so
-  |d| <= 2 sqrt(2) max(1, C); with |front| <= |fx| + |fy| that gap exceeds
-  1e-9 / (2 sqrt(2)), about 3.5e-10, so neither ``RELATION_TIE_TOL``
-  (1e-12) nor the rounding of f and r (about 1e-16) can change the answer.
+  degree exceeds both degrees on the other side of u's diagonal by at
+  least |f + r|, and of v's by |f - r|.  ``Scene`` keeps every centroid
+  inside the table, so |d| <= 2 sqrt(2) max(1, C); with |front| <=
+  |fx| + |fy| that gap exceeds 1e-9 / (2 sqrt(2)), about 3.5e-10, so
+  neither ``RELATION_TIE_TOL`` (1e-12) nor the rounding of f and r (about
+  1e-16) can change the answer.
 - ``Scene`` bounds C by ``_FLOAT_MAX`` / 8, so under a unit front axis
-  every displacement, projected point, u and v is at most 4 sqrt(2) C in
-  size: none overflows, here or in ``_quadrant``.
+  every displacement, projected point, band edge, u and v is at most
+  4 sqrt(2) C in size: none overflows, here or in ``_quadrant``.
 - u and v computed in floating point, from the displacement or as the
-  difference of two projected points, are off by about 1e-15 * C *
-  (|fx| + |fy|), far below M, so their signs are those of the exact u and v
-  of the displacement that ``_quadrant`` would be given.
+  difference of two projected points, and a projected point compared with
+  another's plus or minus M, are off by about 1e-15 * C * (|fx| + |fy|),
+  far below M, so their signs are those of the exact u and v of the
+  displacement that ``_quadrant`` would be given.
 
 The sign path skips ``_quadrant``'s coincidence check: ``Scene`` validation
 already rejects any two centroids closer than ``MIN_SEPARATION``, measured
-by the same ``math.hypot``.  A non-finite u or v falls to ``_quadrant``.
+by the same ``math.hypot``.  No u, v or projection is non-finite.
 
 ``partitions`` reads the frames that every landmark shares from
 ``scene.frames``, where ``frames.frame_instance``, the one frame binder,

@@ -1164,6 +1164,30 @@ def test_paths_with_a_null_byte_exit_with_their_code(argv, code, capsys):
     assert "embedded null byte" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, what, code",
+    [
+        (["generate", "--scene", "", "--target", "blk_a"], "scene", 2),
+        (
+            ["generate", "--scene", str(DEMO / "two_blocks_car.json"), "--target", "blk_a"]
+            + ["--prefs", ""],
+            "preferences",
+            2,
+        ),
+        (["evaluate", "--config", ""], "config", 2),
+        (["resolve", "--scene", str(DEMO / "two_blocks_car.json"), "--expr", "@"], "expression", 5),
+    ],
+    ids=["scene", "prefs", "config", "expr"],
+)
+def test_empty_paths_exit_with_their_code(argv, what, code, capsys):
+    """``Path("")`` is the current directory, so an empty path is rejected
+    before any file is opened, and the message says it is empty."""
+    assert cli.main(argv) == code
+    err = capsys.readouterr().err
+    assert f"error: {what} file path is empty" in err
+    assert "Is a directory" not in err
+
+
 # --- document fuzzing -----------------------------------------------------------
 
 # A mutation replaces the value at one path with one of these, deletes it,

@@ -284,7 +284,9 @@ def test_describe_visual_matches_reference(default_prefs, objects, vocabulary, s
 
 
 class TestSelectLandmarkMatchesReference:
-    @pytest.mark.parametrize("objects", [(3, 8), (8, 16), (16, 30)], ids=str)
+    # ``select_landmark`` tests each candidate against one band per
+    # distractor, and the largest tables have the most distractors.
+    @pytest.mark.parametrize("objects", [(3, 8), (8, 16), (16, 30), (30, 60)], ids=str)
     @pytest.mark.parametrize("vocabulary", sorted(VOCABULARIES))
     @pytest.mark.parametrize("prefs_name", ["default", "two_frame"])
     def test_sampled_scenes(self, objects, vocabulary, prefs_name, request):
@@ -415,6 +417,21 @@ class TestSignQuadrantMatchesRelation:
     def test_on_sampled_tables(self, default_prefs, seed, vocabulary, kind, heading):
         scene = sample_scene(seed, objects=(16, 30), **VOCABULARIES[vocabulary])
         assert_partitions_match_relation(scene, scene.entities)
+        frame = FrameInstance(kind, None, heading_vec(heading))
+        compare_along_chain_domains(scene, default_prefs, frame)
+
+    # A tenth of the profile's examples: one takes about 0.1 s.
+    @settings(deadline=None, max_examples=settings.default.max_examples // 10)
+    @given(
+        st.integers(min_value=0, max_value=2**63 - 1),
+        st.sampled_from(sorted(VOCABULARIES)),
+        st.sampled_from(FrameKind),
+        headings,
+    )
+    def test_on_larger_tables(self, default_prefs, seed, vocabulary, kind, heading):
+        """60-120 objects: ``select_landmark`` tests a candidate against one
+        band per distractor, and these tables have the most distractors."""
+        scene = sample_scene(seed, objects=(60, 120), **VOCABULARIES[vocabulary])
         frame = FrameInstance(kind, None, heading_vec(heading))
         compare_along_chain_domains(scene, default_prefs, frame)
 

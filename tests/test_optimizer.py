@@ -10,6 +10,7 @@ from pcsreg.generator import (
     expression_space,
 )
 from pcsreg.geometry import ordered_sum
+from pcsreg import optimizer
 from pcsreg.harness import derive_seed, sample_scene
 from pcsreg.optimizer import (
     METHODS,
@@ -309,14 +310,32 @@ def test_every_method_picks_from_the_expression_space(objects, default_prefs):
     assert 0 in depths and max(depths) >= 2
 
 
-@pytest.mark.parametrize("objects", [(3, 8), (8, 16)], ids=str)
-def test_generate_methods_is_generate_for_each_method(objects, default_prefs):
-    """Each pick is ``generate``'s candidate or the error it raises, and
-    ``scored`` is the table of the ranking behind ``pcsreg``'s pick."""
-    scenes = [sample_scene(derive_seed(5, "methods", objects, i), objects=objects) for i in range(20)]
+# ``pcsreg`` first, last, and left out: the order must not matter.
+METHOD_ORDERS = [METHODS, METHODS[1:] + METHODS[:1], METHODS[1:]]
+
+
+@pytest.mark.parametrize("objects", [(3, 8), (8, 16), (16, 30)], ids=str)
+def test_generate_methods_is_generate_for_each_method(objects, default_prefs, monkeypatch):
+    """Each pick is ``generate``'s candidate or the error it raises, in any
+    order of ``methods``; ``scored`` is the table of the ranking behind
+    ``pcsreg``'s pick, and each baseline's pick is taken from that ranking's
+    expression space.  The largest tables use the crowded vocabulary."""
+    pools = CROWDED_POOLS if objects == (16, 30) else {}
+    scenes = [
+        sample_scene(derive_seed(5, "methods", objects, i), objects=objects, **pools)
+        for i in range(20)
+    ]
     # Target block15 of this scene needs a five-unit chain, one over the cap.
     scenes.append(sample_scene(derive_seed(1, "scene", 189), objects=(8, 16), **CROWDED_POOLS))
-    capped = 0
+    spaces = []
+    built = optimizer.expression_space
+
+    def recorded(*args):
+        spaces.append(built(*args))
+        return spaces[-1]
+
+    monkeypatch.setattr(optimizer, "expression_space", recorded)
+    capped = shared = 0
     for scene in scenes:
         for target in scene.referable_ids():
             try:
@@ -324,19 +343,32 @@ def test_generate_methods_is_generate_for_each_method(objects, default_prefs):
             except GenerationError:
                 continue
             seed = derive_seed(5, "strategy", target)
-            picks, scored = generate_methods(METHODS, chain, scene, default_prefs, seed=seed)
-            assert list(picks) == list(METHODS)
+            wants = {}
             for method in METHODS:
                 try:
-                    want = generate(method, chain, scene, default_prefs, seed=seed)
+                    wants[method] = generate(method, chain, scene, default_prefs, seed=seed)
                 except GenerationError as exc:
-                    assert type(picks[method]) is type(exc) and str(picks[method]) == str(exc)
-                    capped += 1
+                    wants[method] = exc
+            for methods in METHOD_ORDERS:
+                spaces.clear()
+                picks, scored = generate_methods(methods, chain, scene, default_prefs, seed=seed)
+                assert list(picks) == list(methods)
+                for method in methods:
+                    want = wants[method]
+                    if isinstance(want, GenerationError):
+                        assert type(picks[method]) is type(want) and str(picks[method]) == str(want)
+                        capped += 1
+                    else:
+                        assert picks[method] == want
+                if chain.k > MAX_COMPLEXITY or "pcsreg" not in methods:
+                    # With no space, over the cap or without pcsreg, each
+                    # baseline builds its own candidate.
+                    assert scored == {} and spaces == []
+                    assert all(isinstance(picks[m], CandidateExpression) for m in METHODS[1:])
                 else:
-                    assert picks[method] == want
-            if chain.k > MAX_COMPLEXITY:
-                assert scored == {}
-            else:
-                space = expression_space(chain, scene)
-                assert scored == rank(space, target, scene, default_prefs)[1]
-    assert capped > 0
+                    (space,) = spaces
+                    assert scored == rank(space, target, scene, default_prefs)[1]
+                    for method in METHODS[1:]:
+                        assert any(c is picks[method] for c in space)
+                        shared += 1
+    assert capped > 0 and shared > 0
