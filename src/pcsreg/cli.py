@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import logging
 import os
 import sys
 from pathlib import Path
@@ -62,9 +61,6 @@ EXIT_BAD_TARGET = 3
 EXIT_GENERATION_FAILED = 4
 EXIT_PARSE_FAILURE = 5
 
-log = logging.getLogger("pcsreg")
-_log_handler: logging.StreamHandler | None = None  # installed by the last ``_setup_logging``
-
 # Imperative verb prefixes stripped (case-insensitively) before parsing;
 # the expression model covers only the referring noun phrase.
 IMPERATIVE_PREFIXES = (
@@ -86,19 +82,11 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _setup_logging() -> None:
-    """Send the ``pcsreg`` logger's lines at the ``PCSREG_LOG`` level to the
-    current ``sys.stderr``.  An earlier call's handler is kept while it is the
-    logger's only handler and writes to that stream; otherwise it is replaced."""
-    global _log_handler
-    level = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}.get(
-        os.environ.get("PCSREG_LOG", "error").lower(), logging.ERROR
-    )
-    if log.handlers != [_log_handler] or _log_handler.stream is not sys.stderr:
-        _log_handler = logging.StreamHandler(sys.stderr)
-        _log_handler.setFormatter(logging.Formatter("%(levelname)s %(message)s"))
-        log.handlers = [_log_handler]
-    log.setLevel(level)
+def _note(message: str) -> None:
+    """Print ``INFO message`` to the current ``sys.stderr`` when
+    ``PCSREG_LOG`` is ``info`` or ``debug`` (any letter case)."""
+    if os.environ.get("PCSREG_LOG", "").lower() in ("info", "debug"):
+        print(f"INFO {message}", file=sys.stderr)
 
 
 def _fail(code: int, message: str) -> NoReturn:
@@ -155,7 +143,7 @@ def cmd_generate(args) -> int:
         print(f"warning: best-effort ambiguous description: {surface!r}", file=sys.stderr)
         raise SystemExit(EXIT_GENERATION_FAILED)
     if not chain.converged:
-        log.info("preference updating hit the rebuild cap without a fixed point")
+        _note("preference updating hit the rebuild cap without a fixed point")
     if args.json:
         sc = score(candidate, args.target, scene, prefs)
         doc = {
@@ -289,7 +277,7 @@ def cmd_evaluate(args) -> int:
                 (out / name).write_text(content, encoding="utf-8")
         except OSError as exc:
             _fail(EXIT_USAGE, f"cannot write reports to {out}: {exc}")
-        log.info("reports written to %s", out)
+        _note(f"reports written to {out}")
     print(text, end="")
     return 0
 
@@ -371,7 +359,6 @@ def main(argv=None) -> int:
     parsed by that verb's own parser; help and usage errors are argparse's
     own, as from the full parser.
     """
-    _setup_logging()
     try:
         try:
             args = _parse(sys.argv[1:] if argv is None else argv)

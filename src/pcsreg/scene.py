@@ -10,7 +10,9 @@ landmark shares, the last two filled on first use.  Each document schema is
 compiled once per process, on its first ``check_document``, into tables
 that map a value's Python type to the tests of its JSON type's keywords,
 so a value costs one lookup plus its own tests.  ``json_text`` is the one
-writer of every JSON document the package prints or saves.
+writer of every JSON document the package prints or saves; it writes only
+JSON values as ``check_document`` reads them, the exact types of
+``_JSON_TYPES`` with every number finite.
 """
 
 from __future__ import annotations
@@ -36,6 +38,10 @@ UNIT_NORM_TOL = 1e-9
 # A number is finite when ``abs(value) <= _FLOAT_MAX``: NaN, infinities and
 # ints such as 10**400 fail.
 _FLOAT_MAX = sys.float_info.max
+
+# Finds a code point in U+D800-U+DFFF: ``json.loads`` reads the escape
+# ``"\ud800"`` as one, a lone surrogate, which no UTF-8 output can encode.
+_SURROGATE = re.compile(r"[\ud800-\udfff]").search
 
 
 class SceneError(ValueError):
@@ -385,11 +391,12 @@ def scene_to_dict(scene: Scene) -> dict:
 
 
 def parse_json(text: str, invalid: Callable[[str], Exception]):
-    """Parse JSON ``text``; text that is not JSON, or is nested too deeply
-    for the parser, raises ``invalid(message)``."""
+    """Parse JSON ``text``; text that is not JSON, holds an integer too long
+    for ``int``, or is nested too deeply for the parser, raises
+    ``invalid(message)``."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise invalid(f"not valid JSON: {exc}") from None
     except RecursionError:
         raise invalid("nested too deeply") from None
@@ -414,7 +421,8 @@ class _Invalid(Exception):
 
 
 # The JSON type of each Python type that ``json.loads`` produces, and of
-# a tuple, which ``json_text`` writes as an array.
+# a tuple, which ``json_text`` writes as an array: a JSON value, to the
+# checks and the writer alike, is one of these exact types.
 _JSON_TYPES = {
     dict: "object",
     list: "array",
@@ -558,19 +566,22 @@ def _compile(schema: dict, root: dict, refs: dict, slot: tuple | None = None) ->
             raise _Invalid(f"must be in [{least}, {most}], got {value!r}")
 
     def check_string(value):
+        if not value.isascii() and _SURROGATE(value):
+            raise _Invalid(f"must not hold a lone surrogate, got {reprlib.repr(value)}")
         if len(value) < min_length:
             raise _Invalid(f"must have at least {min_length} characters, got {value!r}")
         if search is not None and not search(value):
             raise _Invalid(f"must be {schema['description']}, got {reprlib.repr(value)}")
 
     # Each JSON type's test, None where its keywords are absent; every
-    # number is tested, since every number must be finite.
+    # number and string is tested, since every number must be finite and
+    # no string may hold a lone surrogate.
     tests = {
         "object": check_object if required or needs or closed or properties else None,
         "array": check_array if lo or hi < math.inf or unique or items is not None else None,
         "number": check_number,
         "integer": check_number,
-        "string": check_string if min_length or search is not None else None,
+        "string": check_string,
         "boolean": None,
         "null": None,
     }
@@ -595,10 +606,8 @@ def _compile(schema: dict, root: dict, refs: dict, slot: tuple | None = None) ->
 
 
 # Each schema's compiled check, keyed by the schema's identity.  An entry
-# holds its schema, so the id stays that schema's; the oldest entry goes
-# once the cache is full, so schemas built per call cannot grow it.
+# holds its schema, so the id stays that schema's.
 _COMPILED: dict[int, tuple[dict, _Checks]] = {}
-_COMPILED_MAX = 32
 
 
 def check_document(doc, schema: dict, invalid: Callable[[tuple, str], Exception]) -> None:
@@ -611,24 +620,24 @@ def check_document(doc, schema: dict, invalid: Callable[[tuple, str], Exception]
     ``dependencies`` (array form), ``properties``,
     ``additionalProperties: false``, ``items``, ``minItems``/``maxItems``,
     ``uniqueItems`` and ``$ref`` into ``definitions``.  Every number must
-    also be finite, and a tuple counts as an array.  A value of any other
-    Python type, a subclass of these included, breaks a schema with
+    also be finite, no string may hold a code point in U+D800-U+DFFF (a
+    lone surrogate, which no UTF-8 output can encode; a valid pair loads
+    as one code point), and a tuple counts as an array.  A value of any
+    other Python type, a subclass of these included, breaks a schema with
     ``type`` and meets only ``enum`` otherwise.  ``path`` holds the keys
     and indexes down to the bad value; a bad item of a list of scalars is
     reported at the list.  A document too deep for the check to recurse
     through is ``invalid((), "nested too deeply")``.
 
-    A schema is compiled on its first use and the result kept, keyed by
-    the schema object's identity: callers pass module-level schemas, and
-    never change one after its first use.  The compiled form is a table
-    per schema node from each Python type of a JSON type to the tests of
-    that type's keywords (None where none applies), so a value costs one
-    lookup plus its own tests.
+    A schema is compiled on its first use and the result kept for the
+    life of the process, keyed by the schema object's identity: callers
+    pass module-level schemas, and never change one after its first use.
+    The compiled form is a table per schema node from each Python type of
+    a JSON type to the tests of that type's keywords (None where none
+    applies), so a value costs one lookup plus its own tests.
     """
     entry = _COMPILED.get(id(schema))
     if entry is None:
-        if len(_COMPILED) >= _COMPILED_MAX:
-            _COMPILED.pop(next(iter(_COMPILED)), None)
         entry = _COMPILED[id(schema)] = (schema, _compile(schema, schema, {}))
     test = entry[1][type(doc)]
     try:
@@ -649,48 +658,33 @@ def load_scene(source: Union[str, Path]) -> Scene:
 
 
 _ESCAPE = json.encoder.encode_basestring_ascii
-_INF = float("inf")
-
-
-def _scalar_text(value):
-    """The text of a JSON scalar, tested in the stdlib's order (a string
-    escaped, anything else bare, a non-finite float in the stdlib's
-    words), or None for any other value."""
-    if isinstance(value, str):
-        return _ESCAPE(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        if value != value:
-            return "NaN"
-        if value == _INF:
-            return "Infinity"
-        if value == -_INF:
-            return "-Infinity"
-        return float.__repr__(value)
-    return None
 
 
 def _write(value, out: list, indent: str) -> None:
     """Append the text of ``value`` to ``out``; ``indent`` is the newline
-    and spaces that open a line at ``value``'s level.  The exact types of
-    most values are tested first."""
+    and spaces that open a line at ``value``'s level.  Each branch is one
+    exact type of ``_JSON_TYPES``."""
     kind = type(value)
     if kind is str:
-        text = _ESCAPE(value)
-    elif kind is int or kind is float and -_INF < value < _INF:
-        text = repr(value)
-    else:
-        text = _scalar_text(value)
-    if text is not None:
-        out.append(text)
-    elif isinstance(value, (list, tuple)):
+        out.append(_ESCAPE(value))
+    elif kind is int or kind is float:
+        if not abs(value) <= _FLOAT_MAX:
+            raise ValueError(f"numbers must be finite, got {value!r}")
+        out.append(repr(value))
+    elif kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        separator = "{" + inner
+        for key, item in sorted(value.items()):
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(separator + _ESCAPE(key) + ": ")
+            _write(item, out, inner)
+            separator = "," + inner
+        out.append(indent + "}")
+    elif kind is list or kind is tuple:
         if not value:
             out.append("[]")
             return
@@ -701,38 +695,26 @@ def _write(value, out: list, indent: str) -> None:
             _write(item, out, inner)
             separator = "," + inner
         out.append(indent + "]")
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        inner = indent + "  "
-        separator = "{" + inner
-        for key, item in sorted(value.items()):
-            if not isinstance(key, str):
-                text = _scalar_text(key)
-                if text is None:
-                    raise TypeError(
-                        f"keys must be str, int, float, bool or None, not {key.__class__.__name__}"
-                    )
-                key = text
-            out.append(separator + _ESCAPE(key) + ": ")
-            _write(item, out, inner)
-            separator = "," + inner
-        out.append(indent + "}")
+    elif kind is bool:
+        out.append("true" if value else "false")
+    elif value is None:
+        out.append("null")
     else:
-        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 def json_text(doc) -> str:
     """The canonical text of a JSON document, which every writer uses:
-    exactly ``json.dumps(doc, indent=2, sort_keys=True)``, so equal
-    documents give equal bytes.  Two-space indent, sorted keys, ASCII
-    escapes, a tuple as an array, ``NaN``/``Infinity`` for non-finite
-    floats, and ``TypeError`` for what the stdlib cannot write.  Written
-    in one pass into one list, since ``indent`` rules out the stdlib's C
-    encoder.  The package writes only trees it built, so a cyclic
-    document, which the stdlib rejects with ``ValueError``, is not
-    looked for and raises ``RecursionError``."""
+    for a document of JSON values (``_JSON_TYPES`` by exact type, every
+    number finite), exactly ``json.dumps(doc, indent=2, sort_keys=True)``,
+    so equal documents give equal bytes.  Two-space indent, sorted keys,
+    ASCII escapes and a tuple as an array.  Any other value, a subclass or
+    a key that is no ``str`` included, raises ``TypeError``, and a number
+    beyond the largest float (NaN, an infinity, an int such as 10**400)
+    ``ValueError``.  Written in one pass into one list, since ``indent``
+    rules out the stdlib's C encoder.  The package writes only trees it
+    built, so a cyclic document is not looked for and raises
+    ``RecursionError``."""
     out: list[str] = []
     _write(doc, out, "\n")
     return "".join(out)

@@ -243,6 +243,8 @@ def _check(value, schema: dict, root: dict) -> None:
             lo, hi = schema.get("minimum", -math.inf), schema.get("maximum", math.inf)
             raise _Invalid(f"must be in [{lo}, {hi}], got {value!r}")
     elif name == "string":
+        if any("\ud800" <= char <= "\udfff" for char in value):
+            raise _Invalid(f"must not hold a lone surrogate, got {reprlib.repr(value)}")
         if len(value) < schema.get("minLength", 0):
             raise _Invalid(f"must have at least {schema['minLength']} characters, got {value!r}")
         if "pattern" in schema and not re.search(schema["pattern"], value):

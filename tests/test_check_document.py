@@ -74,13 +74,15 @@ class _Mapping(dict):
 _FOREIGN = [{1, 2}, b"x", _Pair((0.5, 0.5)), _Mapping(category="block"), object()]
 
 # Wrong types, bools for numbers, non-finite and out-of-range numbers,
-# values of other fields and of foreign types.  The scalars that break
+# strings with a lone surrogate (and one with a valid pair, which loads as
+# one code point), values of other fields and of foreign types.  The scalars that break
 # most fields are drawn as often as all the rest.
 _SCALARS = [True, False, None, "x", float("nan"), float("inf"), 10**400, -1]
 _VALUES = _SCALARS + _FOREIGN + [
     "", [], {}, 0, 2, 1.5, float("-inf"), -(10**400), [True, 1.0], [0.5, 0.5],
     [0.5, 0.5, 0.5, 0.5], ["a"], [["a"]], {"head": {}}, {"category": "block"},
     {"person": "you"}, "front", "object", "pcsreg", "toy car", "Behind", "block\n",
+    "blk_\ud800", "\udfff", "cup\U0001f600", ["\udc80"],
 ]
 _VALUE = st.one_of(st.sampled_from(_SCALARS), st.sampled_from(_VALUES))
 _KEYS = ["unknown", "prep", "landmark", "head", "north", "person", "seed", "speaker"]
@@ -209,23 +211,11 @@ def test_deep_expressions_are_checked_as_by_the_reference(depth):
 def test_a_schema_is_compiled_once_and_kept_with_its_schema():
     check_document(_demo("two_blocks_car.json"), SCENE_SCHEMA, Fault)
     entry = scene_module._COMPILED[id(SCENE_SCHEMA)]
+    schema = {"type": "object", "properties": {"n": {"type": "integer", "minimum": 3}}}
+    assert compiled_check({"n": -1}, schema) == (("n",), "must be in [3, inf], got -1")
     check_document(_demo("facing_pair_square.json"), SCENE_SCHEMA, Fault)
     assert scene_module._COMPILED[id(SCENE_SCHEMA)] is entry and entry[0] is SCENE_SCHEMA
-
-
-def test_compile_cache_stays_bounded_under_ad_hoc_schemas():
-    for minimum in range(3 * scene_module._COMPILED_MAX):
-        schema = {"type": "object", "properties": {"n": {"type": "integer", "minimum": minimum}}}
-        with pytest.raises(Fault, match=rf"must be in \[{minimum}, inf\], got -1"):
-            check_document({"n": -1}, schema, Fault)
-        assert len(scene_module._COMPILED) <= scene_module._COMPILED_MAX
-    # The module schemas still check after being evicted.
-    for schema, doc in _BASES:
-        assert compiled_check(doc, schema) is None
-    assert compiled_check({"head": {"person": "me"}}, EXPRESSION_SCHEMA) == (
-        ("head", "person"),
-        "must be one of ['speaker', 'listener'], got 'me'",
-    )
+    assert scene_module._COMPILED[id(schema)][0] is schema
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,6 @@ import copy
 import hashlib
 import io
 import json
-import logging
 import os
 import subprocess
 import sys
@@ -814,41 +813,25 @@ def test_main_reads_sys_argv_by_default(capsys, monkeypatch):
 
 
 def test_log_lines_go_to_each_calls_stderr(tmp_path, monkeypatch):
-    monkeypatch.setenv("PCSREG_LOG", "info")
+    """Each in-process call reads ``PCSREG_LOG`` and writes its INFO lines
+    to its own ``sys.stderr``: none when unset or ``error``, one at
+    ``info`` or ``DEBUG``."""
     config = tmp_path / "config.json"
     config.write_text(
         json.dumps({"seed": 5, "n_scenes": 1, "trials_per_expression": 1, "methods": ["robot"]})
     )
-    root = logging.getLogger()
-    root_before = (root.level, list(root.handlers))
-    for out in ("a", "b"):
+    levels = ((None, False), ("error", False), ("info", True), ("DEBUG", True), (None, False))
+    for level, shown in levels:
+        if level is None:
+            monkeypatch.delenv("PCSREG_LOG", raising=False)
+        else:
+            monkeypatch.setenv("PCSREG_LOG", level)
+        out = tmp_path / str(level)
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-            code = cli.main(["evaluate", "--config", str(config), "--out", str(tmp_path / out)])
+            code = cli.main(["evaluate", "--config", str(config), "--out", str(out)])
         assert code == 0
-        assert "INFO reports written to" in err.getvalue()
-    assert len(logging.getLogger("pcsreg").handlers) == 1
-    assert (root.level, list(root.handlers)) == root_before
-
-
-def test_a_kept_log_handler_follows_each_calls_level(tmp_path, monkeypatch):
-    config = tmp_path / "config.json"
-    config.write_text(
-        json.dumps({"seed": 5, "n_scenes": 1, "trials_per_expression": 1, "methods": ["robot"]})
-    )
-    err = io.StringIO()
-    outputs, handlers = [], []
-    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-        for level in ("info", "error"):
-            monkeypatch.setenv("PCSREG_LOG", level)
-            start = len(err.getvalue())
-            code = cli.main(["evaluate", "--config", str(config), "--out", str(tmp_path / level)])
-            assert code == 0
-            outputs.append(err.getvalue()[start:])
-            handlers.append(list(logging.getLogger("pcsreg").handlers))
-    assert len(handlers[0]) == 1 and handlers[1] == handlers[0]
-    assert "INFO reports written to" in outputs[0]
-    assert "INFO reports written to" not in outputs[1]
+        assert err.getvalue() == (f"INFO reports written to {out}\n" if shown else ""), level
 
 
 @pytest.mark.parametrize(
@@ -877,6 +860,77 @@ def test_over_deep_documents_exit_without_traceback(case, code, tmp_path):
     assert out.returncode == code
     assert "Traceback" not in out.stderr
     assert "nested too deeply" in out.stderr
+
+
+_HUGE = "9" * 5000  # past the interpreter's 4,300-digit limit on int conversion
+
+
+@pytest.mark.parametrize(
+    "case, code",
+    [("scene", 2), ("prefs", 2), ("config", 2), ("json", 5)],
+)
+def test_over_long_integers_exit_with_the_documents_code(case, code, tmp_path):
+    """An integer literal too long for ``int`` makes a document invalid JSON."""
+    scene = str(DEMO / "two_blocks_car.json")
+    doc = tmp_path / "doc.json"
+    if case == "scene":
+        demo = json.loads((DEMO / "two_blocks_car.json").read_text())
+        demo["entities"][0]["pos"][0] = "HUGE"
+        doc.write_text(json.dumps(demo).replace('"HUGE"', _HUGE))
+    elif case == "prefs":
+        doc.write_text(json.dumps(NAN_PREFS).replace("NaN", _HUGE))
+    elif case == "config":
+        doc.write_text(f'{{"seed": {_HUGE}, "n_scenes": 1, "trials_per_expression": 1}}')
+    else:
+        doc.write_text(f'{{"head": {{"category": "car"}}, "size": {_HUGE}}}')
+    args = {
+        "scene": ("resolve", "--scene", str(doc), "--expr", "the car"),
+        "prefs": ("generate", "--scene", scene, "--target", "blk_a", "--prefs", str(doc)),
+        "config": ("evaluate", "--config", str(doc)),
+        "json": ("resolve", "--scene", scene, "--expr", f"@{doc}"),
+    }[case]
+    out = run_cli(*args)
+    assert (out.returncode, out.stdout) == (code, "")
+    assert "Traceback" not in out.stderr
+    assert "not valid JSON: Exceeds the limit (4300" in out.stderr
+
+
+@pytest.mark.parametrize(
+    "case, code, field",
+    [
+        ("id", 2, "entities[0].id"),
+        ("color", 2, "entities[0].color"),
+        ("category", 2, "config field 'categories'"),
+        ("json", 5, "head.category"),
+    ],
+)
+def test_lone_surrogates_are_rejected_at_load(case, code, field, tmp_path):
+    """A ``\\ud800`` escape loads as a lone surrogate, which no UTF-8
+    output can encode: each document rejects it, naming the field."""
+    demo = json.loads((DEMO / "two_blocks_car.json").read_text())
+    if case == "id":
+        demo["entities"][0]["id"] = "blk_\ud800"
+    elif case == "color":
+        demo["entities"][0]["color"] = "yel\ud800low"
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(demo))
+    doc = tmp_path / "doc.json"
+    if case == "category":
+        config = {"seed": 1, "n_scenes": 1, "trials_per_expression": 1, "per_trial_csv": True,
+                  "methods": ["robot"], "categories": ["blo\ud800ck"]}
+        doc.write_text(json.dumps(config))
+    elif case == "json":
+        doc.write_text(json.dumps({"head": {"category": "ca\ud800r"}}))
+    args = {
+        "id": ("resolve", "--scene", str(scene), "--expr", "the car"),
+        "color": ("generate", "--scene", str(scene), "--target", "blk_b"),
+        "category": ("evaluate", "--config", str(doc), "--out", str(tmp_path / "out")),
+        "json": ("resolve", "--scene", str(scene), "--expr", f"@{doc}"),
+    }[case]
+    out = run_cli(*args)
+    assert (out.returncode, out.stdout) == (code, "")
+    assert "Traceback" not in out.stderr
+    assert field in out.stderr and "\\ud800" in out.stderr
 
 
 def _expression_of(units: int, form: str) -> str:

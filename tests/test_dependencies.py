@@ -1,5 +1,6 @@
 """The library keeps the README's promises: no runtime dependencies, and
-each module imports on its own, loading only the modules it needs."""
+each module imports on its own, loading only the modules it needs; the CLI
+prints its notes without the ``logging`` package."""
 
 import ast
 import json
@@ -23,11 +24,12 @@ def test_library_imports_only_the_standard_library():
     assert imported - set(sys.stdlib_module_names) - {"pcsreg"} == set()
 
 
-def _modules_after_import(module: str) -> list:
-    """The pcsreg modules that a fresh interpreter holds after ``import module``."""
+def _modules_after_import(module: str, package: str = "pcsreg") -> list:
+    """The modules of ``package`` that a fresh interpreter holds after
+    ``import module``."""
     script = (
         f"import json, sys, {module}; "
-        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'pcsreg')))"
+        f"print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == {package!r})))"
     )
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
@@ -43,3 +45,7 @@ def test_each_module_imports_on_its_own():
 
 def test_the_scene_module_loads_only_what_it_imports():
     assert _modules_after_import("pcsreg.scene") == ["pcsreg", "pcsreg.geometry", "pcsreg.scene"]
+
+
+def test_the_cli_loads_no_logging():
+    assert _modules_after_import("pcsreg.cli", "logging") == []

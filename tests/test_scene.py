@@ -4,6 +4,7 @@ import enum
 import hashlib
 import json
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -730,68 +731,75 @@ class _Level(enum.IntEnum):
     HIGH = 2
 
 
-# Subclasses of the JSON types, which the stdlib writes as their base type.
-_SUBCLASSED = st.sampled_from(
-    [_Text("é\n"), _Real(0.1), _Real("-inf"), _Level.HIGH, collections.OrderedDict(b=1, a=[])]
-)
-
-# Values that ``json.dumps`` writes, each in its one spelling: strings with
-# non-ASCII and control characters and lone surrogates, ints beyond 64
-# bits, and floats whose text is easy to get wrong.
+# JSON values, each in its one spelling: strings with non-ASCII and
+# control characters and lone surrogates, ints beyond 64 bits, and finite
+# floats whose text is easy to get wrong.
+_CHARS = st.characters(exclude_categories=())
+_TEXT = st.text(_CHARS)
 _WRITABLE = st.one_of(
     st.none(),
     st.booleans(),
     st.integers(),
-    st.integers(min_value=2**64, max_value=2**300).flatmap(lambda n: st.sampled_from([n, -n])),
-    st.floats(),
-    st.sampled_from([-0.0, 5e-324, 1e16, 1e-7, float("nan"), float("inf"), float("-inf")]),
-    st.text(st.characters(exclude_categories=())),
-    _SUBCLASSED,
-)
-
-# Values and keys it cannot write.
-_UNWRITABLE = st.sampled_from([set(), frozenset(), b"x", bytearray(b"x")]) | st.builds(object)
-_KEYS = st.one_of(
-    st.text(st.characters(exclude_categories=())),
-    st.integers() | st.booleans() | st.floats(),
-    st.sampled_from([_Text("k"), _Real(0.5), _Level.HIGH]),
-    st.none(),
-    st.tuples(st.integers()) | st.builds(object),
+    st.integers(min_value=2**64, max_value=2**1000).flatmap(lambda n: st.sampled_from([n, -n])),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 5e-324, 1e16, 1e-7, sys.float_info.max]),
+    _TEXT,
 )
 
 
 def _documents(children):
     items = st.lists(children, max_size=4)
     return st.one_of(
-        items, items.map(tuple), st.dictionaries(st.text(max_size=3), children, max_size=4),
-        st.dictionaries(_KEYS, children, max_size=3),
+        items, items.map(tuple), st.dictionaries(st.text(_CHARS, max_size=3), children, max_size=4)
     )
 
 
-def _written(write, doc):
-    """``write(doc)``, or the type of the exception it raised."""
-    try:
-        return write(doc)
-    except (TypeError, ValueError) as exc:
-        return type(exc)
+@pytest.mark.deep
+@given(st.recursive(_WRITABLE, _documents, max_leaves=24))
+@example({"b": [1, 2.5, (), {}], "a": {"\udc80é\x00": (None, True, -0.0)}})
+@example([5e-324, 1e16, 2**70, -(2**70), sys.float_info.max, -sys.float_info.max])
+def test_json_text_is_the_stdlib_text(doc):
+    """Over JSON values ``json_text`` writes exactly ``json.dumps(doc,
+    indent=2, sort_keys=True)``."""
+    assert json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+# Values that are no JSON value, each with the error ``json_text`` raises:
+# subclasses of the JSON types, keys that are no ``str``, other types, and
+# numbers beyond the largest float.
+_NOT_JSON = [
+    *((value, TypeError) for value in (
+        _Text("é"), _Real(0.5), _Real("nan"), _Level.HIGH, collections.OrderedDict(a=1),
+        {1: "x"}, {True: "y"}, {None: 0, "a": 1}, {2.5: 1}, {_Text("k"): 0}, {(1,): 0},
+        set(), frozenset(), b"x", bytearray(b"x"), object(),
+    )),
+    *((value, ValueError) for value in (
+        float("nan"), float("inf"), float("-inf"), 10**400, -(10**400),
+    )),
+]
+
+
+def _holding(bad):
+    """Documents of JSON values that hold ``bad`` once, at some depth."""
+    return st.recursive(
+        st.just(bad),
+        lambda inner: st.one_of(
+            st.builds(lambda items, i, value: [*items[:i], value, *items[i:]],
+                      st.lists(_WRITABLE, max_size=3), st.integers(0, 3), inner),
+            inner.map(lambda value: (value,)),
+            st.builds(lambda key, value, rest: {**rest, key: value},
+                      _TEXT, inner, st.dictionaries(_TEXT, _WRITABLE, max_size=2)),
+        ),
+        max_leaves=4,
+    )
 
 
 @pytest.mark.deep
-@given(
-    st.recursive(_WRITABLE, _documents, max_leaves=24)
-    | st.recursive(_WRITABLE | _UNWRITABLE, _documents, max_leaves=8)
-)
-@example({"b": [1, 2.5, (), {}], "a": {"\udc80é\x00": (None, True, -0.0)}})
-@example([5e-324, 1e16, float("nan"), float("inf"), float("-inf"), 2**70, -(2**70)])
-@example({1: "x", True: "y", None: 0, 2.5: 1})
-@example({None: 0, "a": 1})
-@example([set(), b"x", object()])
-@example([_Text("é"), _Real("nan"), _Level.HIGH, {_Level.HIGH: 1, _Real(0.5): _Real(-0.0)}])
-def test_json_text_is_the_stdlib_text(doc):
-    """``json_text`` writes exactly ``json.dumps(doc, indent=2,
-    sort_keys=True)``, or raises the same type of exception."""
-    stdlib = _written(lambda d: json.dumps(d, indent=2, sort_keys=True), doc)
-    assert _written(json_text, doc) == stdlib
+@given(st.sampled_from(_NOT_JSON).flatmap(lambda case: st.tuples(_holding(case[0]), st.just(case[1]))))
+def test_json_text_rejects_what_is_no_json_value(case):
+    doc, error = case
+    with pytest.raises(error):
+        json_text(doc)
 
 
 # sha256 of ``dump_scene`` for each demo scene and for ``sample_scene(7)``
