@@ -3,6 +3,7 @@ import copy
 import hashlib
 import io
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -832,6 +833,29 @@ def test_log_lines_go_to_each_calls_stderr(tmp_path, monkeypatch):
             code = cli.main(["evaluate", "--config", str(config), "--out", str(out)])
         assert code == 0
         assert err.getvalue() == (f"INFO reports written to {out}\n" if shown else ""), level
+
+
+def test_a_kept_log_handler_follows_each_calls_level(tmp_path, monkeypatch):
+    """Calls in one process follow their own ``PCSREG_LOG`` level, and
+    ``main`` leaves the ``pcsreg`` logger's handlers as it found them."""
+    config = tmp_path / "config.json"
+    config.write_text(
+        json.dumps({"seed": 5, "n_scenes": 1, "trials_per_expression": 1, "methods": ["robot"]})
+    )
+    before = list(logging.getLogger("pcsreg").handlers)
+    err = io.StringIO()
+    outputs, handlers = [], []
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        for level in ("info", "error"):
+            monkeypatch.setenv("PCSREG_LOG", level)
+            start = len(err.getvalue())
+            code = cli.main(["evaluate", "--config", str(config), "--out", str(tmp_path / level)])
+            assert code == 0
+            outputs.append(err.getvalue()[start:])
+            handlers.append(list(logging.getLogger("pcsreg").handlers))
+    assert handlers == [before, before]
+    assert "INFO reports written to" in outputs[0]
+    assert "INFO reports written to" not in outputs[1]
 
 
 @pytest.mark.parametrize(
