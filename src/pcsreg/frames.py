@@ -198,8 +198,12 @@ PREFS_SCHEMA = {
 
 
 def preference_error(path: tuple, message: str) -> FrameError:
-    """The error for a preference document whose ``path`` breaks ``PREFS_SCHEMA``."""
-    return FrameError(f"row {path[0]!r} {message}" if path else f"preference document {message}")
+    """The error for a preference document whose ``path`` breaks
+    ``PREFS_SCHEMA``: ``("listener", 0)`` is row 'listener' entry 0."""
+    if not path:
+        return FrameError(f"preference document {message}")
+    entry = f" entry {path[1]}" if len(path) > 1 else ""
+    return FrameError(f"row {path[0]!r}{entry} {message}")
 
 
 def preferences_from_dict(doc: dict) -> PreferenceTable:

@@ -51,7 +51,7 @@ from .resolver import (
     denote,
     spine,
 )
-from .scene import Entity, EntityKind, Scene, TableExtent, check_document, json_text, landmark_type
+from .scene import Entity, EntityKind, Scene, TableExtent, check_document, dotted_path, json_text, landmark_type
 from .scene import ATTRIBUTE_VALUE, _TypesChecked
 
 DEFAULT_CATEGORIES = ("block", "car", "cup", "book")
@@ -408,15 +408,20 @@ CONFIG_SCHEMA = {
     "definitions": {"preferences": PREFS_SCHEMA},
 }
 
-# The config fields that ``sample_scene``'s pools set; no pool refers to
-# the preference definition, which this schema does not carry.
-_POOLS_SCHEMA = {"properties": CONFIG_SCHEMA["properties"]}
+# The config fields that ``sample_scene``'s pools set.
+_POOLS_SCHEMA = {
+    "properties": {
+        key: CONFIG_SCHEMA["properties"][key] for key in ("objects", "categories", "colors", "shapes")
+    }
+}
 
 
 def _config_error(path: tuple, message: str) -> HarnessError:
-    if len(path) > 1:  # inside true_prefs or assumed_prefs: a preference error
-        message = str(preference_error(path[1:], message))
-    return HarnessError(f"config field {path[0]!r} {message}" if path else f"config {message}")
+    """A fault inside ``true_prefs`` or ``assumed_prefs`` is named as a
+    preference error; any other field by its dotted path."""
+    if len(path) > 1 and path[0] in ("true_prefs", "assumed_prefs"):
+        return HarnessError(f"config field {path[0]!r} {preference_error(path[1:], message)}")
+    return HarnessError(f"config field {dotted_path(path)!r} {message}" if path else f"config {message}")
 
 
 def config_from_dict(doc: dict) -> TrialConfig:
@@ -485,7 +490,9 @@ class TargetOutcome:
     """One ambiguous target's evaluation: its scene index, its chain (or the
     ``GenerationError`` that building it raised), and per method, in
     ``cfg.methods`` order, its pick (None when there is no chain) and its
-    ``Outcome``, one object per distinct surface."""
+    ``Outcome``, one object per distinct surface.  No error it holds, nor
+    the cause or context of one, keeps a traceback, so a kept record pins
+    no frame of the build, and no scene, and leaves no reference cycle."""
 
     scene: int
     target: str
@@ -528,6 +535,9 @@ def target_outcomes(cfg: TrialConfig) -> Iterator[TargetOutcome]:
             try:
                 chain = build_landmark_chain(target_id, scene, assumed)
             except GenerationError as exc:
+                for error in (exc, exc.__cause__, exc.__context__):
+                    if error is not None:
+                        error.__traceback__ = None
                 chain, picks, scored = exc, {}, {}
             else:
                 strategy_seed = derive_seed(cfg.seed, "strategy", scene_idx, target_id)

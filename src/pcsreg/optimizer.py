@@ -127,7 +127,8 @@ def generate_methods(
 
     Returns ``(picks, scored)``.  ``picks`` maps each method to its
     candidate, or to the ``GenerationError`` that generation raised
-    (``pcsreg`` on a chain over the complexity cap).  ``scored`` is
+    (``pcsreg`` on a chain over the complexity cap), without its traceback,
+    which would pin the caller's frame.  ``scored`` is
     ``rank``'s denotation under ``prefs`` and score of every distinct
     surface of the expression space, and is empty unless ``pcsreg`` is
     among ``methods`` and succeeds.  Other errors propagate.
@@ -140,7 +141,7 @@ def generate_methods(
             space = expression_space(chain, scene)
             picks["pcsreg"], scored = rank(space, chain.target, scene, prefs)
         except GenerationError as exc:
-            picks["pcsreg"] = exc
+            picks["pcsreg"] = exc.with_traceback(None)
     for method in methods:
         if method != "pcsreg":
             picks[method] = _baseline(method, chain, seed, space)

@@ -434,23 +434,6 @@ _JSON_TYPES = {
     type(None): "null",
 }
 
-# A bad item of a list of scalars is reported as the list's fault, naming
-# what the list must contain.
-_PLURALS = {"number": "finite numbers", "integer": "integers", "string": "strings"}
-
-
-def _plural_fault(items: dict, value) -> _Invalid:
-    """The fault of the list ``value`` that holds an item breaking ``items``."""
-    want = _PLURALS.get(items.get("type"), f"values from {items.get('enum')}")
-    if "minimum" in items:
-        want += f" >= {items['minimum']}"
-    if "minLength" in items:
-        want += f" of at least {items['minLength']} characters"
-    if "pattern" in items:
-        want += f", each {items['description']}"
-    return _Invalid(f"must contain {want}, got {reprlib.repr(value)}")
-
-
 class _Checks(dict):
     """A compiled schema: each Python type of ``_JSON_TYPES`` maps to the
     test of its JSON type's keywords, or to None where nothing is left to
@@ -462,51 +445,43 @@ class _Checks(dict):
         return self.other
 
 
-def _compile(schema: dict, root: dict, refs: dict, slot: tuple | None = None) -> _Checks:
+def _compile(schema: dict, root: dict, refs: dict) -> _Checks:
     """``schema`` as a ``_Checks`` table whose tests raise ``_Invalid`` for
-    a value that breaks it.  A ``$ref`` is an empty table whose ``other``
-    compiles the definition on its first use, into ``refs`` (shared by
-    every reference into ``root``), and then writes it over its ``slot``,
-    the (properties, key) that held it, so a recursive document costs one
-    call per level."""
-    checks = _Checks()
+    a value that breaks it.  A ``$ref`` is its definition's one table,
+    compiled on the first reference and kept in ``refs`` (shared by every
+    reference into ``root``); the table is registered before the definition
+    is compiled into it, so a recursive definition points at its own table
+    and a recursive document costs one call per level."""
     if "$ref" in schema:
         name = schema["$ref"].rpartition("/")[2]
-
-        def check_ref(value):
-            target = refs.get(name)
-            if target is None:
-                target = refs[name] = _compile(root["definitions"][name], root, refs)
-            if slot is not None:
-                slot[0][slot[1]] = target
-            test = target[type(value)]
-            if test is not None:
-                test(value)
-
-        checks.other = check_ref
+        checks = refs.get(name)
+        if checks is None:
+            checks = refs[name] = _Checks()
+            definition = _compile(root["definitions"][name], root, refs)
+            checks.update(definition)
+            checks.other = definition.other
         return checks
 
+    checks = _Checks()
     types = schema.get("type")
     names = (types,) if isinstance(types, str) else types
     allowed = None if types is None else {*names, *(["integer"] if "number" in names else [])}
     enum = schema.get("enum")
-    properties: dict[str, _Checks] = {}
-    for key, sub in schema.get("properties", {}).items():
-        properties[key] = _compile(sub, root, refs, (properties, key))
+    properties = {key: _compile(sub, root, refs) for key, sub in schema.get("properties", {}).items()}
     required = schema.get("required", ())
     needs = [(key, other) for key, rest in schema.get("dependencies", {}).items() for other in rest]
     closed = schema.get("additionalProperties") is False
     lo, hi = schema.get("minItems", 0), schema.get("maxItems", math.inf)
     unique = schema.get("uniqueItems")
     items = schema.get("items")
-    nested = items is not None and "properties" in items
-    # A list of plain numbers is checked in one loop, without a call per item.
+    # A list of plain numbers is checked in one loop, without a call per
+    # item; its first bad item is left to the per-item checks to report.
     plain = items is not None and items.keys() <= {"type", "minimum", "maximum"}
     numbers = None
     if plain and items.get("type") in ("number", "integer"):
         numbers = (int,) if items["type"] == "integer" else (int, float)
         item_least, item_most = items.get("minimum", -math.inf), items.get("maximum", math.inf)
-    each = None if items is None or numbers else _compile(items, root, refs)
+    each = None if items is None else _compile(items, root, refs)
     least, most = schema.get("minimum", -math.inf), schema.get("maximum", math.inf)
     min_length = schema.get("minLength", 0)
     search = re.compile(schema["pattern"]).search if "pattern" in schema else None
@@ -546,18 +521,18 @@ def _compile(schema: dict, root: dict, refs: dict, slot: tuple | None = None) ->
                 if type(item) not in numbers or not (
                     abs(item) <= _FLOAT_MAX and item_least <= item <= item_most
                 ):
-                    raise _plural_fault(items, value)
-        elif each is not None:
+                    break
+            else:
+                return
+        if each is not None:
             for i, item in enumerate(value):
                 test = each[type(item)]
                 if test is not None:
                     try:
                         test(item)
                     except _Invalid as exc:
-                        if nested:
-                            exc.path.append(i)
-                            raise
-                        raise _plural_fault(items, value) from None
+                        exc.path.append(i)
+                        raise
 
     def check_number(value):
         if not abs(value) <= _FLOAT_MAX:
@@ -624,17 +599,20 @@ def check_document(doc, schema: dict, invalid: Callable[[tuple, str], Exception]
     lone surrogate, which no UTF-8 output can encode; a valid pair loads
     as one code point), and a tuple counts as an array.  A value of any
     other Python type, a subclass of these included, breaks a schema with
-    ``type`` and meets only ``enum`` otherwise.  ``path`` holds the keys
-    and indexes down to the bad value; a bad item of a list of scalars is
-    reported at the list.  A document too deep for the check to recurse
-    through is ``invalid((), "nested too deeply")``.
+    ``type`` and meets only ``enum`` otherwise.  Every fault is reported
+    where it is, in the words of the check it broke: ``path`` holds the keys
+    and indexes down to the bad value, an item of a list of scalars
+    included.  A document too deep for the check to recurse through is
+    ``invalid((), "nested too deeply")``.
 
     A schema is compiled on its first use and the result kept for the
     life of the process, keyed by the schema object's identity: callers
     pass module-level schemas, and never change one after its first use.
     The compiled form is a table per schema node from each Python type of
     a JSON type to the tests of that type's keywords (None where none
-    applies), so a value costs one lookup plus its own tests.
+    applies), so a value costs one lookup plus its own tests; each ``$ref``
+    definition is compiled once, into one table that every reference to it,
+    its own included, shares.
     """
     entry = _COMPILED.get(id(schema))
     if entry is None:

@@ -30,7 +30,6 @@ from pcsreg.resolver import (
 from pcsreg.scene import (
     _FLOAT_MAX,
     _JSON_TYPES,
-    _PLURALS,
     EntityKind,
     LandmarkType,
     Scene,
@@ -225,17 +224,8 @@ def _check(value, schema: dict, root: dict) -> None:
             try:
                 _check(item, items, root)
             except _Invalid as exc:
-                if "properties" in items:
-                    exc.path.append(i)
-                    raise
-                want = _PLURALS.get(items.get("type"), f"values from {items.get('enum')}")
-                if "minimum" in items:
-                    want += f" >= {items['minimum']}"
-                if "minLength" in items:
-                    want += f" of at least {items['minLength']} characters"
-                if "pattern" in items:
-                    want += f", each {items['description']}"
-                raise _Invalid(f"must contain {want}, got {reprlib.repr(value)}") from None
+                exc.path.append(i)
+                raise
     elif name == "number" or name == "integer":
         if not abs(value) <= _FLOAT_MAX:
             raise _Invalid(f"must be finite, got {reprlib.repr(value)}")

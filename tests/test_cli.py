@@ -4,7 +4,9 @@ import hashlib
 import io
 import json
 import logging
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -540,7 +542,7 @@ class TestEvaluate:
         )
         out = run_cli("evaluate", "--config", str(path))
         assert out.returncode == 2
-        assert repr(next(iter(override))) in out.stderr
+        assert re.search(rf"config field '{next(iter(override))}(\[\d+\])?' ", out.stderr)
         assert "Traceback" not in out.stderr
 
     def test_non_finite_true_prefs_exit_2(self, tmp_path):
@@ -922,15 +924,20 @@ def test_over_long_integers_exit_with_the_documents_code(case, code, tmp_path):
 @pytest.mark.parametrize(
     "case, code, field",
     [
-        ("id", 2, "entities[0].id"),
-        ("color", 2, "entities[0].color"),
-        ("category", 2, "config field 'categories'"),
-        ("json", 5, "head.category"),
+        ("id", 2, "entities[0].id: "),
+        ("color", 2, "entities[0].color: "),
+        ("category", 2, "config field 'categories[0]' "),
+        ("json", 5, "head.category: "),
+    ],
+    ids=[
+        "id-2-entities[0].id", "color-2-entities[0].color",
+        "category-2-config field 'categories'", "json-5-head.category",
     ],
 )
 def test_lone_surrogates_are_rejected_at_load(case, code, field, tmp_path):
     """A ``\\ud800`` escape loads as a lone surrogate, which no UTF-8
-    output can encode: each document rejects it, naming the field."""
+    output can encode: each document rejects it, naming the field and the
+    rule."""
     demo = json.loads((DEMO / "two_blocks_car.json").read_text())
     if case == "id":
         demo["entities"][0]["id"] = "blk_\ud800"
@@ -954,7 +961,54 @@ def test_lone_surrogates_are_rejected_at_load(case, code, field, tmp_path):
     out = run_cli(*args)
     assert (out.returncode, out.stdout) == (code, "")
     assert "Traceback" not in out.stderr
-    assert field in out.stderr and "\\ud800" in out.stderr
+    assert field + "must not hold a lone surrogate, got " in out.stderr and "\\ud800" in out.stderr
+
+
+def _with_nan_pos(demo):
+    demo["entities"][0]["pos"] = [math.nan, 0.2]
+    return demo
+
+
+@pytest.mark.parametrize(
+    "kind, doc, message",
+    [
+        (
+            "scene",
+            _with_nan_pos,
+            "invalid scene: entities[0].pos[0]: must be finite, got nan",
+        ),
+        (
+            "prefs",
+            lambda demo: {**_PREFS_DOC, "listener": [-0.5, 0.5, 0.5, 0.5]},
+            "invalid preferences: row 'listener' entry 0 must be in [0, inf], got -0.5",
+        ),
+        (
+            "config",
+            lambda demo: {**_CONFIG_DOC, "categories": ["block", "blo\ud800ck"]},
+            "invalid config: config field 'categories[1]' must not hold a lone surrogate, got 'blo\\ud800ck'",
+        ),
+        (
+            "config",
+            lambda demo: {**_CONFIG_DOC, "objects": [1, 4]},
+            "invalid config: config field 'objects[0]' must be in [2, inf], got 1",
+        ),
+    ],
+    ids=["scene pos", "prefs entry", "config category", "config objects"],
+)
+def test_a_bad_item_is_reported_at_its_index_in_its_checks_words(kind, doc, message, tmp_path):
+    """An item of a list of scalars that breaks its schema is reported at
+    its own index, with the message of the rule it broke, in each kind of
+    document, and the document's exit code."""
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc(json.loads((DEMO / "two_blocks_car.json").read_text()))))
+    scene = str(DEMO / "two_blocks_car.json")
+    args = {
+        "scene": ("resolve", "--scene", str(path), "--expr", "the car"),
+        "prefs": ("generate", "--scene", scene, "--target", "blk_a", "--prefs", str(path)),
+        "config": ("evaluate", "--config", str(path), "--out", str(tmp_path / "out")),
+    }[kind]
+    out = run_cli(*args)
+    assert (out.returncode, out.stdout, out.stderr) == (2, "", f"error: {message}\n")
 
 
 def _expression_of(units: int, form: str) -> str:

@@ -63,10 +63,10 @@ def test_rows_are_stochastic():
 DELETED = object()  # the row is left out of the table
 
 BAD_ROWS = {
-    "nan": ((math.nan, 0.0, 0.0, 1.0), "must contain finite numbers >= 0"),
-    "inf": ((math.inf, 0.0, 0.0, 0.0), "must contain finite numbers >= 0"),
-    "minus_inf": ((-math.inf, 0.0, 0.0, 1.0), "must contain finite numbers >= 0"),
-    "negative": ((-0.5, 0.5, 0.5, 0.5), "must contain finite numbers >= 0"),
+    "nan": ((math.nan, 0.0, 0.0, 1.0), "entry 0 must be finite, got nan$"),
+    "inf": ((math.inf, 0.0, 0.0, 0.0), "entry 0 must be finite, got inf$"),
+    "minus_inf": ((-math.inf, 0.0, 0.0, 1.0), "entry 0 must be finite, got -inf$"),
+    "negative": ((-0.5, 0.5, 0.5, 0.5), r"entry 0 must be in \[0, inf\], got -0.5$"),
     "above_one": ((1.0 + 5e-10, 0.0, 0.0, 0.0), "must sum to 1 within 1e-09, entries <= 1"),
     "bad_sum": ((0.5, 0.5, 0.1, 0.0), "must sum to 1 within 1e-09, entries <= 1"),
     "short": ((0.5, 0.5, 0.0), r"must have \[4, 4\] items"),
@@ -306,7 +306,7 @@ def test_preference_file_rejects_non_finite_entries(bad):
         "oriented_object": [0.045, 0.045, 0.905, 0.005],
         "unoriented_object": [0.6667, 0.2014, 0.1181, 0.0138],
     }
-    with pytest.raises(FrameError, match="row 'listener' must contain finite numbers"):
+    with pytest.raises(FrameError, match="^row 'listener' entry 0 must be finite, got "):
         load_preferences(json.dumps(doc))
 
 

@@ -400,8 +400,9 @@ def test_target_outcomes_match_the_references(
 
 
 def test_target_outcomes_carry_the_cap_error(default_prefs, monkeypatch):
-    """Over the cap, ``pcsreg``'s pick is the ``ComplexityCapError`` and
-    it has the outcome of no expression; the baselines still pick."""
+    """Over the cap, ``pcsreg``'s pick is the ``ComplexityCapError``,
+    without a traceback, and it has the outcome of no expression; the
+    baselines still pick."""
     monkeypatch.setattr(generator, "MAX_COMPLEXITY", 1)
     cfg = TrialConfig(
         seed=6, n_scenes=3, trials_per_expression=4, true_prefs=default_prefs, methods=METHODS
@@ -412,7 +413,7 @@ def test_target_outcomes_carry_the_cap_error(default_prefs, monkeypatch):
             continue
         capped += 1
         pcsreg, *baselines = zip(record.picks, record.outcomes)
-        assert isinstance(pcsreg[0], ComplexityCapError)
+        assert isinstance(pcsreg[0], ComplexityCapError) and pcsreg[0].__traceback__ is None
         assert pcsreg[1] == (None, 0.0, [None] * cfg.trials_per_expression)
         assert all(isinstance(pick, CandidateExpression) for pick, _ in baselines)
     assert capped

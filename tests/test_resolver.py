@@ -558,7 +558,9 @@ def test_generated_surfaces_parse_back_or_the_scene_is_rejected(data, seed):
     try:
         sampled = sample_scene(seed, **{pool: tuple(v) for pool, v in pools.items()})
     except HarnessError as exc:
-        assert first_pool and str(exc).startswith(f"config field {first_pool!r} must contain"), exc
+        assert first_pool, exc
+        i = next(i for i, value in enumerate(pools[first_pool]) if value in bad)
+        assert str(exc).startswith(f"config field '{first_pool}[{i}]' must be "), exc
     else:
         assert first_pool is None
         assert scene_to_dict(sampled) == doc

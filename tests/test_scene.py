@@ -113,18 +113,20 @@ NAN = float("nan")
 INF = float("inf")
 HUGE = 10**400  # an int beyond the float range
 
-NON_FINITE_CASES = [
-    ("north", lambda d: d.update(north=[NAN, 1.0])),
-    ("table.min", lambda d: d["table"].update(min=[-INF, -1.0])),
-    ("table.max", lambda d: d["table"].update(max=[1.0, INF])),
-    ("entities[0].pos", lambda d: d["entities"][0].update(pos=[NAN, 0.2])),
-    ("entities[0].heading", lambda d: d["entities"][0].update(heading=NAN)),
-    ("entities[1].heading", lambda d: d["entities"][1].update(heading=-INF)),
-    ("entities[2].heading", lambda d: d["entities"][2].update(heading=HUGE)),
-]
+# Each field, the path its fault is reported at (an array's at the bad
+# item) and the change that breaks it.
+NON_FINITE_CASES = {
+    "north": ("north[0]", lambda d: d.update(north=[NAN, 1.0])),
+    "table.min": ("table.min[0]", lambda d: d["table"].update(min=[-INF, -1.0])),
+    "table.max": ("table.max[1]", lambda d: d["table"].update(max=[1.0, INF])),
+    "entities[0].pos": ("entities[0].pos[0]", lambda d: d["entities"][0].update(pos=[NAN, 0.2])),
+    "entities[0].heading": ("entities[0].heading", lambda d: d["entities"][0].update(heading=NAN)),
+    "entities[1].heading": ("entities[1].heading", lambda d: d["entities"][1].update(heading=-INF)),
+    "entities[2].heading": ("entities[2].heading", lambda d: d["entities"][2].update(heading=HUGE)),
+}
 
 
-@pytest.mark.parametrize("path, mutate", NON_FINITE_CASES, ids=[c[0] for c in NON_FINITE_CASES])
+@pytest.mark.parametrize("path, mutate", NON_FINITE_CASES.values(), ids=list(NON_FINITE_CASES))
 def test_non_finite_numbers_rejected(path, mutate):
     doc = minimal_doc()
     mutate(doc)
@@ -139,13 +141,21 @@ PYTHON_NON_FINITE_CASES = [
     ("entities[1].heading", 1, INF, (0.0, 1.0)),
     ("entities[2].heading", 2, -INF, (0.0, 1.0)),
     ("entities[2].heading", 2, NAN, (0.0, 1.0)),
-    ("north", None, None, (NAN, 1.0)),
-    ("north", None, None, (NAN, NAN)),
-    ("north", None, None, (0.0, INF)),
+    ("north[0]", None, None, (NAN, 1.0)),
+    ("north[0]", None, None, (NAN, NAN)),
+    ("north[1]", None, None, (0.0, INF)),
 ]
 
 
-@pytest.mark.parametrize("path, index, heading, north", PYTHON_NON_FINITE_CASES)
+@pytest.mark.parametrize(
+    "path, index, heading, north",
+    PYTHON_NON_FINITE_CASES,
+    ids=[
+        *("entities[0].heading-0-nan-north0", "entities[1].heading-1-inf-north1"),
+        *("entities[2].heading-2--inf-north2", "entities[2].heading-2-nan-north3"),
+        *("north-None-None-north4", "north-None-None-north5", "north-None-None-north6"),
+    ],
+)
 def test_python_scene_rejects_non_finite_headings_and_north(path, index, heading, north):
     """The schema keeps these out of scene files; a ``Scene`` built in
     Python is checked against it on construction."""
@@ -161,11 +171,11 @@ FINITE_TABLE = ((-1.0, -1.0), (1.0, 1.0))
 UNBOUNDED_TABLE = ((-INF, -INF), (INF, INF))
 
 PYTHON_NON_FINITE_PLACES = [
-    ("table.min", UNBOUNDED_TABLE, None, None),
-    ("table.max", ((-1.0, -1.0), (1.0, NAN)), None, None),
-    ("table.min", UNBOUNDED_TABLE, 0, (INF, 0.0)),
-    ("entities[0].pos", FINITE_TABLE, 0, (NAN, 0.2)),
-    ("entities[1].pos", FINITE_TABLE, 1, (0.0, -INF)),
+    ("table.min[0]", UNBOUNDED_TABLE, None, None),
+    ("table.max[1]", ((-1.0, -1.0), (1.0, NAN)), None, None),
+    ("table.min[0]", UNBOUNDED_TABLE, 0, (INF, 0.0)),
+    ("entities[0].pos[0]", FINITE_TABLE, 0, (NAN, 0.2)),
+    ("entities[1].pos[1]", FINITE_TABLE, 1, (0.0, -INF)),
 ]
 
 
@@ -256,23 +266,24 @@ PYTHON_STRUCTURE_CASES = [
     # Types ``SCENE_SCHEMA`` fixes in scene files, named in its words; a
     # bool is no number.
     _wrong_type("heading", "must be of type number or null, got 'abc'", heading="abc"),
-    _wrong_type("pos", "must contain finite numbers, got ('0.1', 0.2)", centroid=("0.1", 0.2)),
+    _wrong_type("pos[0]", "must be of type number, got '0.1'", centroid=("0.1", 0.2)),
     _wrong_type("pos", "must be of type array, got None", centroid=None),
-    _wrong_type("pos", "must contain finite numbers, got (True, 0.2)", centroid=(True, 0.2)),
+    _wrong_type("pos[0]", "must be of type number, got True", centroid=(True, 0.2)),
     _wrong_type("color", "must be of type string or null, got 5", color=5),
     _wrong_type("id", "must be of type string, got 7", id=7),
-    # Table corners and ``north`` get the same type checks as a centroid.
+    # Table corners and ``north`` get the same type checks as a centroid,
+    # each bad item reported at its index.
     ("table.min", "must be of type array, got None", None, (None, (1.0, 1.0)), (0.0, 1.0)),
-    ("table.min", "must contain finite numbers, got ('a', -1.0)", None, (("a", -1.0), (1.0, 1.0)), (0.0, 1.0)),
-    ("table.max", "must contain finite numbers, got (True, 1.0)", None, ((-1.0, -1.0), (True, 1.0)), (0.0, 1.0)),
+    ("table.min[0]", "must be of type number, got 'a'", None, (("a", -1.0), (1.0, 1.0)), (0.0, 1.0)),
+    ("table.max[0]", "must be of type number, got True", None, ((-1.0, -1.0), (True, 1.0)), (0.0, 1.0)),
     ("north", "must be of type array, got None", None, FINITE_TABLE, None),
     ("north", "must be of type array, got 'ab'", None, FINITE_TABLE, "ab"),
-    ("north", "must contain finite numbers, got (False, True)", None, FINITE_TABLE, (False, True)),
+    ("north[0]", "must be of type number, got False", None, FINITE_TABLE, (False, True)),
     # HUGE is no finite number, and the message shortens it.
     ("entities[1].heading", "must be finite, got 1000", _replace_entity(1, heading=HUGE), FINITE_TABLE, (0.0, 1.0)),
-    ("entities[0].pos", "must contain finite numbers, got (1000", _centroid((HUGE, 0.0)), FINITE_TABLE, (0.0, 1.0)),
-    ("table.min", "must contain finite numbers, got (-1000", None, ((-HUGE, -1.2), (1.0, 1.0)), (0.0, 1.0)),
-    ("north", "must contain finite numbers, got (1000", None, FINITE_TABLE, (HUGE, 0)),
+    ("entities[0].pos[0]", "must be finite, got 1000", _centroid((HUGE, 0.0)), FINITE_TABLE, (0.0, 1.0)),
+    ("table.min[0]", "must be finite, got -1000", None, ((-HUGE, -1.2), (1.0, 1.0)), (0.0, 1.0)),
+    ("north[0]", "must be finite, got 1000", None, FINITE_TABLE, (HUGE, 0)),
     # A table, entity list or entity of the wrong type altogether.
     ("table", "must be a TableExtent, got ((-1.2", _tuple_table, FINITE_TABLE, (0.0, 1.0)),
     ("entities", "must be of type array, got None", _no_entities, FINITE_TABLE, (0.0, 1.0)),
@@ -423,8 +434,8 @@ def test_several_faults_are_reported_in_check_order():
         parts,
         [
             ("table", "must be a TableExtent", lambda p: p.update(table=TableExtent(*p["table"]))),
-            ("table.min", "must contain finite numbers", lambda p: p.update(table=TableExtent(*FINITE_TABLE))),
-            ("north", "must contain finite numbers", lambda p: p.update(north=(0.0, 1.0))),
+            ("table.min[0]", "must be of type number", lambda p: p.update(table=TableExtent(*FINITE_TABLE))),
+            ("north[0]", "must be of type number", lambda p: p.update(north=(0.0, 1.0))),
             ("entities", "must be of type array", lambda p: p.update(entities=faulty)),
             ("entities[0]", "must be an Entity", lambda p: p["entities"].pop(0)),
             ("entities[0].color", "must be of type string or null", _replace_entity(0, color="red")),
@@ -478,8 +489,8 @@ def test_every_type_fault_is_reported_before_any_semantic_fault():
             ("table", "must be a TableExtent", lambda p: p.update(table=TableExtent(*p["table"]))),
             ("entities[0]", "must be an Entity", lambda p: p["entities"].pop(0)),
             ("entities[1].kind", "must be an EntityKind", _replace_entity(1, kind=EntityKind.SPEAKER)),
-            ("table.max", "must contain finite numbers", lambda p: p.update(table=TableExtent((1.0, -1.0), (1.0, 1.0)))),
-            ("north", "must contain finite numbers", lambda p: p.update(north=(0.0, 2.0))),
+            ("table.max[1]", "must be finite", lambda p: p.update(table=TableExtent((1.0, -1.0), (1.0, 1.0)))),
+            ("north[1]", "must be of type number", lambda p: p.update(north=(0.0, 2.0))),
             ("entities[0].color", "must be of type string or null", _replace_entity(0, color="red")),
             ("table", "strictly below", lambda p: p.update(table=TableExtent(*FINITE_TABLE))),
             ("north", "must be a 2-d unit vector", lambda p: p.update(north=(0.0, 1.0))),
@@ -490,17 +501,18 @@ def test_every_type_fault_is_reported_before_any_semantic_fault():
     )
 
 
-# A field and a bad value for it: the file holds the value as JSON, the
-# Python-built scene as it is, each array a tuple.
+# The path of a fault and a bad value for its field: the file holds the
+# value as JSON, the Python-built scene as it is, each array a tuple.  A
+# bad first item of an array is reported at ``[0]``.
 SAME_FAULT_CASES = {
     "int id": ("entities[0].id", 7),
     "None category": ("entities[0].category", None),
     "empty color": ("entities[0].color", ""),
     "str heading": ("entities[0].heading", "abc"),
-    "str pos": ("entities[0].pos", ("0.1", "0.2")),
-    "bool pos": ("entities[0].pos", (True, False)),
+    "str pos": ("entities[0].pos[0]", ("0.1", "0.2")),
+    "bool pos": ("entities[0].pos[0]", (True, False)),
     "3-item pos": ("entities[0].pos", (0.1, 0.2, 0.3)),
-    "huge pos": ("entities[0].pos", (1e400, 0.2)),
+    "huge pos": ("entities[0].pos[0]", (1e400, 0.2)),
     "None min": ("table.min", None),
     "None north": ("north", None),
 }
@@ -515,12 +527,13 @@ def test_a_type_fault_gets_one_message_in_a_file_and_in_python(path, value):
     entities = list(load_scene(json.dumps(doc)).entities)
     table, north = TableExtent(*FINITE_TABLE), (0.0, 1.0)
     listed = list(value) if isinstance(value, tuple) else value
-    if path == "table.min":
+    field = path.removesuffix("[0]")
+    if field == "table.min":
         doc["table"]["min"], table = listed, TableExtent(value, FINITE_TABLE[1])
-    elif path == "north":
+    elif field == "north":
         doc["north"], north = listed, value
     else:
-        key = path.rpartition(".")[2]
+        key = field.rpartition(".")[2]
         doc["entities"][0][key] = listed
         entities[0] = dataclasses.replace(entities[0], **{"centroid" if key == "pos" else key: value})
     with pytest.raises(SceneError) as from_file:
